@@ -81,51 +81,77 @@ class TreeNode:
 class _TreeBuilder:
     """Greedy exact split search, vectorized over all features at once.
 
-    Features are argsorted once per training; each node gathers its rows
-    in presorted order through a boolean membership mask, so split search
-    is a handful of array operations per node.
+    Features are argsorted once per training. Each node holds its own rows
+    in that presorted order (a d x k index matrix and the matching values)
+    and hands a stable partition of both to its children, so split search
+    at a node costs O(d k), not O(d n). Each training row's leaf value is
+    recorded as the rows are partitioned.
     """
 
     def __init__(self, x, cfg):
         self.x = x
         self.cfg = cfg
-        self.order = np.argsort(x, axis=0, kind="stable")      # n x d
-        self.x_sorted_t = np.take_along_axis(x, self.order, 0).T  # d x n
+        order = np.argsort(x, axis=0, kind="stable")             # n x d
+        self.root_idx = np.ascontiguousarray(order.T)             # d x n
+        self.root_xs = np.take_along_axis(x, order, 0).T.copy()  # d x n
+        self.root_rows = np.arange(x.shape[0])
 
-    def build(self, g, h, member, depth):
+    def build(self, g, h):
+        """Grow one tree; returns it and every training row's leaf value."""
+        out = np.empty(self.x.shape[0])
+        tree = self._grow(g, h, self.root_rows, self.root_idx, self.root_xs,
+                          0, out)
+        return tree, out
+
+    def _grow(self, g, h, rows, idx, xs, depth, out):
+        # rows ascending; idx[j] and xs[j] are the same rows sorted by
+        # feature j
         cfg = self.cfg
-        g_sum = float(g[member].sum())
-        h_sum = float(h[member].sum())
+        g_sum = float(g[rows].sum())
+        h_sum = float(h[rows].sum())
         leaf = TreeNode(leaf_value=-g_sum / (h_sum + cfg.lambda_))
-        k = int(member.sum())
+        k = rows.size
         if depth >= cfg.max_depth or k < 2:
+            out[rows] = leaf.leaf_value
             return leaf
-        sel = member[self.order].T                  # d x n
-        xn = self.x_sorted_t[sel].reshape(self.x.shape[1], k)
-        gn = np.cumsum(g[self.order].T[sel].reshape(-1, k), axis=1)
-        hn = np.cumsum(h[self.order].T[sel].reshape(-1, k), axis=1)
-        parent = g_sum * g_sum / (h_sum + cfg.lambda_)
-        gl = gn[:, :-1]
-        hl = hn[:, :-1]
+        gl = np.cumsum(g[idx], axis=1)[:, :-1]
+        hl = np.cumsum(h[idx], axis=1)[:, :-1]
         gr = g_sum - gl
         hr = h_sum - hl
+        parent = g_sum * g_sum / (h_sum + cfg.lambda_)
         gain = 0.5 * (gl ** 2 / (hl + cfg.lambda_)
                       + gr ** 2 / (hr + cfg.lambda_) - parent) - cfg.gamma
-        ok = (np.diff(xn, axis=1) > 0) \
+        ok = (np.diff(xs, axis=1) > 0) \
             & (hl >= cfg.min_child_hessian) & (hr >= cfg.min_child_hessian)
         gain[~ok] = -np.inf
         flat = int(np.argmax(gain))
         feat, cut = divmod(flat, gain.shape[1])
         best_gain = float(gain[feat, cut])
         if best_gain <= 0.0:
+            out[rows] = leaf.leaf_value
             return leaf
-        thr = 0.5 * (xn[feat, cut] + xn[feat, cut + 1])
+        thr = 0.5 * (xs[feat, cut] + xs[feat, cut + 1])
         node = TreeNode(feature=int(feat), threshold=float(thr),
                         gain=best_gain)
-        left = member & (self.x[:, feat] <= thr)
-        node.left = self.build(g, h, left, depth + 1)
-        node.right = self.build(g, h, member & ~left, depth + 1)
+        goes_left = self.x[:, feat] <= thr
+        left = goes_left[rows]
+        sorted_left = goes_left[idx]
+        sorted_right = ~sorted_left
+        d = idx.shape[0]
+        node.left = self._grow(
+            g, h, rows[left], idx[sorted_left].reshape(d, -1),
+            xs[sorted_left].reshape(d, -1), depth + 1, out)
+        node.right = self._grow(
+            g, h, rows[~left], idx[sorted_right].reshape(d, -1),
+            xs[sorted_right].reshape(d, -1), depth + 1, out)
         return node
+
+
+def _tree_depth(node):
+    """Depth of the deepest leaf; a lone leaf has depth 0."""
+    if node.is_leaf:
+        return 0
+    return 1 + max(_tree_depth(node.left), _tree_depth(node.right))
 
 
 def _tree_predict(node, x):
@@ -214,14 +240,13 @@ def gbt_train(x, y, cfg=GbtConfig(), eval_set=None, feature_names=None):
     best_eval = math.inf
     best_round = 0
     builder = _TreeBuilder(x, cfg)
-    all_rows = np.ones(x.shape[0], dtype=bool)
     for rnd in range(cfg.n_rounds):
         prob = 1.0 / (1.0 + np.exp(-raw))
         g = prob - y
         h = prob * (1.0 - prob)
-        tree = builder.build(g, h, all_rows, 0)
+        tree, leaf_values = builder.build(g, h)
         trees.append(tree)
-        raw += cfg.eta * _tree_predict(tree, x)
+        raw += cfg.eta * leaf_values
         train_hist.append(_logloss(y, 1.0 / (1.0 + np.exp(-raw))))
         if raw_eval is not None:
             raw_eval += cfg.eta * _tree_predict(tree, x_eval)
@@ -266,14 +291,13 @@ def gbt_importance(model):
 class Scaler:
     mean: np.ndarray
     std: np.ndarray
-    n_fit_rows: int
 
     @classmethod
     def fit(cls, x):
         mean = x.mean(axis=0)
         std = x.std(axis=0, ddof=0)
         std = np.where(std == 0.0, 1.0, std)
-        return cls(mean=mean, std=std, n_fit_rows=x.shape[0])
+        return cls(mean=mean, std=std)
 
     def transform(self, x):
         return (x - self.mean) / self.std
@@ -480,22 +504,7 @@ def _config_sort_key(cfg):
     return tuple(sorted((k, token(v)) for k, v in cfg.items()))
 
 
-def _fit_predict(kind, train_x, train_y, test_x, cfg, seed, gbt_base,
-                 eval_on_test=False, test_y=None):
-    if kind == "gbt":
-        base = gbt_base or GbtConfig()
-        if eval_on_test:
-            # laxer historical protocol: early stopping watches the CV
-            # test fold itself
-            model = gbt_train(train_x, train_y, replace(base, **cfg),
-                              eval_set=(test_x, test_y))
-        else:
-            tr_idx, ev_idx = stratified_split(train_y, 0.2, seed)
-            model = gbt_train(
-                train_x[tr_idx], train_y[tr_idx],
-                replace(base, **cfg),
-                eval_set=(train_x[ev_idx], train_y[ev_idx]))
-        return model.predict(test_x)
+def _fit_predict(kind, train_x, train_y, test_x, cfg):
     if kind == "svm":
         model = svm_train(train_x, train_y, c=cfg["c"],
                           gamma_rbf=cfg["gamma_rbf"])
@@ -504,6 +513,35 @@ def _fit_predict(kind, train_x, train_y, test_x, cfg, seed, gbt_base,
         return KnnModel(train_x, np.asarray(train_y, dtype=int),
                         cfg["k"]).predict(test_x)
     raise ValueError("unknown classifier %r" % kind)
+
+
+def _gbt_fit_predict(fits, fold, train_x, train_y, test_x, test_y, cfg,
+                     seed, gbt_base, eval_on_test):
+    """GBT fold predictions, fitting once per distinct model.
+
+    A model grown under cap D whose deepest leaf sits at depth s < D never
+    met its cap, so every cap D' >= s grows it tree for tree. `fits` maps
+    (fold, config without max_depth) to (lowest cap, highest cap,
+    predictions) for the models fitted so far.
+    """
+    full = replace(gbt_base or GbtConfig(), **cfg)
+    slot = fits.setdefault((fold, replace(full, max_depth=0)), [])
+    cap = full.max_depth
+    for lo, hi, pred in slot:
+        if lo <= cap <= hi:
+            return pred
+    if eval_on_test:
+        # laxer historical protocol: early stopping watches the CV test
+        # fold itself
+        model = gbt_train(train_x, train_y, full, eval_set=(test_x, test_y))
+    else:
+        tr_idx, ev_idx = stratified_split(train_y, 0.2, seed)
+        model = gbt_train(train_x[tr_idx], train_y[tr_idx], full,
+                          eval_set=(train_x[ev_idx], train_y[ev_idx]))
+    pred = model.predict(test_x)
+    depth = max(_tree_depth(t) for t in model.trees)
+    slot.append((depth, math.inf, pred) if depth < cap else (cap, cap, pred))
+    return pred
 
 
 def cross_validate(x, y, classifier, grid=None, seed=0, n_folds=5,
@@ -541,6 +579,7 @@ def cross_validate(x, y, classifier, grid=None, seed=0, n_folds=5,
         fold_data.append((train_idx, test_idx, cols))
 
     results = []
+    gbt_fits = {}
     for cfg in grid:
         accs = []
         confusions = []
@@ -548,10 +587,12 @@ def cross_validate(x, y, classifier, grid=None, seed=0, n_folds=5,
             tx, sx = x[train_idx], x[test_idx]
             if cols is not None:
                 tx, sx = tx[:, cols], sx[:, cols]
-            pred = _fit_predict(classifier, tx, y[train_idx], sx, cfg,
-                                seed=seed * 1000003 + fold, gbt_base=gbt_base,
-                                eval_on_test=eval_on_test_fold,
-                                test_y=y[test_idx])
+            if classifier == "gbt":
+                pred = _gbt_fit_predict(
+                    gbt_fits, fold, tx, y[train_idx], sx, y[test_idx], cfg,
+                    seed * 1000003 + fold, gbt_base, eval_on_test_fold)
+            else:
+                pred = _fit_predict(classifier, tx, y[train_idx], sx, cfg)
             truth = y[test_idx]
             accs.append(float(np.mean(pred == truth)))
             tn = int(np.sum((pred == 0) & (truth == 0)))

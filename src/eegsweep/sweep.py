@@ -248,6 +248,34 @@ def _worker_run(spec):
                    expand_grid=opts.get("expand_grid", False))
 
 
+def _load_checkpoint(path):
+    """Finished records by spec key, read from a records.jsonl checkpoint.
+
+    A kill can cut the last line short. An unterminated or unparsable last
+    line is dropped and the file is truncated back to the last complete
+    record, so that spec is recomputed and the next append starts on a
+    fresh line. A bad line before the last still raises.
+    """
+    data = path.read_bytes()
+    lines = data.split(b"\n")
+    keep = len(data) - len(lines.pop())  # drop an unterminated fragment
+    docs = []
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            docs.append(json.loads(line))
+        except ValueError:
+            if i < len(lines) - 1 or keep < len(data):
+                raise
+            keep -= len(line) + 1
+    if keep < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(keep)
+    return {doc["key"]: [ExperimentRecord.from_dict(d)
+                         for d in doc["records"]] for doc in docs}
+
+
 def run_sweep(cohort, specs, seed=0, cache=None, checkpoint_dir=None,
               grids=None, gbt_base=None, selection_cfg=None,
               selection_in_fold=False, progress=None, jobs=1,
@@ -269,14 +297,7 @@ def run_sweep(cohort, specs, seed=0, cache=None, checkpoint_dir=None,
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         ckpt_path = ckpt_dir / "records.jsonl"
         if ckpt_path.exists():
-            with open(ckpt_path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    doc = json.loads(line)
-                    done[doc["key"]] = [ExperimentRecord.from_dict(d)
-                                        for d in doc["records"]]
+            done = _load_checkpoint(ckpt_path)
 
     pending = [(i, spec) for i, spec in enumerate(specs)
                if spec.key not in done]

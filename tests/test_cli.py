@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import eegsweep
 from eegsweep.cli import main
 
 
@@ -205,12 +207,17 @@ def test_sweep_kill_and_resume_subprocess(theta_dir, tmp_path):
         "grids": {"knn": [{"k": 3}, {"k": 5}]}}))
     manifest = str(theta_dir / "manifest.json")
 
+    # the child imports the same eegsweep sources as this process
+    src = str(Path(eegsweep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
     def run(out_dir, kill_after=None):
         cmd = [sys.executable, "-m", "eegsweep.cli", "sweep",
                "--manifest", manifest, "--space", str(space),
                "--out", str(out_dir), "--seed", "4", "--resume"]
         proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL,
-                                stderr=subprocess.DEVNULL)
+                                stderr=subprocess.DEVNULL, env=env)
         if kill_after is None:
             return proc.wait()
         time.sleep(kill_after)
@@ -227,3 +234,28 @@ def test_sweep_kill_and_resume_subprocess(theta_dir, tmp_path):
     assert run(killed_dir) == 0
     assert ((killed_dir / "results.csv").read_bytes()
             == (full_dir / "results.csv").read_bytes())
+
+
+def test_sweep_resume_after_cut_checkpoint_line(synth_dir, tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "space": {"cleanings": ["raw"], "divisors": [1, 2],
+                  "subset_sizes": [1], "channels": ["P3", "Cz"],
+                  "classifiers": ["knn"], "selection_flags": [False]},
+        "grids": {"knn": [{"k": 3}]}}))
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--manifest", str(synth_dir / "manifest.json"),
+            "--space", str(space), "--out", str(out), "--seed", "4",
+            "--resume"]
+    assert main(argv) == 0
+    uninterrupted = (out / "results.csv").read_bytes()
+    ckpt = out / "checkpoint" / "records.jsonl"
+    lines = ckpt.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 6
+    # a kill mid-append: the last record loses its final 5 bytes
+    ckpt.write_bytes(b"".join(lines)[:-5])
+    (out / "results.csv").unlink()
+
+    assert main(argv) == 0
+    assert (out / "results.csv").read_bytes() == uninterrupted
+    assert ckpt.read_bytes() == b"".join(lines)

@@ -186,16 +186,64 @@ def test_lax_early_stop_mode(small_cohort):
     assert strict[0].ok and lax[0].ok
 
 
-def test_cache_makes_sweep_cheaper(small_cohort):
-    import time
+def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
+    from eegsweep import cleaning, features
     cohort, _ = small_cohort
-    specs = small_specs()  # 8 specs sharing cleanings and features
-    t0 = time.time()
-    run_sweep(cohort, specs, seed=4, grids=FAST_GRIDS, gbt_base=FAST_GBT,
-              cache=StageCache(enabled=True))
-    cached = time.time() - t0
-    t0 = time.time()
-    run_sweep(cohort, specs, seed=4, grids=FAST_GRIDS, gbt_base=FAST_GBT,
-              cache=StageCache(enabled=False))
-    uncached = time.time() - t0
-    assert cached <= uncached
+    specs = small_specs()  # 12 specs over 2 cleanings
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cleaning, "run_pipeline")
+    counted(features, "extract_channel")
+    runs = {}
+    for enabled in (True, False):
+        calls.clear()
+        records = run_sweep(cohort, specs, seed=4, grids=FAST_GRIDS,
+                            gbt_base=FAST_GBT,
+                            cache=StageCache(enabled=enabled))
+        runs[enabled] = (dict(calls), _dump(records))
+    assert runs[True][1] == runs[False][1]
+    # cached, each (subject, cleaning) is cleaned once; uncached, once per
+    # spec. Every spec here needs its own (cleaning, chunk, channel) vector,
+    # so both extract once per spec and subject.
+    n = len(cohort)
+    assert runs[True][0] == {"run_pipeline": 2 * n,
+                             "extract_channel": len(specs) * n}
+    assert runs[False][0] == {"run_pipeline": len(specs) * n,
+                              "extract_channel": len(specs) * n}
+
+
+def test_resume_recomputes_an_unparsable_last_line(tmp_path, small_cohort):
+    cohort, _ = small_cohort
+    specs = small_specs()[:3]
+    kwargs = dict(seed=7, grids=FAST_GRIDS, gbt_base=FAST_GBT)
+    ckpt = tmp_path / "ck"
+    full = run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)
+    path = ckpt / "records.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:2]) + b'{"key": "\n')
+    resumed = run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)
+    assert _dump(resumed) == _dump(full)
+    assert path.read_bytes() == b"".join(lines)
+
+
+def test_resume_rejects_a_bad_line_before_the_last(tmp_path, small_cohort):
+    cohort, _ = small_cohort
+    specs = small_specs()[:3]
+    kwargs = dict(seed=7, grids=FAST_GRIDS, gbt_base=FAST_GBT)
+    ckpt = tmp_path / "ck"
+    run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)
+    path = ckpt / "records.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:-6] + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(json.JSONDecodeError):
+        run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)
+    assert path.read_bytes() == b"".join(lines)
