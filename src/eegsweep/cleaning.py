@@ -87,17 +87,6 @@ class CleaningPipeline:
 # ---------------------------------------------------------------------------
 # FIR band-pass
 
-def _lowpass_kernel(fs, cutoff_hz, transition_hz):
-    """Hamming windowed-sinc low-pass, unit DC gain, odd length."""
-    length = int(math.ceil(3.3 / (transition_hz / fs)))
-    if length % 2 == 0:
-        length += 1
-    m = np.arange(length) - (length - 1) / 2.0
-    h = 2.0 * cutoff_hz / fs * np.sinc(2.0 * cutoff_hz / fs * m)
-    h *= 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(length) / (length - 1))
-    return h / np.sum(h)
-
-
 def bandpass_kernel(fs, params=FirParams()):
     """Symmetric band-pass kernel: high-pass and low-pass stages cascaded.
 
@@ -110,34 +99,21 @@ def bandpass_kernel(fs, params=FirParams()):
     if not (0.0 < params.low_hz < params.high_hz < nyq):
         raise ValueError("band [%g, %g] must sit inside (0, %g)"
                          % (params.low_hz, params.high_hz, nyq))
-    lp = _lowpass_kernel(fs, params.high_hz + params.transition_high_hz / 2.0,
-                         params.transition_high_hz)
-    hp_lp = _lowpass_kernel(fs, params.low_hz - params.transition_low_hz / 2.0,
-                            params.transition_low_hz)
+    lp = _features.lowpass_kernel(
+        fs, params.high_hz + params.transition_high_hz / 2.0,
+        params.transition_high_hz)
+    hp_lp = _features.lowpass_kernel(
+        fs, params.low_hz - params.transition_low_hz / 2.0,
+        params.transition_low_hz)
     hp = -hp_lp
     hp[(hp_lp.size - 1) // 2] += 1.0
     return np.convolve(lp, hp)
 
 
-def _filter_zero_phase(samples, kernel):
-    """Apply a symmetric kernel with edge-reflection padding; length kept."""
-    half = (kernel.size - 1) // 2
-    n = samples.shape[1]
-    if n < kernel.size:
-        raise ValueError(
-            "recording too short for filter order (%d samples < %d taps)"
-            % (n, kernel.size))
-    out = np.empty_like(samples)
-    for i, row in enumerate(samples):
-        ext = np.concatenate([row[half:0:-1], row, row[-2:-half - 2:-1]])
-        out[i] = np.convolve(ext, kernel, mode="valid")
-    return out
-
-
 def fir_bandpass(rec, params=FirParams()):
     """Zero-phase FIR band-pass of every channel; output length = input."""
     kernel = bandpass_kernel(rec.sample_rate_hz, params)
-    return rec.with_samples(_filter_zero_phase(rec.samples, kernel))
+    return rec.with_samples(_features.filter_zero_phase(rec.samples, kernel))
 
 
 # ---------------------------------------------------------------------------

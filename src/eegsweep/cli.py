@@ -201,23 +201,17 @@ def cmd_extract(args):
     cfg = load_config(args)
     cohort = load_cohort(args.manifest)
     channels = _parse_channels(args.channels)
+    params = feature_params(cfg)
     cache = sweep.StageCache(
         pipelines={args.pipeline: build_pipeline(args.pipeline, cfg)},
-        params=feature_params(cfg))
+        params=params)
     chunk = SegmentSpec.from_chunk_id(args.chunk)
-    rows = []
-    for rec in cohort:
-        rows.append(np.concatenate([
-            cache.vector(rec, args.pipeline, chunk, ch) for ch in channels]))
-    matrix = features.FeatureMatrix(
-        column_names=features.channel_feature_names(channels),
-        values=np.array(rows),
-        labels=np.array([r.label for r in cohort], dtype=int),
-        subject_ids=[r.subject_id for r in cohort])
+    matrix = features.build_feature_matrix(
+        cohort, channels, vector_fn=lambda rec, ch: cache.vector(
+            rec, args.pipeline, chunk, ch))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     matrix.to_csv(out)
-    params = feature_params(cfg)
     meta = {"pipeline": args.pipeline, "chunk": chunk.chunk_id,
             "channels": list(channels),
             "feature_params": {k: list(v) if isinstance(v, tuple) else v
@@ -375,7 +369,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_out=True):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config entry (dotted keys)")

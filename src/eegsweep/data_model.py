@@ -14,10 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-#: Diagnosis labels.
-ADHD = 1
-TD = 0
-
 #: Canonical order of the 19 channels of the 10-20 montage used here.
 CHANNELS_1020 = (
     "Fp1", "Fp2", "F3", "F4", "F7", "F8", "Fz", "C3", "C4", "Cz",

@@ -77,12 +77,3 @@ def wavedec(x, levels=6):
         details.append(det)
     return approx, details
 
-
-def band_edges_hz(fs, levels=6):
-    """Nominal dyadic frequency band per detail level, [(lo, hi), ...]."""
-    edges = []
-    hi = fs / 2.0
-    for _ in range(levels):
-        edges.append((hi / 2.0, hi))
-        hi /= 2.0
-    return edges

@@ -383,9 +383,10 @@ def hurst_exp(signal, min_window=10):
 
 
 # ---------------------------------------------------------------------------
-# band energies (time-domain, windowed-sinc band-pass then mean square)
+# FIR filtering (shared with the cleaning band-pass) and band energies
 
-def _sinc_lowpass(fs, cutoff_hz, transition_hz):
+def lowpass_kernel(fs, cutoff_hz, transition_hz):
+    """Hamming windowed-sinc low-pass, unit DC gain, odd length."""
     length = int(math.ceil(3.3 / (transition_hz / fs)))
     if length % 2 == 0:
         length += 1
@@ -395,26 +396,34 @@ def _sinc_lowpass(fs, cutoff_hz, transition_hz):
     return h / np.sum(h)
 
 
-def _bandpass_filter(x, fs, lo, hi, transition_hz):
-    lp_hi = _sinc_lowpass(fs, hi, transition_hz)
-    lp_lo = _sinc_lowpass(fs, lo, transition_hz)
-    pad = (max(lp_hi.size, lp_lo.size) - 1) // 2
-    if pad >= x.size:
-        raise ValueError("signal too short for band-pass kernel")
-    ext = np.concatenate([x[pad:0:-1], x, x[-2:-pad - 2:-1]])
-    out_hi = np.convolve(ext, lp_hi, mode="same")[pad:pad + x.size]
-    out_lo = np.convolve(ext, lp_lo, mode="same")[pad:pad + x.size]
-    return out_hi - out_lo
+def filter_zero_phase(samples, kernel):
+    """Apply a symmetric kernel to each row with edge-reflection padding;
+    length kept."""
+    half = (kernel.size - 1) // 2
+    n = samples.shape[1]
+    if n < kernel.size:
+        raise ValueError(
+            "recording too short for filter order (%d samples < %d taps)"
+            % (n, kernel.size))
+    out = np.empty_like(samples)
+    for i, row in enumerate(samples):
+        ext = np.concatenate([row[half:0:-1], row, row[-2:-half - 2:-1]])
+        out[i] = np.convolve(ext, kernel, mode="valid")
+    return out
 
 
 def band_energies(signal, fs, transition_hz=2.0):
-    """Absolute mean-square energy per EEG band after band-pass filtering."""
-    x = np.asarray(signal, dtype=np.float64)
-    out = np.empty(len(BANDS))
-    for i, (_, lo, hi) in enumerate(BANDS):
-        y = _bandpass_filter(x, fs, lo, hi, transition_hz)
-        out[i] = float(np.mean(y ** 2))
-    return out
+    """Absolute mean-square energy per EEG band after band-pass filtering.
+
+    Each band-pass is the difference of two low-passes at the band edges;
+    a low-pass shared by adjacent bands is computed once.
+    """
+    x = np.asarray(signal, dtype=np.float64)[None, :]
+    edges = {edge for _, lo, hi in BANDS for edge in (lo, hi)}
+    low = {edge: filter_zero_phase(
+        x, lowpass_kernel(fs, edge, transition_hz))[0] for edge in edges}
+    return np.array([float(np.mean((low[hi] - low[lo]) ** 2))
+                     for _, lo, hi in BANDS])
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +482,6 @@ def kurtosis(signal):
 
 # ---------------------------------------------------------------------------
 # full vector
-
-def entropy_features(signal, fs, params=DEFAULT_PARAMS):
-    """(app_entropy, spect_entropy, decorr_time_s, hurst_exp) bundle."""
-    freqs, psd = welch_psd(signal, fs, nperseg=params.welch_nperseg,
-                           overlap=params.welch_overlap)
-    return (
-        app_entropy(signal, m=params.app_entropy_m,
-                    r_factor=params.app_entropy_r),
-        spect_entropy(freqs, psd, total_band=params.total_band),
-        decorr_time(signal, fs),
-        hurst_exp(signal, min_window=params.hurst_min_window),
-    )
-
 
 def extract_channel(signal, fs, params=DEFAULT_PARAMS):
     """Compute the canonical 53-feature vector of one channel.
@@ -597,11 +593,13 @@ def channel_feature_names(channels):
 
 def build_feature_matrix(cohort, channels, params=DEFAULT_PARAMS,
                          vector_fn=None):
-    """Assemble the design matrix for already-cleaned/segmented recordings.
+    """Assemble the subjects x (channel, feature) design matrix.
 
     Rows follow cohort order; columns are channel-major in the canonical
-    53-feature order. `vector_fn(recording, channel)` can be supplied to
-    reuse cached per-channel vectors.
+    53-feature order. `vector_fn(recording, channel)` returns one
+    channel's vector; by default it extracts from the recording as given,
+    so the cohort must already be cleaned and segmented. The sweep and
+    `eegsweep extract` pass cached vectors of a cleaning and chunk instead.
     """
     channels = list(channels)
     if not channels:

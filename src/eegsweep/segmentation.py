@@ -63,11 +63,3 @@ def segment(rec, spec):
     start = (spec.index - 1) * seg_len
     return rec.with_samples(rec.samples[:, start:start + seg_len])
 
-
-def all_segments(rec):
-    """All 35 segments of a recording, keyed by (divisor, index)."""
-    out = {}
-    for j in DIVISORS:
-        for i in range(1, j + 1):
-            out[(j, i)] = segment(rec, SegmentSpec(divisor=j, index=i))
-    return out

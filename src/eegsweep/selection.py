@@ -250,7 +250,7 @@ def select_features(matrix, cfg=SelectionConfig()):
     return matrix.select_columns(kept), report
 
 
-def select_indices(values, labels, column_names, cfg=SelectionConfig()):
+def select_indices(values, labels, cfg=SelectionConfig()):
     """Cascade on a raw array; returns kept column indices.
 
     Used for in-fold selection where only training rows may be seen.

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from itertools import combinations
 from pathlib import Path
-
-import numpy as np
 
 from . import classify, features, selection
 from .cleaning import CleaningPipeline
@@ -126,49 +124,27 @@ def _spec_seed(global_seed, spec):
 class StageCache:
     """In-memory content cache for cleaned recordings and feature vectors."""
 
-    def __init__(self, pipelines=None, params=features.DEFAULT_PARAMS,
-                 enabled=True):
+    def __init__(self, pipelines=None, params=features.DEFAULT_PARAMS):
         self.pipelines = pipelines or {
             kind: CleaningPipeline(kind=kind) for kind in CLEANINGS}
         self.params = params
-        self.enabled = enabled
         self._cleaned = {}
         self._vectors = {}
 
     def cleaned(self, rec, cleaning):
         from .cleaning import run_pipeline
         key = (rec.subject_id, cleaning)
-        if self.enabled and key in self._cleaned:
-            return self._cleaned[key]
-        out = run_pipeline(rec, self.pipelines[cleaning])
-        if self.enabled:
-            self._cleaned[key] = out
-        return out
+        if key not in self._cleaned:
+            self._cleaned[key] = run_pipeline(rec, self.pipelines[cleaning])
+        return self._cleaned[key]
 
     def vector(self, rec, cleaning, chunk, channel):
         key = (rec.subject_id, cleaning, chunk.chunk_id, channel)
-        if self.enabled and key in self._vectors:
-            return self._vectors[key]
-        cleaned = self.cleaned(rec, cleaning)
-        seg = segment(cleaned, chunk)
-        vec = features.extract_channel(seg.channel(channel),
-                                       seg.sample_rate_hz, self.params)
-        if self.enabled:
-            self._vectors[key] = vec
-        return vec
-
-
-def _build_matrix(cohort, spec, cache):
-    rows = []
-    for rec in cohort:
-        rows.append(np.concatenate([
-            cache.vector(rec, spec.cleaning, spec.chunk, ch)
-            for ch in spec.channels]))
-    return features.FeatureMatrix(
-        column_names=features.channel_feature_names(spec.channels),
-        values=np.array(rows),
-        labels=np.array([rec.label for rec in cohort], dtype=int),
-        subject_ids=[rec.subject_id for rec in cohort])
+        if key not in self._vectors:
+            seg = segment(self.cleaned(rec, cleaning), chunk)
+            self._vectors[key] = features.extract_channel(
+                seg.channel(channel), seg.sample_rate_hz, self.params)
+        return self._vectors[key]
 
 
 def run_one(cohort, spec, seed, cache, grids=None, gbt_base=None,
@@ -187,15 +163,15 @@ def run_one(cohort, spec, seed, cache, grids=None, gbt_base=None,
 
     record = blank()
     try:
-        matrix = _build_matrix(cohort, spec, cache)
+        matrix = features.build_feature_matrix(
+            cohort, spec.channels, vector_fn=lambda rec, ch: cache.vector(
+                rec, spec.cleaning, spec.chunk, ch))
         sel_cfg = selection_cfg or selection.SelectionConfig()
         selector = None
         if spec.feature_selection:
             if selection_in_fold:
-                names = matrix.column_names
-
-                def selector(tx, ty, _names=names, _cfg=sel_cfg):
-                    return selection.select_indices(tx, ty, _names, _cfg)
+                def selector(tx, ty):
+                    return selection.select_indices(tx, ty, sel_cfg)
             else:
                 matrix, _ = selection.select_features(matrix, sel_cfg)
                 if matrix.n_columns == 0:
@@ -228,24 +204,13 @@ def run_one(cohort, spec, seed, cache, grids=None, gbt_base=None,
 _WORKER = {}
 
 
-def _init_worker(cohort, seed, options):
-    _WORKER["cohort"] = cohort
-    _WORKER["seed"] = seed
-    _WORKER["options"] = options
-    _WORKER["cache"] = StageCache(pipelines=options.get("pipelines"),
-                                  params=options.get("params",
-                                                     features.DEFAULT_PARAMS))
+def _init_worker(cohort, seed, cache, options):
+    _WORKER.update(cohort=cohort, seed=seed, cache=cache, options=options)
 
 
 def _worker_run(spec):
-    opts = _WORKER["options"]
-    return run_one(_WORKER["cohort"], spec, _WORKER["seed"],
-                   _WORKER["cache"], grids=opts.get("grids"),
-                   gbt_base=opts.get("gbt_base"),
-                   selection_cfg=opts.get("selection_cfg"),
-                   selection_in_fold=opts.get("selection_in_fold", False),
-                   eval_on_test_fold=opts.get("eval_on_test_fold", False),
-                   expand_grid=opts.get("expand_grid", False))
+    return run_one(_WORKER["cohort"], spec, _WORKER["seed"], _WORKER["cache"],
+                   **_WORKER["options"])
 
 
 def _load_checkpoint(path):
@@ -276,6 +241,17 @@ def _load_checkpoint(path):
                          for d in doc["records"]] for doc in docs}
 
 
+def _config_stamp(seed, cache, options):
+    """sha256 of everything that decides a spec's records, the spec aside."""
+    doc = {key: asdict(value) if is_dataclass(value) else value
+           for key, value in options.items()}
+    doc.update(seed=seed, params=asdict(cache.params),
+               pipelines={kind: asdict(p)
+                          for kind, p in cache.pipelines.items()})
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def run_sweep(cohort, specs, seed=0, cache=None, checkpoint_dir=None,
               grids=None, gbt_base=None, selection_cfg=None,
               selection_in_fold=False, progress=None, jobs=1,
@@ -284,20 +260,40 @@ def run_sweep(cohort, specs, seed=0, cache=None, checkpoint_dir=None,
 
     With checkpoint_dir, finished specs are appended to records.jsonl and
     skipped on resume, so a killed sweep continues without recomputation
-    and yields the identical record list. jobs > 1 fans specs out to a
-    worker pool; per-spec seeds are content-derived, so parallelism never
-    changes results. With expand_grid, one record per (spec, grid point)
-    is emitted instead of one best-config record per spec.
+    and yields the identical record list. A config stamp beside it binds
+    the checkpoint to the seed, grids, flags, pipelines and feature
+    params; resuming under a different config raises ValueError. jobs > 1
+    fans specs out to a worker pool; per-spec seeds are content-derived,
+    so parallelism never changes results. With expand_grid, one record per
+    (spec, grid point) is emitted instead of one best-config record per
+    spec.
     """
     cache = cache or StageCache()
+    options = {"grids": grids, "gbt_base": gbt_base,
+               "selection_cfg": selection_cfg,
+               "selection_in_fold": selection_in_fold,
+               "eval_on_test_fold": eval_on_test_fold,
+               "expand_grid": expand_grid}
     done = {}
     ckpt_path = None
     if checkpoint_dir is not None:
         ckpt_dir = Path(checkpoint_dir)
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         ckpt_path = ckpt_dir / "records.jsonl"
-        if ckpt_path.exists():
+        stamp_path = ckpt_dir / "config.sha256"
+        stamp = _config_stamp(seed, cache, options)
+        if ckpt_path.exists() and ckpt_path.stat().st_size:
+            found = (stamp_path.read_text().strip() if stamp_path.exists()
+                     else "missing")
+            if found != stamp:
+                raise ValueError(
+                    "checkpoint %s was written under another sweep config "
+                    "(stamp %s, this run %s); resume with the same config "
+                    "or use a new checkpoint directory"
+                    % (ckpt_dir, found, stamp))
             done = _load_checkpoint(ckpt_path)
+        else:
+            stamp_path.write_text(stamp + "\n")
 
     pending = [(i, spec) for i, spec in enumerate(specs)
                if spec.key not in done]
@@ -316,18 +312,11 @@ def run_sweep(cohort, specs, seed=0, cache=None, checkpoint_dir=None,
             progress(sum(r is not None for r in per_spec), len(specs),
                      result[-1])
 
-    options = {"grids": grids, "gbt_base": gbt_base,
-               "selection_cfg": selection_cfg,
-               "selection_in_fold": selection_in_fold,
-               "eval_on_test_fold": eval_on_test_fold,
-               "expand_grid": expand_grid}
     if jobs > 1 and len(pending) > 1:
         import multiprocessing as mp
-        pool_options = dict(options, pipelines=cache.pipelines,
-                            params=cache.params)
         ctx = mp.get_context("fork")
         with ctx.Pool(jobs, initializer=_init_worker,
-                      initargs=(cohort, seed, pool_options)) as pool:
+                      initargs=(cohort, seed, cache, options)) as pool:
             for (i, spec), result in zip(
                     pending, pool.imap(_worker_run,
                                        [s for _, s in pending])):

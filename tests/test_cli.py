@@ -259,3 +259,31 @@ def test_sweep_resume_after_cut_checkpoint_line(synth_dir, tmp_path):
     assert main(argv) == 0
     assert (out / "results.csv").read_bytes() == uninterrupted
     assert ckpt.read_bytes() == b"".join(lines)
+
+
+def test_sweep_resume_under_another_config_exits_2(synth_dir, tmp_path,
+                                                   capsys):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "space": {"cleanings": ["raw"], "divisors": [1], "subset_sizes": [1],
+                  "channels": ["P3", "Cz"], "classifiers": ["knn"],
+                  "selection_flags": [False]},
+        "grids": {"knn": [{"k": 3}]}}))
+    out = tmp_path / "sweep"
+
+    def argv(*extra):
+        return ["sweep", "--manifest", str(synth_dir / "manifest.json"),
+                "--space", str(space), "--out", str(out), "--resume",
+                *extra]
+
+    assert main(argv("--seed", "4")) == 0
+    first = (out / "results.csv").read_bytes()
+    ckpt = (out / "checkpoint" / "records.jsonl").read_bytes()
+    capsys.readouterr()
+    for extra in (("--seed", "5"), ("--seed", "4", "--lax-early-stop"),
+                  ("--seed", "4", "--set", 'grids.knn=[{"k": 5}]')):
+        assert main(argv(*extra)) == 2
+        assert "another sweep config" in capsys.readouterr().err
+    assert (out / "checkpoint" / "records.jsonl").read_bytes() == ckpt
+    assert main(argv("--seed", "4")) == 0
+    assert (out / "results.csv").read_bytes() == first

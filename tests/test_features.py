@@ -129,19 +129,18 @@ def test_fractal_constant_sentinels():
 # ---------------------------------------------------------------------------
 # entropies / decorrelation / hurst
 
-def test_entropy_features_sine_low():
-    app, se, _, _ = F.entropy_features(SINE10, FS)
-    assert se <= 0.2
-    assert app <= 0.3
+def test_entropies_sine_low():
+    freqs, psd = F.welch_psd(SINE10, FS)
+    assert F.spect_entropy(freqs, psd) <= 0.2
+    assert F.app_entropy(SINE10) <= 0.3
 
 
-def test_entropy_features_noise():
+def test_entropies_noise():
     ses, dts = [], []
     for s in range(30):
         x = np.random.default_rng(s).standard_normal(2048)
-        app, se, dt, _ = F.entropy_features(x, FS)
-        ses.append(se)
-        dts.append(dt)
+        ses.append(F.spect_entropy(*F.welch_psd(x, FS)))
+        dts.append(F.decorr_time(x, FS))
     assert min(ses) >= 0.9
     # white-noise autocorrelation hovers around zero from lag 1 on; the
     # first non-positive lag is small but not always exactly 1

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eegsweep.data_model import CHANNELS_1020, Recording
-from eegsweep.segmentation import (DIVISORS, N_SEGMENTS, SegmentSpec,
-                                   all_segments, segment)
+from eegsweep.segmentation import DIVISORS, N_SEGMENTS, SegmentSpec, segment
 
 FS = 128.0
 
@@ -48,17 +48,19 @@ def test_mean_duration_twentieth_length():
     assert out.duration_s == pytest.approx(2.47, abs=0.01)
 
 
-def test_all_segments_keys_and_concatenation():
-    rec = make_rec(int(80 * FS), seed=3)
-    segs = all_segments(rec)
-    assert len(segs) == N_SEGMENTS == 35
-    expected_keys = {(j, i) for j in DIVISORS for i in range(1, j + 1)}
-    assert set(segs.keys()) == expected_keys
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=int(40 * FS), max_value=int(90 * FS)),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_segments_tile_the_recording(n, seed):
+    rec = make_rec(n, seed=seed)
+    n_segments = 0
     for j in DIVISORS:
-        cat = np.concatenate([segs[(j, i)].samples for i in range(1, j + 1)],
-                             axis=1)
-        keep = (rec.n_samples // j) * j
-        assert np.array_equal(cat, rec.samples[:, :keep])
+        parts = [segment(rec, SegmentSpec(j, i)).samples
+                 for i in range(1, j + 1)]
+        n_segments += len(parts)
+        assert np.array_equal(np.concatenate(parts, axis=1),
+                              rec.samples[:, :(n // j) * j])
+    assert n_segments == N_SEGMENTS == 35
 
 
 def test_divisible_length_loses_nothing():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from eegsweep.classify import GbtConfig
+from eegsweep.features import FeatureParams
 from eegsweep.segmentation import SegmentSpec
 from eegsweep.sweep import (ExperimentSpec, StageCache, SweepSpace,
                             enumerate_space, records_from_csv,
-                            records_to_csv, run_sweep)
+                            records_to_csv, run_one, run_sweep)
 
 FAST_GRIDS = {"gbt": ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},),
               "knn": ({"k": 3},),
@@ -63,14 +64,18 @@ def test_run_sweep_deterministic(small_cohort):
     assert _dump(r1) == _dump(r2)
 
 
+def _run_uncached(cohort, specs, seed):
+    """Every spec on its own fresh cache: nothing is shared between specs."""
+    return [run_one(cohort, spec, seed, StageCache(), grids=FAST_GRIDS,
+                    gbt_base=FAST_GBT) for spec in specs]
+
+
 def test_run_sweep_cache_matches_uncached(small_cohort):
     cohort, _ = small_cohort
     specs = small_specs()
     cached = run_sweep(cohort, specs, seed=1, grids=FAST_GRIDS,
-                       gbt_base=FAST_GBT, cache=StageCache(enabled=True))
-    uncached = run_sweep(cohort, specs, seed=1, grids=FAST_GRIDS,
-                         gbt_base=FAST_GBT, cache=StageCache(enabled=False))
-    assert _dump(cached) == _dump(uncached)
+                       gbt_base=FAST_GBT, cache=StageCache())
+    assert _dump(cached) == _dump(_run_uncached(cohort, specs, 1))
 
 
 def test_run_sweep_records_in_spec_order(small_cohort):
@@ -203,12 +208,14 @@ def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
     counted(cleaning, "run_pipeline")
     counted(features, "extract_channel")
     runs = {}
-    for enabled in (True, False):
+    for cached in (True, False):
         calls.clear()
-        records = run_sweep(cohort, specs, seed=4, grids=FAST_GRIDS,
-                            gbt_base=FAST_GBT,
-                            cache=StageCache(enabled=enabled))
-        runs[enabled] = (dict(calls), _dump(records))
+        if cached:
+            records = run_sweep(cohort, specs, seed=4, grids=FAST_GRIDS,
+                                gbt_base=FAST_GBT, cache=StageCache())
+        else:
+            records = _run_uncached(cohort, specs, 4)
+        runs[cached] = (dict(calls), _dump(records))
     assert runs[True][1] == runs[False][1]
     # cached, each (subject, cleaning) is cleaned once; uncached, once per
     # spec. Every spec here needs its own (cleaning, chunk, channel) vector,
@@ -247,3 +254,45 @@ def test_resume_rejects_a_bad_line_before_the_last(tmp_path, small_cohort):
     with pytest.raises(json.JSONDecodeError):
         run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)
     assert path.read_bytes() == b"".join(lines)
+
+
+@pytest.mark.parametrize("change", [
+    {"grids": dict(FAST_GRIDS, knn=({"k": 5},))},
+    {"seed": 8},
+    {"eval_on_test_fold": True},
+    {"cache": StageCache(params=FeatureParams(quantile=0.9))},
+], ids=["knn_k3_to_k5", "seed", "flag", "feature_params"])
+def test_resume_refuses_another_config(tmp_path, small_cohort, change):
+    # resuming used to return the old rows, e.g. {"k": 3} after the KNN
+    # grid changed to k=5
+    cohort, _ = small_cohort
+    specs = enumerate_space(SweepSpace(
+        cleanings=("raw",), divisors=(1,), channels=("P3", "Cz"),
+        classifiers=("knn",), selection_flags=(False,)))
+    kwargs = dict(seed=7, grids=FAST_GRIDS, gbt_base=FAST_GBT)
+    ckpt = tmp_path / "ck"
+    run_sweep(cohort, specs[:1], checkpoint_dir=ckpt, **kwargs)
+    before = (ckpt / "records.jsonl").read_bytes()
+    with pytest.raises(ValueError, match="another sweep config") as err:
+        run_sweep(cohort, specs, checkpoint_dir=ckpt, **dict(kwargs, **change))
+    stamp = (ckpt / "config.sha256").read_text().strip()
+    assert stamp in str(err.value)
+    assert (ckpt / "records.jsonl").read_bytes() == before
+    # the same config still resumes
+    resumed = run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)
+    assert _dump(resumed) == _dump(run_sweep(cohort, specs, **kwargs))
+
+
+def test_resume_without_stamp_is_refused(tmp_path, small_cohort):
+    cohort, _ = small_cohort
+    specs = small_specs()[:2]
+    kwargs = dict(seed=7, grids=FAST_GRIDS, gbt_base=FAST_GBT)
+    ckpt = tmp_path / "ck"
+    run_sweep(cohort, specs[:1], checkpoint_dir=ckpt, **kwargs)
+    (ckpt / "config.sha256").unlink()
+    with pytest.raises(ValueError, match="stamp missing"):
+        run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)
+    # an empty checkpoint holds no rows to protect: it is restamped
+    (ckpt / "records.jsonl").write_bytes(b"")
+    assert len(run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)) == 2
+    assert (ckpt / "config.sha256").exists()
