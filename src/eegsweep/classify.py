@@ -24,6 +24,9 @@ KNN_GRID = tuple({"k": k} for k in (3, 5, 7, 9))
 
 DEFAULT_GRIDS = {"gbt": GBT_GRID, "svm": SVM_GRID, "knn": KNN_GRID}
 
+#: Stratified folds of every cross-validation.
+N_FOLDS = 5
+
 
 @dataclass(frozen=True)
 class GbtConfig:
@@ -69,13 +72,6 @@ class TreeNode:
     @property
     def is_leaf(self):
         return self.feature < 0
-
-    def to_dict(self):
-        if self.is_leaf:
-            return {"leaf": self.leaf_value}
-        return {"feature": self.feature, "threshold": self.threshold,
-                "gain": self.gain, "left": self.left.to_dict(),
-                "right": self.right.to_dict()}
 
 
 class _TreeBuilder:
@@ -180,7 +176,6 @@ class GbtModel:
     config: GbtConfig
     best_iteration: int         # number of trees actually used
     feature_names: list
-    train_logloss: list
     eval_logloss: list
 
     def predict_raw(self, x):
@@ -195,18 +190,6 @@ class GbtModel:
 
     def predict(self, x):
         return (self.predict_proba(x) >= 0.5).astype(int)
-
-    def to_dict(self):
-        return {
-            "kind": "gbt",
-            "config": {"max_depth": self.config.max_depth,
-                       "eta": self.config.eta, "gamma": self.config.gamma,
-                       "lambda": self.config.lambda_},
-            "best_iteration": self.best_iteration,
-            "feature_names": list(self.feature_names),
-            "trees": [t.to_dict()
-                      for t in self.trees[:self.best_iteration]],
-        }
 
 
 def gbt_train(x, y, cfg=GbtConfig(), eval_set=None, feature_names=None):
@@ -235,7 +218,6 @@ def gbt_train(x, y, cfg=GbtConfig(), eval_set=None, feature_names=None):
         raw_eval = np.zeros(x_eval.shape[0])
 
     trees = []
-    train_hist = []
     eval_hist = []
     best_eval = math.inf
     best_round = 0
@@ -247,7 +229,6 @@ def gbt_train(x, y, cfg=GbtConfig(), eval_set=None, feature_names=None):
         tree, leaf_values = builder.build(g, h)
         trees.append(tree)
         raw += cfg.eta * leaf_values
-        train_hist.append(_logloss(y, 1.0 / (1.0 + np.exp(-raw))))
         if raw_eval is not None:
             raw_eval += cfg.eta * _tree_predict(tree, x_eval)
             ll = _logloss(y_eval, 1.0 / (1.0 + np.exp(-raw_eval)))
@@ -261,8 +242,7 @@ def gbt_train(x, y, cfg=GbtConfig(), eval_set=None, feature_names=None):
     if best_iteration == 0:
         best_iteration = 1
     return GbtModel(trees=trees, config=cfg, best_iteration=best_iteration,
-                    feature_names=list(feature_names),
-                    train_logloss=train_hist, eval_logloss=eval_hist)
+                    feature_names=list(feature_names), eval_logloss=eval_hist)
 
 
 def gbt_importance(model):
@@ -305,23 +285,6 @@ class Scaler:
 
 # ---------------------------------------------------------------------------
 # KNN
-
-@dataclass
-class KnnModel:
-    """Instance-based model: the training set plus k."""
-
-    train_x: np.ndarray
-    train_y: np.ndarray
-    k: int
-
-    def predict(self, x):
-        return knn_predict(self.train_x, self.train_y, x, self.k)
-
-    def to_dict(self):
-        return {"kind": "knn", "k": self.k,
-                "train_x": self.train_x.tolist(),
-                "train_y": self.train_y.tolist()}
-
 
 def knn_predict(train_x, train_y, test_x, k):
     """Majority vote over the k nearest z-scored Euclidean neighbors.
@@ -372,12 +335,6 @@ class SvmModel:
     def predict(self, x):
         return (self.decision(x) >= 0.0).astype(int)
 
-    def to_dict(self):
-        return {"kind": "svm", "gamma_rbf": self.gamma_rbf,
-                "bias": self.bias,
-                "support_coef": self.support_coef.tolist(),
-                "support_x": self.support_x.tolist()}
-
 
 def _rbf(a, b, gamma):
     d2 = (np.sum(a ** 2, axis=1)[:, None] + np.sum(b ** 2, axis=1)[None, :]
@@ -385,13 +342,15 @@ def _rbf(a, b, gamma):
     return np.exp(-gamma * np.clip(d2, 0.0, None))
 
 
-def svm_train(x, y, c=1.0, gamma_rbf="scale", tol=1e-3, max_passes=200):
+def svm_train(x, y, c=1.0, gamma_rbf="scale"):
     """Soft-margin RBF SVM fit by sequential minimal optimization.
 
     gamma_rbf="scale" resolves to 1 / (n_features * var(X)) on the
     z-scored training data. Deterministic: the partner index is chosen by
-    the maximal |E_i - E_j| heuristic.
+    the maximal |E_i - E_j| heuristic. KKT violations beyond 1e-3 are
+    optimized for at most 200 passes.
     """
+    tol = 1e-3
     x = np.asarray(x, dtype=np.float64)
     y01 = np.asarray(y, dtype=int)
     if np.unique(y01).size < 2:
@@ -411,7 +370,7 @@ def svm_train(x, y, c=1.0, gamma_rbf="scale", tol=1e-3, max_passes=200):
         return (alpha * ysgn) @ k + bias
 
     passes = 0
-    while passes < max_passes:
+    while passes < 200:
         changed = 0
         err = decision_all() - ysgn
         for i in range(n):
@@ -510,8 +469,7 @@ def _fit_predict(kind, train_x, train_y, test_x, cfg):
                           gamma_rbf=cfg["gamma_rbf"])
         return model.predict(test_x)
     if kind == "knn":
-        return KnnModel(train_x, np.asarray(train_y, dtype=int),
-                        cfg["k"]).predict(test_x)
+        return knn_predict(train_x, train_y, test_x, cfg["k"])
     raise ValueError("unknown classifier %r" % kind)
 
 
@@ -544,10 +502,9 @@ def _gbt_fit_predict(fits, fold, train_x, train_y, test_x, test_y, cfg,
     return pred
 
 
-def cross_validate(x, y, classifier, grid=None, seed=0, n_folds=5,
-                   gbt_base=None, selector=None, instrument=None,
-                   eval_on_test_fold=False, return_all=False):
-    """Stratified k-fold CV with a small grid search.
+def cross_validate(x, y, classifier, grid=None, seed=0, gbt_base=None,
+                   selector=None, eval_on_test_fold=False, return_all=False):
+    """Stratified 5-fold CV with a small grid search.
 
     For every grid point the mean fold accuracy is computed; the best
     configuration (ties broken by lexicographically smallest config) is
@@ -555,22 +512,19 @@ def cross_validate(x, y, classifier, grid=None, seed=0, n_folds=5,
     stratified carve-out of each training fold; eval_on_test_fold=True
     switches to the laxer protocol that watches the test fold instead.
     `selector(train_x, train_y) -> column indices` enables leakage-free
-    in-fold feature selection. `instrument` receives
-    (fold, train_idx, test_idx) for leakage audits. With return_all, one
-    CvResult per grid point is returned instead of the best one.
+    in-fold feature selection. With return_all, one CvResult per grid
+    point is returned instead of the best one.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=int)
     if grid is None:
         grid = DEFAULT_GRIDS[classifier]
-    fold_of = stratified_folds(y, n_folds, seed)
+    fold_of = stratified_folds(y, N_FOLDS, seed)
 
     fold_data = []
-    for fold in range(n_folds):
+    for fold in range(N_FOLDS):
         test_idx = np.nonzero(fold_of == fold)[0]
         train_idx = np.nonzero(fold_of != fold)[0]
-        if instrument is not None:
-            instrument(fold, train_idx, test_idx)
         cols = None
         if selector is not None:
             cols = selector(x[train_idx], y[train_idx])

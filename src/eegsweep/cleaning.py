@@ -17,12 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import features as _features
-from .data_model import DEFAULT_MONTAGE
+from .data_model import CHANNELS_1020, Recording
 
 PIPELINE_KINDS = ("raw", "filtered", "asr", "ica")
-
-COMPONENT_LABELS = ("brain", "ocular", "muscle", "line_noise",
-                    "channel_noise", "other")
 
 
 @dataclass(frozen=True)
@@ -336,16 +333,15 @@ def ica_decompose(rec, params=IcaParams()):
         subject_id=rec.subject_id, rec_label=rec.label)
 
 
-def label_components(decomp, montage=DEFAULT_MONTAGE, sample_rate_hz=None,
-                     thresholds=LabelerThresholds()):
+def label_components(decomp, thresholds=LabelerThresholds()):
     """Rule-based component labeling (documented ICLabel substitute).
 
     Rules are applied in order: ocular, line_noise, muscle, channel_noise,
     else brain. Returns the label list (also stored on the decomposition).
     """
-    fs = sample_rate_hz or decomp.sample_rate_hz
+    fs = decomp.sample_rate_hz
     th = thresholds
-    frontal = {montage.index("Fp1"), montage.index("Fp2")}
+    frontal = {CHANNELS_1020.index("Fp1"), CHANNELS_1020.index("Fp2")}
     labels = []
     for i in range(decomp.n_components):
         src = decomp.sources[i]
@@ -392,23 +388,17 @@ def _line_peak_ratio(freqs, psd, line_hz):
 
 
 def ica_reconstruct(decomp, keep):
-    """Rebuild channel data from a subset of components.
+    """Rebuild channel data from the components whose label is in `keep`.
 
-    `keep` is a label predicate (callable) or a collection of labels.
     Keeping everything reproduces the input on the retained rank; keeping
     nothing yields an all-zero recording.
     """
-    if callable(keep):
-        kept = [i for i, lab in enumerate(decomp.labels) if keep(lab)]
-    else:
-        allowed = set(keep)
-        kept = [i for i, lab in enumerate(decomp.labels) if lab in allowed]
+    kept = [i for i, lab in enumerate(decomp.labels) if lab in keep]
     if kept:
         samples = decomp.mixing[:, kept] @ decomp.sources[kept]
     else:
         samples = np.zeros((len(decomp.channel_names),
                             decomp.sources.shape[1]))
-    from .data_model import Recording
     return Recording(subject_id=decomp.subject_id, label=decomp.rec_label,
                      sample_rate_hz=decomp.sample_rate_hz,
                      channel_names=decomp.channel_names, samples=samples)

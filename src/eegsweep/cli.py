@@ -243,8 +243,7 @@ def cmd_train(args):
     cfg = load_config(args)
     matrix = features.FeatureMatrix.from_csv(args.features)
     if args.selection == "yes":
-        matrix, _ = selection.select_features(
-            matrix, selection.SelectionConfig())
+        matrix, _ = selection.select_features(matrix)
     result = classify.cross_validate(
         matrix.values, matrix.labels, args.classifier, seed=args.seed)
     print("classifier=%s folds=%s" % (args.classifier, ",".join(
@@ -275,15 +274,12 @@ def cmd_train(args):
 
 
 def _space_from_config(cfg):
+    """SweepSpace from the "space" block; other keys are ignored."""
     block = cfg.get("space", {})
-    kwargs = {}
-    for key in ("cleanings", "divisors", "subset_sizes", "channels",
-                "classifiers", "selection_flags"):
-        if key in block:
-            kwargs[key] = tuple(block[key])
-    if "trios_gbt_selection_only" in block:
-        kwargs["trios_gbt_selection_only"] = bool(block["trios_gbt_selection_only"])
-    return sweep.SweepSpace(**kwargs)
+    return sweep.SweepSpace(**{
+        key: tuple(block[key]) for key in (
+            "cleanings", "divisors", "subset_sizes", "channels",
+            "classifiers", "selection_flags") if key in block})
 
 
 def cmd_sweep(args):

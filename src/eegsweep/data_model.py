@@ -9,7 +9,8 @@ stable across the whole pipeline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,23 +63,6 @@ class CohortLoadError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class Montage:
-    """The 19-channel 10-20 montage with 2D unit-disc head coordinates."""
-
-    names: tuple = CHANNELS_1020
-    coords_2d: dict = field(default_factory=lambda: dict(MONTAGE_COORDS))
-
-    def index(self, name):
-        return self.names.index(name)
-
-    def xy(self, name):
-        return self.coords_2d[name]
-
-
-DEFAULT_MONTAGE = Montage()
-
-
 @dataclass
 class Recording:
     """One subject's multichannel EEG matrix plus metadata.
@@ -119,19 +103,18 @@ class Recording:
         """Return the sample row for a channel name."""
         return self.samples[self.channel_names.index(name)]
 
-    def with_samples(self, samples, channel_names=None):
+    def with_samples(self, samples):
         """Copy of this recording with new sample values (metadata kept)."""
         return Recording(
             subject_id=self.subject_id,
             label=self.label,
             sample_rate_hz=self.sample_rate_hz,
-            channel_names=self.channel_names if channel_names is None
-            else tuple(channel_names),
+            channel_names=self.channel_names,
             samples=samples,
         )
 
 
-def validate_recording(rec, montage=DEFAULT_MONTAGE):
+def validate_recording(rec):
     """Check Recording invariants; return a list of violation strings.
 
     An empty list means the recording is admissible to the pipeline.
@@ -147,9 +130,9 @@ def validate_recording(rec, montage=DEFAULT_MONTAGE):
                           % (rec.samples.shape[0], n_named))
     if len(set(rec.channel_names)) != n_named:
         violations.append("duplicate channel names")
-    if set(rec.channel_names) != set(montage.names):
+    if set(rec.channel_names) != set(CHANNELS_1020):
         violations.append("channel names do not match the %d-channel montage"
-                          % len(montage.names))
+                          % len(CHANNELS_1020))
     bad = ~np.isfinite(rec.samples)
     if bad.any():
         ch_idx, t_idx = np.argwhere(bad)[0]
@@ -164,39 +147,44 @@ def validate_recording(rec, montage=DEFAULT_MONTAGE):
     return violations
 
 
-def _load_subject_csv(path):
-    """Parse one headerless channels x samples CSV into a float matrix."""
-    rows = []
-    width = None
-    with open(path, "r") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ValueError("row %d has %d cells, expected %d"
-                                 % (line_no, len(cells), width))
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                bad = next(c for c in cells
-                           if not _is_float(c))
-                raise ValueError("non-numeric cell %r on row %d"
-                                 % (bad, line_no)) from None
-    if not rows:
+def read_csv_matrix(path, skiprows=0):
+    """Read a comma-separated float matrix; blank lines are ignored.
+
+    The first `skiprows` lines are skipped. A ragged row or a
+    non-numeric cell raises a ValueError naming its 1-based line, and an
+    input without data rows raises "empty file".
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy: no data
+        try:
+            mat = np.loadtxt(path, delimiter=",", ndmin=2, comments=None,
+                             skiprows=skiprows)
+        except ValueError as exc:
+            raise ValueError(_first_bad_line(path, skiprows) or str(exc)) \
+                from None
+    if not mat.size:
         raise ValueError("empty file")
-    return np.array(rows, dtype=np.float64)
+    return mat
 
 
-def _is_float(cell):
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+def _first_bad_line(path, skiprows):
+    """Describe the ragged row or non-numeric cell that numpy refused."""
+    width = None
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line_no <= skiprows or not line.strip():
+                continue
+            cells = line.strip().split(",")
+            width = width or len(cells)
+            if len(cells) != width:
+                return ("row %d has %d cells, expected %d"
+                        % (line_no, len(cells), width))
+            for cell in cells:
+                try:
+                    float(cell)
+                except ValueError:
+                    return "non-numeric cell %r on row %d" % (cell, line_no)
+    return None
 
 
 def read_manifest(manifest_path):
@@ -228,7 +216,7 @@ def read_manifest(manifest_path):
     return float(doc["sample_rate_hz"]), channels, entries
 
 
-def load_cohort(manifest_path, montage=DEFAULT_MONTAGE):
+def load_cohort(manifest_path):
     """Load every subject named by a manifest into Recording objects.
 
     Channel rows are reordered to the canonical montage order regardless of
@@ -236,14 +224,14 @@ def load_cohort(manifest_path, montage=DEFAULT_MONTAGE):
     into a single CohortLoadError naming each subject and location.
     """
     fs, channels, entries = read_manifest(manifest_path)
-    if len(channels) != len(montage.names):
+    if len(channels) != len(CHANNELS_1020):
         raise CohortLoadError(
             ["manifest declares %d channels, montage has %d"
-             % (len(channels), len(montage.names))])
-    if set(channels) != set(montage.names):
+             % (len(channels), len(CHANNELS_1020))])
+    if set(channels) != set(CHANNELS_1020):
         raise CohortLoadError(
             ["manifest channels are not the expected montage labels"])
-    reorder = [channels.index(name) for name in montage.names]
+    reorder = [channels.index(name) for name in CHANNELS_1020]
 
     recordings = []
     problems = []
@@ -252,17 +240,17 @@ def load_cohort(manifest_path, montage=DEFAULT_MONTAGE):
             problems.append("%s: missing file %s" % (sid, path))
             continue
         try:
-            mat = _load_subject_csv(path)
+            mat = read_csv_matrix(path)
         except ValueError as exc:
             problems.append("%s: %s (%s)" % (sid, exc, path))
             continue
-        if mat.shape[0] != len(montage.names):
+        if mat.shape[0] != len(CHANNELS_1020):
             problems.append("%s: channel count %d != %d"
-                            % (sid, mat.shape[0], len(montage.names)))
+                            % (sid, mat.shape[0], len(CHANNELS_1020)))
             continue
         rec = Recording(subject_id=sid, label=label, sample_rate_hz=fs,
-                        channel_names=montage.names, samples=mat[reorder])
-        bad = validate_recording(rec, montage)
+                        channel_names=CHANNELS_1020, samples=mat[reorder])
+        bad = validate_recording(rec)
         if bad:
             problems.extend("%s: %s" % (sid, b) for b in bad)
             continue
@@ -280,13 +268,10 @@ def write_recording_csv(rec, path):
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for row in rec.samples:
-            fh.write(",".join("%.17g" % v for v in row))
-            fh.write("\n")
+    np.savetxt(path, rec.samples, fmt="%.17g", delimiter=",")
 
 
-def write_cohort(recordings, out_dir, manifest_name="manifest.json"):
+def write_cohort(recordings, out_dir):
     """Write recordings plus a manifest into a directory; returns manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -304,7 +289,7 @@ def write_cohort(recordings, out_dir, manifest_name="manifest.json"):
                          "path": rel})
     manifest = {"sample_rate_hz": fs, "channels": list(channels),
                 "subjects": subjects}
-    manifest_path = out_dir / manifest_name
+    manifest_path = out_dir / "manifest.json"
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

@@ -14,6 +14,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import dwt
+from .data_model import read_csv_matrix
+
 #: Canonical feature order. Column names in matrices are "<CH>:<feature>".
 FEATURE_NAMES = (
     # simple statistics
@@ -264,12 +266,11 @@ def _ols_slope(x, y):
     return float(np.sum(xm * (y - y.mean())) / np.sum(xm ** 2))
 
 
-def zero_crossings(signal, eps=None):
-    """Number of sign changes, with values below eps clipped to zero."""
+def zero_crossings(signal):
+    """Number of sign changes, with values below machine epsilon in
+    magnitude clipped to zero."""
     x = np.asarray(signal, dtype=np.float64).copy()
-    if eps is None:
-        eps = np.finfo(np.float64).eps
-    x[np.abs(x) < eps] = 0.0
+    x[np.abs(x) < np.finfo(np.float64).eps] = 0.0
     sgn = np.sign(x)
     sgn = sgn[sgn != 0]
     if sgn.size < 2:
@@ -566,24 +567,22 @@ class FeatureMatrix:
         )
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(",".join(self.column_names + ["label"]) + "\n")
-            for row, label in zip(self.values, self.labels):
-                fh.write(",".join("%.17g" % v for v in row))
-                fh.write(",%d\n" % label)
+        np.savetxt(path, np.column_stack([self.values, self.labels]),
+                   fmt=["%.17g"] * self.n_columns + ["%d"], delimiter=",",
+                   header=",".join(self.column_names + ["label"]),
+                   comments="")
 
     @classmethod
-    def from_csv(cls, path, subject_ids=None):
+    def from_csv(cls, path):
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
         if header[-1] != "label":
             raise ValueError("feature CSV must end with a label column")
-        values = np.array([[float(c) for c in r[:-1]] for r in rows])
-        labels = np.array([int(r[-1]) for r in rows])
-        ids = subject_ids or ["s%03d" % i for i in range(len(rows))]
-        return cls(column_names=header[:-1], values=values, labels=labels,
-                   subject_ids=list(ids))
+        data = read_csv_matrix(path, skiprows=1)
+        return cls(column_names=header[:-1],
+                   values=np.ascontiguousarray(data[:, :-1]),
+                   labels=data[:, -1].astype(int),
+                   subject_ids=["s%03d" % i for i in range(data.shape[0])])
 
 
 def channel_feature_names(channels):
@@ -591,23 +590,22 @@ def channel_feature_names(channels):
     return ["%s:%s" % (ch, f) for ch in channels for f in FEATURE_NAMES]
 
 
-def build_feature_matrix(cohort, channels, params=DEFAULT_PARAMS,
-                         vector_fn=None):
+def build_feature_matrix(cohort, channels, vector_fn=None):
     """Assemble the subjects x (channel, feature) design matrix.
 
     Rows follow cohort order; columns are channel-major in the canonical
     53-feature order. `vector_fn(recording, channel)` returns one
-    channel's vector; by default it extracts from the recording as given,
-    so the cohort must already be cleaned and segmented. The sweep and
-    `eegsweep extract` pass cached vectors of a cleaning and chunk instead.
+    channel's vector; by default it extracts from the recording as given
+    with the default parameters, so the cohort must already be cleaned
+    and segmented. The sweep and `eegsweep extract` pass cached vectors
+    of a cleaning and chunk instead.
     """
     channels = list(channels)
     if not channels:
         raise ValueError("channel subset must not be empty")
     if vector_fn is None:
         def vector_fn(rec, ch):
-            return extract_channel(rec.channel(ch), rec.sample_rate_hz,
-                                   params)
+            return extract_channel(rec.channel(ch), rec.sample_rate_hz)
     rows = []
     for rec in cohort:
         rows.append(np.concatenate([vector_fn(rec, ch) for ch in channels]))

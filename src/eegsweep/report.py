@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import gbt_importance
-from .data_model import DEFAULT_MONTAGE
+from .data_model import CHANNELS_1020, MONTAGE_COORDS
 from .selection import t_test
 
 
@@ -30,12 +30,6 @@ class GroupSummary:
     max: float
 
 
-def _record_value(record, column):
-    if isinstance(record, dict):
-        return record[column]
-    return getattr(record, column)
-
-
 def summarize(records, group_by):
     """One GroupSummary per distinct key of the group_by columns.
 
@@ -46,10 +40,10 @@ def summarize(records, group_by):
     group_by = list(group_by)
     groups = {}
     for rec in records:
-        acc = float(_record_value(rec, "accuracy"))
+        acc = float(rec.accuracy)
         if not np.isfinite(acc):
             continue
-        key = tuple(_record_value(rec, c) for c in group_by)
+        key = tuple(getattr(rec, c) for c in group_by)
         groups.setdefault(key, []).append(acc)
     out = []
     for key in sorted(groups, key=lambda k: tuple(str(v) for v in k)):
@@ -69,18 +63,19 @@ def summarize(records, group_by):
     return out
 
 
-def mark_significance(records, factor, pairs, alpha=0.05):
-    """Welch t-test between accuracy distributions of factor-level pairs.
+def mark_significance(records, factor, pairs):
+    """Welch t-test between accuracy distributions of factor-level pairs,
+    significant at p < 0.05.
 
     Returns one dict per pair: {pair, p, significant, note}. Pairs with a
     group of fewer than two records are reported as insufficient data.
     """
     levels = {}
     for rec in records:
-        acc = float(_record_value(rec, "accuracy"))
+        acc = float(rec.accuracy)
         if not np.isfinite(acc):
             continue
-        levels.setdefault(_record_value(rec, factor), []).append(acc)
+        levels.setdefault(getattr(rec, factor), []).append(acc)
     out = []
     for a, b in pairs:
         xa = levels.get(a, [])
@@ -90,12 +85,12 @@ def mark_significance(records, factor, pairs, alpha=0.05):
                         "significant": False, "note": "insufficient data"})
             continue
         _, _, p = t_test(xa, xb, variant="Welch")
-        out.append({"pair": (a, b), "p": p, "significant": p < alpha,
+        out.append({"pair": (a, b), "p": p, "significant": p < 0.05,
                     "note": ""})
     return out
 
 
-def topomap_data(records, montage=DEFAULT_MONTAGE, reduce="max"):
+def topomap_data(records, reduce="max"):
     """Per-channel aggregated accuracy with head coordinates.
 
     A channel aggregates every record whose channel subset contains it.
@@ -106,17 +101,17 @@ def topomap_data(records, montage=DEFAULT_MONTAGE, reduce="max"):
         raise ValueError("reduce must be 'max' or 'median'")
     per_channel = {}
     for rec in records:
-        acc = float(_record_value(rec, "accuracy"))
+        acc = float(rec.accuracy)
         if not np.isfinite(acc):
             continue
-        for ch in str(_record_value(rec, "channels")).split("-"):
+        for ch in rec.channels.split("-"):
             per_channel.setdefault(ch, []).append(acc)
     fn = np.max if reduce == "max" else np.median
     rows = []
-    for ch in montage.names:
+    for ch in CHANNELS_1020:
         if ch not in per_channel:
             continue
-        x, y = montage.xy(ch)
+        x, y = MONTAGE_COORDS[ch]
         rows.append((ch, x, y, float(fn(per_channel[ch]))))
     return rows
 
@@ -145,18 +140,16 @@ def summaries_to_csv(summaries, path):
                 s.max, len(s.outliers)))
 
 
-def boxplot_svg(summaries, path, width=640, height=360, y_range=None):
+def boxplot_svg(summaries, path):
     """Minimal SVG box plot of group summaries: plain rectangles and
     lines, no external renderer."""
     if not summaries:
         raise ValueError("nothing to plot")
     lo = min(min([s.whisker_lo] + s.outliers) for s in summaries)
     hi = max(max([s.whisker_hi] + s.outliers) for s in summaries)
-    if y_range is not None:
-        lo, hi = y_range
     if hi <= lo:
         hi = lo + 1.0
-    pad = 40
+    width, height, pad = 640, 360, 40
     plot_h = height - 2 * pad
     slot = (width - 2 * pad) / len(summaries)
 

@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 DIVISORS = (1, 2, 3, 4, 5, 20)
 
-#: Total number of segments per recording across all divisors.
-N_SEGMENTS = sum(DIVISORS)
-
 
 @dataclass(frozen=True)
 class SegmentSpec:

@@ -20,13 +20,10 @@ from scipy import stats as _stats
 @dataclass(frozen=True)
 class SelectionConfig:
     alpha: float = 0.05
-    levene_center: str = "mean"  # classical form; "median" also accepted
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.levene_center not in ("mean", "median"):
-            raise ValueError("levene_center must be 'mean' or 'median'")
 
 
 @dataclass
@@ -48,10 +45,6 @@ class SelectionRow:
 class SelectionReport:
     rows: list
     alpha: float
-
-    @property
-    def kept_columns(self):
-        return [r.column for r in self.rows if r.selected]
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -134,13 +127,13 @@ def bartlett(a, b):
     return stat, float(_stats.chi2.sf(stat, 1))
 
 
-def levene(a, b, center="mean"):
-    """Levene's homoscedasticity test (one-way ANOVA on |deviations|)."""
+def levene(a, b):
+    """Levene's homoscedasticity test (one-way ANOVA on |deviations| from
+    the group means)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    loc = np.mean if center == "mean" else np.median
-    za = np.abs(a - loc(a))
-    zb = np.abs(b - loc(b))
+    za = np.abs(a - np.mean(a))
+    zb = np.abs(b - np.mean(b))
     na, nb = a.size, b.size
     n = na + nb
     zbar = (za.sum() + zb.sum()) / n
@@ -207,7 +200,7 @@ def _route_column(a, b, cfg):
         _, var_p = bartlett(a, b)
     else:
         var_test = "Levene"
-        _, var_p = levene(a, b, center=cfg.levene_center)
+        _, var_p = levene(a, b)
     homo = var_p >= cfg.alpha
     if homo:
         mean_test = "Student"
@@ -224,6 +217,13 @@ def _route_column(a, b, cfg):
                 mean_test=mean_test, p_value=p, selected=p < cfg.alpha)
 
 
+def _route_columns(values, labels, cfg):
+    """The cascade's route for every column of a subjects x columns array."""
+    mask_a = labels == 1
+    mask_b = labels == 0
+    return [_route_column(col[mask_a], col[mask_b], cfg) for col in values.T]
+
+
 def select_features(matrix, cfg=SelectionConfig()):
     """Apply the cascade to every column of a feature matrix.
 
@@ -231,36 +231,25 @@ def select_features(matrix, cfg=SelectionConfig()):
     Column order is preserved; the label column is always retained by
     construction (labels live outside the value block).
     """
-    labels = matrix.labels
-    mask_a = labels == 1
-    mask_b = labels == 0
-    if int(mask_a.sum()) < 20 or int(mask_b.sum()) < 20:
+    n_a = int(np.sum(matrix.labels == 1))
+    n_b = int(np.sum(matrix.labels == 0))
+    if n_a < 20 or n_b < 20:
         raise ValueError(
             "groups of %d/%d are below the n=20 validity floor of the "
-            "normality test" % (int(mask_a.sum()), int(mask_b.sum())))
-    rows = []
-    kept = []
-    for j, name in enumerate(matrix.column_names):
-        col = matrix.values[:, j]
-        routed = _route_column(col[mask_a], col[mask_b], cfg)
-        rows.append(SelectionRow(column=name, **routed))
-        if routed["selected"]:
-            kept.append(j)
+            "normality test" % (n_a, n_b))
+    routes = _route_columns(matrix.values, matrix.labels, cfg)
+    rows = [SelectionRow(column=name, **routed)
+            for name, routed in zip(matrix.column_names, routes)]
+    kept = [j for j, routed in enumerate(routes) if routed["selected"]]
     report = SelectionReport(rows=rows, alpha=cfg.alpha)
     return matrix.select_columns(kept), report
 
 
-def select_indices(values, labels, cfg=SelectionConfig()):
-    """Cascade on a raw array; returns kept column indices.
+def select_indices(values, labels):
+    """Cascade at the default alpha on a raw array; returns kept column
+    indices.
 
     Used for in-fold selection where only training rows may be seen.
     """
-    mask_a = labels == 1
-    mask_b = labels == 0
-    kept = []
-    for j in range(values.shape[1]):
-        col = values[:, j]
-        routed = _route_column(col[mask_a], col[mask_b], cfg)
-        if routed["selected"]:
-            kept.append(j)
-    return kept
+    routes = _route_columns(values, labels, SelectionConfig())
+    return [j for j, routed in enumerate(routes) if routed["selected"]]

@@ -87,14 +87,13 @@ class SweepSpace:
     channels: tuple = CHANNELS_1020
     classifiers: tuple = CLASSIFIERS
     selection_flags: tuple = (True, False)
-    trios_gbt_selection_only: bool = True
 
 
 def enumerate_space(space=SweepSpace()):
     """Deterministic list of ExperimentSpec for a sweep space.
 
-    With trios_gbt_selection_only, 3-channel subsets run only with the
-    boosted-tree classifier and feature selection enabled.
+    3-channel subsets run only with the boosted-tree classifier and
+    feature selection enabled.
     """
     specs = []
     chunks = [SegmentSpec(j, i) for j in space.divisors
@@ -103,7 +102,7 @@ def enumerate_space(space=SweepSpace()):
         for chunk in chunks:
             for size in space.subset_sizes:
                 for subset in combinations(space.channels, size):
-                    if size == 3 and space.trios_gbt_selection_only:
+                    if size == 3:
                         pairs = [("gbt", True)]
                     else:
                         pairs = [(clf, sel) for clf in space.classifiers
@@ -148,8 +147,8 @@ class StageCache:
 
 
 def run_one(cohort, spec, seed, cache, grids=None, gbt_base=None,
-            selection_cfg=None, selection_in_fold=False,
-            eval_on_test_fold=False, expand_grid=False):
+            selection_in_fold=False, eval_on_test_fold=False,
+            expand_grid=False):
     """Execute a single experiment spec.
 
     Returns one ExperimentRecord (best grid point), or a list with one
@@ -166,14 +165,12 @@ def run_one(cohort, spec, seed, cache, grids=None, gbt_base=None,
         matrix = features.build_feature_matrix(
             cohort, spec.channels, vector_fn=lambda rec, ch: cache.vector(
                 rec, spec.cleaning, spec.chunk, ch))
-        sel_cfg = selection_cfg or selection.SelectionConfig()
         selector = None
         if spec.feature_selection:
             if selection_in_fold:
-                def selector(tx, ty):
-                    return selection.select_indices(tx, ty, sel_cfg)
+                selector = selection.select_indices
             else:
-                matrix, _ = selection.select_features(matrix, sel_cfg)
+                matrix, _ = selection.select_features(matrix)
                 if matrix.n_columns == 0:
                     raise ValueError("selection kept no columns")
         grid = (grids or {}).get(spec.classifier)
@@ -253,8 +250,7 @@ def _config_stamp(seed, cache, options):
 
 
 def run_sweep(cohort, specs, seed=0, cache=None, checkpoint_dir=None,
-              grids=None, gbt_base=None, selection_cfg=None,
-              selection_in_fold=False, progress=None, jobs=1,
+              grids=None, gbt_base=None, selection_in_fold=False, jobs=1,
               eval_on_test_fold=False, expand_grid=False):
     """Run every spec; returns records in spec order.
 
@@ -270,7 +266,6 @@ def run_sweep(cohort, specs, seed=0, cache=None, checkpoint_dir=None,
     """
     cache = cache or StageCache()
     options = {"grids": grids, "gbt_base": gbt_base,
-               "selection_cfg": selection_cfg,
                "selection_in_fold": selection_in_fold,
                "eval_on_test_fold": eval_on_test_fold,
                "expand_grid": expand_grid}
@@ -308,9 +303,6 @@ def run_sweep(cohort, specs, seed=0, cache=None, checkpoint_dir=None,
                     {"key": spec.key,
                      "records": [r.to_dict() for r in result]},
                     sort_keys=True) + "\n")
-        if progress is not None:
-            progress(sum(r is not None for r in per_spec), len(specs),
-                     result[-1])
 
     if jobs > 1 and len(pending) > 1:
         import multiprocessing as mp

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import DEFAULT_MONTAGE, Recording
+from .data_model import CHANNELS_1020, MONTAGE_COORDS, Recording
 
 #: Sinusoid carrier frequency used per band, Hz.
 BAND_CENTERS = {"delta": 2.0, "theta": 6.0, "alpha": 10.0, "beta": 20.0}
@@ -56,9 +56,6 @@ class SynthSpec:
     artifacts: tuple = ()
     rng_seed: int = 0
 
-    def band_amp(self, band):
-        return dict(self.band_amplitudes)[band]
-
 
 @dataclass
 class GroundTruth:
@@ -77,7 +74,7 @@ def _validate_spec(spec):
         raise ValueError("duration_s must be >= 2")
     if spec.class_effect.effect_size <= 0:
         raise ValueError("effect_size must be > 0")
-    if spec.class_effect.target_channel not in DEFAULT_MONTAGE.names:
+    if spec.class_effect.target_channel not in CHANNELS_1020:
         raise ValueError("unknown channel label %r"
                          % spec.class_effect.target_channel)
     if spec.class_effect.feature_axis not in (
@@ -113,23 +110,25 @@ def _background_channel(n, fs, rng, spec, band_scale):
     return x
 
 
-def _blink_waveform(fs, width_s=0.7):
-    """Biphasic low-frequency burst (single-cycle sine under a Hann lobe)."""
-    n = int(round(width_s * fs))
+def _blink_waveform(fs):
+    """Biphasic low-frequency burst (single-cycle sine under a Hann lobe),
+    0.7 s long."""
+    n = int(round(0.7 * fs))
     tau = np.arange(n) / n
     return np.sin(2 * np.pi * tau) * np.sin(np.pi * tau) ** 2
 
 
-def _frontal_weights(channel_names, montage, decay=0.6):
+def _frontal_weights(channel_names):
     """Fixed frontal-to-posterior decay, max 1 at Fp1/Fp2.
 
-    The decay constant mimics the broad scalp spread of ocular potentials.
+    The decay constant of 0.6 unit-disc radii mimics the broad scalp
+    spread of ocular potentials.
     """
-    fx = np.mean([montage.xy("Fp1")[0], montage.xy("Fp2")[0]])
-    fy = np.mean([montage.xy("Fp1")[1], montage.xy("Fp2")[1]])
-    w = np.array([math.exp(-math.hypot(montage.xy(ch)[0] - fx,
-                                       montage.xy(ch)[1] - fy) / decay)
-                  for ch in channel_names])
+    xy = MONTAGE_COORDS
+    fx = np.mean([xy["Fp1"][0], xy["Fp2"][0]])
+    fy = np.mean([xy["Fp1"][1], xy["Fp2"][1]])
+    w = np.array([math.exp(-math.hypot(xy[ch][0] - fx, xy[ch][1] - fy)
+                           / 0.6) for ch in channel_names])
     return w / w.max()
 
 
@@ -169,7 +168,7 @@ def inject_artifact(rec, kind, params, rng_seed):
 
     if kind == "blink":
         wave = _blink_waveform(fs) * params.amplitude
-        weights = _frontal_weights(rec.channel_names, DEFAULT_MONTAGE)
+        weights = _frontal_weights(rec.channel_names)
         for t0 in _burst_times(rng, params, rec.duration_s, 0.7):
             i0 = int(round(t0 * fs))
             i1 = min(i0 + wave.size, n)
@@ -213,8 +212,7 @@ def generate_cohort(spec):
     _validate_spec(spec)
     fs = spec.sample_rate_hz
     n = int(round(spec.duration_s * fs))
-    montage = DEFAULT_MONTAGE
-    target_row = montage.index(spec.class_effect.target_channel)
+    target_row = CHANNELS_1020.index(spec.class_effect.target_channel)
 
     recordings = []
     clean = {}
@@ -231,8 +229,8 @@ def generate_cohort(spec):
                     "theta_power", "alpha_power"):
                 band = spec.class_effect.feature_axis.split("_")[0]
                 band_scale_target[band] = spec.class_effect.effect_size
-            sig = np.empty((len(montage.names), n))
-            for row, ch in enumerate(montage.names):
+            sig = np.empty((len(CHANNELS_1020), n))
+            for row, ch in enumerate(CHANNELS_1020):
                 scale = band_scale_target if row == target_row else {}
                 sig[row] = _background_channel(n, fs, rng, spec, scale)
             if label == 1 and spec.class_effect.feature_axis == "kurtosis":
@@ -240,7 +238,7 @@ def generate_cohort(spec):
                     n, fs, rng, spec.class_effect.effect_size,
                     float(np.std(sig[target_row])))
             rec = Recording(subject_id=sid, label=label, sample_rate_hz=fs,
-                            channel_names=montage.names, samples=sig)
+                            channel_names=CHANNELS_1020, samples=sig)
             clean[sid] = rec.samples.copy()
             total_mask = np.zeros(n, dtype=bool)
             by_kind = {}

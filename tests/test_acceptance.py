@@ -257,8 +257,7 @@ def test_criterion_7_real_dataset_numbers():
             acc.setdefault(r.cleaning, []).append(r.accuracy)
     ok_c = np.mean(acc["raw"]) > np.mean(acc["ica"])
 
-    trios = sweep.SweepSpace(subset_sizes=(3,), divisors=(2,),
-                             trios_gbt_selection_only=True)
+    trios = sweep.SweepSpace(subset_sizes=(3,), divisors=(2,))
     trio_records = sweep.run_sweep(cohort, sweep.enumerate_space(trios),
                                    seed=seed, cache=cache)
     halves = {"1/2": [], "2/2": []}

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from eegsweep.classify import (GbtConfig, cross_validate, gbt_importance,
-                               gbt_train, knn_predict, stratified_folds,
+from eegsweep.classify import (GbtConfig, _logloss, _tree_predict,
+                               cross_validate, gbt_importance, gbt_train,
+                               knn_predict, stratified_folds,
                                stratified_split, svm_train, train_final)
 
 FAST_GBT_GRID = ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},)
@@ -57,7 +58,12 @@ def test_gbt_single_class_error():
 def test_gbt_train_logloss_non_increasing():
     x, y = xor_clusters(seed=3)
     model = gbt_train(x, y, GbtConfig(max_depth=3, eta=0.1, n_rounds=60))
-    hist = model.train_logloss
+    raw = np.zeros(x.shape[0])
+    hist = []
+    for tree in model.trees:
+        raw += model.config.eta * _tree_predict(tree, x)
+        hist.append(_logloss(y, 1.0 / (1.0 + np.exp(-raw))))
+    assert len(hist) == 60
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
 
@@ -116,16 +122,6 @@ def test_gbt_importance_empty_for_zero_rounds():
     model = gbt_train(x, y, GbtConfig(max_depth=2, n_rounds=1, eta=0.3))
     model.best_iteration = 0
     assert gbt_importance(model) == []
-
-
-def test_gbt_model_json_export():
-    x, y = separable_blobs(n=30)
-    model = gbt_train(x, y, GbtConfig(max_depth=2, eta=0.3, n_rounds=3))
-    doc = model.to_dict()
-    assert doc["kind"] == "gbt"
-    assert len(doc["trees"]) == model.best_iteration
-    node = doc["trees"][0]
-    assert "feature" in node and "threshold" in node
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +257,23 @@ def test_cv_null_labels_near_chance():
 
 def test_cv_leakage_instrumentation():
     x, y = separable_blobs(n=30, seed=11)
+    row_of = {tuple(row): i for i, row in enumerate(x)}
+    assert len(row_of) == 60
     seen = []
-    cross_validate(x, y, "knn", grid=({"k": 3},), seed=0,
-                   instrument=lambda fold, tr, te: seen.append((fold, set(tr),
-                                                                set(te))))
+
+    def selector(tx, ty):
+        seen.append([row_of[tuple(row)] for row in tx])
+        return [0, 1]
+
+    cross_validate(x, y, "knn", grid=({"k": 3},), seed=0, selector=selector)
     assert len(seen) == 5
-    all_test = set()
-    for _, tr, te in seen:
-        assert not tr & te
-        all_test |= te
-    assert all_test == set(range(60))
+    # each row trains in 4 of the 5 folds, so the test folds partition
+    # the rows and no fold trains on its own test rows
+    counts = np.zeros(60, dtype=int)
+    for rows in seen:
+        assert len(set(rows)) == len(rows)
+        counts[rows] += 1
+    assert np.all(counts == 4)
 
 
 def test_cv_in_fold_selector_sees_train_only():
@@ -298,15 +301,3 @@ def test_train_final_split_and_importance():
     assert imp[0][0] == "strong"
     assert acc >= 0.8
 
-
-def test_knn_and_svm_model_export():
-    from eegsweep.classify import KnnModel
-    x, y = separable_blobs(n=10, seed=20)
-    knn = KnnModel(x, y, k=3)
-    doc = knn.to_dict()
-    assert doc["kind"] == "knn" and doc["k"] == 3
-    assert len(doc["train_x"]) == 20
-    svm = svm_train(x, y, c=1.0)
-    sdoc = svm.to_dict()
-    assert sdoc["kind"] == "svm"
-    assert len(sdoc["support_coef"]) == len(sdoc["support_x"])

@@ -234,11 +234,11 @@ def test_ica_reconstruct_identity_and_none():
     rec = Recording("r", 0, FS, CHANNELS_1020,
                     rng.uniform(-1, 1, (19, 8000)))
     dec = ica_decompose(rec, IcaParams(rng_seed=3))
-    full = ica_reconstruct(dec, keep=lambda lab: True)
+    full = ica_reconstruct(dec, keep=set(dec.labels))
     rel = (np.linalg.norm(full.samples - rec.samples)
            / np.linalg.norm(rec.samples))
     assert rel < 1e-6
-    none = ica_reconstruct(dec, keep=lambda lab: False)
+    none = ica_reconstruct(dec, keep=())
     assert not none.samples.any()
 
 
@@ -260,7 +260,7 @@ def test_ica_drop_line_component():
     dec = ica_decompose(rec, IcaParams(rng_seed=5))
     labels = label_components(dec)
     assert "line_noise" in labels
-    out = ica_reconstruct(dec, keep=lambda lab: lab != "line_noise")
+    out = ica_reconstruct(dec, keep=set(labels) - {"line_noise"})
 
     def line_power(x):
         freqs, psd = welch_psd(x, FS)
@@ -296,8 +296,7 @@ def test_label_ocular_rule(cleaning_cohort):
         i0 = int(t0 * FS)
         seg = synth._blink_waveform(FS)
         wave[i0:i0 + seg.size] += seg
-    mixing = synth._frontal_weights(CHANNELS_1020,
-                                    synth.DEFAULT_MONTAGE)[:, None]
+    mixing = synth._frontal_weights(CHANNELS_1020)[:, None]
     dec = _decomp_with_sources(wave[None, :], mixing)
     assert label_components(dec) == ["ocular"]
 

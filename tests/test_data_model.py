@@ -1,12 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eegsweep.data_model import (CHANNELS_1020, MONTAGE_COORDS,
-                                 CohortLoadError, DEFAULT_MONTAGE, Recording,
-                                 load_cohort, validate_recording,
-                                 write_cohort, write_recording_csv)
+                                 CohortLoadError, Recording, load_cohort,
+                                 validate_recording, write_cohort,
+                                 write_recording_csv)
 
 
 def make_recording(sid="s00", label=0, fs=128.0, n=512, value=None, seed=0):
@@ -22,7 +26,7 @@ def test_montage_unique_and_inside_unit_disc():
     assert len(set(CHANNELS_1020)) == 19
     for name, (x, y) in MONTAGE_COORDS.items():
         assert x * x + y * y <= 1.0 + 1e-12, name
-    assert DEFAULT_MONTAGE.xy("Cz") == (0.0, 0.0)
+    assert MONTAGE_COORDS["Cz"] == (0.0, 0.0)
 
 
 def test_validate_clean_recording_empty_report():
@@ -54,6 +58,43 @@ def test_round_trip_bit_exact(tmp_path):
     mpath.write_text(json.dumps(manifest))
     loaded = load_cohort(mpath)[0]
     assert np.array_equal(loaded.samples, rec.samples)
+
+
+#: Finite float64 cells, with signed zeros, subnormals and the extremes
+#: drawn on purpose.
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=st.integers(min_value=2, max_value=12).flatmap(
+    lambda n: hnp.arrays(np.float64, (19, n), elements=FINITE)))
+def test_write_load_cohort_bit_exact(samples):
+    rec = Recording("s", 1, 1.0, CHANNELS_1020, samples)
+    with tempfile.TemporaryDirectory() as tmp:
+        (loaded,) = load_cohort(write_cohort([rec], Path(tmp)))
+    assert np.array_equal(loaded.samples.view(np.int64),
+                          rec.samples.view(np.int64))
+
+
+def test_load_cohort_empty_file_is_named(tmp_path, recwarn):
+    write_cohort([make_recording("e", n=256)], tmp_path)
+    (tmp_path / "e.csv").write_text("\n")
+    with pytest.raises(CohortLoadError, match="e: empty file"):
+        load_cohort(tmp_path / "manifest.json")
+    assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
+def test_load_cohort_ragged_row_is_named(tmp_path):
+    write_cohort([make_recording("r", n=256)], tmp_path)
+    lines = (tmp_path / "r.csv").read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0]
+    (tmp_path / "r.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(CohortLoadError,
+                       match="row 5 has 255 cells, expected 256"):
+        load_cohort(tmp_path / "manifest.json")
 
 
 def test_load_cohort_identity_and_duration(tmp_path):

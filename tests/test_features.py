@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import FS, golden_corpus
@@ -407,6 +412,23 @@ def test_feature_matrix_csv_round_trip(tmp_path, small_cohort):
     assert back.column_names == m.column_names
     assert np.array_equal(back.values, m.values)
     assert np.array_equal(back.labels, m.labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.tuples(st.integers(1, 8), st.integers(0, 6)), data=st.data())
+def test_feature_matrix_csv_round_trip_bit_exact(shape, data):
+    values = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    labels = data.draw(hnp.arrays(int, shape[0], elements=st.integers(0, 1)))
+    m = F.FeatureMatrix(column_names=["c%d" % j for j in range(shape[1])],
+                        values=values, labels=labels,
+                        subject_ids=["s%03d" % i for i in range(shape[0])])
+    with tempfile.TemporaryDirectory() as tmp:
+        m.to_csv(Path(tmp) / "feat.csv")
+        back = F.FeatureMatrix.from_csv(Path(tmp) / "feat.csv")
+    assert back.column_names == m.column_names
+    assert np.array_equal(back.values.view(np.int64), values.view(np.int64))
+    assert np.array_equal(back.labels, labels)
 
 
 def test_feature_bound_invariants_on_corpus():

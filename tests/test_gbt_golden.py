@@ -4,7 +4,9 @@
 rows from the whole presorted matrix, before the node-local partition
 and the model sharing across `max_depth` replaced it. Any change to a
 split, a leaf value, a summation order or an early-stopping decision
-changes a hash or an accuracy here.
+changes a hash or an accuracy here. The tree dicts and the per-round
+training logloss that the hashes cover are rebuilt here from the fitted
+models, in the form the builder of the fixture exported them.
 """
 
 import hashlib
@@ -15,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegsweep.classify import (GBT_GRID, GbtConfig, cross_validate,
-                               gbt_train, stratified_folds, stratified_split)
+from eegsweep.classify import (GBT_GRID, GbtConfig, _logloss, _tree_predict,
+                               cross_validate, gbt_train, stratified_folds,
+                               stratified_split)
 
 GOLDEN = Path(__file__).with_name("gbt_golden.json")
 SEED = 17
@@ -34,20 +37,40 @@ def tied_matrix():
 
 
 def _fold_models(x, y, cfg, eval_on_test):
-    """The models cross_validate trains for one grid point, fold by fold."""
+    """The models cross_validate trains for one grid point, fold by fold,
+    each with the rows it was trained on: (model, train_x, train_y)."""
     fold_of = stratified_folds(y, N_FOLDS, SEED)
     models = []
     for fold in range(N_FOLDS):
         tr, te = np.nonzero(fold_of != fold)[0], np.nonzero(fold_of == fold)[0]
         full = replace(GbtConfig(), **cfg)
         if eval_on_test:
-            models.append(gbt_train(x[tr], y[tr], full,
-                                    eval_set=(x[te], y[te])))
+            fit_x, fit_y, eval_set = x[tr], y[tr], (x[te], y[te])
         else:
             fit, ev = stratified_split(y[tr], 0.2, SEED * 1000003 + fold)
-            models.append(gbt_train(x[tr][fit], y[tr][fit], full,
-                                    eval_set=(x[tr][ev], y[tr][ev])))
+            fit_x, fit_y = x[tr][fit], y[tr][fit]
+            eval_set = (x[tr][ev], y[tr][ev])
+        models.append((gbt_train(fit_x, fit_y, full, eval_set=eval_set),
+                       fit_x, fit_y))
     return models
+
+
+def _tree_dict(node):
+    if node.is_leaf:
+        return {"leaf": node.leaf_value}
+    return {"feature": node.feature, "threshold": node.threshold,
+            "gain": node.gain, "left": _tree_dict(node.left),
+            "right": _tree_dict(node.right)}
+
+
+def _train_logloss(model, x, y):
+    """Training-set logloss after each boosting round."""
+    raw = np.zeros(x.shape[0])
+    hist = []
+    for tree in model.trees:
+        raw += model.config.eta * _tree_predict(tree, x)
+        hist.append(_logloss(y, 1.0 / (1.0 + np.exp(-raw))))
+    return hist
 
 
 def _sha(doc):
@@ -69,10 +92,11 @@ def golden_payload():
                 "config": dict(cfg),
                 "fold_accuracies": res.fold_accuracies,
                 "fold_confusions": [list(c) for c in res.fold_confusions],
-                "trees_sha256": [_sha([t.to_dict() for t in m.trees])
-                                 for m in models],
-                "logloss_sha256": [_sha([m.best_iteration, m.train_logloss,
-                                         m.eval_logloss]) for m in models],
+                "trees_sha256": [_sha([_tree_dict(t) for t in m.trees])
+                                 for m, _, _ in models],
+                "logloss_sha256": [
+                    _sha([m.best_iteration, _train_logloss(m, fx, fy),
+                          m.eval_logloss]) for m, fx, fy in models],
             })
         out[protocol] = rows
     return out

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eegsweep.data_model import CHANNELS_1020, Recording
-from eegsweep.segmentation import DIVISORS, N_SEGMENTS, SegmentSpec, segment
+from eegsweep.segmentation import DIVISORS, SegmentSpec, segment
 
 FS = 128.0
 
@@ -60,7 +60,7 @@ def test_segments_tile_the_recording(n, seed):
         n_segments += len(parts)
         assert np.array_equal(np.concatenate(parts, axis=1),
                               rec.samples[:, :(n // j) * j])
-    assert n_segments == N_SEGMENTS == 35
+    assert n_segments == sum(DIVISORS) == 35
 
 
 def test_divisible_length_loses_nothing():

@@ -65,9 +65,6 @@ def test_bartlett_levene_match_scipy():
     stat_ref, p_ref = scipy_stats.levene(a, b, center="mean")
     assert stat == pytest.approx(stat_ref, rel=1e-10)
     assert p == pytest.approx(p_ref, rel=1e-10)
-    stat, p = levene(a, b, center="median")
-    stat_ref, p_ref = scipy_stats.levene(a, b, center="median")
-    assert stat == pytest.approx(stat_ref, rel=1e-10)
 
 
 def test_bartlett_identical_samples():
@@ -139,7 +136,8 @@ def test_null_calibration_kept_fraction():
     kept, report = select_features(matrix_from_values(values, labels))
     frac = kept.n_columns / 1000.0
     assert 0.02 <= frac <= 0.09
-    assert report.kept_columns == kept.column_names
+    assert [r.column for r in report.rows if r.selected] \
+        == kept.column_names
 
 
 def test_report_route_consistency():

@@ -43,7 +43,7 @@ def test_enumerate_pair_count():
 
 
 def test_enumerate_trios_restricted():
-    space = SweepSpace(subset_sizes=(3,), trios_gbt_selection_only=True)
+    space = SweepSpace(subset_sizes=(3,))
     specs = enumerate_space(space)
     assert len(specs) == 4 * 35 * 969
     assert all(s.classifier == "gbt" and s.feature_selection for s in specs)
