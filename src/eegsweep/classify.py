@@ -54,7 +54,6 @@ class CvResult:
     spread: float
     best_config: dict
     fold_confusions: list    # (tn, fp, fn, tp) per fold
-    classifier: str
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +560,7 @@ def cross_validate(x, y, classifier, grid=None, seed=0, gbt_base=None,
         spread = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
         return CvResult(fold_accuracies=accs, mean_accuracy=mean_acc,
                         spread=spread, best_config=dict(cfg),
-                        fold_confusions=confusions, classifier=classifier)
+                        fold_confusions=confusions)
 
     if return_all:
         return [to_result(r) for r in results]

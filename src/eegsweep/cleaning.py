@@ -349,6 +349,8 @@ def label_components(decomp, thresholds=LabelerThresholds()):
         total = float(psd.sum())
         col = decomp.mixing[:, i]
         col_norm = float(np.linalg.norm(col))
+        dominated = col_norm > 0 and np.max(np.abs(col)) > \
+            th.channel_dominance * col_norm
         label = "brain"
         if total > 0.0:
             low = float(psd[freqs < th.ocular_low_hz].sum()) / total
@@ -363,11 +365,9 @@ def label_components(decomp, thresholds=LabelerThresholds()):
                        (freqs < th.muscle_band[1])
                 if float(psd[band].sum()) / total > th.muscle_power:
                     label = "muscle"
-                elif col_norm > 0 and np.max(np.abs(col)) > \
-                        th.channel_dominance * col_norm:
+                elif dominated:
                     label = "channel_noise"
-        elif col_norm > 0 and np.max(np.abs(col)) > \
-                th.channel_dominance * col_norm:
+        elif dominated:
             label = "channel_noise"
         labels.append(label)
     decomp.labels = labels

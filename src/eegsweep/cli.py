@@ -13,18 +13,19 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, classify, features, report, selection, sweep
-from .cleaning import (AsrParams, CleaningPipeline, FirParams, IcaParams,
-                       LabelerThresholds, run_pipeline_with_info)
+from .cleaning import PIPELINE_KINDS, CleaningPipeline, run_pipeline_with_info
 from .data_model import (CHANNELS_1020, CohortLoadError, load_cohort,
-                         validate_recording, write_cohort)
-from .segmentation import SegmentSpec, segment
-from .synth import ArtifactSpec, ClassEffect, SynthSpec, generate_cohort
+                         write_cohort)
+from .segmentation import DIVISORS, SegmentSpec, segment
+from .synth import (ARTIFACT_KINDS, EFFECT_AXES, ArtifactSpec, ClassEffect,
+                    SynthSpec, generate_cohort)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -37,90 +38,170 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+class ConfigError(Exception):
+    """A config entry the reader refuses; the text starts with its key."""
+
+
+def _fail(key, message, *values):
+    raise ConfigError("%s: %s" % (key, message % values))
+
+
 def _set_option(cfg, dotted, value):
-    parts = dotted.split(".")
+    *parents, last = dotted.split(".")
     node = cfg
-    for p in parts[:-1]:
+    for i, p in enumerate(parents):
         node = node.setdefault(p, {})
+        if not isinstance(node, dict):
+            _fail(".".join(parents[:i + 1]), "expected an object, got %s",
+                  json.dumps(node))
     try:
-        node[parts[-1]] = json.loads(value)
+        node[last] = json.loads(value)
     except json.JSONDecodeError:
-        node[parts[-1]] = value
+        node[last] = value
+
+
+def _check_members(key, values, allowed):
+    """Refuse a value that is not in `allowed`, type included: 2.0 is no
+    divisor and true no subset size."""
+    for v in values:
+        if not any(v == a and type(v) is type(a) for a in allowed):
+            _fail(key, "%s is not one of %s", json.dumps(v),
+                  ", ".join(json.dumps(a) for a in allowed))
+
+
+def _read_block(default, block, key):
+    """`default`, a dataclass instance, with the fields a JSON object sets.
+
+    A key must name a field. A field whose default is a dataclass takes an
+    object, read the same way; a tuple field takes a list, which becomes a
+    tuple; a number field takes a number. Other values pass unchanged, so
+    an int stays an int and the checkpoint stamp sees what the file says.
+    """
+    if not isinstance(block, dict):
+        _fail(key, "expected an object, got %s", json.dumps(block))
+    names = [f.name for f in fields(default)]
+    changes = {}
+    for name, value in block.items():
+        where = "%s.%s" % (key, name) if key else name
+        if where == "space.trios_gbt_selection_only":
+            continue  # retired; older space files still write it
+        if name not in names:
+            _fail(where, "unknown key; %s has %s", type(default).__name__,
+                  ", ".join(names))
+        old = getattr(default, name)
+        if is_dataclass(old):
+            value = _read_block(old, value, where)
+        elif isinstance(old, tuple):
+            if not isinstance(value, list):
+                _fail(where, "expected a list, got %s", json.dumps(value))
+            value = tuple(value)
+        elif isinstance(old, (int, float)) and type(value) not in (int, float):
+            _fail(where, "expected a number, got %s", json.dumps(value))
+        changes[name] = value
+    return replace(default, **changes)
+
+
+def _read_grids(block):
+    """Grid points by classifier. A gbt point is read as a GbtConfig
+    block, range checks included; an svm or knn point sets exactly the
+    keys of its default grid's points."""
+    if not isinstance(block, dict):
+        _fail("grids", "expected an object, got %s", json.dumps(block))
+    _check_members("grids", block, tuple(classify.DEFAULT_GRIDS))
+    for name, points in block.items():
+        if not (isinstance(points, list) and points
+                and all(isinstance(p, dict) for p in points)):
+            _fail("grids." + name, "expected a non-empty list of objects, "
+                  "got %s", json.dumps(points))
+        keys = list(classify.DEFAULT_GRIDS[name][0])
+        for i, point in enumerate(points):
+            where = "grids.%s[%d]" % (name, i)
+            if name == "gbt":
+                _read_block(classify.GbtConfig(), point, where)
+            elif sorted(point) != sorted(keys):
+                _fail(where, "has %s; a %s point sets exactly %s",
+                      ", ".join(point) or "no key", name, ", ".join(keys))
+    return {name: tuple(points) for name, points in block.items()}
+
+
+def _read_config(cfg):
+    """Every block of a merged config dict, built and checked: "pipeline"
+    (a CleaningPipeline for the caller to give a kind), "features", "space"
+    and "grids", plus "merged", the dict itself."""
+    blocks = ("fir", "asr", "ica", "features", "space", "grids")
+    for key in cfg:
+        if key not in blocks:
+            _fail(key, "unknown block; expected one of %s", ", ".join(blocks))
+    space = _read_block(sweep.SweepSpace(), cfg.get("space", {}), "space")
+    for axis, allowed in (
+            ("cleanings", PIPELINE_KINDS), ("divisors", DIVISORS),
+            ("subset_sizes", tuple(range(1, len(CHANNELS_1020) + 1))),
+            ("channels", CHANNELS_1020),
+            ("classifiers", tuple(classify.DEFAULT_GRIDS)),
+            ("selection_flags", (True, False))):
+        _check_members("space." + axis, getattr(space, axis), allowed)
+    pipeline = {k: v for k, v in cfg.items() if k in blocks[:3]}
+    return {"merged": cfg, "space": space,
+            "pipeline": _read_block(CleaningPipeline(), pipeline, ""),
+            "features": _read_block(features.DEFAULT_PARAMS,
+                                    cfg.get("features", {}), "features"),
+            "grids": _read_grids(cfg.get("grids", {}))}
 
 
 def load_config(args):
-    """Merge config file and --set overrides into one flat dict."""
+    """The config file (--config, or sweep's --space) with the --set
+    overrides applied, read by _read_config."""
+    space = getattr(args, "space", None)
+    if space and args.config:
+        _fail("--space", "give --space or --config, not both")
+    path = space or args.config
     cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg.update(json.load(fh))
-    for item in getattr(args, "set", None) or []:
+    if path:
+        with open(path) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            _fail(path, "expected a JSON object")
+    for item in args.set or []:
         if "=" not in item:
-            raise SystemExit(USAGE_ERROR)
+            _fail(item, "--set takes KEY=VALUE")
         key, value = item.split("=", 1)
         _set_option(cfg, key.strip(), value.strip())
-    return cfg
+    return _read_config(cfg)
 
 
-def build_pipeline(kind, cfg):
-    fir = FirParams(**cfg.get("fir", {}))
-    asr = AsrParams(**{k: tuple(v) if isinstance(v, list) else v
-                       for k, v in cfg.get("asr", {}).items()})
-    ica_cfg = dict(cfg.get("ica", {}))
-    labeler = LabelerThresholds(**{
-        k: tuple(v) if isinstance(v, list) else v
-        for k, v in ica_cfg.pop("labeler", {}).items()})
-    ica = IcaParams(labeler=labeler, **ica_cfg)
-    return CleaningPipeline(kind=kind, fir=fir, asr=asr, ica=ica)
-
-
-def feature_params(cfg):
-    block = {k: tuple(v) if isinstance(v, list) else v
-             for k, v in cfg.get("features", {}).items()}
-    return replace(features.DEFAULT_PARAMS, **block)
-
-
-def write_provenance(out_dir, args, cfg, seed):
+def write_provenance(out_dir, args, cfg):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    canon = json.dumps(cfg, sort_keys=True)
+    canon = json.dumps(cfg["merged"], sort_keys=True)
     doc = {
         "command": args.command,
         "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
-        "seed": seed,
+        "seed": args.seed,
         "toolkit_version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    with open(out_dir / "provenance.json", "w") as fh:
+    _write_json(out_dir / "provenance.json", doc)
+
+
+def _write_json(path, doc):
+    with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _parse_channels(text):
-    channels = tuple(c.strip() for c in text.split(",") if c.strip())
-    for ch in channels:
-        if ch not in CHANNELS_1020:
-            raise SystemExit(USAGE_ERROR)
-    return channels
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_synth(args):
-    cfg = load_config(args)
-    artifacts = []
-    for kind in (args.artifacts.split(",") if args.artifacts else []):
-        kind = kind.strip()
-        if kind:
-            artifacts.append(ArtifactSpec(kind=kind))
+def cmd_synth(args, cfg):
+    artifacts = tuple(ArtifactSpec(kind=k.strip())
+                      for k in args.artifacts.split(",") if k.strip())
     spec = SynthSpec(
         n_subjects_per_class=args.subjects,
         duration_s=args.duration,
         class_effect=ClassEffect(target_channel=args.effect_channel,
                                  feature_axis=args.effect_axis,
                                  effect_size=args.effect_size),
-        artifacts=tuple(artifacts),
+        artifacts=artifacts,
         rng_seed=args.seed)
     cohort, truth = generate_cohort(spec)
     out = Path(args.out)
@@ -133,78 +214,61 @@ def cmd_synth(args):
     with open(out / "ground_truth.json", "w") as fh:
         json.dump(truth_doc, fh)
         fh.write("\n")
-    write_provenance(out, args, cfg, args.seed)
+    write_provenance(out, args, cfg)
     print("wrote %d subjects to %s (manifest %s)"
           % (len(cohort), out, manifest.name))
     return 0
 
 
-def cmd_validate(args):
+def cmd_validate(args, cfg):
     try:
         cohort = load_cohort(args.manifest)
     except CohortLoadError as exc:
         for p in exc.problems:
             print("FAIL %s" % p, file=sys.stderr)
         return DATA_ERROR
-    bad = 0
-    for rec in cohort:
-        violations = validate_recording(rec)
-        for v in violations:
-            print("FAIL %s: %s" % (rec.subject_id, v), file=sys.stderr)
-        bad += bool(violations)
-    if bad:
-        return DATA_ERROR
     print("%d subjects OK" % len(cohort))
     return 0
 
 
-def cmd_clean(args):
-    cfg = load_config(args)
+def cmd_clean(args, cfg):
     cohort = load_cohort(args.manifest)
-    pipeline = build_pipeline(args.pipeline, cfg)
+    pipeline = replace(cfg["pipeline"], kind=args.pipeline)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    sidecar = {"pipeline": args.pipeline,
-               "params": {"fir": asdict(pipeline.fir),
-                          "asr": asdict(pipeline.asr),
-                          "ica": asdict(pipeline.ica)},
-               "subjects": {}}
+    params = {k: v for k, v in asdict(pipeline).items() if k != "kind"}
+    sidecar = {"pipeline": args.pipeline, "params": params, "subjects": {}}
     cleaned = []
     for rec in cohort:
         result, info = run_pipeline_with_info(rec, pipeline)
         cleaned.append(result)
         sidecar["subjects"][rec.subject_id] = info
     write_cohort(cleaned, out)
-    with open(out / "cleaning.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_provenance(out, args, cfg, args.seed)
+    _write_json(out / "cleaning.json", sidecar)
+    write_provenance(out, args, cfg)
     print("cleaned %d subjects with pipeline %s -> %s"
           % (len(cleaned), args.pipeline, out))
     return 0
 
 
-def cmd_segment(args):
-    cfg = load_config(args)
+def cmd_segment(args, cfg):
     cohort = load_cohort(args.manifest)
     spec = SegmentSpec.from_chunk_id(args.chunk)
     out = Path(args.out)
     segs = [segment(rec, spec) for rec in cohort]
     write_cohort(segs, out)
-    write_provenance(out, args, cfg, args.seed)
+    write_provenance(out, args, cfg)
     print("wrote chunk %s of %d subjects -> %s"
           % (spec.chunk_id, len(segs), out))
     return 0
 
 
-def cmd_extract(args):
-    cfg = load_config(args)
+def cmd_extract(args, cfg):
+    channels = tuple(c.strip() for c in args.channels.split(",") if c.strip())
+    _check_members("--channels", channels, CHANNELS_1020)
     cohort = load_cohort(args.manifest)
-    channels = _parse_channels(args.channels)
-    params = feature_params(cfg)
-    cache = sweep.StageCache(
-        pipelines={args.pipeline: build_pipeline(args.pipeline, cfg)},
-        params=params)
+    pipeline = replace(cfg["pipeline"], kind=args.pipeline)
+    cache = sweep.StageCache(pipelines={args.pipeline: pipeline},
+                             params=cfg["features"])
     chunk = SegmentSpec.from_chunk_id(args.chunk)
     matrix = features.build_feature_matrix(
         cohort, channels, vector_fn=lambda rec, ch: cache.vector(
@@ -212,35 +276,29 @@ def cmd_extract(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     matrix.to_csv(out)
-    meta = {"pipeline": args.pipeline, "chunk": chunk.chunk_id,
-            "channels": list(channels),
-            "feature_params": {k: list(v) if isinstance(v, tuple) else v
-                               for k, v in asdict(params).items()}}
-    with open(out.with_suffix(".meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_provenance(out.parent, args, cfg, args.seed)
+    _write_json(out.with_suffix(".meta.json"), {
+        "pipeline": args.pipeline, "chunk": chunk.chunk_id,
+        "channels": channels, "features": asdict(cfg["features"])})
+    write_provenance(out.parent, args, cfg)
     print("feature matrix %d x %d (+label) -> %s"
           % (matrix.n_subjects, matrix.n_columns, out))
     return 0
 
 
-def cmd_select(args):
-    cfg = load_config(args)
+def cmd_select(args, cfg):
     matrix = features.FeatureMatrix.from_csv(args.features)
     sel_cfg = selection.SelectionConfig(alpha=args.alpha)
     kept, rep = selection.select_features(matrix, sel_cfg)
     kept.to_csv(args.out)
     if args.report:
         rep.to_csv(args.report)
-    write_provenance(Path(args.out).parent, args, cfg, args.seed)
+    write_provenance(Path(args.out).parent, args, cfg)
     print("kept %d of %d columns at alpha=%g -> %s"
           % (kept.n_columns, matrix.n_columns, args.alpha, args.out))
     return 0
 
 
-def cmd_train(args):
-    cfg = load_config(args)
+def cmd_train(args, cfg):
     matrix = features.FeatureMatrix.from_csv(args.features)
     if args.selection == "yes":
         matrix, _ = selection.select_features(matrix)
@@ -261,59 +319,39 @@ def cmd_train(args):
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "cv_result.json", "w") as fh:
-            json.dump({"classifier": args.classifier,
-                       "fold_accuracies": result.fold_accuracies,
-                       "mean_accuracy": result.mean_accuracy,
-                       "spread": result.spread,
-                       "best_config": result.best_config},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_provenance(out, args, cfg, args.seed)
+        _write_json(out / "cv_result.json", {
+            "classifier": args.classifier,
+            "fold_accuracies": result.fold_accuracies,
+            "mean_accuracy": result.mean_accuracy, "spread": result.spread,
+            "best_config": result.best_config})
+        write_provenance(out, args, cfg)
     return 0
 
 
-def _space_from_config(cfg):
-    """SweepSpace from the "space" block; other keys are ignored."""
-    block = cfg.get("space", {})
-    return sweep.SweepSpace(**{
-        key: tuple(block[key]) for key in (
-            "cleanings", "divisors", "subset_sizes", "channels",
-            "classifiers", "selection_flags") if key in block})
-
-
-def cmd_sweep(args):
-    if getattr(args, "space", None):
-        args.config = args.space
-    cfg = load_config(args)
+def cmd_sweep(args, cfg):
     cohort = load_cohort(args.manifest)
-    space = _space_from_config(cfg)
+    space = cfg["space"]
     specs = sweep.enumerate_space(space)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pipelines = {kind: build_pipeline(kind, cfg)
+    pipelines = {kind: replace(cfg["pipeline"], kind=kind)
                  for kind in space.cleanings}
-    cache = sweep.StageCache(pipelines=pipelines, params=feature_params(cfg))
-    grids = {k: tuple(cfg["grids"][k]) for k in cfg.get("grids", {})}
+    cache = sweep.StageCache(pipelines=pipelines, params=cfg["features"])
     records = sweep.run_sweep(
         cohort, specs, seed=args.seed, cache=cache,
         checkpoint_dir=out / "checkpoint" if args.resume else None,
-        grids=grids or None, jobs=args.jobs,
-        selection_in_fold=(args.selection_in_fold
-                           or bool(cfg.get("selection_in_fold", False))),
-        eval_on_test_fold=(args.lax_early_stop
-                           or bool(cfg.get("eval_on_test_fold", False))),
-        expand_grid=args.expand_grid)
+        grids=cfg["grids"] or None, jobs=args.jobs,
+        selection_in_fold=args.selection_in_fold,
+        eval_on_test_fold=args.lax_early_stop, expand_grid=args.expand_grid)
     sweep.records_to_csv(records, out / "results.csv")
-    write_provenance(out, args, cfg, args.seed)
+    write_provenance(out, args, cfg)
     n_failed = sum(1 for r in records if not r.ok)
     print("ran %d specs (%d failed) -> %s"
           % (len(records), n_failed, out / "results.csv"))
     return 0
 
 
-def cmd_report(args):
-    cfg = load_config(args)
+def cmd_report(args, cfg):
     records = sweep.records_from_csv(args.records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -327,17 +365,15 @@ def cmd_report(args):
     if args.significance_factor:
         levels = sorted({getattr(r, args.significance_factor)
                          for r in records})
-        pairs = [(a, b) for i, a in enumerate(levels)
-                 for b in levels[i + 1:]]
         marks = report.mark_significance(records, args.significance_factor,
-                                         pairs)
+                                         list(combinations(levels, 2)))
         with open(out / "significance.csv", "w") as fh:
             fh.write("a,b,p,significant,note\n")
             for m in marks:
                 fh.write("%s,%s,%.10g,%d,%s\n" % (
                     m["pair"][0], m["pair"][1], m["p"],
                     m["significant"], m["note"]))
-    write_provenance(out, args, cfg, args.seed)
+    write_provenance(out, args, cfg)
     print("wrote %d group summaries -> %s" % (len(summaries), out))
     return 0
 
@@ -379,10 +415,10 @@ def build_parser():
     p.add_argument("--duration", type=float, default=30.0)
     p.add_argument("--effect-channel", default="P3")
     p.add_argument("--effect-axis", default="theta_power",
-                   choices=("theta_power", "alpha_power", "kurtosis"))
+                   choices=EFFECT_AXES)
     p.add_argument("--effect-size", type=float, default=2.0)
     p.add_argument("--artifacts", default="",
-                   help="comma list: blink,muscle_burst,line_50hz,bad_channel")
+                   help="comma list of " + ",".join(ARTIFACT_KINDS))
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("validate", help="check a cohort manifest")
@@ -394,7 +430,7 @@ def build_parser():
     common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--pipeline", required=True,
-                   choices=("raw", "filtered", "asr", "ica"))
+                   choices=PIPELINE_KINDS)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_clean)
 
@@ -409,7 +445,7 @@ def build_parser():
     common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--pipeline", default="raw",
-                   choices=("raw", "filtered", "asr", "ica"))
+                   choices=PIPELINE_KINDS)
     p.add_argument("--chunk", default="1/1")
     p.add_argument("--channels", required=True, help="comma list, e.g. P3,P4")
     p.add_argument("--out", required=True)
@@ -428,7 +464,7 @@ def build_parser():
     common(p)
     p.add_argument("--features", required=True)
     p.add_argument("--classifier", default="gbt",
-                   choices=("gbt", "svm", "knn"))
+                   choices=tuple(classify.DEFAULT_GRIDS))
     p.add_argument("--selection", default="no", choices=("yes", "no"))
     p.add_argument("--importance", action="store_true",
                    help="also fit an 80/20 holdout model and print the "
@@ -477,7 +513,10 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
-        return args.fn(args)
+        return args.fn(args, load_config(args))
+    except ConfigError as exc:
+        print("error: config: %s" % exc, file=sys.stderr)
+        return USAGE_ERROR
     except CohortLoadError as exc:
         print(str(exc), file=sys.stderr)
         return DATA_ERROR

@@ -54,8 +54,7 @@ class SelectionReport:
                 fh.write("%s,%d,%d,%s,%.10g,%d,%s,%.10g,%d\n" % (
                     r.column, r.normal_adhd, r.normal_td, r.variance_test,
                     r.variance_p, r.homoscedastic, r.mean_test,
-                    r.p_value if not math.isnan(r.p_value) else float("nan"),
-                    r.selected))
+                    r.p_value, r.selected))
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from itertools import combinations
 from pathlib import Path
 
 from . import classify, features, selection
-from .cleaning import CleaningPipeline
+from .cleaning import PIPELINE_KINDS, CleaningPipeline
 from .data_model import CHANNELS_1020
 from .segmentation import DIVISORS, SegmentSpec, segment
-
-CLEANINGS = ("raw", "filtered", "asr", "ica")
-CLASSIFIERS = ("gbt", "svm", "knn")
 
 
 @dataclass(frozen=True)
@@ -60,32 +57,16 @@ class ExperimentRecord:
     def ok(self):
         return not self.error
 
-    def to_dict(self):
-        return {"accuracy": self.accuracy, "spread": self.spread,
-                "cleaning": self.cleaning, "chunk": self.chunk,
-                "channels": self.channels, "classifier": self.classifier,
-                "feature_selection": self.feature_selection,
-                "best_params": dict(self.best_params), "error": self.error}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(cleaning=d["cleaning"], chunk=d["chunk"],
-                   channels=d["channels"], classifier=d["classifier"],
-                   feature_selection=bool(d["feature_selection"]),
-                   accuracy=float(d["accuracy"]), spread=float(d["spread"]),
-                   best_params=dict(d.get("best_params", {})),
-                   error=d.get("error", ""))
-
 
 @dataclass(frozen=True)
 class SweepSpace:
     """Which axes of the full experiment space to enumerate."""
 
-    cleanings: tuple = CLEANINGS
+    cleanings: tuple = PIPELINE_KINDS
     divisors: tuple = DIVISORS
     subset_sizes: tuple = (1,)
     channels: tuple = CHANNELS_1020
-    classifiers: tuple = CLASSIFIERS
+    classifiers: tuple = tuple(classify.DEFAULT_GRIDS)
     selection_flags: tuple = (True, False)
 
 
@@ -125,7 +106,7 @@ class StageCache:
 
     def __init__(self, pipelines=None, params=features.DEFAULT_PARAMS):
         self.pipelines = pipelines or {
-            kind: CleaningPipeline(kind=kind) for kind in CLEANINGS}
+            kind: CleaningPipeline(kind=kind) for kind in PIPELINE_KINDS}
         self.params = params
         self._cleaned = {}
         self._vectors = {}
@@ -154,13 +135,10 @@ def run_one(cohort, spec, seed, cache, grids=None, gbt_base=None,
     Returns one ExperimentRecord (best grid point), or a list with one
     record per grid point when expand_grid is set.
     """
-    def blank():
-        return ExperimentRecord(
-            cleaning=spec.cleaning, chunk=spec.chunk.chunk_id,
-            channels="-".join(spec.channels), classifier=spec.classifier,
-            feature_selection=spec.feature_selection)
-
-    record = blank()
+    record = ExperimentRecord(
+        cleaning=spec.cleaning, chunk=spec.chunk.chunk_id,
+        channels="-".join(spec.channels), classifier=spec.classifier,
+        feature_selection=spec.feature_selection)
     try:
         matrix = features.build_feature_matrix(
             cohort, spec.channels, vector_fn=lambda rec, ch: cache.vector(
@@ -179,23 +157,14 @@ def run_one(cohort, spec, seed, cache, grids=None, gbt_base=None,
             seed=_spec_seed(seed, spec), gbt_base=gbt_base,
             selector=selector, eval_on_test_fold=eval_on_test_fold,
             return_all=expand_grid)
-        if expand_grid:
-            records = []
-            for res in result:
-                rec = blank()
-                rec.accuracy = res.mean_accuracy
-                rec.spread = res.spread
-                rec.best_params = res.best_config
-                records.append(rec)
-            return records
-        record.accuracy = result.mean_accuracy
-        record.spread = result.spread
-        record.best_params = result.best_config
     except Exception as exc:  # per-spec failures never abort the sweep
         record.error = "%s: %s" % (type(exc).__name__, exc)
-        if expand_grid:
-            return [record]
-    return record
+        return [record] if expand_grid else record
+
+    def row(res):
+        return replace(record, accuracy=res.mean_accuracy, spread=res.spread,
+                       best_params=res.best_config)
+    return [row(res) for res in result] if expand_grid else row(result)
 
 
 _WORKER = {}
@@ -234,8 +203,8 @@ def _load_checkpoint(path):
     if keep < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(keep)
-    return {doc["key"]: [ExperimentRecord.from_dict(d)
-                         for d in doc["records"]] for doc in docs}
+    return {doc["key"]: [ExperimentRecord(**d) for d in doc["records"]]
+            for doc in docs}
 
 
 def _config_stamp(seed, cache, options):
@@ -301,7 +270,7 @@ def run_sweep(cohort, specs, seed=0, cache=None, checkpoint_dir=None,
             with open(ckpt_path, "a") as fh:
                 fh.write(json.dumps(
                     {"key": spec.key,
-                     "records": [r.to_dict() for r in result]},
+                     "records": [asdict(r) for r in result]},
                     sort_keys=True) + "\n")
 
     if jobs > 1 and len(pending) > 1:

@@ -20,9 +20,15 @@ BAND_CENTERS = {"delta": 2.0, "theta": 6.0, "alpha": 10.0, "beta": 20.0}
 
 _DEFAULT_BAND_AMPS = {"delta": 0.6, "theta": 0.5, "alpha": 0.7, "beta": 0.3}
 
+#: Artifact kinds inject_artifact knows.
+ARTIFACT_KINDS = ("blink", "muscle_burst", "line_50hz", "bad_channel")
+
 #: Artifact kinds whose masks mark transient windows; continuous kinds
 #: (line_50hz, bad_channel) return an all-False mask.
 TRANSIENT_KINDS = ("blink", "muscle_burst")
+
+#: What a class effect can change at its target channel.
+EFFECT_AXES = ("theta_power", "alpha_power", "kurtosis")
 
 
 @dataclass(frozen=True)
@@ -30,7 +36,7 @@ class ClassEffect:
     """Ground-truth discriminative difference injected into class 1."""
 
     target_channel: str = "P3"
-    feature_axis: str = "theta_power"  # theta_power | alpha_power | kurtosis
+    feature_axis: str = "theta_power"  # one of EFFECT_AXES
     effect_size: float = 1.0
 
 
@@ -63,8 +69,6 @@ class GroundTruth:
 
     clean: dict
     artifact_mask: dict        # subject_id -> bool (n_samples,)
-    masks_by_kind: dict        # subject_id -> {kind: bool mask}
-    effect: ClassEffect
 
 
 def _validate_spec(spec):
@@ -77,13 +81,11 @@ def _validate_spec(spec):
     if spec.class_effect.target_channel not in CHANNELS_1020:
         raise ValueError("unknown channel label %r"
                          % spec.class_effect.target_channel)
-    if spec.class_effect.feature_axis not in (
-            "theta_power", "alpha_power", "kurtosis"):
+    if spec.class_effect.feature_axis not in EFFECT_AXES:
         raise ValueError("unknown feature axis %r"
                          % spec.class_effect.feature_axis)
     for art in spec.artifacts:
-        if art.kind not in ("blink", "muscle_burst", "line_50hz",
-                            "bad_channel"):
+        if art.kind not in ARTIFACT_KINDS:
             raise ValueError("unknown artifact kind %r" % art.kind)
         if art.amplitude <= 0:
             raise ValueError("artifact amplitude must be positive")
@@ -151,53 +153,51 @@ def _bandlimited_noise(n, fs, lo, hi, rng):
     return x / max(np.std(x), 1e-30)
 
 
-def inject_artifact(rec, kind, params, rng_seed):
-    """Add one artifact family to a recording.
+def inject_artifact(rec, spec, rng_seed):
+    """Add one artifact family, an ArtifactSpec, to a recording.
 
     Returns (new recording, boolean time mask of the affected windows).
     Continuous artifacts (line_50hz, bad_channel) return all-False masks:
     they have no clean/dirty window distinction.
     """
-    if not isinstance(params, ArtifactSpec):
-        params = ArtifactSpec(kind=kind, **params)
     rng = np.random.default_rng(rng_seed)
     fs = rec.sample_rate_hz
     n = rec.n_samples
     addition = np.zeros_like(rec.samples)
     mask = np.zeros(n, dtype=bool)
 
-    if kind == "blink":
-        wave = _blink_waveform(fs) * params.amplitude
+    if spec.kind == "blink":
+        wave = _blink_waveform(fs) * spec.amplitude
         weights = _frontal_weights(rec.channel_names)
-        for t0 in _burst_times(rng, params, rec.duration_s, 0.7):
+        for t0 in _burst_times(rng, spec, rec.duration_s, 0.7):
             i0 = int(round(t0 * fs))
             i1 = min(i0 + wave.size, n)
             addition[:, i0:i1] += np.outer(weights, wave[:i1 - i0])
             mask[i0:i1] = True
-    elif kind == "muscle_burst":
+    elif spec.kind == "muscle_burst":
         width_s = 0.5
-        ch = params.channel or ("T7", "T8")[int(rng.integers(2))]
+        ch = spec.channel or ("T7", "T8")[int(rng.integers(2))]
         row = rec.channel_names.index(ch)
-        for t0 in _burst_times(rng, params, rec.duration_s, width_s):
+        for t0 in _burst_times(rng, spec, rec.duration_s, width_s):
             i0 = int(round(t0 * fs))
             i1 = min(i0 + int(width_s * fs), n)
             burst = _bandlimited_noise(i1 - i0, fs, 20.0, 45.0, rng)
             env = np.sin(np.pi * np.arange(i1 - i0) / (i1 - i0)) ** 2
-            addition[row, i0:i1] += params.amplitude * burst * env
+            addition[row, i0:i1] += spec.amplitude * burst * env
             mask[i0:i1] = True
-    elif kind == "line_50hz":
+    elif spec.kind == "line_50hz":
         t = np.arange(n) / fs
         phase = rng.uniform(0, 2 * np.pi)
-        addition += params.amplitude * np.sin(2 * np.pi * 50.0 * t + phase)
-    elif kind == "bad_channel":
-        ch = params.channel or rec.channel_names[int(
+        addition += spec.amplitude * np.sin(2 * np.pi * 50.0 * t + phase)
+    elif spec.kind == "bad_channel":
+        ch = spec.channel or rec.channel_names[int(
             rng.integers(len(rec.channel_names)))]
         row = rec.channel_names.index(ch)
-        noise = params.amplitude * rng.standard_normal(n)
+        noise = spec.amplitude * rng.standard_normal(n)
         # additive term that replaces the original row under superposition
         addition[row] = noise - rec.samples[row]
     else:
-        raise ValueError("unknown artifact kind %r" % kind)
+        raise ValueError("unknown artifact kind %r" % spec.kind)
 
     return rec.with_samples(rec.samples + addition), mask
 
@@ -217,7 +217,6 @@ def generate_cohort(spec):
     recordings = []
     clean = {}
     masks = {}
-    masks_by_kind = {}
     index = 0
     for label in (1, 0):
         prefix = "adhd" if label == 1 else "td"
@@ -241,22 +240,15 @@ def generate_cohort(spec):
                             channel_names=CHANNELS_1020, samples=sig)
             clean[sid] = rec.samples.copy()
             total_mask = np.zeros(n, dtype=bool)
-            by_kind = {}
             for j, art in enumerate(spec.artifacts):
                 rec, m = inject_artifact(
-                    rec, art.kind, art,
-                    rng_seed=spec.rng_seed + 7919 * (index + 1) + j)
+                    rec, art, rng_seed=spec.rng_seed + 7919 * (index + 1) + j)
                 if art.kind in TRANSIENT_KINDS:
                     total_mask |= m
-                by_kind[art.kind] = m
             recordings.append(rec)
             masks[sid] = total_mask
-            masks_by_kind[sid] = by_kind
             index += 1
-    truth = GroundTruth(clean=clean, artifact_mask=masks,
-                        masks_by_kind=masks_by_kind,
-                        effect=spec.class_effect)
-    return recordings, truth
+    return recordings, GroundTruth(clean=clean, artifact_mask=masks)
 
 
 def _heavy_tail_spikes(n, fs, rng, effect_size, base_std):

@@ -1,0 +1,322 @@
+"""The config reader: what it refuses, what it accepts, and that every
+valid config builds the same blocks, and so the same checkpoint stamp, as
+the three converters it replaced."""
+
+import json
+from dataclasses import fields, is_dataclass, replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eegsweep import classify, cli, features, sweep
+from eegsweep.cleaning import (PIPELINE_KINDS, AsrParams, CleaningPipeline,
+                               FirParams, IcaParams, LabelerThresholds)
+from eegsweep.cli import main
+from eegsweep.data_model import CHANNELS_1020
+from eegsweep.segmentation import DIVISORS
+
+#: Sets every field of every block. The stamps and the provenance hash
+#: below were written by the command line as it was before the reader,
+#: with `sweep --config` on this config and --seed 5.
+EVERY = {
+    "fir": {"low_hz": 1, "high_hz": 35, "transition_low_hz": 0.5,
+            "transition_high_hz": 8.0},
+    "asr": {"cutoff_k": 15, "calib_window_s": 1.0,
+            "calib_bad_channel_fraction": 0.2, "calib_z_bounds": [-3, 5],
+            "proc_window_s": 0.5, "proc_overlap": 0.25},
+    "ica": {"max_iter": 300, "tol": 1e-05, "rng_seed": 7,
+            "variance_coverage": 0.999,
+            "labeler": {"ocular_low_hz": 3.5, "ocular_low_power": 0.55,
+                        "line_hz": 60, "line_peak_ratio": 8,
+                        "muscle_band": [18, 44], "muscle_power": 0.5,
+                        "channel_dominance": 0.85}},
+    "features": {"quantile": 0.8, "welch_nperseg": 128, "welch_overlap": 0.5,
+                 "total_band": [0.5, 40], "psd_fit_range": [2, 30],
+                 "sef_edge": 0.9, "app_entropy_m": 2, "app_entropy_r": 0.25,
+                 "higuchi_kmax": 8, "hurst_min_window": 8,
+                 "energy_transition_hz": 1.5},
+    "space": {"cleanings": ["filtered"], "divisors": [2],
+              "subset_sizes": [1], "channels": ["P3"],
+              "classifiers": ["knn"], "selection_flags": [False]},
+    "grids": {"gbt": [{"max_depth": 2, "eta": 0.3, "gamma": 0.0,
+                       "n_rounds": 20}],
+              "svm": [{"c": 1.0, "gamma_rbf": "scale"}],
+              "knn": [{"k": 3}]},
+}
+EVERY_STAMP = (
+    "25b4823e52b9628c6f02c46631bb7d6d90de4ce33d9e3ebb53a1a08045da6c5e")
+EVERY_STAMP_FLAGS = (
+    "92189468c117716b33ba181024537b491ee144024b71e9bce248fd5f0c6e297c")
+EVERY_HASH = (
+    "f774f21bc2c5abcb7c0262c6bb298c0513631655f0a7665eb331f5ccc73e8e6c")
+
+SPACE = {"cleanings": ["raw"], "divisors": [1], "subset_sizes": [1],
+         "channels": ["P3"], "classifiers": ["knn"],
+         "selection_flags": [False]}
+
+
+@pytest.fixture(scope="module")
+def cohort_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cohort")
+    assert main(["synth", "--out", str(out), "--subjects", "6",
+                 "--duration", "12", "--seed", "3"]) == 0
+    return out
+
+
+# ---------------------------------------------------------------------------
+# refusals: each stops with exit 1 before the cohort loads
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["clean", "--pipeline", "filtered", "--set", "fir.bogus=1"],
+     "fir.bogus"),
+    (["clean", "--pipeline", "filtered", "--set", "features.bogus=1"],
+     "features.bogus"),
+    (["clean", "--pipeline", "filtered", "--set", "fir=3"], "fir"),
+    (["sweep", "--set", "space.divisors=4"], "space.divisors"),
+    (["sweep", "--set", "space.channels=P3"], "space.channels"),
+    (["sweep", "--set", 'grids.knn=[{"kk": 3}]'], "grids.knn[0]"),
+    (["sweep", "--set", "foo"], "foo"),
+    (["extract", "--channels", "P3,XX"], "--channels"),
+], ids=["fir_unknown_key", "features_unknown_key", "fir_not_an_object",
+        "divisors_not_a_list", "channels_not_a_list", "knn_point_keys",
+        "set_without_value", "unknown_channel"])
+def test_bad_config_exits_1_before_the_cohort_loads(tmp_path, capsys, argv,
+                                                    key):
+    # the manifest does not exist: loading it would exit 2
+    code = main(argv[:1] + ["--manifest", str(tmp_path / "missing.json"),
+                            "--out", str(tmp_path / "out")] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: config: %s: " % key)
+    assert err.count("\n") == 1
+    assert not list(tmp_path.rglob("results.csv"))
+    assert not list(tmp_path.rglob("provenance.json"))
+
+
+def test_space_and_config_together_are_refused(tmp_path, capsys):
+    space = _write(tmp_path, "s.json", {"space": SPACE})
+    config = _write(tmp_path, "c.json", {"fir": {"high_hz": 30}})
+    code = main(["sweep", "--manifest", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "out"), "--space", space,
+                 "--config", config])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: config: --space: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"selection_in_fold": True}, "selection_in_fold"),
+    ({"eval_on_test_fold": True}, "eval_on_test_fold"),
+    ({"space": dict(SPACE, cleanings=["asr", "clean"])}, "space.cleanings"),
+    ({"space": dict(SPACE, divisors=[7])}, "space.divisors"),
+    ({"space": dict(SPACE, divisors=[2.0])}, "space.divisors"),
+    ({"space": dict(SPACE, classifiers=["rf"])}, "space.classifiers"),
+    ({"space": dict(SPACE, selection_flags=["yes"])},
+     "space.selection_flags"),
+    ({"space": dict(SPACE, chanels=["P3"])}, "space.chanels"),
+    ({"grids": {"rf": [{"k": 3}]}}, "grids"),
+    ({"grids": {"knn": []}}, "grids.knn"),
+    ({"grids": {"knn": {"k": 3}}}, "grids.knn"),
+    ({"grids": {"svm": [{"c": 1.0}]}}, "grids.svm[0]"),
+    ({"grids": {"gbt": [{"depth": 2}]}}, "grids.gbt[0].depth"),
+    ({"grids": {"gbt": [{"eta": "0.3"}]}}, "grids.gbt[0].eta"),
+    ({"asr": {"calib_z_bounds": 3}}, "asr.calib_z_bounds"),
+    ({"ica": {"labeler": []}}, "ica.labeler"),
+    ({"ica": {"labeler": {"line_hz": "60"}}}, "ica.labeler.line_hz"),
+    ({"features": {"quantile": True}}, "features.quantile"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_config_file_refusals(tmp_path, capsys, doc, key):
+    config = _write(tmp_path, "c.json", doc)
+    code = main(["sweep", "--manifest", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "out"), "--config", config])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: config: %s: " % key)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("asr.cutoff_k=0", "cutoff_k must be > 0"),
+    ('grids.gbt=[{"eta": 0.3}, {"eta": 0}]', "eta must be in (0, 1]"),
+], ids=["asr", "gbt_point"])
+def test_range_checks_of_the_dataclasses_keep_exit_2(tmp_path, capsys,
+                                                     entry, message):
+    code = main(["sweep", "--manifest", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "out"), "--set", entry])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _read(argv):
+    return cli.load_config(cli.build_parser().parse_args(
+        ["sweep", "--manifest", "m.json", "--out", "o"] + argv))
+
+
+def test_retired_space_key_is_accepted_and_ignored(tmp_path):
+    # the space files perfbench/run.py writes still carry it
+    plain = _read(["--space", _write(tmp_path, "a.json", {"space": SPACE})])
+    retired = _read(["--space", _write(tmp_path, "b.json", {
+        "space": dict(SPACE, trios_gbt_selection_only=True),
+        "grids": {"knn": [{"k": 3}]}})])
+    assert retired["space"] == plain["space"]
+    assert retired["space"].channels == ("P3",)
+
+
+def test_set_keeps_ints_and_reads_lists_as_tuples():
+    cfg = _read(["--set", "fir.high_hz=35",
+                 "--set", "asr.calib_z_bounds=[-3, 5]",
+                 "--set", "space.divisors=[1, 20]"])
+    assert type(cfg["pipeline"].fir.high_hz) is int
+    assert cfg["pipeline"].asr.calib_z_bounds == (-3, 5)
+    assert cfg["space"].divisors == (1, 20)
+    assert cfg["merged"]["fir"] == {"high_hz": 35}
+
+
+# ---------------------------------------------------------------------------
+# the stamp of a valid config is what it was before the reader
+
+@pytest.mark.parametrize("flags, stamp", [
+    ((), EVERY_STAMP),
+    (("--selection-in-fold", "--lax-early-stop", "--expand-grid"),
+     EVERY_STAMP_FLAGS),
+], ids=["plain", "flags"])
+def test_stamp_of_a_config_that_sets_every_field(cohort_dir, tmp_path,
+                                                 flags, stamp):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--manifest", str(cohort_dir / "manifest.json"),
+                 "--config", _write(tmp_path, "every.json", EVERY),
+                 "--out", str(out), "--seed", "5", "--resume",
+                 *flags]) == 0
+    assert (out / "checkpoint" / "config.sha256").read_text() == stamp + "\n"
+    prov = json.loads((out / "provenance.json").read_text())
+    assert prov["config_hash"] == EVERY_HASH
+
+
+# The three converters and the grid comprehension the reader replaced,
+# copied as they were; they are the reference for the property below.
+
+def ref_build_pipeline(kind, cfg):
+    fir = FirParams(**cfg.get("fir", {}))
+    asr = AsrParams(**{k: tuple(v) if isinstance(v, list) else v
+                       for k, v in cfg.get("asr", {}).items()})
+    ica_cfg = dict(cfg.get("ica", {}))
+    labeler = LabelerThresholds(**{
+        k: tuple(v) if isinstance(v, list) else v
+        for k, v in ica_cfg.pop("labeler", {}).items()})
+    ica = IcaParams(labeler=labeler, **ica_cfg)
+    return CleaningPipeline(kind=kind, fir=fir, asr=asr, ica=ica)
+
+
+def ref_feature_params(cfg):
+    block = {k: tuple(v) if isinstance(v, list) else v
+             for k, v in cfg.get("features", {}).items()}
+    return replace(features.DEFAULT_PARAMS, **block)
+
+
+def ref_space_from_config(cfg):
+    block = cfg.get("space", {})
+    return sweep.SweepSpace(**{
+        key: tuple(block[key]) for key in (
+            "cleanings", "divisors", "subset_sizes", "channels",
+            "classifiers", "selection_flags") if key in block})
+
+
+def ref_grids(cfg):
+    return {k: tuple(cfg["grids"][k]) for k in cfg.get("grids", {})}
+
+
+def _stamp(pipelines, params, grids):
+    options = {"grids": grids or None, "gbt_base": None,
+               "selection_in_fold": False, "eval_on_test_fold": False,
+               "expand_grid": False}
+    cache = sweep.StageCache(pipelines=pipelines, params=params)
+    return sweep._config_stamp(0, cache, options)
+
+
+def new_space_and_stamp(cfg):
+    blocks = cli._read_config(cfg)
+    space = blocks["space"]
+    return space, _stamp({kind: replace(blocks["pipeline"], kind=kind)
+                          for kind in space.cleanings},
+                         blocks["features"], blocks["grids"])
+
+
+def old_space_and_stamp(cfg):
+    space = ref_space_from_config(cfg)
+    return space, _stamp({kind: ref_build_pipeline(kind, cfg)
+                          for kind in space.cleanings},
+                         ref_feature_params(cfg), ref_grids(cfg))
+
+
+def _outcome(build, cfg):
+    """What a build gives: its result, or the range check it failed."""
+    try:
+        return build(cfg)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Any of these passes every range check but asr.proc_overlap's, which
+# needs (0, 1); both readers must refuse the same draws.
+NUMBER = st.integers(1, 50) | st.floats(0.01, 0.99)
+
+
+def block_of(default):
+    """A JSON object that sets some fields of the dataclass `default`."""
+    values = {}
+    for f in fields(default):
+        old = getattr(default, f.name)
+        if is_dataclass(old):
+            values[f.name] = block_of(old)
+        elif isinstance(old, tuple):
+            values[f.name] = st.lists(NUMBER, min_size=2, max_size=2)
+        else:
+            values[f.name] = NUMBER
+    return st.fixed_dictionaries({}, optional=values)
+
+
+def _some(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=4)
+
+
+POINTS = {
+    "gbt": st.fixed_dictionaries({}, optional={
+        f.name: st.integers(1, 50) if isinstance(f.default, int)
+        else st.floats(0.01, 0.99) for f in fields(classify.GbtConfig)}),
+    "svm": st.fixed_dictionaries({"c": NUMBER,
+                                  "gamma_rbf": st.just("scale") | NUMBER}),
+    "knn": st.fixed_dictionaries({"k": st.integers(1, 9)}),
+}
+
+CONFIGS = st.fixed_dictionaries({}, optional={
+    "fir": block_of(FirParams()),
+    "asr": block_of(AsrParams()),
+    "ica": block_of(IcaParams()),
+    "features": block_of(features.DEFAULT_PARAMS),
+    "space": st.fixed_dictionaries({}, optional={
+        "cleanings": _some(PIPELINE_KINDS),
+        "divisors": _some(DIVISORS),
+        "subset_sizes": _some((1, 2, 3)),
+        "channels": _some(CHANNELS_1020),
+        "classifiers": _some(tuple(classify.DEFAULT_GRIDS)),
+        "selection_flags": _some((True, False)),
+        "trios_gbt_selection_only": st.booleans()}),
+    "grids": st.fixed_dictionaries({}, optional={
+        name: st.lists(points, min_size=1, max_size=3)
+        for name, points in POINTS.items()}),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONFIGS)
+def test_reader_builds_what_the_old_converters_built(cfg):
+    before = json.dumps(cfg, sort_keys=True)
+    assert (_outcome(new_space_and_stamp, cfg)
+            == _outcome(old_space_and_stamp, cfg))
+    assert json.dumps(cfg, sort_keys=True) == before

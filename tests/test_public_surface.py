@@ -1,11 +1,14 @@
-"""Every public name in src/eegsweep has a caller outside the tests.
+"""Every public name in src/eegsweep has a caller outside the tests, and
+every dataclass field has a reader.
 
-The scan parses each module with `ast` and lists its public module-level
-functions, classes and constants, and the public methods and properties
-of its classes. A name passes when it appears as a word somewhere in
-src/eegsweep outside its own definition, in demos/ or in perfbench/.
-It matches names, not parameters: an unused keyword argument of a used
-function is not caught here.
+The first scan parses each module with `ast` and lists its public
+module-level functions, classes and constants, and the public methods
+and properties of its classes. A name passes when it appears as a word
+somewhere in src/eegsweep outside its own definition, in demos/ or in
+perfbench/. It matches names, not parameters: an unused keyword argument
+of a used function is not caught here. The second scan lists the fields
+of every dataclass in src/eegsweep and looks for a read of each name, as
+an attribute or through getattr with a constant, anywhere in the project.
 """
 
 import ast
@@ -53,3 +56,37 @@ def test_every_public_name_has_a_caller_outside_tests():
                        for other, text in texts.items()):
                 unused.append("%s: %s" % (path.name, name))
     assert unused == []
+
+
+def attribute_reads(path):
+    """Names read as `x.name` or through `getattr(x, "name")` in a file."""
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def test_every_dataclass_field_is_read():
+    """A field that no code reads is state nobody needs: every dataclass
+    field in src/eegsweep must be read as an attribute somewhere in src/,
+    demos/, perfbench/ or tests/."""
+    reads = set()
+    for folder in ("src", "demos", "perfbench", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            reads |= attribute_reads(path)
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).startswith("dataclass")
+                    for d in node.decorator_list):
+                unread += ["%s.%s" % (node.name, n.target.id)
+                           for n in node.body
+                           if isinstance(n, ast.AnnAssign)
+                           and n.target.id not in reads]
+    assert unread == []

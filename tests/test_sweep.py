@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def small_specs():
 
 
 def _dump(records):
-    return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
+    return [json.dumps(asdict(r), sort_keys=True) for r in records]
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,8 @@ def test_kurtosis_effect_axis():
 def test_blink_mask_marks_exact_windows():
     rec = zero_recording()
     out, mask = synth.inject_artifact(
-        rec, "blink", {"amplitude": 10.0, "times_s": (5.0,)}, rng_seed=0)
+        rec, synth.ArtifactSpec(kind="blink", amplitude=10.0, times_s=(5.0,)),
+        rng_seed=0)
     fs = rec.sample_rate_hz
     assert mask[int(5.2 * fs)]
     assert not mask[int(3.0 * fs)]
@@ -117,7 +118,8 @@ def test_blink_mask_marks_exact_windows():
 def test_blink_frontal_decay():
     rec = zero_recording()
     out, mask = synth.inject_artifact(
-        rec, "blink", {"amplitude": 10.0, "times_s": (5.0,)}, rng_seed=0)
+        rec, synth.ArtifactSpec(kind="blink", amplitude=10.0, times_s=(5.0,)),
+        rng_seed=0)
     i = int(5.35 * rec.sample_rate_hz)
     fp1 = abs(out.channel("Fp1")[i])
     o1 = abs(out.channel("O1")[i])
@@ -126,8 +128,8 @@ def test_blink_frontal_decay():
 
 def test_line_50hz_single_psd_peak():
     rec = zero_recording()
-    out, mask = synth.inject_artifact(rec, "line_50hz", {"amplitude": 1.0},
-                                      rng_seed=1)
+    out, mask = synth.inject_artifact(
+        rec, synth.ArtifactSpec(kind="line_50hz", amplitude=1.0), rng_seed=1)
     assert not mask.any()
     freqs, psd = welch_psd(out.samples[7], rec.sample_rate_hz)
     assert abs(freqs[np.argmax(psd)] - 50.0) <= 0.5
@@ -139,8 +141,8 @@ def test_muscle_burst_band_power_ratio():
     cohort, _ = synth.generate_cohort(spec)
     rec = cohort[0]
     out, mask = synth.inject_artifact(
-        rec, "muscle_burst",
-        {"amplitude": 12.0, "times_s": (5.0, 12.0, 20.0), "channel": "T7"},
+        rec, synth.ArtifactSpec(kind="muscle_burst", amplitude=12.0,
+                                times_s=(5.0, 12.0, 20.0), channel="T7"),
         rng_seed=2)
     x = out.channel("T7")
     fs = rec.sample_rate_hz
@@ -159,9 +161,9 @@ def test_bad_channel_replaces_row():
                            rng_seed=3)
     cohort, _ = synth.generate_cohort(spec)
     rec = cohort[0]
-    out, _ = synth.inject_artifact(rec, "bad_channel",
-                                   {"amplitude": 30.0, "channel": "Pz"},
-                                   rng_seed=5)
+    out, _ = synth.inject_artifact(
+        rec, synth.ArtifactSpec(kind="bad_channel", amplitude=30.0,
+                                channel="Pz"), rng_seed=5)
     row = out.channel("Pz")
     assert np.std(row) > 5 * np.std(rec.channel("Pz"))
     others = [ch for ch in CHANNELS_1020 if ch != "Pz"]
@@ -172,7 +174,8 @@ def test_bad_channel_replaces_row():
 def test_unknown_kind_and_bad_params():
     rec = zero_recording()
     with pytest.raises(ValueError, match="unknown artifact kind"):
-        synth.inject_artifact(rec, "gamma_ray", {}, rng_seed=0)
+        synth.inject_artifact(rec, synth.ArtifactSpec(kind="gamma_ray"),
+                              rng_seed=0)
     with pytest.raises(ValueError, match="channel"):
         synth.generate_cohort(synth.SynthSpec(
             class_effect=synth.ClassEffect(target_channel="XX")))
