@@ -11,7 +11,8 @@ feature importance).
 import warnings
 
 from eegsweep import report, sweep, synth
-from eegsweep.classify import GbtConfig, cross_validate, train_final
+from eegsweep.classify import (GbtConfig, cross_validate, gbt_importance,
+                               train_final)
 from eegsweep.features import build_feature_matrix
 from eegsweep.selection import select_features
 
@@ -43,7 +44,7 @@ model, holdout, importance = train_final(
     GbtConfig(max_depth=3, eta=0.1, n_rounds=60), split_seed=1,
     feature_names=selected.column_names)
 print("\n80/20 holdout accuracy %.3f; top features by split gain:" % holdout)
-for name, gain in report.importance_report(model, top_n=5):
+for name, gain in gbt_importance(model)[:5]:
     print("  %-24s %.3f" % (name, gain))
 
 # --- a reduced sweep ---------------------------------------------------------

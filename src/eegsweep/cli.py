@@ -267,12 +267,13 @@ def cmd_extract(args, cfg):
     _check_members("--channels", channels, CHANNELS_1020)
     cohort = load_cohort(args.manifest)
     pipeline = replace(cfg["pipeline"], kind=args.pipeline)
-    cache = sweep.StageCache(pipelines={args.pipeline: pipeline},
-                             params=cfg["features"])
     chunk = SegmentSpec.from_chunk_id(args.chunk)
+    vectors = sweep.feature_vectors(
+        cohort, [(args.pipeline, chunk, ch) for ch in channels],
+        {args.pipeline: pipeline}, cfg["features"])
     matrix = features.build_feature_matrix(
-        cohort, channels, vector_fn=lambda rec, ch: cache.vector(
-            rec, args.pipeline, chunk, ch))
+        cohort, channels,
+        vector_fn=sweep.vector_fn(vectors, args.pipeline, chunk))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     matrix.to_csv(out)
@@ -329,6 +330,8 @@ def cmd_train(args, cfg):
 
 
 def cmd_sweep(args, cfg):
+    if args.jobs < 1:
+        _fail("--jobs", "expected at least 1, got %d", args.jobs)
     cohort = load_cohort(args.manifest)
     space = cfg["space"]
     specs = sweep.enumerate_space(space)
@@ -336,9 +339,9 @@ def cmd_sweep(args, cfg):
     out.mkdir(parents=True, exist_ok=True)
     pipelines = {kind: replace(cfg["pipeline"], kind=kind)
                  for kind in space.cleanings}
-    cache = sweep.StageCache(pipelines=pipelines, params=cfg["features"])
     records = sweep.run_sweep(
-        cohort, specs, seed=args.seed, cache=cache,
+        cohort, specs, seed=args.seed, pipelines=pipelines,
+        params=cfg["features"],
         checkpoint_dir=out / "checkpoint" if args.resume else None,
         grids=cfg["grids"] or None, jobs=args.jobs,
         selection_in_fold=args.selection_in_fold,
@@ -352,10 +355,16 @@ def cmd_sweep(args, cfg):
 
 
 def cmd_report(args, cfg):
+    group_by = [c.strip() for c in args.group_by.split(",") if c.strip()]
+    # best_params holds a dict, which cannot key a group
+    columns = tuple(c for c in sweep.RESULT_COLUMNS if c != "best_params")
+    _check_members("--group-by", group_by, columns)
+    if args.significance_factor:
+        _check_members("--significance-factor", [args.significance_factor],
+                       columns)
     records = sweep.records_from_csv(args.records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    group_by = [c.strip() for c in args.group_by.split(",") if c.strip()]
     summaries = report.summarize(records, group_by)
     report.summaries_to_csv(summaries, out / "summaries.csv")
     if args.svg and summaries:

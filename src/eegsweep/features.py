@@ -597,8 +597,9 @@ def build_feature_matrix(cohort, channels, vector_fn=None):
     53-feature order. `vector_fn(recording, channel)` returns one
     channel's vector; by default it extracts from the recording as given
     with the default parameters, so the cohort must already be cleaned
-    and segmented. The sweep and `eegsweep extract` pass cached vectors
-    of a cleaning and chunk instead.
+    and segmented. The sweep and `eegsweep extract` pass a lookup into
+    their feature table for one cleaning and chunk instead
+    (`sweep.vector_fn`).
     """
     channels = list(channels)
     if not channels:

@@ -1,7 +1,6 @@
 """Aggregation of sweep records: box-plot summaries, significance
-marking between groups, topographic channel tables, and feature
-importance listings. Everything is emitted as plot-ready data, not
-images.
+marking between groups and topographic channel tables. Everything is
+emitted as plot-ready data, not images.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import gbt_importance
 from .data_model import CHANNELS_1020, MONTAGE_COORDS
 from .selection import t_test
 
@@ -121,11 +119,6 @@ def topomap_to_csv(rows, path):
         fh.write("channel,x,y,value\n")
         for ch, x, y, v in rows:
             fh.write("%s,%.4f,%.4f,%.10g\n" % (ch, x, y, v))
-
-
-def importance_report(model, top_n=15):
-    """Top-N (feature, total_gain) rows of a trained boosted-tree model."""
-    return gbt_importance(model)[:top_n]
 
 
 def summaries_to_csv(summaries, path):

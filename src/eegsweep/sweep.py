@@ -1,13 +1,14 @@
 """Experiment sweep: enumerate and run cleaning x chunk x channels x
-classifier x selection combinations, with stage caching and resumable
-checkpoints.
+classifier x selection combinations, with resumable checkpoints.
 
-Cleaning runs once per (subject, pipeline) on the full recording (ASR is
-calibrated on the whole recording and reused for every chunk); feature
-vectors are computed once per (subject, cleaning, chunk, channel) and
-shared across all specs that need them. Records are emitted in spec
-order regardless of execution order, and per-spec failures become failed
-rows instead of aborting the sweep.
+A sweep call first builds one feature table (`feature_vectors`) for the
+specs it still has to run: each (subject, cleaning) is cleaned once on
+the full recording (ASR is calibrated on the whole recording and reused
+for every chunk), and each (subject, cleaning, chunk, channel) vector is
+extracted once, in this process. The specs then only select and
+cross-validate, serially or in fork workers that inherit the table.
+Records are emitted in spec order regardless of execution order, and
+per-spec failures become failed rows instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from itertools import combinations
 from pathlib import Path
 
-from . import classify, features, selection
+from . import classify, cleaning, features, selection
 from .cleaning import PIPELINE_KINDS, CleaningPipeline
 from .data_model import CHANNELS_1020
 from .segmentation import DIVISORS, SegmentSpec, segment
@@ -79,7 +80,7 @@ def enumerate_space(space=SweepSpace()):
     specs = []
     chunks = [SegmentSpec(j, i) for j in space.divisors
               for i in range(1, j + 1)]
-    for cleaning in space.cleanings:
+    for kind in space.cleanings:
         for chunk in chunks:
             for size in space.subset_sizes:
                 for subset in combinations(space.channels, size):
@@ -90,7 +91,7 @@ def enumerate_space(space=SweepSpace()):
                                  for sel in space.selection_flags]
                     for clf, sel in pairs:
                         specs.append(ExperimentSpec(
-                            cleaning=cleaning, chunk=chunk, channels=subset,
+                            cleaning=kind, chunk=chunk, channels=subset,
                             classifier=clf, feature_selection=sel))
     return specs
 
@@ -101,36 +102,63 @@ def _spec_seed(global_seed, spec):
     return int.from_bytes(digest[:8], "big") % (2 ** 31)
 
 
-class StageCache:
-    """In-memory content cache for cleaned recordings and feature vectors."""
+def feature_vectors(cohort, cells, pipelines, params):
+    """The feature table of a cohort: every vector the cells need, once.
 
-    def __init__(self, pipelines=None, params=features.DEFAULT_PARAMS):
-        self.pipelines = pipelines or {
-            kind: CleaningPipeline(kind=kind) for kind in PIPELINE_KINDS}
-        self.params = params
-        self._cleaned = {}
-        self._vectors = {}
+    `cells` holds (cleaning, chunk, channel) triples, chunk a SegmentSpec.
+    Returns a dict keyed (subject_id, cleaning, chunk_id, channel) whose
+    value is the 53-vector, or the exception that stopped it: a cleaning or
+    segment that fails stores its exception under every key it would have
+    produced, so it is attempted once. Works subject by subject and cleans
+    each needed cleaning once; a cleaned recording is dropped once its
+    vectors are extracted.
+    """
+    plan = {}
+    for kind, chunk, channel in cells:
+        plan.setdefault(kind, {}).setdefault(chunk, {})[channel] = None
+    table = {}
+    for rec in cohort:
+        for kind, chunks in plan.items():
+            cleaned = _attempt(
+                lambda: cleaning.run_pipeline(rec, pipelines[kind]))
+            for chunk, channels in chunks.items():
+                seg = (cleaned if isinstance(cleaned, Exception)
+                       else _attempt(lambda: segment(cleaned, chunk)))
+                for ch in channels:
+                    table[rec.subject_id, kind, chunk.chunk_id, ch] = (
+                        seg if isinstance(seg, Exception)
+                        else _attempt(lambda: features.extract_channel(
+                            seg.channel(ch), seg.sample_rate_hz, params)))
+            cleaned = seg = None
+    return table
 
-    def cleaned(self, rec, cleaning):
-        from .cleaning import run_pipeline
-        key = (rec.subject_id, cleaning)
-        if key not in self._cleaned:
-            self._cleaned[key] = run_pipeline(rec, self.pipelines[cleaning])
-        return self._cleaned[key]
 
-    def vector(self, rec, cleaning, chunk, channel):
-        key = (rec.subject_id, cleaning, chunk.chunk_id, channel)
-        if key not in self._vectors:
-            seg = segment(self.cleaned(rec, cleaning), chunk)
-            self._vectors[key] = features.extract_channel(
-                seg.channel(channel), seg.sample_rate_hz, self.params)
-        return self._vectors[key]
+def _attempt(stage):
+    try:
+        return stage()
+    except Exception as exc:  # stored; each spec that needs it fails with it
+        # without its traceback, whose frames would keep the cleaned
+        # recording alive as long as the table
+        return exc.with_traceback(None)
 
 
-def run_one(cohort, spec, seed, cache, grids=None, gbt_base=None,
+def vector_fn(vectors, cleaning_kind, chunk):
+    """`build_feature_matrix`'s vector_fn over a feature table for one
+    cleaning and chunk; a stored exception is raised again."""
+    def vector(rec, channel):
+        value = vectors[rec.subject_id, cleaning_kind, chunk.chunk_id,
+                        channel]
+        if isinstance(value, Exception):
+            # a fresh traceback, not one grown by every spec that raised it
+            raise value.with_traceback(None)
+        return value
+    return vector
+
+
+def run_one(cohort, spec, seed, vectors, grids=None, gbt_base=None,
             selection_in_fold=False, eval_on_test_fold=False,
             expand_grid=False):
-    """Execute a single experiment spec.
+    """Execute a single experiment spec on a `feature_vectors` table.
 
     Returns one ExperimentRecord (best grid point), or a list with one
     record per grid point when expand_grid is set.
@@ -141,8 +169,8 @@ def run_one(cohort, spec, seed, cache, grids=None, gbt_base=None,
         feature_selection=spec.feature_selection)
     try:
         matrix = features.build_feature_matrix(
-            cohort, spec.channels, vector_fn=lambda rec, ch: cache.vector(
-                rec, spec.cleaning, spec.chunk, ch))
+            cohort, spec.channels,
+            vector_fn=vector_fn(vectors, spec.cleaning, spec.chunk))
         selector = None
         if spec.feature_selection:
             if selection_in_fold:
@@ -170,13 +198,13 @@ def run_one(cohort, spec, seed, cache, grids=None, gbt_base=None,
 _WORKER = {}
 
 
-def _init_worker(cohort, seed, cache, options):
-    _WORKER.update(cohort=cohort, seed=seed, cache=cache, options=options)
+def _init_worker(cohort, seed, vectors, options):
+    _WORKER.update(cohort=cohort, seed=seed, vectors=vectors, options=options)
 
 
 def _worker_run(spec):
-    return run_one(_WORKER["cohort"], spec, _WORKER["seed"], _WORKER["cache"],
-                   **_WORKER["options"])
+    return run_one(_WORKER["cohort"], spec, _WORKER["seed"],
+                   _WORKER["vectors"], **_WORKER["options"])
 
 
 def _load_checkpoint(path):
@@ -207,33 +235,38 @@ def _load_checkpoint(path):
             for doc in docs}
 
 
-def _config_stamp(seed, cache, options):
+def _config_stamp(seed, pipelines, params, options):
     """sha256 of everything that decides a spec's records, the spec aside."""
     doc = {key: asdict(value) if is_dataclass(value) else value
            for key, value in options.items()}
-    doc.update(seed=seed, params=asdict(cache.params),
-               pipelines={kind: asdict(p)
-                          for kind, p in cache.pipelines.items()})
+    doc.update(seed=seed, params=asdict(params),
+               pipelines={kind: asdict(p) for kind, p in pipelines.items()})
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def run_sweep(cohort, specs, seed=0, cache=None, checkpoint_dir=None,
+def run_sweep(cohort, specs, seed=0, pipelines=None,
+              params=features.DEFAULT_PARAMS, checkpoint_dir=None,
               grids=None, gbt_base=None, selection_in_fold=False, jobs=1,
               eval_on_test_fold=False, expand_grid=False):
     """Run every spec; returns records in spec order.
 
-    With checkpoint_dir, finished specs are appended to records.jsonl and
+    `pipelines` maps each cleaning to its CleaningPipeline (default: the
+    four default pipelines) and `params` sets feature extraction. The
+    feature table is built once, for the specs that are not yet in the
+    checkpoint, so a finished resume cleans and extracts nothing. With
+    checkpoint_dir, finished specs are appended to records.jsonl and
     skipped on resume, so a killed sweep continues without recomputation
     and yields the identical record list. A config stamp beside it binds
     the checkpoint to the seed, grids, flags, pipelines and feature
     params; resuming under a different config raises ValueError. jobs > 1
-    fans specs out to a worker pool; per-spec seeds are content-derived,
-    so parallelism never changes results. With expand_grid, one record per
-    (spec, grid point) is emitted instead of one best-config record per
-    spec.
+    fans selection and CV out to a fork pool that inherits the table;
+    per-spec seeds are content-derived, so parallelism never changes
+    results. With expand_grid, one record per (spec, grid point) is
+    emitted instead of one best-config record per spec.
     """
-    cache = cache or StageCache()
+    pipelines = pipelines or {
+        kind: CleaningPipeline(kind=kind) for kind in PIPELINE_KINDS}
     options = {"grids": grids, "gbt_base": gbt_base,
                "selection_in_fold": selection_in_fold,
                "eval_on_test_fold": eval_on_test_fold,
@@ -245,7 +278,7 @@ def run_sweep(cohort, specs, seed=0, cache=None, checkpoint_dir=None,
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         ckpt_path = ckpt_dir / "records.jsonl"
         stamp_path = ckpt_dir / "config.sha256"
-        stamp = _config_stamp(seed, cache, options)
+        stamp = _config_stamp(seed, pipelines, params, options)
         if ckpt_path.exists() and ckpt_path.stat().st_size:
             found = (stamp_path.read_text().strip() if stamp_path.exists()
                      else "missing")
@@ -262,6 +295,9 @@ def run_sweep(cohort, specs, seed=0, cache=None, checkpoint_dir=None,
     pending = [(i, spec) for i, spec in enumerate(specs)
                if spec.key not in done]
     per_spec = [done.get(spec.key) for spec in specs]
+    vectors = feature_vectors(
+        cohort, [(spec.cleaning, spec.chunk, ch) for _, spec in pending
+                 for ch in spec.channels], pipelines, params)
 
     def finish(i, spec, result):
         result = result if isinstance(result, list) else [result]
@@ -277,14 +313,14 @@ def run_sweep(cohort, specs, seed=0, cache=None, checkpoint_dir=None,
         import multiprocessing as mp
         ctx = mp.get_context("fork")
         with ctx.Pool(jobs, initializer=_init_worker,
-                      initargs=(cohort, seed, cache, options)) as pool:
+                      initargs=(cohort, seed, vectors, options)) as pool:
             for (i, spec), result in zip(
                     pending, pool.imap(_worker_run,
                                        [s for _, s in pending])):
                 finish(i, spec, result)
     else:
         for i, spec in pending:
-            finish(i, spec, run_one(cohort, spec, seed, cache, **options))
+            finish(i, spec, run_one(cohort, spec, seed, vectors, **options))
     return [record for group in per_spec for record in group]
 
 
@@ -308,7 +344,9 @@ def records_from_csv(path):
     records = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        assert header == list(RESULT_COLUMNS), "unexpected results header"
+        if header != list(RESULT_COLUMNS):
+            raise ValueError("%s is not a results table: its header is not "
+                             "%s" % (path, ",".join(RESULT_COLUMNS)))
         for line in fh:
             line = line.rstrip("\n")
             if not line:

@@ -232,7 +232,8 @@ REAL_DATA = os.environ.get("EEGSWEEP_REAL_DATA", "")
 def test_criterion_7_real_dataset_numbers():
     cohort = load_cohort(REAL_DATA)
     assert len(cohort) == 121
-    cache = sweep.StageCache()
+    pipelines = {kind: cleaning.CleaningPipeline(kind=kind)
+                 for kind in cleaning.PIPELINE_KINDS}
     seed = 0
 
     def run(cleaning_kind, channels, chunk=(1, 1)):
@@ -240,7 +241,10 @@ def test_criterion_7_real_dataset_numbers():
         spec = sweep.ExperimentSpec(
             cleaning=cleaning_kind, chunk=SegmentSpec(*chunk),
             channels=channels, classifier="gbt", feature_selection=True)
-        return sweep.run_one(cohort, spec, seed, cache)
+        vectors = sweep.feature_vectors(
+            cohort, [(cleaning_kind, spec.chunk, ch) for ch in channels],
+            pipelines, features.DEFAULT_PARAMS)
+        return sweep.run_one(cohort, spec, seed, vectors)
 
     rec_p3 = run("asr", ("P3",))
     rec_p3p4 = run("asr", ("P3", "P4"))
@@ -250,7 +254,7 @@ def test_criterion_7_real_dataset_numbers():
     singles = sweep.SweepSpace(subset_sizes=(1,), classifiers=("gbt",),
                                selection_flags=(True,), divisors=(1,))
     records = sweep.run_sweep(cohort, sweep.enumerate_space(singles),
-                              seed=seed, cache=cache)
+                              seed=seed)
     acc = {}
     for r in records:
         if r.ok:
@@ -259,7 +263,7 @@ def test_criterion_7_real_dataset_numbers():
 
     trios = sweep.SweepSpace(subset_sizes=(3,), divisors=(2,))
     trio_records = sweep.run_sweep(cohort, sweep.enumerate_space(trios),
-                                   seed=seed, cache=cache)
+                                   seed=seed)
     halves = {"1/2": [], "2/2": []}
     for r in trio_records:
         if r.ok:

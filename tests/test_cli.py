@@ -287,3 +287,47 @@ def test_sweep_resume_under_another_config_exits_2(synth_dir, tmp_path,
     assert (out / "checkpoint" / "records.jsonl").read_bytes() == ckpt
     assert main(argv("--seed", "4")) == 0
     assert (out / "results.csv").read_bytes() == first
+
+
+def test_report_on_a_csv_that_is_not_a_results_table_exits_2(tmp_path,
+                                                              capsys):
+    # the header check was an assert: AssertionError traceback, exit 1
+    table = tmp_path / "feat.csv"
+    table.write_text("P3:mean,label\n0.5,1\n")
+    code = main(["report", "--records", str(table),
+                 "--out", str(tmp_path / "rep")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: %s is not a results table" % table)
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("flag", ["--group-by", "--significance-factor"])
+@pytest.mark.parametrize("name", ["foo", "best_params"])
+def test_report_refuses_a_name_that_is_no_results_column(tmp_path, capsys,
+                                                          flag, name):
+    # both ended in tracebacks: AttributeError for a name that is not a
+    # column, TypeError for the dicts of best_params
+    missing = tmp_path / "missing.csv"  # loading it would exit 2
+    code = main(["report", "--records", str(missing), flag, name,
+                 "--out", str(tmp_path / "rep")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: %s: \"%s\" is not one of " % (
+        flag, name))
+    for column in ("accuracy", "cleaning", "chunk", "channels", "classifier",
+                   "feature_selection", "error"):
+        assert '"%s"' % column in err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    # --jobs -3 used to run serially and exit 0
+    code = main(["sweep", "--manifest", str(tmp_path / "missing.json"),
+                 "--jobs", jobs, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: config: --jobs: expected at least 1, got %s" % jobs)
+    assert not (tmp_path / "out").exists()

@@ -235,8 +235,7 @@ def _stamp(pipelines, params, grids):
     options = {"grids": grids or None, "gbt_base": None,
                "selection_in_fold": False, "eval_on_test_fold": False,
                "expand_grid": False}
-    cache = sweep.StageCache(pipelines=pipelines, params=params)
-    return sweep._config_stamp(0, cache, options)
+    return sweep._config_stamp(0, pipelines, params, options)
 
 
 def new_space_and_stamp(cfg):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from eegsweep.classify import GbtConfig, gbt_train
-from eegsweep.report import (importance_report, mark_significance,
-                             summarize, topomap_data)
+from eegsweep.classify import GbtConfig, gbt_importance, gbt_train
+from eegsweep.report import mark_significance, summarize, topomap_data
 from eegsweep.sweep import ExperimentRecord
 
 
@@ -126,7 +125,7 @@ def test_importance_report_rows_and_tie_order():
     y = (x[:, 1] > 0).astype(int)
     model = gbt_train(x, y, GbtConfig(max_depth=2, eta=0.3, n_rounds=10),
                       feature_names=["b_feat", "a_feat", "c_feat"])
-    rows = importance_report(model, top_n=15)
+    rows = gbt_importance(model)[:15]
     assert len(rows) <= 3
     assert rows[0][0] == "a_feat"
     gains = [g for _, g in rows]

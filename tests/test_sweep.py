@@ -1,20 +1,29 @@
 import json
-from dataclasses import asdict
+import os
+from collections import Counter
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import ARTIFACT_MIX
+from eegsweep import classify, cleaning, features, selection, synth
 from eegsweep.classify import GbtConfig
-from eegsweep.features import FeatureParams
-from eegsweep.segmentation import SegmentSpec
-from eegsweep.sweep import (ExperimentSpec, StageCache, SweepSpace,
-                            enumerate_space, records_from_csv,
-                            records_to_csv, run_one, run_sweep)
+from eegsweep.cleaning import PIPELINE_KINDS, CleaningPipeline
+from eegsweep.features import DEFAULT_PARAMS, FeatureParams
+from eegsweep.segmentation import SegmentSpec, segment
+from eegsweep.sweep import (ExperimentRecord, ExperimentSpec, SweepSpace,
+                            _spec_seed, enumerate_space, feature_vectors,
+                            records_from_csv, records_to_csv, run_one,
+                            run_sweep, vector_fn)
 
 FAST_GRIDS = {"gbt": ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},),
               "knn": ({"k": 3},),
               "svm": ({"c": 1.0, "gamma_rbf": "scale"},)}
 FAST_GBT = GbtConfig(n_rounds=30, early_stopping_rounds=10)
+
+PIPELINES = {kind: CleaningPipeline(kind=kind) for kind in PIPELINE_KINDS}
 
 SMALL_SPACE = SweepSpace(cleanings=("raw", "filtered"), divisors=(1, 2),
                          subset_sizes=(1,), channels=("P3", "Cz"),
@@ -65,17 +74,23 @@ def test_run_sweep_deterministic(small_cohort):
     assert _dump(r1) == _dump(r2)
 
 
+def _cells(spec):
+    return [(spec.cleaning, spec.chunk, ch) for ch in spec.channels]
+
+
 def _run_uncached(cohort, specs, seed):
-    """Every spec on its own fresh cache: nothing is shared between specs."""
-    return [run_one(cohort, spec, seed, StageCache(), grids=FAST_GRIDS,
-                    gbt_base=FAST_GBT) for spec in specs]
+    """Every spec on its own fresh table: nothing is shared between specs."""
+    return [run_one(cohort, spec, seed,
+                    feature_vectors(cohort, _cells(spec), PIPELINES,
+                                    DEFAULT_PARAMS),
+                    grids=FAST_GRIDS, gbt_base=FAST_GBT) for spec in specs]
 
 
 def test_run_sweep_cache_matches_uncached(small_cohort):
     cohort, _ = small_cohort
     specs = small_specs()
     cached = run_sweep(cohort, specs, seed=1, grids=FAST_GRIDS,
-                       gbt_base=FAST_GBT, cache=StageCache())
+                       gbt_base=FAST_GBT)
     assert _dump(cached) == _dump(_run_uncached(cohort, specs, 1))
 
 
@@ -160,14 +175,23 @@ def test_records_csv_round_trip(tmp_path, small_cohort):
         assert a.best_params == b.best_params
 
 
-def test_stage_cache_reuses_cleaning(small_cohort):
+def test_stage_cache_reuses_cleaning(small_cohort, monkeypatch):
     cohort, _ = small_cohort
-    cache = StageCache()
-    v1 = cache.vector(cohort[0], "filtered", SegmentSpec(1, 1), "P3")
-    assert ("adhd000", "filtered") in cache._cleaned
-    v2 = cache.vector(cohort[0], "filtered", SegmentSpec(1, 1), "P3")
+    cleaned = []  # (subject, cleaning) of every run_pipeline call
+    real = cleaning.run_pipeline
+
+    def run_pipeline(rec, pipeline):
+        cleaned.append((rec.subject_id, pipeline.kind))
+        return real(rec, pipeline)
+    monkeypatch.setattr(cleaning, "run_pipeline", run_pipeline)
+    cell = ("filtered", SegmentSpec(1, 1), "P3")
+    vectors = feature_vectors(cohort[:1], [cell, cell], PIPELINES,
+                              DEFAULT_PARAMS)
+    v1 = vectors["adhd000", "filtered", "1/1", "P3"]
+    assert ("adhd000", "filtered") in cleaned
+    v2 = vector_fn(vectors, "filtered", SegmentSpec(1, 1))(cohort[0], "P3")
     assert np.array_equal(v1, v2)
-    assert len(cache._vectors) == 1
+    assert len(vectors) == 1
 
 
 def test_expand_grid_rows(small_cohort):
@@ -193,7 +217,6 @@ def test_lax_early_stop_mode(small_cohort):
 
 
 def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
-    from eegsweep import cleaning, features
     cohort, _ = small_cohort
     specs = small_specs()  # 12 specs over 2 cleanings
     calls = {}
@@ -213,7 +236,7 @@ def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
         calls.clear()
         if cached:
             records = run_sweep(cohort, specs, seed=4, grids=FAST_GRIDS,
-                                gbt_base=FAST_GBT, cache=StageCache())
+                                gbt_base=FAST_GBT)
         else:
             records = _run_uncached(cohort, specs, 4)
         runs[cached] = (dict(calls), _dump(records))
@@ -261,7 +284,7 @@ def test_resume_rejects_a_bad_line_before_the_last(tmp_path, small_cohort):
     {"grids": dict(FAST_GRIDS, knn=({"k": 5},))},
     {"seed": 8},
     {"eval_on_test_fold": True},
-    {"cache": StageCache(params=FeatureParams(quantile=0.9))},
+    {"params": FeatureParams(quantile=0.9)},
 ], ids=["knn_k3_to_k5", "seed", "flag", "feature_params"])
 def test_resume_refuses_another_config(tmp_path, small_cohort, change):
     # resuming used to return the old rows, e.g. {"k": 3} after the KNN
@@ -297,3 +320,155 @@ def test_resume_without_stamp_is_refused(tmp_path, small_cohort):
     (ckpt / "records.jsonl").write_bytes(b"")
     assert len(run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)) == 2
     assert (ckpt / "config.sha256").exists()
+
+
+# ---------------------------------------------------------------------------
+# the feature table against the lazy per-vector memo it replaced
+
+class _LazyCache:
+    """The memo the sweep used before the feature table: cleans and
+    extracts on first use, keeps every cleaned recording, and does not
+    store failures, so a failing stage runs again for every spec."""
+
+    def __init__(self):
+        self._cleaned = {}
+        self._vectors = {}
+
+    def cleaned(self, rec, kind):
+        key = (rec.subject_id, kind)
+        if key not in self._cleaned:
+            self._cleaned[key] = cleaning.run_pipeline(rec, PIPELINES[kind])
+        return self._cleaned[key]
+
+    def vector(self, rec, kind, chunk, channel):
+        key = (rec.subject_id, kind, chunk.chunk_id, channel)
+        if key not in self._vectors:
+            seg = segment(self.cleaned(rec, kind), chunk)
+            self._vectors[key] = features.extract_channel(
+                seg.channel(channel), seg.sample_rate_hz, DEFAULT_PARAMS)
+        return self._vectors[key]
+
+
+def _lazy_run_one(cohort, spec, seed, cache):
+    """run_one as it was on the lazy memo (best grid point only)."""
+    record = ExperimentRecord(
+        cleaning=spec.cleaning, chunk=spec.chunk.chunk_id,
+        channels="-".join(spec.channels), classifier=spec.classifier,
+        feature_selection=spec.feature_selection)
+    try:
+        matrix = features.build_feature_matrix(
+            cohort, spec.channels, vector_fn=lambda rec, ch: cache.vector(
+                rec, spec.cleaning, spec.chunk, ch))
+        if spec.feature_selection:
+            matrix, _ = selection.select_features(matrix)
+            if matrix.n_columns == 0:
+                raise ValueError("selection kept no columns")
+        result = classify.cross_validate(
+            matrix.values, matrix.labels, spec.classifier,
+            grid=FAST_GRIDS.get(spec.classifier),
+            seed=_spec_seed(seed, spec), gbt_base=FAST_GBT)
+    except Exception as exc:
+        record.error = "%s: %s" % (type(exc).__name__, exc)
+        return record
+    return replace(record, accuracy=result.mean_accuracy,
+                   spread=result.spread, best_params=result.best_config)
+
+
+@pytest.fixture(scope="module")
+def failing_cohort():
+    """5+5 subjects with blinks, 50 Hz and muscle bursts, 12 s except
+    adhd002 (9 s) and td001 (10 s): ASR calibration fails on those two,
+    and a fifth of adhd002 is shorter than the 2 s minimum."""
+    spec = synth.SynthSpec(n_subjects_per_class=5, duration_s=12.0,
+                           artifacts=ARTIFACT_MIX, rng_seed=0)
+    cohort, _ = synth.generate_cohort(spec)
+    seconds = [12, 12, 9, 12, 12, 12, 10, 12, 12, 12]
+    return [r.with_samples(r.samples[:, :int(n * r.sample_rate_hz)])
+            for r, n in zip(cohort, seconds)]
+
+
+_SPEC_POOL = [
+    ExperimentSpec(cleaning=kind, chunk=chunk, channels=channels,
+                   classifier=clf, feature_selection=sel)
+    for kind in ("raw", "filtered", "asr")
+    for chunk in (SegmentSpec(1, 1), SegmentSpec(4, 2), SegmentSpec(5, 5),
+                  SegmentSpec(20, 3))
+    for channels in (("P3",), ("Cz",), ("P3", "Cz"))
+    for clf in ("knn", "svm") for sel in (False, True)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.sampled_from(_SPEC_POOL), min_size=1, max_size=6,
+                unique_by=lambda spec: spec.key),
+       st.integers(0, 2 ** 16))
+def test_table_records_equal_the_lazy_memo(failing_cohort, specs, seed):
+    cache = _LazyCache()
+    lazy = [_lazy_run_one(failing_cohort, spec, seed, cache)
+            for spec in specs]
+    table = run_sweep(failing_cohort, specs, seed=seed, grids=FAST_GRIDS,
+                      gbt_base=FAST_GBT)
+    assert _dump(table) == _dump(lazy)
+
+
+def test_failing_cohort_reaches_every_failure(failing_cohort):
+    """The property's pool meets a failed ASR calibration, a chunk too
+    short for one subject and a chunk too short for all."""
+    errors = {r.chunk + " " + r.cleaning: r.error for r in run_sweep(
+        failing_cohort, [s for s in _SPEC_POOL if s.channels == ("P3",)
+                         and s.classifier == "knn"
+                         and not s.feature_selection],
+        grids=FAST_GRIDS)}
+    assert errors["1/1 asr"].startswith(
+        "ValueError: insufficient clean calibration data")
+    assert errors["5/5 raw"] == ("ValueError: segment length 230 below "
+                                 "minimum 256 samples (j=5)")
+    assert errors["3/20 raw"].startswith("ValueError: segment length")
+    assert errors["1/1 raw"] == errors["2/4 filtered"] == ""
+
+
+def _log_calls(monkeypatch, path, module, name):
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write("%d %s\n" % (os.getpid(), name))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_workers_neither_clean_nor_extract(small_cohort, monkeypatch,
+                                           tmp_path):
+    cohort, _ = small_cohort
+    specs = small_specs()
+    log = tmp_path / "calls.log"
+    _log_calls(monkeypatch, log, cleaning, "run_pipeline")
+    _log_calls(monkeypatch, log, features, "extract_channel")
+    records = run_sweep(cohort, specs, seed=2, grids=FAST_GRIDS,
+                        gbt_base=FAST_GBT, jobs=2)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert {pid for pid, _ in calls} == {str(os.getpid())}
+    assert Counter(name for _, name in calls) == {
+        "run_pipeline": 2 * len(cohort),
+        "extract_channel": len(specs) * len(cohort)}
+    assert all(r.ok for r in records)
+
+
+def test_failing_cleaning_is_attempted_once(small_cohort, monkeypatch):
+    cohort, _ = small_cohort
+    attempts = Counter()
+    real = cleaning.run_pipeline
+
+    def run_pipeline(rec, pipeline):
+        attempts[rec.subject_id, pipeline.kind] += 1
+        if pipeline.kind == "filtered" and rec.subject_id == "adhd002":
+            raise RuntimeError("no clean data in %s" % rec.subject_id)
+        return real(rec, pipeline)
+    monkeypatch.setattr(cleaning, "run_pipeline", run_pipeline)
+    specs = small_specs()
+    records = run_sweep(cohort, specs, seed=4, grids=FAST_GRIDS,
+                        gbt_base=FAST_GBT)
+    assert len(attempts) == 2 * len(cohort)
+    assert set(attempts.values()) == {1}
+    for spec, rec in zip(specs, records):
+        assert rec.error == ("RuntimeError: no clean data in adhd002"
+                             if spec.cleaning == "filtered" else "")
