@@ -557,9 +557,9 @@ def cross_validate(x, y, classifier, grid=None, seed=0, gbt_base=None,
 
     def to_result(entry):
         mean_acc, cfg, accs, confusions = entry
-        spread = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
         return CvResult(fold_accuracies=accs, mean_accuracy=mean_acc,
-                        spread=spread, best_config=dict(cfg),
+                        spread=float(np.std(accs, ddof=1)),
+                        best_config=dict(cfg),
                         fold_confusions=confusions)
 
     if return_all:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import features as _features
-from .data_model import CHANNELS_1020, Recording
+from .data_model import CHANNELS_1020
 
 PIPELINE_KINDS = ("raw", "filtered", "asr", "ica")
 
@@ -247,24 +247,23 @@ def asr_process(rec, model, params=AsrParams()):
 # ---------------------------------------------------------------------------
 # ICA
 
-@dataclass
+@dataclass(frozen=True)
 class IcaDecomposition:
     """FastICA result in channel space.
 
     unmixing (components x channels) maps channel data to sources;
     mixing (channels x components) is its pseudo-inverse, so keeping all
-    components reconstructs the input on the retained rank.
+    components reconstructs the input on the retained rank. sources
+    (components x samples) are the decomposed recording's sources. It
+    holds neither the recording's metadata nor component labels:
+    label_components returns the labels, and ica_reconstruct takes the
+    recording it rebuilds.
     """
 
     unmixing: np.ndarray
     mixing: np.ndarray
     sources: np.ndarray
-    labels: list
     converged: bool
-    channel_names: tuple
-    sample_rate_hz: float
-    subject_id: str = ""
-    rec_label: int = 0
 
     @property
     def n_components(self):
@@ -326,20 +325,17 @@ def ica_decompose(rec, params=IcaParams()):
     unmixing = w @ whiten
     mixing = np.linalg.pinv(unmixing)
     sources = unmixing @ x
-    return IcaDecomposition(
-        unmixing=unmixing, mixing=mixing, sources=sources,
-        labels=["brain"] * k, converged=converged,
-        channel_names=rec.channel_names, sample_rate_hz=rec.sample_rate_hz,
-        subject_id=rec.subject_id, rec_label=rec.label)
+    return IcaDecomposition(unmixing=unmixing, mixing=mixing,
+                            sources=sources, converged=converged)
 
 
-def label_components(decomp, thresholds=LabelerThresholds()):
+def label_components(decomp, fs, thresholds=LabelerThresholds()):
     """Rule-based component labeling (documented ICLabel substitute).
 
-    Rules are applied in order: ocular, line_noise, muscle, channel_noise,
-    else brain. Returns the label list (also stored on the decomposition).
+    `fs` is the sample rate of the sources in Hz. Rules are applied in
+    order: ocular, line_noise, muscle, channel_noise, else brain. Returns
+    one label per component and stores nothing on the decomposition.
     """
-    fs = decomp.sample_rate_hz
     th = thresholds
     frontal = {CHANNELS_1020.index("Fp1"), CHANNELS_1020.index("Fp2")}
     labels = []
@@ -370,7 +366,6 @@ def label_components(decomp, thresholds=LabelerThresholds()):
         elif dominated:
             label = "channel_noise"
         labels.append(label)
-    decomp.labels = labels
     return labels
 
 
@@ -387,21 +382,15 @@ def _line_peak_ratio(freqs, psd, line_hz):
     return peak / med
 
 
-def ica_reconstruct(decomp, keep):
-    """Rebuild channel data from the components whose label is in `keep`.
+def ica_reconstruct(rec, decomp, keep):
+    """Rebuild `rec` from the components of its decomposition `decomp`
+    whose flag in `keep` (one per component) is true.
 
-    Keeping everything reproduces the input on the retained rank; keeping
-    nothing yields an all-zero recording.
+    Keeping every component reproduces the input on the retained rank;
+    keeping none yields all zeros. Metadata comes from `rec`.
     """
-    kept = [i for i, lab in enumerate(decomp.labels) if lab in keep]
-    if kept:
-        samples = decomp.mixing[:, kept] @ decomp.sources[kept]
-    else:
-        samples = np.zeros((len(decomp.channel_names),
-                            decomp.sources.shape[1]))
-    return Recording(subject_id=decomp.subject_id, label=decomp.rec_label,
-                     sample_rate_hz=decomp.sample_rate_hz,
-                     channel_names=decomp.channel_names, samples=samples)
+    keep = np.asarray(keep, dtype=bool)
+    return rec.with_samples(decomp.mixing[:, keep] @ decomp.sources[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +418,9 @@ def run_pipeline_with_info(rec, pipeline):
     if pipeline.kind == "asr":
         return out, info
     decomp = ica_decompose(out, pipeline.ica)
-    labels = label_components(decomp, thresholds=pipeline.ica.labeler)
-    info["ica_labels"] = list(labels)
+    labels = label_components(decomp, out.sample_rate_hz,
+                              pipeline.ica.labeler)
+    info["ica_labels"] = labels
     info["ica_converged"] = bool(decomp.converged)
-    out = ica_reconstruct(decomp, keep={"brain"})
+    out = ica_reconstruct(out, decomp, [lab == "brain" for lab in labels])
     return out, info

@@ -148,6 +148,16 @@ def _read_config(cfg):
             "grids": _read_grids(cfg.get("grids", {}))}
 
 
+def _chunk_spec(text):
+    """The --chunk flag as a SegmentSpec, refused unless INDEX/DIVISOR."""
+    try:
+        return SegmentSpec.from_chunk_id(text)
+    except ValueError:
+        _fail("--chunk", "expected INDEX/DIVISOR with DIVISOR one of %s and "
+              "1 <= INDEX <= DIVISOR, got %s",
+              ", ".join(map(str, DIVISORS)), json.dumps(text))
+
+
 def load_config(args):
     """The config file (--config, or sweep's --space) with the --set
     overrides applied, read by _read_config."""
@@ -251,8 +261,8 @@ def cmd_clean(args, cfg):
 
 
 def cmd_segment(args, cfg):
+    spec = _chunk_spec(args.chunk)
     cohort = load_cohort(args.manifest)
-    spec = SegmentSpec.from_chunk_id(args.chunk)
     out = Path(args.out)
     segs = [segment(rec, spec) for rec in cohort]
     write_cohort(segs, out)
@@ -265,9 +275,9 @@ def cmd_segment(args, cfg):
 def cmd_extract(args, cfg):
     channels = tuple(c.strip() for c in args.channels.split(",") if c.strip())
     _check_members("--channels", channels, CHANNELS_1020)
+    chunk = _chunk_spec(args.chunk)
     cohort = load_cohort(args.manifest)
     pipeline = replace(cfg["pipeline"], kind=args.pipeline)
-    chunk = SegmentSpec.from_chunk_id(args.chunk)
     vectors = sweep.feature_vectors(
         cohort, [(args.pipeline, chunk, ch) for ch in channels],
         {args.pipeline: pipeline}, cfg["features"])
@@ -290,6 +300,9 @@ def cmd_select(args, cfg):
     matrix = features.FeatureMatrix.from_csv(args.features)
     sel_cfg = selection.SelectionConfig(alpha=args.alpha)
     kept, rep = selection.select_features(matrix, sel_cfg)
+    for path in (args.out, args.report):
+        if path:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
     kept.to_csv(args.out)
     if args.report:
         rep.to_csv(args.report)
@@ -300,6 +313,9 @@ def cmd_select(args, cfg):
 
 
 def cmd_train(args, cfg):
+    if args.importance and args.classifier != "gbt":
+        _fail("--importance", "needs --classifier gbt, got %s",
+              args.classifier)
     matrix = features.FeatureMatrix.from_csv(args.features)
     if args.selection == "yes":
         matrix, _ = selection.select_features(matrix)
@@ -310,7 +326,7 @@ def cmd_train(args, cfg):
     print("mean accuracy %.4f +- %.4f, best config %s"
           % (result.mean_accuracy, result.spread,
              json.dumps(result.best_config, sort_keys=True)))
-    if args.classifier == "gbt" and args.importance:
+    if args.importance:
         model, holdout, imp = classify.train_final(
             matrix.values, matrix.labels, split_seed=args.seed,
             feature_names=matrix.column_names)
@@ -477,7 +493,7 @@ def build_parser():
     p.add_argument("--selection", default="no", choices=("yes", "no"))
     p.add_argument("--importance", action="store_true",
                    help="also fit an 80/20 holdout model and print the "
-                        "top-15 features")
+                        "top-15 features (needs --classifier gbt)")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_train)
 

@@ -34,29 +34,15 @@ def _analysis_step(x):
 
     The signal is extended by half-point symmetric reflection on both ends
     before filtering, so boundaries distort gracefully; output length is
-    floor((n + L - 1) / 2) per subband.
+    floor((n + L - 1) / 2) per subband. The reflection needs n >= L - 1:
+    wavedec's minimum of 2**levels + L samples keeps every level's input
+    at 9 samples or more.
     """
-    n = x.size
     pad = _L - 1
-    left = x[pad - 1::-1] if pad <= n else _reflect(x, pad, "left")
-    right = x[:-pad - 1:-1] if pad <= n else _reflect(x, pad, "right")
-    ext = np.concatenate([left, x, right])
+    ext = np.concatenate([x[pad - 1::-1], x, x[:-pad - 1:-1]])
     lo = np.convolve(ext, DB4_LO[::-1], mode="valid")[1::2]
     hi = np.convolve(ext, DB4_HI[::-1], mode="valid")[1::2]
     return lo, hi
-
-
-def _reflect(x, pad, side):
-    # symmetric extension longer than the signal itself (very short inputs)
-    tiles = []
-    flip = True
-    while sum(t.size for t in tiles) < pad:
-        tiles.append(x[::-1] if flip else x)
-        flip = not flip
-    ext = np.concatenate(tiles)
-    if side == "left":
-        return ext[:pad][::-1]
-    return ext[:pad]
 
 
 def wavedec(x, levels=6):

@@ -188,9 +188,7 @@ def psd_fit(freqs, psd, f_range=(1.0, 40.0)):
     lp_mean = lp.mean()
     if float(np.ptp(lp)) < 1e-9:
         return lp_mean, 0.0, 0.0, 0.0
-    sxx = float(np.sum((lf - lf_mean) ** 2))
-    if sxx == 0.0:
-        return 0.0, 0.0, 0.0, 0.0
+    sxx = float(np.sum((lf - lf_mean) ** 2))  # > 0: distinct frequencies
     slope = float(np.sum((lf - lf_mean) * (lp - lp_mean))) / sxx
     intercept = lp_mean - slope * lf_mean
     resid = lp - (intercept + slope * lf)
@@ -363,8 +361,6 @@ def hurst_exp(signal, min_window=10):
     log_rs = []
     for size in sizes:
         n_blocks = n // size
-        if n_blocks < 1:
-            continue
         blocks = x[:n_blocks * size].reshape(n_blocks, size)
         centered = blocks - blocks.mean(axis=1, keepdims=True)
         z = np.cumsum(centered, axis=1)
@@ -433,8 +429,6 @@ def band_energies(signal, fs, transition_hz=2.0):
 def teager_kaiser(x):
     """Teager-Kaiser energy x_n^2 - x_{n-1} x_{n+1} over interior samples."""
     x = np.asarray(x, dtype=np.float64)
-    if x.size < 3:
-        return np.zeros(1)
     return x[1:-1] ** 2 - x[:-2] * x[2:]
 
 
@@ -444,18 +438,17 @@ def wavelet_features(signal):
     Detail energy at level k is the mean of squared detail coefficients.
     TKEO statistics are reported for d1..d6 and the level-6 approximation,
     14 values in the order (d1 mean, d1 std, ..., a6 mean, a6 std).
+    dwt.wavedec raises ValueError below 72 samples; from there on every
+    subband has at least 8 coefficients, so every TKEO array has at least
+    6 values and a sample standard deviation.
     """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.size < 2 ** 6 + dwt.DB4_LO.size:
-        raise ValueError("signal of length %d too short for 6-level DWT"
-                         % x.size)
-    approx, details = dwt.wavedec(x, levels=6)
+    approx, details = dwt.wavedec(signal, levels=6)
     energies = np.array([float(np.mean(d ** 2)) for d in details])
     tkeo_stats = []
     for band in details + [approx]:
         tk = teager_kaiser(band)
         tkeo_stats.append(float(np.mean(tk)))
-        tkeo_stats.append(float(np.std(tk, ddof=1)) if tk.size > 1 else 0.0)
+        tkeo_stats.append(float(np.std(tk, ddof=1)))
     return energies, np.array(tkeo_stats)
 
 

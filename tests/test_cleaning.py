@@ -234,11 +234,11 @@ def test_ica_reconstruct_identity_and_none():
     rec = Recording("r", 0, FS, CHANNELS_1020,
                     rng.uniform(-1, 1, (19, 8000)))
     dec = ica_decompose(rec, IcaParams(rng_seed=3))
-    full = ica_reconstruct(dec, keep=set(dec.labels))
+    full = ica_reconstruct(rec, dec, keep=[True] * dec.n_components)
     rel = (np.linalg.norm(full.samples - rec.samples)
            / np.linalg.norm(rec.samples))
     assert rel < 1e-6
-    none = ica_reconstruct(dec, keep=())
+    none = ica_reconstruct(rec, dec, keep=[False] * dec.n_components)
     assert not none.samples.any()
 
 
@@ -258,9 +258,9 @@ def test_ica_drop_line_component():
     mixed = sources + line  # same line on every channel
     rec = Recording("ln", 0, FS, CHANNELS_1020, mixed)
     dec = ica_decompose(rec, IcaParams(rng_seed=5))
-    labels = label_components(dec)
+    labels = label_components(dec, FS)
     assert "line_noise" in labels
-    out = ica_reconstruct(dec, keep=set(labels) - {"line_noise"})
+    out = ica_reconstruct(rec, dec, [lab != "line_noise" for lab in labels])
 
     def line_power(x):
         freqs, psd = welch_psd(x, FS)
@@ -276,8 +276,7 @@ def test_ica_drop_line_component():
 def _decomp_with_sources(sources, mixing):
     return cleaning.IcaDecomposition(
         unmixing=np.linalg.pinv(mixing), mixing=mixing, sources=sources,
-        labels=["brain"] * sources.shape[0], converged=True,
-        channel_names=CHANNELS_1020, sample_rate_hz=FS)
+        converged=True)
 
 
 def test_label_line_noise_rule():
@@ -285,7 +284,7 @@ def test_label_line_noise_rule():
     src = np.vstack([np.sin(2 * np.pi * 50 * t)])
     mixing = np.ones((19, 1)) / np.sqrt(19)
     dec = _decomp_with_sources(src, mixing)
-    assert label_components(dec) == ["line_noise"]
+    assert label_components(dec, FS) == ["line_noise"]
 
 
 def test_label_ocular_rule(cleaning_cohort):
@@ -298,7 +297,7 @@ def test_label_ocular_rule(cleaning_cohort):
         wave[i0:i0 + seg.size] += seg
     mixing = synth._frontal_weights(CHANNELS_1020)[:, None]
     dec = _decomp_with_sources(wave[None, :], mixing)
-    assert label_components(dec) == ["ocular"]
+    assert label_components(dec, FS) == ["ocular"]
 
 
 def test_label_muscle_rule():
@@ -312,7 +311,7 @@ def test_label_muscle_rule():
     mixing[10, 0] = 0.9
     mixing[11, 0] = 0.4
     dec = _decomp_with_sources(src, mixing)
-    assert label_components(dec) == ["muscle"]
+    assert label_components(dec, FS) == ["muscle"]
 
 
 def test_label_channel_noise_rule():
@@ -323,7 +322,7 @@ def test_label_channel_noise_rule():
     mixing[7, 0] = 1.0
     mixing[8, 0] = 0.05
     dec = _decomp_with_sources(src, mixing)
-    assert label_components(dec) == ["channel_noise"]
+    assert label_components(dec, FS) == ["channel_noise"]
 
 
 def test_label_brain_default():
@@ -336,7 +335,7 @@ def test_label_brain_default():
     src = np.fft.irfft(spec * shape, n)[None, :]
     mixing = np.ones((19, 1)) / np.sqrt(19.0)
     dec = _decomp_with_sources(src, mixing)
-    assert label_components(dec) == ["brain"]
+    assert label_components(dec, FS) == ["brain"]
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +361,17 @@ def test_pipeline_shapes_preserved(cleaning_cohort):
         for kind in ("raw", "filtered", "asr", "ica"):
             out = run_pipeline(rec, CleaningPipeline(kind=kind))
             assert out.samples.shape == rec.samples.shape
+
+
+def test_pipeline_ica_keeps_the_recording_metadata():
+    rng = np.random.default_rng(17)
+    rec = Recording("meta", 1, FS, CHANNELS_1020,
+                    rng.uniform(-1, 1, (19, 8000)))
+    out = run_pipeline(rec, CleaningPipeline(kind="ica"))
+    assert out.subject_id == "meta"
+    assert out.label == 1
+    assert out.sample_rate_hz == FS
+    assert out.channel_names == CHANNELS_1020
 
 
 def test_pipeline_monotone_artifact_energy(cleaning_cohort):

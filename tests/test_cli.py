@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eegsweep
 from eegsweep.cli import main
+from eegsweep.features import FeatureMatrix
 
 
 @pytest.fixture(scope="module")
@@ -330,4 +332,54 @@ def test_sweep_refuses_jobs_below_one(tmp_path, capsys, jobs):
     assert code == 1
     assert capsys.readouterr().err.startswith(
         "error: config: --jobs: expected at least 1, got %s" % jobs)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_select_creates_the_parents_of_its_outputs(tmp_path, capsys, flag):
+    # an --out or --report in a directory that did not exist exited 2
+    # with "No such file or directory", after sel.csv for --report
+    rng = np.random.default_rng(0)
+    labels = np.repeat([1, 0], 20)
+    FeatureMatrix(column_names=["P3:a", "P3:b"],
+                  values=np.column_stack([labels + rng.normal(0, 0.3, 40),
+                                          rng.normal(0, 1, 40)]),
+                  labels=labels,
+                  subject_ids=[]).to_csv(tmp_path / "feat.csv")
+    paths = {"--out": tmp_path / "sel.csv", "--report": tmp_path / "rt.csv"}
+    paths[flag] = tmp_path / "new" / "deeper" / paths[flag].name
+    code = main(["select", "--features", str(tmp_path / "feat.csv"),
+                 "--out", str(paths["--out"]),
+                 "--report", str(paths["--report"])])
+    assert code == 0, capsys.readouterr().err
+    assert paths["--out"].read_text().startswith("P3:a")
+    assert paths["--report"].read_text().startswith("column,")
+
+
+def test_train_refuses_importance_without_gbt(tmp_path, capsys):
+    # --importance was ignored without a word for knn and svm
+    code = main(["train", "--features", str(tmp_path / "missing.csv"),
+                 "--classifier", "knn", "--importance"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: config: --importance: needs --classifier gbt, got knn\n")
+
+
+@pytest.mark.parametrize("command", ["segment", "extract"])
+@pytest.mark.parametrize("chunk", ["2-4", "3/7", "5/4", "a/b"])
+def test_malformed_chunk_exits_1_before_loading(tmp_path, capsys, command,
+                                                chunk):
+    # "2-4" was an unpacking ValueError and "3/7" a divisor ValueError,
+    # both exit 2 after the cohort loaded
+    argv = [command, "--manifest", str(tmp_path / "missing.json"),
+            "--chunk", chunk, "--out", str(tmp_path / "out")]
+    if command == "extract":
+        argv += ["--channels", "P3"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        "error: config: --chunk: expected INDEX/DIVISOR with DIVISOR one of "
+        "1, 2, 3, 4, 5, 20")
+    assert err[0].endswith("got \"%s\"" % chunk)
     assert not (tmp_path / "out").exists()

@@ -9,6 +9,8 @@ perfbench/. It matches names, not parameters: an unused keyword argument
 of a used function is not caught here. The second scan lists the fields
 of every dataclass in src/eegsweep and looks for a read of each name, as
 an attribute or through getattr with a constant, anywhere in the project.
+The third scan looks for `Recording(` calls outside the modules that
+load and generate recordings.
 """
 
 import ast
@@ -90,3 +92,18 @@ def test_every_dataclass_field_is_read():
                            if isinstance(n, ast.AnnAssign)
                            and n.target.id not in reads]
     assert unread == []
+
+
+def test_only_loading_and_synthesis_build_a_recording_field_by_field():
+    """Every other module derives its recordings from one it was given,
+    through `with_samples`, so no stage can drop or mix up metadata."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("data_model.py", "synth.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "Recording" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                calls.append("%s:%d" % (path.name, node.lineno))
+    assert calls == []
