@@ -7,6 +7,7 @@ NaN so downstream classifiers always see finite matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,6 +72,12 @@ class FeatureParams:
     higuchi_kmax: int = 10
     hurst_min_window: int = 10
     energy_transition_hz: float = 2.0
+
+    def __post_init__(self):
+        if not isinstance(self.app_entropy_m, int) or self.app_entropy_m < 1:
+            raise ValueError("app_entropy_m must be an int >= 1")
+        if not self.app_entropy_r > 0.0:
+            raise ValueError("app_entropy_r must be > 0")
 
 
 DEFAULT_PARAMS = FeatureParams()
@@ -279,22 +286,30 @@ def zero_crossings(signal):
 def app_entropy(signal, m=2, r_factor=0.2):
     """Approximate entropy phi(m) - phi(m+1), Chebyshev radius 0.2 std.
 
-    Self-matches are counted, as in the original definition. A constant
-    signal (radius 0) returns the sentinel 0.
+    Self-matches are counted, as in the original definition. Both counts
+    come from one neighbour search, as in Manis (2008, "Fast computation
+    of approximate entropy"): one cKDTree on the m-embedding lists every
+    pair within r, and a pair that also lies within r on the next sample
+    is a match at m + 1, since every match at m + 1 is a match at m. A
+    constant signal (radius 0) returns the sentinel 0.
     """
     x = np.asarray(signal, dtype=np.float64)
     r = r_factor * float(np.std(x, ddof=1))
     if r == 0.0:
         return 0.0
-    return _phi(x, m, r) - _phi(x, m + 1, r)
-
-
-def _phi(x, m, r):
     n = x.size - m + 1
     emb = np.lib.stride_tricks.sliding_window_view(x, m)
-    tree = cKDTree(emb)
-    counts = tree.query_ball_point(emb, r, p=np.inf, return_length=True)
-    return float(np.mean(np.log(counts / n)))
+    pairs = cKDTree(emb).query_pairs(r, p=np.inf, output_type="ndarray")
+    i, j = pairs.T.astype(np.int32)  # contiguous columns, i < j
+    counts_m = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + 1
+    keep = j < n - 1
+    i, j = i[keep], j[keep]
+    nxt = x[m:]
+    keep = np.abs(nxt[i] - nxt[j]) <= r
+    counts_m1 = (np.bincount(i[keep], minlength=n - 1)
+                 + np.bincount(j[keep], minlength=n - 1) + 1)
+    return (float(np.mean(np.log(counts_m / n)))
+            - float(np.mean(np.log(counts_m1 / (n - 1)))))
 
 
 def spect_entropy(freqs, psd, total_band=(0.5, 40.0)):
@@ -331,9 +346,11 @@ def decorr_time(signal, fs):
     return float(below[0] + 1) / fs
 
 
+@functools.lru_cache(maxsize=None)
 def _expected_rs(n):
     """Expected R/S of iid Gaussian noise at block size n (Anis-Lloyd with
-    the Peters finite-sample factor); used to debias the regression."""
+    the Peters finite-sample factor); used to debias the regression.
+    Cached: it depends on n alone, and every signal asks for ~10 sizes."""
     s = sum(math.sqrt((n - i) / i) for i in range(1, n))
     if n <= 340:
         front = math.gamma((n - 1) / 2.0) / (
@@ -458,20 +475,20 @@ def wavelet_features(signal):
 def skewness(signal):
     x = np.asarray(signal, dtype=np.float64)
     xm = x - x.mean()
-    m2 = float(np.mean(xm ** 2))
-    if m2 == 0.0:
+    denom = float(np.mean(xm ** 2)) ** 1.5
+    if denom == 0.0:  # constant, or so small that the power underflows
         return 0.0
-    return float(np.mean(xm ** 3)) / m2 ** 1.5
+    return float(np.mean(xm ** 3)) / denom
 
 
 def kurtosis(signal):
     """Pearson (non-excess) kurtosis; 3 for a normal distribution."""
     x = np.asarray(signal, dtype=np.float64)
     xm = x - x.mean()
-    m2 = float(np.mean(xm ** 2))
-    if m2 == 0.0:
+    denom = float(np.mean(xm ** 2)) ** 2
+    if denom == 0.0:  # constant, or so small that the power underflows
         return 0.0
-    return float(np.mean(xm ** 4)) / m2 ** 2
+    return float(np.mean(xm ** 4)) / denom
 
 
 # ---------------------------------------------------------------------------

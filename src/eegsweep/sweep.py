@@ -13,6 +13,7 @@ per-spec failures become failed rows instead of aborting the sweep.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
@@ -329,15 +330,26 @@ RESULT_COLUMNS = ("accuracy", "spread", "cleaning", "chunk", "channels",
 
 
 def records_to_csv(records, path):
-    """Write the results table (Table-2 schema plus hyperparameters)."""
+    """Write the results table (Table-2 schema plus hyperparameters).
+
+    Commas inside best_params and error are written as ";", so a row is
+    nine plain cells. A row whose best_params or error holds a literal ";"
+    is written instead as a quoted CSV row that keeps its commas; every
+    other row starts with a number, never with a quote.
+    """
     with open(path, "w") as fh:
         fh.write(",".join(RESULT_COLUMNS) + "\n")
+        quoted = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n")
         for r in records:
-            fh.write("%.10g,%.10g,%s,%s,%s,%s,%s,%s,%s\n" % (
-                r.accuracy, r.spread, r.cleaning, r.chunk, r.channels,
-                r.classifier, "Yes" if r.feature_selection else "No",
-                json.dumps(r.best_params, sort_keys=True).replace(",", ";"),
-                r.error.replace(",", ";")))
+            cells = ["%.10g" % r.accuracy, "%.10g" % r.spread, r.cleaning,
+                     r.chunk, r.channels, r.classifier,
+                     "Yes" if r.feature_selection else "No",
+                     json.dumps(r.best_params, sort_keys=True), r.error]
+            if ";" in cells[7] + cells[8]:
+                quoted.writerow(cells)
+            else:
+                fh.write(",".join(cells[:7] + [c.replace(",", ";")
+                                               for c in cells[7:]]) + "\n")
 
 
 def records_from_csv(path):
@@ -351,11 +363,14 @@ def records_from_csv(path):
             line = line.rstrip("\n")
             if not line:
                 continue
-            cells = line.split(",")
+            if line.startswith('"'):
+                cells = next(csv.reader([line]))
+            else:
+                cells = line.split(",")
+                cells[7:] = [c.replace(";", ",") for c in cells[7:]]
             records.append(ExperimentRecord(
                 accuracy=float(cells[0]), spread=float(cells[1]),
                 cleaning=cells[2], chunk=cells[3], channels=cells[4],
                 classifier=cells[5], feature_selection=cells[6] == "Yes",
-                best_params=json.loads(cells[7].replace(";", ",")),
-                error=cells[8].replace(";", ",")))
+                best_params=json.loads(cells[7]), error=cells[8]))
     return records

@@ -100,6 +100,21 @@ def test_bad_config_exits_1_before_the_cohort_loads(tmp_path, capsys, argv,
     assert not list(tmp_path.rglob("provenance.json"))
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("features.app_entropy_m=0", "app_entropy_m must be an int >= 1"),
+    ("features.app_entropy_r=-0.2", "app_entropy_r must be > 0"),
+], ids=["app_entropy_m", "app_entropy_r"])
+def test_feature_range_check_exits_2_before_the_cohort_loads(
+        tmp_path, capsys, setting, message):
+    # the manifest does not exist: loading it would print another error
+    out = tmp_path / "out" / "feat.csv"
+    code = main(["extract", "--manifest", str(tmp_path / "missing.json"),
+                 "--channels", "P3", "--out", str(out), "--set", setting])
+    assert code == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "out").exists()
+
+
 def test_space_and_config_together_are_refused(tmp_path, capsys):
     space = _write(tmp_path, "s.json", {"space": SPACE})
     config = _write(tmp_path, "c.json", {"fir": {"high_hz": 30}})
@@ -262,7 +277,8 @@ def _outcome(build, cfg):
 
 
 # Any of these passes every range check but asr.proc_overlap's, which
-# needs (0, 1); both readers must refuse the same draws.
+# needs (0, 1), and features.app_entropy_m's, which needs an int; both
+# readers must refuse the same draws.
 NUMBER = st.integers(1, 50) | st.floats(0.01, 0.99)
 
 

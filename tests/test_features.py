@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
 import oracles
 from conftest import FS, golden_corpus
@@ -159,6 +160,70 @@ def test_app_entropy_constant_sentinel():
     assert F.app_entropy(np.full(600, 4.2)) == 0.0
 
 
+def _phi_two_searches(x, m, r):
+    """phi(m) by its definition, from its own tree and ball query; the
+    reference for app_entropy's counts from one neighbour search."""
+    n = x.size - m + 1
+    emb = np.lib.stride_tricks.sliding_window_view(x, m)
+    counts = cKDTree(emb).query_ball_point(emb, r, p=np.inf,
+                                           return_length=True)
+    return float(np.mean(np.log(counts / n)))
+
+
+def app_entropy_two_searches(x, m, r_factor):
+    r = r_factor * float(np.std(x, ddof=1))
+    if r == 0.0:
+        return 0.0
+    return _phi_two_searches(x, m, r) - _phi_two_searches(x, m + 1, r)
+
+
+@st.composite
+def app_entropy_cases(draw):
+    """(signal, m, r_factor): noise, random walks, small integers with
+    heavy ties, or a constant; the radius is the default, a tiny one that
+    matches nothing but ties, or the Chebyshev distance of a pair of
+    m-vectors, so that a pair sits exactly on r."""
+    n = draw(st.integers(256, 4000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["noise", "walk", "ties", "constant"]))
+    if kind == "noise":
+        x = rng.standard_normal(n)
+    elif kind == "walk":
+        x = np.cumsum(rng.standard_normal(n))
+    elif kind == "ties":
+        k = draw(st.integers(3, 20))
+        x = rng.integers(-k, k + 1, n).astype(float)
+    else:
+        x = np.full(n, draw(st.floats(-1e3, 1e3)))
+    m = draw(st.sampled_from([1, 2, 3]))
+    radius = draw(st.sampled_from(["default", "tiny", "pair"]))
+    if radius == "default" or np.ptp(x) == 0.0:
+        return x, m, 0.2
+    if radius == "tiny":
+        return x, m, 1e-9
+    std = float(np.std(x, ddof=1))
+    emb = np.lib.stride_tricks.sliding_window_view(x, m)
+    a = draw(st.integers(0, n - m))
+    dists = np.unique(np.max(np.abs(emb - emb[a]), axis=1))[1:]
+    d = float(dists[int(draw(st.floats(0.0, 0.05)) * (dists.size - 1))])
+    r_factor = d / std
+    # the neighbour of d / std whose product with std gives d exactly
+    for cand in (r_factor, np.nextafter(r_factor, np.inf),
+                 np.nextafter(r_factor, 0.0)):
+        if float(cand) * std == d:
+            r_factor = float(cand)
+            break
+    return x, m, r_factor
+
+
+@settings(max_examples=60, deadline=None)
+@given(app_entropy_cases())
+def test_app_entropy_equals_the_two_search_formula(case):
+    x, m, r_factor = case
+    assert (F.app_entropy(x, m, r_factor)
+            == app_entropy_two_searches(x, m, r_factor))
+
+
 def test_decorr_time_slow_sine():
     # quarter period of a 1 Hz tone is 0.25 s
     x = np.sin(2 * np.pi * 1.0 * T8)
@@ -303,6 +368,22 @@ def test_extract_rejects_short_and_nonfinite():
     bad[5] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         F.extract_channel(bad, FS)
+
+
+def test_moments_of_a_signal_whose_powers_underflow():
+    # m2 > 0, but m2 ** 1.5 and m2 ** 2 underflow to 0
+    x = 1e-110 * np.random.default_rng(4).standard_normal(512)
+    assert F.skewness(x) == 0.0 and F.kurtosis(x) == 0.0
+    assert np.all(np.isfinite(F.extract_channel(x, FS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(int(2 * FS), 1200),
+                  elements=st.floats(-1e3, 1e3)))
+def test_extract_channel_finite_on_any_finite_signal(x):
+    vec = F.extract_channel(x, FS)
+    assert vec.shape == (F.N_FEATURES,)
+    assert np.all(np.isfinite(vec))
 
 
 def test_all_53_finite_on_golden_corpus():

@@ -1,5 +1,6 @@
 import json
 import os
+import tempfile
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -173,6 +174,51 @@ def test_records_csv_round_trip(tmp_path, small_cohort):
         assert a.channels == b.channels
         assert a.accuracy == pytest.approx(b.accuracy)
         assert a.best_params == b.best_params
+
+
+def _today_row(r):
+    """A results row in the plain form: nine cells, with the commas in
+    best_params and error written as ";"."""
+    return "%.10g,%.10g,%s,%s,%s,%s,%s,%s,%s\n" % (
+        r.accuracy, r.spread, r.cleaning, r.chunk, r.channels, r.classifier,
+        "Yes" if r.feature_selection else "No",
+        json.dumps(r.best_params, sort_keys=True).replace(",", ";"),
+        r.error.replace(",", ";"))
+
+
+#: One line of text: no control characters, so no line breaks.
+_LINE_TEXT = st.text(st.characters(max_codepoint=0x24f,
+                                   exclude_categories=("Cc", "Cs"))
+                     | st.sampled_from(',;"\\'))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(
+    ExperimentRecord, cleaning=st.sampled_from(PIPELINE_KINDS),
+    chunk=st.just("1/2"), channels=st.just("P3-P4"),
+    classifier=st.sampled_from(tuple(classify.DEFAULT_GRIDS)),
+    feature_selection=st.booleans(),
+    accuracy=st.floats(0.0, 1.0) | st.just(float("nan")),
+    spread=st.floats(0.0, 1.0) | st.just(float("nan")),
+    best_params=st.dictionaries(_LINE_TEXT, _LINE_TEXT | st.integers()),
+    error=_LINE_TEXT), max_size=5))
+def test_results_csv_round_trips_any_error_text(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "results.csv")
+        records_to_csv(records, path)
+        back = records_from_csv(path)
+        with open(path) as fh:
+            lines = fh.readlines()[1:]
+    assert len(back) == len(records)
+    for r, b, line in zip(records, back, lines):
+        assert b.error == r.error and b.best_params == r.best_params
+        assert ("%.10g %.10g" % (b.accuracy, b.spread)
+                == "%.10g %.10g" % (r.accuracy, r.spread))
+        assert (b.cleaning, b.chunk, b.channels, b.classifier,
+                b.feature_selection) == (r.cleaning, r.chunk, r.channels,
+                                         r.classifier, r.feature_selection)
+        if ";" not in json.dumps(r.best_params) + r.error:
+            assert line == _today_row(r)
 
 
 def test_stage_cache_reuses_cleaning(small_cohort, monkeypatch):
