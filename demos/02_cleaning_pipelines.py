@@ -2,9 +2,10 @@
 The four cleaning pipelines side by side
 ========================================
 
-Runs raw / FIR / FIR+ASR / FIR+ASR+ICA over one artifact-heavy synthetic
-subject and measures how much artifact energy each stage removes while
-preserving the clean background.
+Walks one artifact-heavy synthetic subject through raw / FIR / FIR+ASR /
+FIR+ASR+ICA, each stage cleaning the previous stage's output, and measures
+how much artifact energy each stage removes while preserving the clean
+background.
 """
 
 import warnings
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 
 from eegsweep import synth
-from eegsweep.cleaning import CleaningPipeline, run_pipeline_with_info
+from eegsweep.cleaning import CleaningPipeline, walk_pipeline
 from eegsweep.data_model import CHANNELS_1020
 
 spec = synth.SynthSpec(
@@ -35,10 +36,10 @@ fp1 = CHANNELS_1020.index("Fp1")
 print("artifact windows cover %.1f%% of the recording" % (100 * mask.mean()))
 print("\n%-10s %-18s %-18s %s" % ("pipeline", "artifact-window RMS",
                                   "clean-window RMS", "Fp1 corr to truth"))
-for kind in ("raw", "filtered", "asr", "ica"):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out, info = run_pipeline_with_info(rec, CleaningPipeline(kind=kind))
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    stages = list(walk_pipeline(rec, CleaningPipeline(kind="ica")))
+for kind, out, info in stages:
     rms_art = np.sqrt(np.mean(out.samples[:, mask] ** 2))
     rms_clean = np.sqrt(np.mean(out.samples[:, ~mask] ** 2))
     corr = np.corrcoef(out.samples[fp1], clean[fp1])[0, 1]

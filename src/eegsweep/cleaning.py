@@ -130,9 +130,7 @@ class AsrModel:
 
 def _window_starts(n, win, hop):
     starts = list(range(0, n - win + 1, hop))
-    if not starts:
-        return starts
-    if starts[-1] + win < n:
+    if starts and starts[-1] + win < n:
         starts.append(n - win)
     return starts
 
@@ -398,29 +396,31 @@ def ica_reconstruct(rec, decomp, keep):
 
 def run_pipeline(rec, pipeline):
     """Apply one of the four cleaning pipelines to a recording."""
-    out, _ = run_pipeline_with_info(rec, pipeline)
+    *_, (_, out, _) = walk_pipeline(rec, pipeline)
     return out
 
 
-def run_pipeline_with_info(rec, pipeline):
-    """Like run_pipeline but also returns a provenance dict (ASR stats,
-    ICA labels and convergence) for sidecar files."""
-    info = {"kind": pipeline.kind}
+def walk_pipeline(rec, pipeline):
+    """Yield (kind, recording, info) per stage from raw to pipeline.kind,
+    each stage cleaning the previous one's output; raw yields `rec` itself.
+    info is the stage's provenance (ASR stats, ICA labels) for sidecars."""
+    yield "raw", rec, {"kind": "raw"}
     if pipeline.kind == "raw":
-        return rec.with_samples(rec.samples.copy()), info
+        return
     out = fir_bandpass(rec, pipeline.fir)
+    yield "filtered", out, {"kind": "filtered"}
     if pipeline.kind == "filtered":
-        return out, info
+        return
     model = asr_calibrate(out, pipeline.asr)
     out = asr_process(out, model, pipeline.asr)
-    info["asr_calib_windows"] = model.n_calib_windows
-    info["asr_windows_total"] = model.n_windows_total
+    info = {"kind": "asr", "asr_calib_windows": model.n_calib_windows,
+            "asr_windows_total": model.n_windows_total}
+    yield "asr", out, info
     if pipeline.kind == "asr":
-        return out, info
+        return
     decomp = ica_decompose(out, pipeline.ica)
     labels = label_components(decomp, out.sample_rate_hz,
                               pipeline.ica.labeler)
-    info["ica_labels"] = labels
-    info["ica_converged"] = bool(decomp.converged)
     out = ica_reconstruct(out, decomp, [lab == "brain" for lab in labels])
-    return out, info
+    yield "ica", out, dict(info, kind="ica", ica_labels=labels,
+                           ica_converged=bool(decomp.converged))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classify, features, report, selection, sweep
-from .cleaning import PIPELINE_KINDS, CleaningPipeline, run_pipeline_with_info
+from .cleaning import PIPELINE_KINDS, CleaningPipeline, walk_pipeline
 from .data_model import (CHANNELS_1020, CohortLoadError, load_cohort,
                          write_cohort)
 from .segmentation import DIVISORS, SegmentSpec, segment
@@ -126,8 +126,8 @@ def _read_grids(block):
 
 def _read_config(cfg):
     """Every block of a merged config dict, built and checked: "pipeline"
-    (a CleaningPipeline for the caller to give a kind), "features", "space"
-    and "grids", plus "merged", the dict itself."""
+    (the one cleaning config), "features", "space" and "grids", plus
+    "merged", the dict itself."""
     blocks = ("fir", "asr", "ica", "features", "space", "grids")
     for key in cfg:
         if key not in blocks:
@@ -249,7 +249,7 @@ def cmd_clean(args, cfg):
     sidecar = {"pipeline": args.pipeline, "params": params, "subjects": {}}
     cleaned = []
     for rec in cohort:
-        result, info = run_pipeline_with_info(rec, pipeline)
+        *_, (_, result, info) = walk_pipeline(rec, pipeline)
         cleaned.append(result)
         sidecar["subjects"][rec.subject_id] = info
     write_cohort(cleaned, out)
@@ -277,10 +277,9 @@ def cmd_extract(args, cfg):
     _check_members("--channels", channels, CHANNELS_1020)
     chunk = _chunk_spec(args.chunk)
     cohort = load_cohort(args.manifest)
-    pipeline = replace(cfg["pipeline"], kind=args.pipeline)
     vectors = sweep.feature_vectors(
         cohort, [(args.pipeline, chunk, ch) for ch in channels],
-        {args.pipeline: pipeline}, cfg["features"])
+        cfg["pipeline"], cfg["features"])
     matrix = features.build_feature_matrix(
         cohort, channels,
         vector_fn=sweep.vector_fn(vectors, args.pipeline, chunk))
@@ -349,14 +348,11 @@ def cmd_sweep(args, cfg):
     if args.jobs < 1:
         _fail("--jobs", "expected at least 1, got %d", args.jobs)
     cohort = load_cohort(args.manifest)
-    space = cfg["space"]
-    specs = sweep.enumerate_space(space)
+    specs = sweep.enumerate_space(cfg["space"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pipelines = {kind: replace(cfg["pipeline"], kind=kind)
-                 for kind in space.cleanings}
     records = sweep.run_sweep(
-        cohort, specs, seed=args.seed, pipelines=pipelines,
+        cohort, specs, seed=args.seed, pipeline=cfg["pipeline"],
         params=cfg["features"],
         checkpoint_dir=out / "checkpoint" if args.resume else None,
         grids=cfg["grids"] or None, jobs=args.jobs,

@@ -2,11 +2,11 @@
 classifier x selection combinations, with resumable checkpoints.
 
 A sweep call first builds one feature table (`feature_vectors`) for the
-specs it still has to run: each (subject, cleaning) is cleaned once on
-the full recording (ASR is calibrated on the whole recording and reused
-for every chunk), and each (subject, cleaning, chunk, channel) vector is
-extracted once, in this process. The specs then only select and
-cross-validate, serially or in fork workers that inherit the table.
+specs it still has to run: each subject is cleaned once along FIR -> ASR
+-> ICA (ASR calibrated on the whole recording, for every chunk), and
+each (subject, cleaning, chunk, channel) vector is extracted once, in
+this process. The specs then only select and cross-validate, serially
+or in fork workers that inherit the table.
 Records are emitted in spec order regardless of execution order, and
 per-spec failures become failed rows instead of aborting the sweep.
 """
@@ -103,26 +103,30 @@ def _spec_seed(global_seed, spec):
     return int.from_bytes(digest[:8], "big") % (2 ** 31)
 
 
-def feature_vectors(cohort, cells, pipelines, params):
+def feature_vectors(cohort, cells, pipeline, params):
     """The feature table of a cohort: every vector the cells need, once.
 
-    `cells` holds (cleaning, chunk, channel) triples, chunk a SegmentSpec.
-    Returns a dict keyed (subject_id, cleaning, chunk_id, channel) whose
-    value is the 53-vector, or the exception that stopped it: a cleaning or
-    segment that fails stores its exception under every key it would have
-    produced, so it is attempted once. Works subject by subject and cleans
-    each needed cleaning once; a cleaned recording is dropped once its
-    vectors are extracted.
+    `cells` holds (cleaning, chunk, channel) triples, chunk a SegmentSpec;
+    `pipeline`'s kind is ignored. Returns a dict keyed (subject_id,
+    cleaning, chunk_id, channel) whose value is the 53-vector, or the
+    exception that stopped it: a stage or segment that fails stores its
+    exception under every key it and later stages would have produced, so
+    it is attempted once. Walks each subject through the cleanings once,
+    as deep as the cells need.
     """
     plan = {}
     for kind, chunk, channel in cells:
         plan.setdefault(kind, {}).setdefault(chunk, {})[channel] = None
+    depth = max(map(PIPELINE_KINDS.index, plan), default=0)
     table = {}
     for rec in cohort:
-        for kind, chunks in plan.items():
-            cleaned = _attempt(
-                lambda: cleaning.run_pipeline(rec, pipelines[kind]))
-            for chunk, channels in chunks.items():
+        stages = cleaning.walk_pipeline(
+            rec, replace(pipeline, kind=PIPELINE_KINDS[depth]))
+        cleaned = seg = None
+        for kind in PIPELINE_KINDS[:depth + 1]:
+            if not isinstance(cleaned, Exception):
+                cleaned = _attempt(lambda: next(stages)[1])
+            for chunk, channels in plan.get(kind, {}).items():
                 seg = (cleaned if isinstance(cleaned, Exception)
                        else _attempt(lambda: segment(cleaned, chunk)))
                 for ch in channels:
@@ -130,7 +134,6 @@ def feature_vectors(cohort, cells, pipelines, params):
                         seg if isinstance(seg, Exception)
                         else _attempt(lambda: features.extract_channel(
                             seg.channel(ch), seg.sample_rate_hz, params)))
-            cleaned = seg = None
     return table
 
 
@@ -161,8 +164,8 @@ def run_one(cohort, spec, seed, vectors, grids=None, gbt_base=None,
             expand_grid=False):
     """Execute a single experiment spec on a `feature_vectors` table.
 
-    Returns one ExperimentRecord (best grid point), or a list with one
-    record per grid point when expand_grid is set.
+    Returns a list of ExperimentRecord: the best grid point's, or one per
+    grid point when expand_grid is set.
     """
     record = ExperimentRecord(
         cleaning=spec.cleaning, chunk=spec.chunk.chunk_id,
@@ -188,12 +191,10 @@ def run_one(cohort, spec, seed, vectors, grids=None, gbt_base=None,
             return_all=expand_grid)
     except Exception as exc:  # per-spec failures never abort the sweep
         record.error = "%s: %s" % (type(exc).__name__, exc)
-        return [record] if expand_grid else record
-
-    def row(res):
-        return replace(record, accuracy=res.mean_accuracy, spread=res.spread,
-                       best_params=res.best_config)
-    return [row(res) for res in result] if expand_grid else row(result)
+        return [record]
+    return [replace(record, accuracy=res.mean_accuracy, spread=res.spread,
+                    best_params=res.best_config)
+            for res in (result if expand_grid else [result])]
 
 
 _WORKER = {}
@@ -236,38 +237,37 @@ def _load_checkpoint(path):
             for doc in docs}
 
 
-def _config_stamp(seed, pipelines, params, options):
+def _config_stamp(seed, pipeline, cleanings, params, options):
     """sha256 of everything that decides a spec's records, the spec aside."""
     doc = {key: asdict(value) if is_dataclass(value) else value
            for key, value in options.items()}
     doc.update(seed=seed, params=asdict(params),
-               pipelines={kind: asdict(p) for kind, p in pipelines.items()})
+               pipelines={kind: asdict(replace(pipeline, kind=kind))
+                          for kind in cleanings})
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def run_sweep(cohort, specs, seed=0, pipelines=None,
+def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
               params=features.DEFAULT_PARAMS, checkpoint_dir=None,
               grids=None, gbt_base=None, selection_in_fold=False, jobs=1,
               eval_on_test_fold=False, expand_grid=False):
     """Run every spec; returns records in spec order.
 
-    `pipelines` maps each cleaning to its CleaningPipeline (default: the
-    four default pipelines) and `params` sets feature extraction. The
-    feature table is built once, for the specs that are not yet in the
-    checkpoint, so a finished resume cleans and extracts nothing. With
-    checkpoint_dir, finished specs are appended to records.jsonl and
-    skipped on resume, so a killed sweep continues without recomputation
-    and yields the identical record list. A config stamp beside it binds
-    the checkpoint to the seed, grids, flags, pipelines and feature
-    params; resuming under a different config raises ValueError. jobs > 1
-    fans selection and CV out to a fork pool that inherits the table;
-    per-spec seeds are content-derived, so parallelism never changes
-    results. With expand_grid, one record per (spec, grid point) is
-    emitted instead of one best-config record per spec.
+    `pipeline` is the cleaning config (its kind is ignored) and `params`
+    sets feature extraction. The feature table is built once, for the
+    specs that are not yet in the checkpoint, so a finished resume cleans
+    and extracts nothing. With checkpoint_dir, finished specs are appended
+    to records.jsonl and skipped on resume, so a killed sweep continues
+    without recomputation and yields the identical record list. A config
+    stamp beside it binds the checkpoint to the seed, grids, flags,
+    cleaning config and feature params; resuming under a different config,
+    but not with other cleanings, raises ValueError. jobs > 1 fans
+    selection and CV out to a fork pool that inherits the table; per-spec
+    seeds are content-derived, so parallelism never changes results. With
+    expand_grid, one record per (spec, grid point) is emitted instead of
+    one best-config record per spec.
     """
-    pipelines = pipelines or {
-        kind: CleaningPipeline(kind=kind) for kind in PIPELINE_KINDS}
     options = {"grids": grids, "gbt_base": gbt_base,
                "selection_in_fold": selection_in_fold,
                "eval_on_test_fold": eval_on_test_fold,
@@ -279,11 +279,17 @@ def run_sweep(cohort, specs, seed=0, pipelines=None,
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         ckpt_path = ckpt_dir / "records.jsonl"
         stamp_path = ckpt_dir / "config.sha256"
-        stamp = _config_stamp(seed, pipelines, params, options)
+        stamp = _config_stamp(seed, pipeline,
+                              {spec.cleaning for spec in specs}, params,
+                              options)
         if ckpt_path.exists() and ckpt_path.stat().st_size:
             found = (stamp_path.read_text().strip() if stamp_path.exists()
                      else "missing")
-            if found != stamp:
+            # a resume may add or drop cleanings; the stamp names the old ones
+            if found not in {
+                    _config_stamp(seed, pipeline, kinds, params, options)
+                    for n in range(len(PIPELINE_KINDS) + 1)
+                    for kinds in combinations(PIPELINE_KINDS, n)}:
                 raise ValueError(
                     "checkpoint %s was written under another sweep config "
                     "(stamp %s, this run %s); resume with the same config "
@@ -298,10 +304,9 @@ def run_sweep(cohort, specs, seed=0, pipelines=None,
     per_spec = [done.get(spec.key) for spec in specs]
     vectors = feature_vectors(
         cohort, [(spec.cleaning, spec.chunk, ch) for _, spec in pending
-                 for ch in spec.channels], pipelines, params)
+                 for ch in spec.channels], pipeline, params)
 
     def finish(i, spec, result):
-        result = result if isinstance(result, list) else [result]
         per_spec[i] = result
         if ckpt_path is not None:
             with open(ckpt_path, "a") as fh:
@@ -315,9 +320,8 @@ def run_sweep(cohort, specs, seed=0, pipelines=None,
         ctx = mp.get_context("fork")
         with ctx.Pool(jobs, initializer=_init_worker,
                       initargs=(cohort, seed, vectors, options)) as pool:
-            for (i, spec), result in zip(
-                    pending, pool.imap(_worker_run,
-                                       [s for _, s in pending])):
+            results = pool.imap(_worker_run, [s for _, s in pending])
+            for (i, spec), result in zip(pending, results):
                 finish(i, spec, result)
     else:
         for i, spec in pending:

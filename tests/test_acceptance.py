@@ -232,8 +232,6 @@ REAL_DATA = os.environ.get("EEGSWEEP_REAL_DATA", "")
 def test_criterion_7_real_dataset_numbers():
     cohort = load_cohort(REAL_DATA)
     assert len(cohort) == 121
-    pipelines = {kind: cleaning.CleaningPipeline(kind=kind)
-                 for kind in cleaning.PIPELINE_KINDS}
     seed = 0
 
     def run(cleaning_kind, channels, chunk=(1, 1)):
@@ -243,8 +241,8 @@ def test_criterion_7_real_dataset_numbers():
             channels=channels, classifier="gbt", feature_selection=True)
         vectors = sweep.feature_vectors(
             cohort, [(cleaning_kind, spec.chunk, ch) for ch in channels],
-            pipelines, features.DEFAULT_PARAMS)
-        return sweep.run_one(cohort, spec, seed, vectors)
+            cleaning.CleaningPipeline(), features.DEFAULT_PARAMS)
+        return sweep.run_one(cohort, spec, seed, vectors)[0]
 
     rec_p3 = run("asr", ("P3",))
     rec_p3p4 = run("asr", ("P3", "P4"))

@@ -2,13 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import ARTIFACT_MIX
 from eegsweep import cleaning, synth
-from eegsweep.cleaning import (AsrParams, CleaningPipeline, FirParams,
-                               IcaParams, asr_calibrate, asr_process,
-                               bandpass_kernel, fir_bandpass, ica_decompose,
-                               ica_reconstruct, label_components,
-                               run_pipeline)
+from eegsweep.cleaning import (PIPELINE_KINDS, AsrParams, CleaningPipeline,
+                               FirParams, IcaParams, asr_calibrate,
+                               asr_process, bandpass_kernel, fir_bandpass,
+                               ica_decompose, ica_reconstruct,
+                               label_components, run_pipeline, walk_pipeline)
 from eegsweep.data_model import CHANNELS_1020, Recording
 from eegsweep.features import welch_psd
 
@@ -404,6 +406,61 @@ def test_pipeline_ica_improves_frontal_correlation(cleaning_cohort):
                 improved += c_i > c_f
                 total += 1
     assert improved == total
+
+
+def _metadata(rec):
+    return (rec.subject_id, rec.label, rec.sample_rate_hz, rec.channel_names)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 16), st.sampled_from((9.0, 10.0, 12.0, 16.0)),
+       st.sampled_from(((), ARTIFACT_MIX)), st.integers(0, 1))
+def test_every_stage_of_the_walk_keeps_the_shape(seed, seconds, artifacts,
+                                                 index):
+    """Each stage keeps the input's shape and metadata and equals its
+    standalone pipeline byte for byte; a stage that fails fails its own
+    and every later standalone pipeline with the same message."""
+    spec = synth.SynthSpec(n_subjects_per_class=1, duration_s=seconds,
+                           artifacts=artifacts, rng_seed=seed)
+    rec = synth.generate_cohort(spec)[0][index]
+    stages, error = [], None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            for stage in walk_pipeline(rec, CleaningPipeline(kind="ica")):
+                stages.append(stage)
+        except ValueError as exc:
+            error = str(exc)
+        assert [kind for kind, _, _ in stages] == \
+            list(PIPELINE_KINDS[:len(stages)])
+        for kind, out, info in stages:
+            assert info["kind"] == kind
+            assert out.samples.shape == rec.samples.shape
+            assert _metadata(out) == _metadata(rec)
+            alone = run_pipeline(rec, CleaningPipeline(kind=kind))
+            assert out.samples.tobytes() == alone.samples.tobytes()
+        assert (error is None) == (len(stages) == len(PIPELINE_KINDS))
+        for kind in PIPELINE_KINDS[len(stages):]:
+            with pytest.raises(ValueError) as alone:
+                run_pipeline(rec, CleaningPipeline(kind=kind))
+            assert str(alone.value) == error
+
+
+def test_walk_stops_at_a_failed_asr_calibration():
+    spec = synth.SynthSpec(n_subjects_per_class=1, duration_s=9.0,
+                           artifacts=ARTIFACT_MIX, rng_seed=0)
+    rec = synth.generate_cohort(spec)[0][0]
+    walk = walk_pipeline(rec, CleaningPipeline(kind="ica"))
+    kind, raw, _ = next(walk)
+    assert kind == "raw" and raw is rec
+    assert next(walk)[0] == "filtered"
+    with pytest.raises(ValueError,
+                       match="insufficient clean calibration data") as err:
+        next(walk)
+    for kind in ("asr", "ica"):
+        with pytest.raises(ValueError) as alone:
+            run_pipeline(rec, CleaningPipeline(kind=kind))
+        assert str(alone.value) == str(err.value)
 
 
 def test_asr_params_validation():

@@ -2,8 +2,9 @@
 valid config builds the same blocks, and so the same checkpoint stamp, as
 the three converters it replaced."""
 
+import hashlib
 import json
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -213,7 +214,8 @@ def test_stamp_of_a_config_that_sets_every_field(cohort_dir, tmp_path,
     assert prov["config_hash"] == EVERY_HASH
 
 
-# The three converters and the grid comprehension the reader replaced,
+# The three converters and the grid comprehension the reader replaced, and
+# the stamp of one pipeline per cleaning that one cleaning config replaced,
 # copied as they were; they are the reference for the property below.
 
 def ref_build_pipeline(kind, cfg):
@@ -246,26 +248,35 @@ def ref_grids(cfg):
     return {k: tuple(cfg["grids"][k]) for k in cfg.get("grids", {})}
 
 
-def _stamp(pipelines, params, grids):
-    options = {"grids": grids or None, "gbt_base": None,
-               "selection_in_fold": False, "eval_on_test_fold": False,
-               "expand_grid": False}
-    return sweep._config_stamp(0, pipelines, params, options)
+def ref_config_stamp(seed, pipelines, params, options):
+    """The stamp as it was computed from one pipeline per cleaning."""
+    doc = {key: asdict(value) if is_dataclass(value) else value
+           for key, value in options.items()}
+    doc.update(seed=seed, params=asdict(params),
+               pipelines={kind: asdict(p) for kind, p in pipelines.items()})
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _options(grids):
+    return {"grids": grids or None, "gbt_base": None,
+            "selection_in_fold": False, "eval_on_test_fold": False,
+            "expand_grid": False}
 
 
 def new_space_and_stamp(cfg):
     blocks = cli._read_config(cfg)
     space = blocks["space"]
-    return space, _stamp({kind: replace(blocks["pipeline"], kind=kind)
-                          for kind in space.cleanings},
-                         blocks["features"], blocks["grids"])
+    return space, sweep._config_stamp(
+        0, blocks["pipeline"], space.cleanings, blocks["features"],
+        _options(blocks["grids"]))
 
 
 def old_space_and_stamp(cfg):
     space = ref_space_from_config(cfg)
-    return space, _stamp({kind: ref_build_pipeline(kind, cfg)
-                          for kind in space.cleanings},
-                         ref_feature_params(cfg), ref_grids(cfg))
+    return space, ref_config_stamp(
+        0, {kind: ref_build_pipeline(kind, cfg) for kind in space.cleanings},
+        ref_feature_params(cfg), _options(ref_grids(cfg)))
 
 
 def _outcome(build, cfg):

@@ -24,7 +24,7 @@ FAST_GRIDS = {"gbt": ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},),
               "svm": ({"c": 1.0, "gamma_rbf": "scale"},)}
 FAST_GBT = GbtConfig(n_rounds=30, early_stopping_rounds=10)
 
-PIPELINES = {kind: CleaningPipeline(kind=kind) for kind in PIPELINE_KINDS}
+PIPELINE = CleaningPipeline()
 
 SMALL_SPACE = SweepSpace(cleanings=("raw", "filtered"), divisors=(1, 2),
                          subset_sizes=(1,), channels=("P3", "Cz"),
@@ -81,10 +81,10 @@ def _cells(spec):
 
 def _run_uncached(cohort, specs, seed):
     """Every spec on its own fresh table: nothing is shared between specs."""
-    return [run_one(cohort, spec, seed,
-                    feature_vectors(cohort, _cells(spec), PIPELINES,
-                                    DEFAULT_PARAMS),
-                    grids=FAST_GRIDS, gbt_base=FAST_GBT) for spec in specs]
+    return [record for spec in specs for record in run_one(
+        cohort, spec, seed,
+        feature_vectors(cohort, _cells(spec), PIPELINE, DEFAULT_PARAMS),
+        grids=FAST_GRIDS, gbt_base=FAST_GBT)]
 
 
 def test_run_sweep_cache_matches_uncached(small_cohort):
@@ -223,18 +223,18 @@ def test_results_csv_round_trips_any_error_text(records):
 
 def test_stage_cache_reuses_cleaning(small_cohort, monkeypatch):
     cohort, _ = small_cohort
-    cleaned = []  # (subject, cleaning) of every run_pipeline call
-    real = cleaning.run_pipeline
+    filtered = []  # subject of every fir_bandpass call
+    real = cleaning.fir_bandpass
 
-    def run_pipeline(rec, pipeline):
-        cleaned.append((rec.subject_id, pipeline.kind))
-        return real(rec, pipeline)
-    monkeypatch.setattr(cleaning, "run_pipeline", run_pipeline)
+    def fir_bandpass(rec, params):
+        filtered.append(rec.subject_id)
+        return real(rec, params)
+    monkeypatch.setattr(cleaning, "fir_bandpass", fir_bandpass)
     cell = ("filtered", SegmentSpec(1, 1), "P3")
-    vectors = feature_vectors(cohort[:1], [cell, cell], PIPELINES,
+    vectors = feature_vectors(cohort[:1], [cell, cell], PIPELINE,
                               DEFAULT_PARAMS)
     v1 = vectors["adhd000", "filtered", "1/1", "P3"]
-    assert ("adhd000", "filtered") in cleaned
+    assert filtered == ["adhd000"]
     v2 = vector_fn(vectors, "filtered", SegmentSpec(1, 1))(cohort[0], "P3")
     assert np.array_equal(v1, v2)
     assert len(vectors) == 1
@@ -275,7 +275,7 @@ def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cleaning, "run_pipeline")
+    counted(cleaning, "walk_pipeline")
     counted(features, "extract_channel")
     runs = {}
     for cached in (True, False):
@@ -287,13 +287,13 @@ def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
             records = _run_uncached(cohort, specs, 4)
         runs[cached] = (dict(calls), _dump(records))
     assert runs[True][1] == runs[False][1]
-    # cached, each (subject, cleaning) is cleaned once; uncached, once per
-    # spec. Every spec here needs its own (cleaning, chunk, channel) vector,
-    # so both extract once per spec and subject.
+    # cached, each subject is walked through the cleanings once; uncached,
+    # once per spec. Every spec here needs its own (cleaning, chunk,
+    # channel) vector, so both extract once per spec and subject.
     n = len(cohort)
-    assert runs[True][0] == {"run_pipeline": 2 * n,
+    assert runs[True][0] == {"walk_pipeline": n,
                              "extract_channel": len(specs) * n}
-    assert runs[False][0] == {"run_pipeline": len(specs) * n,
+    assert runs[False][0] == {"walk_pipeline": len(specs) * n,
                               "extract_channel": len(specs) * n}
 
 
@@ -383,7 +383,8 @@ class _LazyCache:
     def cleaned(self, rec, kind):
         key = (rec.subject_id, kind)
         if key not in self._cleaned:
-            self._cleaned[key] = cleaning.run_pipeline(rec, PIPELINES[kind])
+            self._cleaned[key] = cleaning.run_pipeline(
+                rec, CleaningPipeline(kind=kind))
         return self._cleaned[key]
 
     def vector(self, rec, kind, chunk, channel):
@@ -487,14 +488,14 @@ def test_workers_neither_clean_nor_extract(small_cohort, monkeypatch,
     cohort, _ = small_cohort
     specs = small_specs()
     log = tmp_path / "calls.log"
-    _log_calls(monkeypatch, log, cleaning, "run_pipeline")
+    _log_calls(monkeypatch, log, cleaning, "fir_bandpass")
     _log_calls(monkeypatch, log, features, "extract_channel")
     records = run_sweep(cohort, specs, seed=2, grids=FAST_GRIDS,
                         gbt_base=FAST_GBT, jobs=2)
     calls = [line.split() for line in log.read_text().splitlines()]
     assert {pid for pid, _ in calls} == {str(os.getpid())}
     assert Counter(name for _, name in calls) == {
-        "run_pipeline": 2 * len(cohort),
+        "fir_bandpass": len(cohort),
         "extract_channel": len(specs) * len(cohort)}
     assert all(r.ok for r in records)
 
@@ -502,19 +503,67 @@ def test_workers_neither_clean_nor_extract(small_cohort, monkeypatch,
 def test_failing_cleaning_is_attempted_once(small_cohort, monkeypatch):
     cohort, _ = small_cohort
     attempts = Counter()
-    real = cleaning.run_pipeline
+    real = cleaning.fir_bandpass
 
-    def run_pipeline(rec, pipeline):
-        attempts[rec.subject_id, pipeline.kind] += 1
-        if pipeline.kind == "filtered" and rec.subject_id == "adhd002":
+    def fir_bandpass(rec, params):
+        attempts[rec.subject_id] += 1
+        if rec.subject_id == "adhd002":
             raise RuntimeError("no clean data in %s" % rec.subject_id)
-        return real(rec, pipeline)
-    monkeypatch.setattr(cleaning, "run_pipeline", run_pipeline)
+        return real(rec, params)
+    monkeypatch.setattr(cleaning, "fir_bandpass", fir_bandpass)
     specs = small_specs()
     records = run_sweep(cohort, specs, seed=4, grids=FAST_GRIDS,
                         gbt_base=FAST_GBT)
-    assert len(attempts) == 2 * len(cohort)
+    assert len(attempts) == len(cohort)
     assert set(attempts.values()) == {1}
     for spec, rec in zip(specs, records):
         assert rec.error == ("RuntimeError: no clean data in adhd002"
                              if spec.cleaning == "filtered" else "")
+
+
+def test_each_subject_is_filtered_and_calibrated_once(small_cohort,
+                                                      monkeypatch):
+    """A sweep over the four cleanings runs FIR and ASR calibration once
+    per subject: asr continues the filtered stage and ica the asr stage,
+    instead of each starting again from raw."""
+    cohort, _ = small_cohort
+    calls = Counter()
+    for name in ("fir_bandpass", "asr_calibrate"):
+        real = getattr(cleaning, name)
+
+        def wrapper(rec, params, name=name, real=real):
+            calls[name, rec.subject_id] += 1
+            return real(rec, params)
+        monkeypatch.setattr(cleaning, name, wrapper)
+    specs = enumerate_space(SweepSpace(
+        divisors=(1,), channels=("P3",), classifiers=("knn",),
+        selection_flags=(False,)))
+    records = run_sweep(cohort, specs, seed=0, grids=FAST_GRIDS)
+    assert [r.cleaning for r in records] == list(PIPELINE_KINDS)
+    assert all(r.ok for r in records)
+    assert calls == {(name, rec.subject_id): 1 for rec in cohort
+                     for name in ("fir_bandpass", "asr_calibrate")}
+
+
+def test_a_failed_stage_fails_every_later_cleaning(failing_cohort,
+                                                   monkeypatch):
+    """adhd002 (9 s) fails ASR calibration: its asr and ica vectors hold
+    that one exception, calibration is attempted once, and its raw and
+    filtered vectors are extracted."""
+    calibrations = []
+    real = cleaning.asr_calibrate
+
+    def asr_calibrate(rec, params):
+        calibrations.append(rec.subject_id)
+        return real(rec, params)
+    monkeypatch.setattr(cleaning, "asr_calibrate", asr_calibrate)
+    whole = SegmentSpec(1, 1)
+    vectors = feature_vectors(
+        failing_cohort[2:3], [(kind, whole, "P3") for kind in PIPELINE_KINDS],
+        PIPELINE, DEFAULT_PARAMS)
+    asr = vectors["adhd002", "asr", "1/1", "P3"]
+    assert calibrations == ["adhd002"]
+    assert vectors["adhd002", "ica", "1/1", "P3"] is asr
+    assert str(asr).startswith("insufficient clean calibration data")
+    assert all(vectors["adhd002", kind, "1/1", "P3"].shape == (53,)
+               for kind in ("raw", "filtered"))
