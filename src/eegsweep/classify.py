@@ -9,6 +9,7 @@ neighbors. Everything is deterministic under a fixed seed.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,12 +55,13 @@ class CvResult:
     spread: float
     best_config: dict
     fold_confusions: list    # (tn, fp, fn, tp) per fold
+    error: Exception = None  # why a dropped grid point failed
 
 
 # ---------------------------------------------------------------------------
 # gradient-boosted trees
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     feature: int = -1
     threshold: float = 0.0
@@ -71,82 +73,6 @@ class TreeNode:
     @property
     def is_leaf(self):
         return self.feature < 0
-
-
-class _TreeBuilder:
-    """Greedy exact split search, vectorized over all features at once.
-
-    Features are argsorted once per training. Each node holds its own rows
-    in that presorted order (a d x k index matrix and the matching values)
-    and hands a stable partition of both to its children, so split search
-    at a node costs O(d k), not O(d n). Each training row's leaf value is
-    recorded as the rows are partitioned.
-    """
-
-    def __init__(self, x, cfg):
-        self.x = x
-        self.cfg = cfg
-        order = np.argsort(x, axis=0, kind="stable")             # n x d
-        self.root_idx = np.ascontiguousarray(order.T)             # d x n
-        self.root_xs = np.take_along_axis(x, order, 0).T.copy()  # d x n
-        self.root_rows = np.arange(x.shape[0])
-
-    def build(self, g, h):
-        """Grow one tree; returns it and every training row's leaf value."""
-        out = np.empty(self.x.shape[0])
-        tree = self._grow(g, h, self.root_rows, self.root_idx, self.root_xs,
-                          0, out)
-        return tree, out
-
-    def _grow(self, g, h, rows, idx, xs, depth, out):
-        # rows ascending; idx[j] and xs[j] are the same rows sorted by
-        # feature j
-        cfg = self.cfg
-        g_sum = float(g[rows].sum())
-        h_sum = float(h[rows].sum())
-        leaf = TreeNode(leaf_value=-g_sum / (h_sum + cfg.lambda_))
-        k = rows.size
-        if depth >= cfg.max_depth or k < 2:
-            out[rows] = leaf.leaf_value
-            return leaf
-        gl = np.cumsum(g[idx], axis=1)[:, :-1]
-        hl = np.cumsum(h[idx], axis=1)[:, :-1]
-        gr = g_sum - gl
-        hr = h_sum - hl
-        parent = g_sum * g_sum / (h_sum + cfg.lambda_)
-        gain = 0.5 * (gl ** 2 / (hl + cfg.lambda_)
-                      + gr ** 2 / (hr + cfg.lambda_) - parent) - cfg.gamma
-        ok = (np.diff(xs, axis=1) > 0) \
-            & (hl >= cfg.min_child_hessian) & (hr >= cfg.min_child_hessian)
-        gain[~ok] = -np.inf
-        flat = int(np.argmax(gain))
-        feat, cut = divmod(flat, gain.shape[1])
-        best_gain = float(gain[feat, cut])
-        if best_gain <= 0.0:
-            out[rows] = leaf.leaf_value
-            return leaf
-        thr = 0.5 * (xs[feat, cut] + xs[feat, cut + 1])
-        node = TreeNode(feature=int(feat), threshold=float(thr),
-                        gain=best_gain)
-        goes_left = self.x[:, feat] <= thr
-        left = goes_left[rows]
-        sorted_left = goes_left[idx]
-        sorted_right = ~sorted_left
-        d = idx.shape[0]
-        node.left = self._grow(
-            g, h, rows[left], idx[sorted_left].reshape(d, -1),
-            xs[sorted_left].reshape(d, -1), depth + 1, out)
-        node.right = self._grow(
-            g, h, rows[~left], idx[sorted_right].reshape(d, -1),
-            xs[sorted_right].reshape(d, -1), depth + 1, out)
-        return node
-
-
-def _tree_depth(node):
-    """Depth of the deepest leaf; a lone leaf has depth 0."""
-    if node.is_leaf:
-        return 0
-    return 1 + max(_tree_depth(node.left), _tree_depth(node.right))
 
 
 def _tree_predict(node, x):
@@ -163,10 +89,15 @@ def _tree_predict(node, x):
     return out
 
 
+def _sigmoid(raw):
+    return 1.0 / (1.0 + np.exp(-raw))
+
+
 def _logloss(y, prob):
+    """Mean logloss along the last axis: one value per row of a matrix."""
     eps = 1e-12
     p = np.clip(prob, eps, 1.0 - eps)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
 
 
 @dataclass
@@ -185,10 +116,387 @@ class GbtModel:
         return raw
 
     def predict_proba(self, x):
-        return 1.0 / (1.0 + np.exp(-self.predict_raw(x)))
+        return _sigmoid(self.predict_raw(x))
 
     def predict(self, x):
         return (self.predict_proba(x) >= 0.5).astype(int)
+
+
+#: Padded elements (boosters x features x rows) of one lockstep wave's
+#: root level; more pending fits than that are grown in several waves.
+_WAVE_ELEMENTS = 1 << 18
+#: Padded elements (row positions x nodes x features) that one pass of
+#: the split search or the partition works on; larger levels are cut,
+#: which bounds the memory of a deep level with many nodes.
+_CHUNK_ELEMENTS = 1 << 15
+
+
+@dataclass
+class _Fit:
+    """One pending booster: float64 training rows and labels, its config,
+    the (x, y) set that early stopping watches or None, and the rows
+    whose raw score at the best round is returned."""
+    x: np.ndarray
+    y: np.ndarray
+    cfg: GbtConfig
+    eval_set: tuple = None
+    test_x: np.ndarray = None
+
+
+def _check_fit_data(x, y):
+    if not np.all(np.isfinite(x)):
+        raise ValueError("feature matrix contains non-finite values")
+    if np.unique(y).size < 2:
+        raise ValueError("training labels contain a single class")
+
+
+def _boost(fits):
+    """Boost every fit in lockstep; one (model, test raw score, depth of
+    the deepest leaf of any tree) per fit, in order."""
+    out, wave = [], []
+    for fit in fits:
+        grown = wave + [fit]
+        if wave and len(grown) * max(f.x.shape[1] for f in grown) \
+                * max(f.x.shape[0] for f in grown) > _WAVE_ELEMENTS:
+            out += _Wave(wave).run()
+            grown = [fit]
+        wave = grown
+    return out + (_Wave(wave).run() if wave else [])
+
+
+def _node_sums(gh, rows, node, k):
+    """Gradient and hessian sums of each node over exactly its k rows.
+
+    `rows` are the live training rows, ascending, and `node` their nodes.
+    Laid out node by node in order of k, ascending within a node, the
+    rows of the nodes of one k form a (nodes, k) block; summed along the
+    last axis of a C-ordered `np.take`, each node's terms are grouped by
+    numpy's pairwise summation as for the node alone.
+    """
+    order = np.argsort(k, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    rows = rows[np.argsort(rank[node], kind="stable")]
+    ks = k[order]
+    edges = [0, *(np.flatnonzero(np.diff(ks)) + 1).tolist(), k.size]
+    sums = np.empty((2, k.size))
+    lo = 0
+    for a, b in zip(edges, edges[1:]):
+        hi = lo + (b - a) * int(ks[a])
+        sums[:, order[a:b]] = np.take(
+            gh, rows[lo:hi].reshape(b - a, -1), axis=1).sum(axis=2)
+        lo = hi
+    return sums
+
+
+def _chunks(k, d):
+    """(slice, width) pieces of nodes listed in descending k: each piece
+    pads its nodes to its first node's k and holds about _CHUNK_ELEMENTS
+    padded elements, at least one node."""
+    out, a = [], 0
+    while a < k.size:
+        width = int(k[a])
+        b = min(k.size, a + max(1, _CHUNK_ELEMENTS // (width * d)))
+        out.append((slice(a, b), width))
+        a = b
+    return out
+
+
+def _best_splits(wave, idx, g_sum, h_sum, lam, gamma, min_hess):
+    """Exact greedy split search for a level of nodes at once.
+
+    idx is (row position, node, feature): each node's rows presorted
+    by every feature, padded at the end with the sentinel row m
+    (gradient and hessian 0, features NaN). Prefix sums over the padding
+    stay those of the node alone, and the first maximum in (feature,
+    cut) order wins, as in a node-at-a-time search; the gain is the same
+    expression, evaluated in place. A cut needs distinct values on its
+    two sides, so none reaches into the padding, whose values are NaN.
+    Returns each node's feature, threshold and gain; a gain <= 0 means
+    no split.
+    """
+    gh, x = wave.gh, wave.x
+    width, n, d = idx.shape
+    g_sum, h_sum, lam = g_sum[:, None], h_sum[:, None], lam[:, None]
+    gl, hl = sums = np.take(gh, idx[:-1], axis=1, mode="clip")
+    for i in range(1, width - 1):   # cumsum's order, across all nodes
+        sums[:, i] += sums[:, i - 1]
+    gr = g_sum - gl
+    hr = h_sum - hl
+    xs = np.take(x, idx * d + np.arange(d))
+    bad = ~(xs[1:] > xs[:-1])
+    min_hess = min_hess[:, None]
+    bad |= hl < min_hess
+    bad |= hr < min_hess
+    gain = np.square(gl, out=gl)
+    hl += lam
+    gain /= hl
+    np.square(gr, out=gr)
+    hr += lam
+    gr /= hr
+    gain += gr
+    gain -= g_sum * g_sum / (h_sum + lam)
+    gain *= 0.5
+    gain -= gamma[:, None]
+    np.copyto(gain, -np.inf, where=bad)
+    # the first feature holding the node's maximum, then its first cut
+    nodes = np.arange(n)
+    feat = gain.max(axis=0).argmax(axis=1)
+    column = gain[:, nodes, feat]
+    cut = column.argmax(axis=0)
+    thr = 0.5 * (x[idx[cut, nodes, feat], feat]
+                 + x[idx[cut + 1, nodes, feat], feat])
+    return feat, thr, column[cut, nodes]
+
+
+def _partition(idx, fill, left):
+    """Stable partition of each node's padded rows between its two
+    children.
+
+    idx and the `left` mask are (row position, node, feature). Returns
+    (row position, child, feature) with children 2i and 2i + 1 of node
+    i, padded with `fill`. A row moves to the count of its side's rows
+    before it; padding goes right, where it lands in the right child's
+    padding.
+    """
+    k, nodes, d = left.shape
+    step = nodes * 2 * d
+    shift = left.astype(np.intp)
+    for i in range(1, k):
+        shift[i] += shift[i - 1]
+    shift *= step
+    # flat (row position, node, side, feature) destination
+    dest = (np.arange(k) * step + d)[:, None, None] - shift
+    shift -= dest
+    shift -= step
+    shift *= left
+    dest += shift
+    dest += np.arange(nodes)[:, None] * 2 * d + np.arange(d)
+    half = np.full((k, nodes * 2, d), fill)
+    half.ravel()[dest] = idx
+    return half
+
+
+class _Wave:
+    """Boosters grown in lockstep, each round one tree level per pass.
+
+    All boosters' rows share one row space: the training rows, a
+    sentinel row m with gradient and hessian 0 and NaN features, then
+    the eval and test rows ("routed" rows). Every row follows its
+    booster's tree down by `x[:, feature] <= threshold`, the comparison
+    that splits training rows, until it reaches a leaf. A searched node
+    holds its training rows presorted by each feature, padded with the
+    sentinel, in arrays whose first axis is the row position, so each
+    cumsum runs across all nodes at once; its children get a stable
+    partition of them. No sum, split or tie-break differs from growing
+    each booster alone.
+    """
+
+    def __init__(self, fits):
+        self.fits = fits
+        cfgs = [f.cfg for f in fits]
+        ns = [f.x.shape[0] for f in fits]
+        ds = [f.x.shape[1] for f in fits]
+        # routed rows: every eval set, then every test set
+        routed = [(b, f.eval_set[0]) for b, f in enumerate(fits)
+                  if f.eval_set is not None] \
+            + [(b, f.test_x) for b, f in enumerate(fits)
+               if f.test_x is not None]
+        sizes = [a.shape[0] for _, a in routed]
+        blocks = [f.x for f in fits] + [np.full((1, 0), np.nan)] \
+            + [a for _, a in routed]
+        owner = list(range(len(fits))) + [-1] + [b for b, _ in routed]
+        off = np.cumsum([0] + [a.shape[0] for a in blocks])
+        m = int(off[len(fits)])
+        self.m, self.n = m, np.array(ns)
+        self.x = np.full((int(off[-1]), max(ds)), np.nan)
+        for a, lo in zip(blocks, off):
+            self.x[lo:lo + a.shape[0], :a.shape[1]] = a
+        self.row_booster = np.repeat(owner, np.diff(off))
+        self.eta_rows = np.repeat([c.eta for c in cfgs] + [0.0]
+                                  + [cfgs[b].eta for b, _ in routed],
+                                  np.diff(off))
+        width = max(ns)
+        root_idx = np.full((width, len(fits), max(ds)), m)
+        for b, f in enumerate(fits):
+            root_idx[:ns[b], b, :ds[b]] = np.argsort(f.x, axis=0,
+                                                     kind="stable") + off[b]
+        self.root_idx = root_idx
+        self.y = np.concatenate([f.y for f in fits], dtype=np.float64)
+        self.lam = np.array([c.lambda_ for c in cfgs])
+        self.gamma = np.array([c.gamma for c in cfgs])
+        self.min_hess = np.array([c.min_child_hessian for c in cfgs])
+        self.cap = np.array([c.max_depth for c in cfgs])
+        # eval sets grouped by length, as (boosters, row index matrix)
+        starts = off[len(fits) + 1:] - (m + 1)
+        n_eval = sum(f.eval_set is not None for f in fits)
+        self.eval_y = np.concatenate(
+            [f.eval_set[1] for f in fits if f.eval_set is not None] + [[]],
+            dtype=np.float64)
+        self.eval_groups = []
+        for size in sorted(set(sizes[:n_eval])):
+            sel = [i for i in range(n_eval) if sizes[i] == size]
+            self.eval_groups.append((
+                [routed[i][0] for i in sel],
+                starts[sel][:, None] + np.arange(size)))
+        self.test_rows = {routed[i][0]: slice(starts[i], starts[i + 1])
+                          for i in range(n_eval, len(routed))}
+        self.gh = np.zeros((2, m + 1))
+
+    def run(self):
+        fits, nb, m = self.fits, len(self.fits), self.m
+        trees = [[] for _ in range(nb)]
+        hist = [[] for _ in range(nb)]
+        best_eval, best_round = [math.inf] * nb, [0] * nb
+        test_raw = [None] * nb
+        depth = np.zeros(nb, dtype=int)
+        rounds = np.array([f.cfg.n_rounds for f in fits])
+        stopped = np.zeros(nb, dtype=bool)
+        raw = np.zeros(self.x.shape[0])
+        for rnd in range(int(rounds.max())):
+            active = ~stopped & (rnd < rounds)
+            if not active.any():
+                break
+            prob = _sigmoid(raw[:m])
+            self.gh[0, :-1] = prob - self.y
+            self.gh[1, :-1] = prob * (1.0 - prob)
+            raw += self.eta_rows * self._grow(np.flatnonzero(active), trees,
+                                              depth)
+            raw_routed = raw[m + 1:]
+            prob_routed = _sigmoid(raw_routed[:self.eval_y.size])
+            for boosters, rows in self.eval_groups:
+                losses = _logloss(self.eval_y[rows], prob_routed[rows])
+                for b, ll in zip(boosters, losses.tolist()):
+                    if not active[b]:
+                        continue
+                    hist[b].append(ll)
+                    if ll < best_eval[b] - 1e-12:
+                        best_eval[b] = ll
+                        best_round[b] = rnd + 1
+                    elif rnd + 1 - best_round[b] \
+                            >= fits[b].cfg.early_stopping_rounds:
+                        stopped[b] = True
+                    if b in self.test_rows and (rnd == 0
+                                                or best_round[b] == rnd + 1):
+                        test_raw[b] = raw_routed[self.test_rows[b]].copy()
+        out = []
+        for b, f in enumerate(fits):
+            if f.eval_set is None:
+                best = len(trees[b])
+                if b in self.test_rows:
+                    test_raw[b] = raw[m + 1:][self.test_rows[b]]
+            else:
+                best = best_round[b] or 1
+            model = GbtModel(
+                trees=trees[b], config=f.cfg, best_iteration=best,
+                feature_names=["f%d" % i for i in range(f.x.shape[1])],
+                eval_logloss=hist[b])
+            out.append((model, test_raw[b], int(depth[b])))
+        return out
+
+    def _grow(self, active, trees, depth):
+        """One tree for each active booster; returns every row's leaf
+        value (0 for rows of other boosters)."""
+        m = self.m
+        # a level lists its searched nodes first, by descending k; idx
+        # holds their rows
+        searched = (self.cap[active] > 0) & (self.n[active] >= 2)
+        first = active[searched]
+        booster = np.concatenate([
+            first[np.argsort(-self.n[first], kind="stable")],
+            active[~searched]])
+        k = self.n[booster]
+        n_search = int(searched.sum())
+        idx = np.take(self.root_idx, booster[:n_search], axis=1, mode="clip")
+        nodes = [TreeNode() for _ in booster]
+        for b, node in zip(booster.tolist(), nodes):
+            trees[b].append(node)
+        level_of = np.full(len(self.fits) + 1, -1)
+        level_of[booster] = np.arange(booster.size)
+        node_of = level_of[self.row_booster]    # -1 once in a leaf
+        leaf_value = np.zeros(node_of.size)
+        level = 0
+        while True:
+            depth[booster] = np.maximum(depth[booster], level)
+            live = np.flatnonzero(node_of >= 0)  # training rows come first
+            at = node_of[live]
+            train = int(k.sum())
+            g_sum, h_sum = _node_sums(self.gh, live[:train], at[:train], k)
+            lam = self.lam[booster]
+            leaf = -g_sum / (h_sum + lam)
+            split = np.zeros(booster.size, dtype=bool)
+            if n_search:
+                s = booster[:n_search]
+                feat, thr, gain = (np.concatenate(part) for part in zip(*(
+                    _best_splits(self, idx[:width, c], g_sum[c], h_sum[c],
+                                 lam[c], self.gamma[s[c]],
+                                 self.min_hess[s[c]])
+                    for c, width in _chunks(k[:n_search], idx.shape[2]))))
+                split[:n_search] = ~(gain <= 0.0)
+            ends = ~split[at]
+            leaf_value[live[ends]] = leaf[at[ends]]
+            node_of[live[ends]] = -1
+            done = np.flatnonzero(~split)
+            for i, v in zip(done.tolist(), leaf[done].tolist()):
+                nodes[i].leaf_value = v
+            sp = np.flatnonzero(split)
+            if not sp.size:
+                return leaf_value
+            # send each row left or right: child 2i or 2i + 1 of split i;
+            # then list the children, searched ones first by descending k
+            go, at = live[~ends], at[~ends]
+            left = self.x[go, feat[at]] <= thr[at]
+            child = 2 * (np.cumsum(split) - 1)[at] + ~left
+            train = int(k[sp].sum())
+            child_k = np.bincount(child[:train], minlength=2 * sp.size)
+            child_booster = np.repeat(booster[sp], 2)
+            child_searched = (level + 1 < self.cap[child_booster]) \
+                & (child_k >= 2)
+            searched = np.flatnonzero(child_searched)
+            searched = searched[np.argsort(-child_k[searched], kind="stable")]
+            order = np.concatenate([searched,
+                                    np.flatnonzero(~child_searched)])
+            slot = np.empty_like(order)
+            slot[order] = np.arange(order.size)
+            node_of[go] = slot[child]
+            if searched.size:
+                parents = np.flatnonzero(child_searched.reshape(-1, 2)
+                                         .any(axis=1))
+                goes_left = np.zeros(m + 1, dtype=bool)
+                goes_left[go[:train]] = left[:train]
+                # each searched child's parent rank and its column among
+                # the children of its piece of parents
+                rank = np.zeros(sp.size, dtype=int)
+                rank[parents] = np.arange(parents.size)
+                rank = rank[searched // 2]
+                by_rank = np.argsort(rank, kind="stable")
+                d = idx.shape[2]
+                new = np.full((int(child_k[searched[0]]), searched.size, d),
+                              m)
+                for c, width in _chunks(k[sp[parents]], d):
+                    p_idx = np.take(idx[:width], sp[parents[c]], axis=1,
+                                    mode="clip")
+                    half = _partition(p_idx, m, np.take(goes_left, p_idx,
+                                                        mode="clip"))
+                    mine = by_rank[slice(*np.searchsorted(
+                        rank[by_rank], [c.start, c.stop]))]
+                    width = min(width, new.shape[0])
+                    new[:width, mine] = np.take(
+                        half[:width], 2 * (rank[mine] - c.start)
+                        + searched[mine] % 2, axis=1)
+                idx = new
+            children = [TreeNode() for _ in order]
+            for p, f, t, g, a, b in zip(
+                    sp.tolist(), feat[sp].tolist(),
+                    thr[sp].tolist(), gain[sp].tolist(),
+                    slot[0::2].tolist(), slot[1::2].tolist()):
+                node = nodes[p]
+                node.feature, node.threshold, node.gain = f, t, g
+                node.left, node.right = children[a], children[b]
+            nodes = children
+            booster, k = child_booster[order], child_k[order]
+            n_search = searched.size
+            level += 1
 
 
 def gbt_train(x, y, cfg=GbtConfig(), eval_set=None, feature_names=None):
@@ -201,47 +509,13 @@ def gbt_train(x, y, cfg=GbtConfig(), eval_set=None, feature_names=None):
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("feature matrix contains non-finite values")
-    classes = np.unique(y)
-    if classes.size < 2:
-        raise ValueError("training labels contain a single class")
-    if feature_names is None:
-        feature_names = ["f%d" % i for i in range(x.shape[1])]
-
-    raw = np.zeros(x.shape[0])
-    raw_eval = None
+    _check_fit_data(x, y)
     if eval_set is not None:
-        x_eval = np.asarray(eval_set[0], dtype=np.float64)
-        y_eval = np.asarray(eval_set[1], dtype=np.float64)
-        raw_eval = np.zeros(x_eval.shape[0])
-
-    trees = []
-    eval_hist = []
-    best_eval = math.inf
-    best_round = 0
-    builder = _TreeBuilder(x, cfg)
-    for rnd in range(cfg.n_rounds):
-        prob = 1.0 / (1.0 + np.exp(-raw))
-        g = prob - y
-        h = prob * (1.0 - prob)
-        tree, leaf_values = builder.build(g, h)
-        trees.append(tree)
-        raw += cfg.eta * leaf_values
-        if raw_eval is not None:
-            raw_eval += cfg.eta * _tree_predict(tree, x_eval)
-            ll = _logloss(y_eval, 1.0 / (1.0 + np.exp(-raw_eval)))
-            eval_hist.append(ll)
-            if ll < best_eval - 1e-12:
-                best_eval = ll
-                best_round = rnd + 1
-            elif rnd + 1 - best_round >= cfg.early_stopping_rounds:
-                break
-    best_iteration = best_round if raw_eval is not None else len(trees)
-    if best_iteration == 0:
-        best_iteration = 1
-    return GbtModel(trees=trees, config=cfg, best_iteration=best_iteration,
-                    feature_names=list(feature_names), eval_logloss=eval_hist)
+        eval_set = tuple(np.asarray(a, dtype=np.float64) for a in eval_set)
+    model = _boost([_Fit(x, y, cfg, eval_set)])[0][0]
+    if feature_names is not None:
+        model.feature_names = list(feature_names)
+    return model
 
 
 def gbt_importance(model):
@@ -301,18 +575,9 @@ def knn_predict(train_x, train_y, test_x, k):
     a = scaler.transform(train_x)
     b = scaler.transform(test_x)
     d2 = ((b[:, None, :] - a[None, :, :]) ** 2).sum(axis=2)
-    out = np.empty(test_x.shape[0], dtype=int)
-    for i in range(test_x.shape[0]):
-        order = np.argsort(d2[i], kind="stable")
-        votes = train_y[order[:k]]
-        ones = int(votes.sum())
-        if ones * 2 > k:
-            out[i] = 1
-        elif ones * 2 < k:
-            out[i] = 0
-        else:
-            out[i] = train_y[order[0]]
-    return out
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    ones = train_y[nearest].sum(axis=1) * 2
+    return np.where(ones > k, 1, np.where(ones < k, 0, train_y[nearest[:, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -472,33 +737,73 @@ def _fit_predict(kind, train_x, train_y, test_x, cfg):
     raise ValueError("unknown classifier %r" % kind)
 
 
-def _gbt_fit_predict(fits, fold, train_x, train_y, test_x, test_y, cfg,
-                     seed, gbt_base, eval_on_test):
-    """GBT fold predictions, fitting once per distinct model.
+def _gbt_predictions(folds, grid, seed, gbt_base, eval_on_test):
+    """Each grid point's fold predictions, or the ValueError that one of
+    its fits raised, from as few boosters as the grid allows.
 
     A model grown under cap D whose deepest leaf sits at depth s < D never
-    met its cap, so every cap D' >= s grows it tree for tree. `fits` maps
-    (fold, config without max_depth) to (lowest cap, highest cap,
-    predictions) for the models fitted so far.
+    met its cap, so every cap D' >= s grows it tree for tree. Grid points
+    that differ only in max_depth form one chain per fold, taken in grid
+    order. A chain's next fit depends only on its own earlier fits, so
+    each wave grows the next pending fit of every chain in lockstep.
     """
-    full = replace(gbt_base or GbtConfig(), **cfg)
-    slot = fits.setdefault((fold, replace(full, max_depth=0)), [])
-    cap = full.max_depth
-    for lo, hi, pred in slot:
-        if lo <= cap <= hi:
-            return pred
-    if eval_on_test:
-        # laxer historical protocol: early stopping watches the CV test
-        # fold itself
-        model = gbt_train(train_x, train_y, full, eval_set=(test_x, test_y))
-    else:
-        tr_idx, ev_idx = stratified_split(train_y, 0.2, seed)
-        model = gbt_train(train_x[tr_idx], train_y[tr_idx], full,
-                          eval_set=(train_x[ev_idx], train_y[ev_idx]))
-    pred = model.predict(test_x)
-    depth = max(_tree_depth(t) for t in model.trees)
-    slot.append((depth, math.inf, pred) if depth < cap else (cap, cap, pred))
-    return pred
+    fold_fits = []      # (x, y, eval_set) per fold, or its data error
+    for fold, (tx, ty, sx, sy) in enumerate(folds):
+        if eval_on_test:
+            # laxer historical protocol: early stopping watches the CV
+            # test fold itself
+            fit = (tx, ty, (sx, sy))
+        else:
+            tr, ev = stratified_split(ty, 0.2, seed * 1000003 + fold)
+            fit = (tx[tr], ty[tr], (tx[ev], ty[ev]))
+        try:
+            _check_fit_data(fit[0], fit[1])
+        except ValueError as exc:
+            fit = exc
+        fold_fits.append(fit)
+    data_error = next((f for f in fold_fits if isinstance(f, ValueError)),
+                      None)
+    points = []         # (chain keys, cap) per grid point, or its error
+    pending = {}        # chain key -> its configs still to cover
+    for cfg in grid:
+        try:
+            full = replace(gbt_base or GbtConfig(), **cfg)
+        except ValueError as exc:
+            points.append(exc)
+            continue
+        if data_error is not None:
+            points.append(data_error)
+            continue
+        keys = [(fold, replace(full, max_depth=0))
+                for fold in range(N_FOLDS)]
+        for key in keys:
+            pending.setdefault(key, []).append(full)
+        points.append((keys, full.max_depth))
+    fitted = {key: [] for key in pending}   # (lowest cap, highest cap, pred)
+
+    def covering(key, cap):
+        return next((pred for lo, hi, pred in fitted[key] if lo <= cap <= hi),
+                    None)
+
+    while True:
+        wave = []
+        for key, configs in pending.items():
+            while configs and covering(key, configs[0].max_depth) is not None:
+                configs.pop(0)
+            if configs:
+                wave.append((key, configs.pop(0)))
+        if not wave:
+            break
+        grown = _boost([_Fit(fold_fits[fold][0], fold_fits[fold][1], cfg,
+                             fold_fits[fold][2], folds[fold][2])
+                        for (fold, _), cfg in wave])
+        for (key, cfg), (_, raw, depth) in zip(wave, grown):
+            pred = (_sigmoid(raw) >= 0.5).astype(int)
+            cap = cfg.max_depth
+            fitted[key].append((depth, math.inf, pred) if depth < cap
+                               else (cap, cap, pred))
+    return [p if isinstance(p, ValueError)
+            else [covering(key, p[1]) for key in p[0]] for p in points]
 
 
 def cross_validate(x, y, classifier, grid=None, seed=0, gbt_base=None,
@@ -513,6 +818,10 @@ def cross_validate(x, y, classifier, grid=None, seed=0, gbt_base=None,
     `selector(train_x, train_y) -> column indices` enables leakage-free
     in-fold feature selection. With return_all, one CvResult per grid
     point is returned instead of the best one.
+
+    A grid point whose fit raises ValueError in any fold is dropped with
+    a UserWarning; with return_all its CvResult carries the error. When
+    every point fails, the first point's error is raised.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=int)
@@ -520,54 +829,60 @@ def cross_validate(x, y, classifier, grid=None, seed=0, gbt_base=None,
         grid = DEFAULT_GRIDS[classifier]
     fold_of = stratified_folds(y, N_FOLDS, seed)
 
-    fold_data = []
+    folds = []          # (train x, train y, test x, test y)
     for fold in range(N_FOLDS):
-        test_idx = np.nonzero(fold_of == fold)[0]
         train_idx = np.nonzero(fold_of != fold)[0]
-        cols = None
+        tx, sx = x[train_idx], x[fold_of == fold]
         if selector is not None:
-            cols = selector(x[train_idx], y[train_idx])
-            if not len(cols):
-                cols = None  # no informative column; fall back to all
-        fold_data.append((train_idx, test_idx, cols))
+            cols = selector(tx, y[train_idx])
+            if len(cols):   # no informative column: fall back to all
+                tx, sx = tx[:, cols], sx[:, cols]
+        folds.append((tx, y[train_idx], sx, y[fold_of == fold]))
+
+    if classifier == "gbt":
+        preds = _gbt_predictions(folds, grid, seed, gbt_base,
+                                 eval_on_test_fold)
+    else:
+        preds = []
+        for cfg in grid:
+            try:
+                preds.append([_fit_predict(classifier, tx, ty, sx, cfg)
+                              for tx, ty, sx, _ in folds])
+            except ValueError as exc:
+                preds.append(exc)
 
     results = []
-    gbt_fits = {}
-    for cfg in grid:
+    for cfg, pred in zip(grid, preds):
+        if isinstance(pred, ValueError):
+            results.append(CvResult([], math.nan, math.nan, dict(cfg), [],
+                                    error=pred))
+            continue
         accs = []
         confusions = []
-        for fold, (train_idx, test_idx, cols) in enumerate(fold_data):
-            tx, sx = x[train_idx], x[test_idx]
-            if cols is not None:
-                tx, sx = tx[:, cols], sx[:, cols]
-            if classifier == "gbt":
-                pred = _gbt_fit_predict(
-                    gbt_fits, fold, tx, y[train_idx], sx, y[test_idx], cfg,
-                    seed * 1000003 + fold, gbt_base, eval_on_test_fold)
-            else:
-                pred = _fit_predict(classifier, tx, y[train_idx], sx, cfg)
-            truth = y[test_idx]
-            accs.append(float(np.mean(pred == truth)))
-            tn = int(np.sum((pred == 0) & (truth == 0)))
-            fp = int(np.sum((pred == 1) & (truth == 0)))
-            fn = int(np.sum((pred == 0) & (truth == 1)))
-            tp = int(np.sum((pred == 1) & (truth == 1)))
+        for p, (_, _, _, truth) in zip(pred, folds):
+            accs.append(float(np.mean(p == truth)))
+            tn = int(np.sum((p == 0) & (truth == 0)))
+            fp = int(np.sum((p == 1) & (truth == 0)))
+            fn = int(np.sum((p == 0) & (truth == 1)))
+            tp = int(np.sum((p == 1) & (truth == 1)))
             confusions.append((tn, fp, fn, tp))
-        results.append((float(np.mean(accs)), cfg, accs, confusions))
+        results.append(CvResult(
+            fold_accuracies=accs, mean_accuracy=float(np.mean(accs)),
+            spread=float(np.std(accs, ddof=1)), best_config=dict(cfg),
+            fold_confusions=confusions))
 
-    def to_result(entry):
-        mean_acc, cfg, accs, confusions = entry
-        return CvResult(fold_accuracies=accs, mean_accuracy=mean_acc,
-                        spread=float(np.std(accs, ddof=1)),
-                        best_config=dict(cfg),
-                        fold_confusions=confusions)
-
+    valid = [r for r in results if r.error is None]
+    if results and not valid:
+        raise results[0].error
+    for r in results:
+        if r.error is not None:
+            warnings.warn("grid point %s dropped: %s: %s" % (
+                r.best_config, type(r.error).__name__, r.error))
     if return_all:
-        return [to_result(r) for r in results]
-    best_mean = max(r[0] for r in results)
-    best = min((r for r in results if r[0] == best_mean),
-               key=lambda r: _config_sort_key(r[1]))
-    return to_result(best)
+        return results
+    best_mean = max(r.mean_accuracy for r in valid)
+    return min((r for r in valid if r.mean_accuracy == best_mean),
+               key=lambda r: _config_sort_key(r.best_config))
 
 
 def train_final(x, y, cfg=GbtConfig(), split_seed=0, feature_names=None):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import asdict, fields, is_dataclass, replace
@@ -18,6 +20,7 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, classify, features, report, selection, sweep
 from .cleaning import PIPELINE_KINDS, CleaningPipeline, walk_pipeline
@@ -179,6 +182,14 @@ def load_config(args):
     return _read_config(cfg)
 
 
+def _usable_cpus():
+    """CPUs this process may run on; the machine's count where the
+    platform has no affinity call (macOS)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def write_provenance(out_dir, args, cfg):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -189,6 +200,11 @@ def write_provenance(out_dir, args, cfg):
         "seed": args.seed,
         "toolkit_version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        # the result bytes rest on numpy's summation and SIMD loops
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpus": _usable_cpus(),
     }
     _write_json(out_dir / "provenance.json", doc)
 

@@ -190,11 +190,16 @@ def run_one(cohort, spec, seed, vectors, grids=None, gbt_base=None,
             selector=selector, eval_on_test_fold=eval_on_test_fold,
             return_all=expand_grid)
     except Exception as exc:  # per-spec failures never abort the sweep
-        record.error = "%s: %s" % (type(exc).__name__, exc)
-        return [record]
+        return [replace(record, error=_error_text(exc))]
+    # a dropped grid point's record is an error row naming its config
     return [replace(record, accuracy=res.mean_accuracy, spread=res.spread,
-                    best_params=res.best_config)
+                    best_params=res.best_config,
+                    error="" if res.error is None else _error_text(res.error))
             for res in (result if expand_grid else [result])]
+
+
+def _error_text(exc):
+    return "%s: %s" % (type(exc).__name__, exc)
 
 
 _WORKER = {}

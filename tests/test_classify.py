@@ -242,6 +242,26 @@ def test_cv_deterministic_and_tie_break():
     assert r1.spread == pytest.approx(np.std(r1.fold_accuracies, ddof=1))
 
 
+def test_cv_drops_a_failing_grid_point():
+    x, y = separable_blobs(n=20, seed=9)
+    grid = ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},
+            {"max_depth": 2, "eta": 0.0, "gamma": 0.0})
+    with pytest.warns(UserWarning, match=r"'eta': 0.0.* dropped: ValueError: "
+                      r"eta must be in \(0, 1\]"):
+        every = cross_validate(x, y, "gbt", grid=grid, seed=0,
+                               return_all=True)
+    assert every[0].error is None and every[0].mean_accuracy >= 0.95
+    assert isinstance(every[1].error, ValueError)
+    assert every[1].fold_accuracies == [] and every[1].best_config == grid[1]
+    with pytest.warns(UserWarning):
+        best = cross_validate(x, y, "gbt", grid=grid, seed=0)
+    assert best.best_config == grid[0]
+    assert best.fold_accuracies == every[0].fold_accuracies
+    # when every point fails, the first point's error is raised
+    with pytest.raises(ValueError, match="k=99 exceeds training size 32"):
+        cross_validate(x, y, "knn", grid=({"k": 99}, {"k": 98}), seed=0)
+
+
 def test_cv_null_labels_near_chance():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((60, 10))

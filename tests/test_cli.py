@@ -1,8 +1,11 @@
 import json
+import os
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import eegsweep
 from eegsweep.cli import main
@@ -27,6 +30,23 @@ def test_synth_writes_cohort_and_truth(synth_dir):
     prov = json.loads((synth_dir / "provenance.json").read_text())
     assert prov["seed"] == 3
     assert "config_hash" in prov and "toolkit_version" in prov
+    # the numeric stack that produced the bytes
+    assert prov["numpy"] == np.__version__
+    assert prov["scipy"] == scipy.__version__
+    assert prov["python"] == platform.python_version()
+    assert prov["cpus"] == (len(os.sched_getaffinity(0))
+                            if hasattr(os, "sched_getaffinity")
+                            else os.cpu_count()) >= 1
+
+
+def test_provenance_cpus_without_affinity_call(tmp_path, monkeypatch):
+    # platforms without os.sched_getaffinity (macOS) record os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--subjects", "2",
+                 "--duration", "2", "--seed", "3"]) == 0
+    prov = json.loads((out / "provenance.json").read_text())
+    assert prov["cpus"] == os.cpu_count()
 
 
 def test_validate_ok(synth_dir, capsys):

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eegsweep import classify
 from eegsweep.classify import (GBT_GRID, GbtConfig, _logloss, _tree_predict,
                                cross_validate, gbt_train, stratified_folds,
                                stratified_split)
@@ -107,10 +108,8 @@ def payload():
     return golden_payload()
 
 
-@pytest.mark.parametrize("protocol", ["carve_out", "test_fold"])
-def test_gbt_grid_matches_golden(payload, protocol):
+def assert_matches_golden(got, protocol):
     golden = json.loads(GOLDEN.read_text())[protocol]
-    got = payload[protocol]
     assert len(got) == len(golden) == len(GBT_GRID) == 16
     for want, have in zip(golden, got):
         assert have["config"] == want["config"]
@@ -118,3 +117,26 @@ def test_gbt_grid_matches_golden(payload, protocol):
         assert have["fold_confusions"] == want["fold_confusions"]
         assert have["trees_sha256"] == want["trees_sha256"]
         assert have["logloss_sha256"] == want["logloss_sha256"]
+
+
+@pytest.mark.parametrize("protocol", ["carve_out", "test_fold"])
+def test_gbt_grid_matches_golden(payload, protocol):
+    assert_matches_golden(payload[protocol], protocol)
+
+
+def test_gbt_grid_matches_golden_in_pieces_and_waves(monkeypatch):
+    # one node per piece of every level, two boosters per wave; the lax
+    # protocol under small budgets is drawn in test_gbt_lockstep.py
+    monkeypatch.setattr(classify, "_CHUNK_ELEMENTS", 64)
+    monkeypatch.setattr(classify, "_WAVE_ELEMENTS", 2000)
+    x, y = tied_matrix()
+    results = cross_validate(x, y, "gbt", grid=GBT_GRID, seed=SEED,
+                             return_all=True)
+    golden = json.loads(GOLDEN.read_text())["carve_out"]
+    for cfg, want, have in zip(GBT_GRID, golden, results):
+        assert have.fold_accuracies == want["fold_accuracies"]
+        assert [list(c) for c in have.fold_confusions] \
+            == want["fold_confusions"]
+        assert [_sha([_tree_dict(t) for t in m.trees])
+                for m, _, _ in _fold_models(x, y, cfg, False)] \
+            == want["trees_sha256"]

@@ -20,14 +20,15 @@ def small_matrix(seed, effect):
 
 
 def count_fits(monkeypatch):
+    """The cap of every booster the lockstep engine is handed."""
     calls = []
-    real = classify.gbt_train
+    real = classify._boost
 
-    def counting(*args, **kwargs):
-        calls.append(args[2].max_depth)
-        return real(*args, **kwargs)
+    def counting(fits):
+        calls.extend(fit.cfg.max_depth for fit in fits)
+        return real(fits)
 
-    monkeypatch.setattr(classify, "gbt_train", counting)
+    monkeypatch.setattr(classify, "_boost", counting)
     return calls
 
 
@@ -103,3 +104,34 @@ def test_other_settings_never_share(monkeypatch):
             {"max_depth": 3, "eta": 0.3, "gamma": 1.0}]
     cross_validate(x, y, "gbt", grid=grid, gbt_base=BASE, return_all=True)
     assert len(calls) == 15
+
+
+def test_each_wave_searches_a_whole_level_per_pass(monkeypatch):
+    # noise under deep caps: trees of many nodes, so one search per node
+    # would need far more passes than one per level
+    x, y = small_matrix(3, 0.0)
+    waves = []
+    real_boost, real_search = classify._boost, classify._best_splits
+
+    def boost(fits):
+        waves.append({"fits": len(fits), "searches": 0,
+                      "cap": max(fit.cfg.max_depth for fit in fits),
+                      "rounds": max(fit.cfg.n_rounds for fit in fits)})
+        return real_boost(fits)
+
+    def search(wave, idx, *args):
+        waves[-1]["searches"] += 1
+        waves[-1]["nodes"] = waves[-1].get("nodes", 0) + idx.shape[1]
+        return real_search(wave, idx, *args)
+
+    monkeypatch.setattr(classify, "_boost", boost)
+    monkeypatch.setattr(classify, "_best_splits", search)
+    grid = [{"max_depth": d, "eta": e, "gamma": 0.0}
+            for d in (6, 12) for e in (0.1, 0.3)]
+    cross_validate(x, y, "gbt", grid=grid, gbt_base=BASE, return_all=True)
+    assert waves and waves[0]["fits"] == 10     # 5 folds x 2 etas
+    for wave in waves:
+        assert wave["searches"] <= wave["rounds"] * (wave["cap"] + 1)
+    # the passes served several nodes each
+    assert sum(w["nodes"] for w in waves) > 2 * sum(w["searches"]
+                                                   for w in waves)

@@ -252,6 +252,32 @@ def test_expand_grid_rows(small_cohort):
     assert params == [2, 3, 2, 3]
 
 
+def test_invalid_grid_point_is_dropped_not_the_spec(small_cohort):
+    # the default KNN grid's k=9 exceeds the 8 training rows of a fold
+    cohort, _ = small_cohort
+    specs = enumerate_space(SweepSpace(
+        cleanings=("raw",), divisors=(1,), subset_sizes=(1,),
+        channels=("P3",), classifiers=("knn",), selection_flags=(False,)))
+    text = "ValueError: k=9 exceeds training size 8"
+    with pytest.warns(UserWarning, match="grid point {'k': 9} dropped: "
+                      + text):
+        best = run_sweep(cohort, specs, seed=5)
+    with pytest.warns(UserWarning, match=text):
+        rows = run_sweep(cohort, specs, seed=5, expand_grid=True)
+    assert [r.best_params for r in rows] == [{"k": k} for k in (3, 5, 7, 9)]
+    assert [r.error for r in rows] == ["", "", "", text]
+    assert np.isnan(rows[3].accuracy) and np.isnan(rows[3].spread)
+    valid = rows[:3]
+    assert best[0].error == ""
+    assert best[0].accuracy == max(r.accuracy for r in valid)
+    assert best[0] in valid
+    # a spec fails only when every point fails, with the first error
+    failed = run_sweep(cohort, specs, seed=5,
+                       grids={"knn": ({"k": 50}, {"k": 60})})
+    assert [(r.error, r.best_params) for r in failed] == [
+        ("ValueError: k=50 exceeds training size 8", {})]
+
+
 def test_lax_early_stop_mode(small_cohort):
     cohort, _ = small_cohort
     specs = small_specs()[:1]
