@@ -307,10 +307,14 @@ def ica_decompose(rec, params=IcaParams()):
     rng = np.random.default_rng(params.rng_seed)
     w = _sym_decorrelate(rng.standard_normal((k, k)))
     converged = False
+    # the two k x samples arrays of every iteration, written in place
+    g = np.empty_like(z)
+    g_prime = np.empty_like(z)
     for _ in range(params.max_iter):
-        y = w @ z
-        g = np.tanh(y)
-        g_prime = 1.0 - g ** 2
+        np.matmul(w, z, out=g)
+        np.tanh(g, out=g)
+        np.square(g, out=g_prime)
+        np.subtract(1.0, g_prime, out=g_prime)
         w_new = (g @ z.T) / n_t - g_prime.mean(axis=1)[:, None] * w
         w_new = _sym_decorrelate(w_new)
         delta = float(np.max(np.abs(np.abs(np.einsum(

@@ -9,6 +9,9 @@ Defaults that fill gaps the underlying study left unspecified are marked
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -190,6 +193,60 @@ def _usable_cpus():
     return os.cpu_count()
 
 
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS bundled with
+    numpy's wheel, or None where numpy ships none (a system BLAS, a
+    source build)."""
+    root = Path(np.__file__).parent
+    paths = glob.glob(str(root.parent / "numpy.libs" / "*openblas*")) \
+        + glob.glob(str(root / ".dylibs" / "*openblas*"))
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_%s_num_threads64_",
+                     "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+            get = getattr(lib, name % "get", None)
+            put = getattr(lib, name % "set", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS on one thread for the block, and the count it had
+    restored afterwards. The largest product here is 19 x 19 x samples:
+    a second thread gains it no wall time and busy-waits between
+    FastICA's iterations, about doubling a cleaning's CPU time."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _blas_threads():
+    blas = _openblas()
+    return None if blas is None else blas[0]()
+
+
+def _blas_name():
+    """Name and version of the BLAS numpy was built with; None on numpy
+    1.24, whose show_config only prints."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return "%s %s" % (blas.get("name"), blas.get("version"))
+
+
 def write_provenance(out_dir, args, cfg):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -205,6 +262,9 @@ def write_provenance(out_dir, args, cfg):
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpus": _usable_cpus(),
+        "blas": _blas_name(),
+        # null where numpy bundles no OpenBLAS to count
+        "blas_threads": _blas_threads(),
     }
     _write_json(out_dir / "provenance.json", doc)
 
@@ -550,7 +610,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
-        return args.fn(args, load_config(args))
+        with _one_blas_thread():
+            return args.fn(args, load_config(args))
     except ConfigError as exc:
         print("error: config: %s" % exc, file=sys.stderr)
         return USAGE_ERROR

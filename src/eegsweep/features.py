@@ -245,18 +245,7 @@ def fractal(signal, kmax=10):
         log_n = math.log10(n - 1)
         denom = max(log_n + math.log10(d / total_len), 1e-12)
         katz = max(1.0, log_n / denom)
-    # Higuchi
-    lk = np.empty(kmax)
-    for k in range(1, kmax + 1):
-        lengths = []
-        for m in range(k):
-            idx = np.arange(m, n, k)
-            if idx.size < 2:
-                continue
-            lm = float(np.sum(np.abs(np.diff(x[idx]))))
-            norm = (n - 1) / (k * (idx.size - 1))
-            lengths.append(lm * norm / k)
-        lk[k - 1] = np.mean(lengths)
+    lk = _curve_lengths(x, kmax)
     valid = lk > 0
     if int(valid.sum()) < 2:
         return 1.0, katz
@@ -264,6 +253,26 @@ def fractal(signal, kmax=10):
     logl = np.log(lk[valid])
     slope = _ols_slope(logk, logl)
     return float(min(2.0, max(1.0, slope))), katz
+
+
+def _curve_lengths(x, kmax):
+    """Higuchi's mean normalized curve length L(k) for k = 1..kmax.
+
+    The curve that starts at sample m steps through x[m::k], so its steps
+    are every k-th of the lag-k differences, taken once per k. Curves of
+    fewer than two samples are left out.
+    """
+    n = x.size
+    lk = np.empty(kmax)
+    for k in range(1, kmax + 1):
+        d = np.abs(x[k:] - x[:-k])
+        lengths = []
+        for m in range(min(k, n - k)):
+            lm = float(np.sum(d[m::k]))
+            norm = (n - 1) / (k * ((n - 1 - m) // k))
+            lengths.append(lm * norm / k)
+        lk[k - 1] = np.mean(lengths)
+    return lk
 
 
 def _ols_slope(x, y):

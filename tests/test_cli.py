@@ -8,6 +8,7 @@ import pytest
 import scipy
 
 import eegsweep
+from eegsweep import cli
 from eegsweep.cli import main
 from eegsweep.features import FeatureMatrix
 
@@ -37,6 +38,10 @@ def test_synth_writes_cohort_and_truth(synth_dir):
     assert prov["cpus"] == (len(os.sched_getaffinity(0))
                             if hasattr(os, "sched_getaffinity")
                             else os.cpu_count()) >= 1
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert prov["blas"] == "%s %s" % (blas.get("name"), blas.get("version"))
+    # the command ran on one BLAS thread, or found no OpenBLAS to pin
+    assert prov["blas_threads"] == (None if cli._openblas() is None else 1)
 
 
 def test_provenance_cpus_without_affinity_call(tmp_path, monkeypatch):
@@ -47,6 +52,103 @@ def test_provenance_cpus_without_affinity_call(tmp_path, monkeypatch):
                  "--duration", "2", "--seed", "3"]) == 0
     prov = json.loads((out / "provenance.json").read_text())
     assert prov["cpus"] == os.cpu_count()
+
+
+def test_provenance_blas_on_numpy_without_dict_config(tmp_path, monkeypatch):
+    # numpy 1.24's show_config takes no mode and only prints
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--subjects", "2",
+                 "--duration", "2", "--seed", "3"]) == 0
+    prov = json.loads((out / "provenance.json").read_text())
+    assert prov["blas"] is None
+
+
+class _FakeBlas:
+    def __init__(self, threads):
+        self.threads = threads
+        self.calls = []
+
+    def get(self):
+        return self.threads
+
+    def put(self, n):
+        self.calls.append(n)
+        self.threads = n
+
+
+def test_one_blas_thread_restores_the_count_it_found(monkeypatch):
+    fake = _FakeBlas(6)
+    monkeypatch.setattr(cli, "_openblas", lambda: (fake.get, fake.put))
+    with cli._one_blas_thread():
+        assert fake.threads == 1
+    assert fake.threads == 6
+    with pytest.raises(RuntimeError):
+        with cli._one_blas_thread():
+            assert fake.threads == 1
+            raise RuntimeError("command failed")
+    assert fake.threads == 6 and fake.calls == [1, 6, 1, 6]
+
+
+def test_one_blas_thread_on_numpys_openblas():
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    get, put = blas
+    before = get()
+    for raised in (False, True):
+        try:
+            with cli._one_blas_thread():
+                assert get() == 1 and cli._blas_threads() == 1
+                if raised:
+                    raise KeyError("x")
+        except KeyError:
+            pass
+        assert get() == before
+
+
+def test_main_runs_the_command_on_one_blas_thread(monkeypatch):
+    fake = _FakeBlas(4)
+    monkeypatch.setattr(cli, "_openblas", lambda: (fake.get, fake.put))
+    seen = []
+
+    def command(args, cfg):
+        seen.append(fake.threads)
+        if len(seen) == 2:
+            raise ValueError("bad data")
+        return 0
+
+    # build_parser looks the command up when main calls it
+    monkeypatch.setattr(cli, "cmd_validate", command)
+    assert main(["validate", "--manifest", "m.json"]) == 0
+    assert main(["validate", "--manifest", "m.json"]) == 2
+    assert seen == [1, 1] and fake.threads == 4
+
+
+def test_command_without_openblas_writes_the_same_results(
+        synth_dir, tmp_path, monkeypatch):
+    # No ica cleaning: unconverged FastICA turns a last-bit difference
+    # between thread counts into other components on some recording
+    # lengths, which is one reason commands pin the count.
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "space": {"cleanings": ["raw", "filtered"], "divisors": [1, 2],
+                  "subset_sizes": [1], "channels": ["P3", "Cz"],
+                  "classifiers": ["knn", "svm"],
+                  "selection_flags": [False]},
+        "grids": {"knn": [{"k": 3}]}}))
+    runs = []
+    for name in ("pinned", "unpinned"):
+        if name == "unpinned":
+            monkeypatch.setattr(cli, "_openblas", lambda: None)
+        out = tmp_path / name
+        assert main(["sweep", "--manifest", str(synth_dir / "manifest.json"),
+                     "--space", str(space), "--out", str(out)]) == 0
+        runs.append(out)
+    assert (runs[0] / "results.csv").read_bytes() \
+        == (runs[1] / "results.csv").read_bytes()
+    prov = json.loads((runs[1] / "provenance.json").read_text())
+    assert prov["blas_threads"] is None
 
 
 def test_validate_ok(synth_dir, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
+import higuchi_reference
 import oracles
 from conftest import FS, golden_corpus
 from eegsweep import features as F
@@ -130,6 +131,39 @@ def test_higuchi_noise_range():
 def test_fractal_constant_sentinels():
     hfd, katz = F.fractal(np.full(400, 1.5))
     assert hfd == 1.0 and katz == 1.0
+
+
+@st.composite
+def higuchi_cases(draw):
+    """Signals long enough for pairwise summation to recurse, with tied
+    steps, a constant run or a tiny scale, and kmax up to a third of the
+    length."""
+    n = draw(st.integers(3, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal(n) * draw(st.sampled_from([1.0, 1e3, 1e-150]))
+    shape = draw(st.sampled_from(["noise", "rounded", "flat_run", "walk"]))
+    if shape == "rounded":
+        x = np.round(x, 1)
+    elif shape == "flat_run":
+        x[n // 4:n // 2] = x[n // 4]
+    elif shape == "walk":
+        x = np.cumsum(x)
+    return x, draw(st.integers(1, max(1, min(40, (n - 1) // 3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(higuchi_cases())
+def test_curve_lengths_equal_the_per_curve_gathers(case):
+    x, kmax = case
+    assert (F._curve_lengths(x, kmax).tobytes()
+            == higuchi_reference.curve_lengths(x, kmax).tobytes())
+
+
+def test_curve_lengths_of_a_strided_signal():
+    # a channel row of a recording sliced by a step is not contiguous
+    x = np.random.default_rng(9).standard_normal((3, 4000))[1, ::2]
+    assert (F._curve_lengths(x, 10).tobytes()
+            == higuchi_reference.curve_lengths(x, 10).tobytes())
 
 
 # ---------------------------------------------------------------------------
