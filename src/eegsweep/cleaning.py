@@ -10,9 +10,13 @@ labeled as brain activity.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -268,19 +272,61 @@ class IcaDecomposition:
         return self.unmixing.shape[0]
 
 
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS bundled with
+    numpy's wheel, or None where numpy ships none (a system BLAS, a
+    source build)."""
+    root = Path(np.__file__).parent
+    paths = glob.glob(str(root.parent / "numpy.libs" / "*openblas*")) \
+        + glob.glob(str(root / ".dylibs" / "*openblas*"))
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_%s_num_threads64_",
+                     "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+            get = getattr(lib, name % "get", None)
+            put = getattr(lib, name % "set", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS on one thread for the block, and the count it had
+    restored afterwards. The largest product here is 19 x 19 x samples:
+    a second thread gains it no wall time and busy-waits between
+    FastICA's iterations, about doubling a cleaning's CPU time."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _sym_decorrelate(w):
     s, u = np.linalg.eigh(w @ w.T)
     s = np.clip(s, 1e-12, None)
     return (u / np.sqrt(s)) @ u.T @ w
 
 
+@_one_blas_thread()
 def ica_decompose(rec, params=IcaParams()):
     """Whiten to >= 99.99% variance coverage and run symmetric FastICA.
 
     Uses the tanh contrast with symmetric orthogonalization; iteration
     stops when the largest weight change drops below tol. Deterministic
     under a fixed seed. Non-convergence returns the best iterate with
-    converged=False.
+    converged=False. Runs on one OpenBLAS thread, as every command does,
+    whatever the caller set: the count can change the last bits of a
+    product, which unconverged iterations carry into other sources.
     """
     x = rec.samples
     n_ch, n_t = x.shape
@@ -288,7 +334,7 @@ def ica_decompose(rec, params=IcaParams()):
     if n_t < min_t:
         warnings.warn(
             "recording has %d samples; ICA is better conditioned with >= %d"
-            % (n_t, min_t), stacklevel=2)
+            % (n_t, min_t), stacklevel=3)  # past the pin's wrapper
 
     cov = x @ x.T / n_t
     evals, evecs = np.linalg.eigh(cov)
@@ -340,10 +386,10 @@ def label_components(decomp, fs, thresholds=LabelerThresholds()):
     """
     th = thresholds
     frontal = {CHANNELS_1020.index("Fp1"), CHANNELS_1020.index("Fp2")}
+    freqs, psds = _features.welch_psd(decomp.sources, fs)
     labels = []
     for i in range(decomp.n_components):
-        src = decomp.sources[i]
-        freqs, psd = _features.welch_psd(src, fs)
+        psd = psds[i]
         total = float(psd.sum())
         col = decomp.mixing[:, i]
         col_norm = float(np.linalg.norm(col))

@@ -9,9 +9,6 @@ Defaults that fill gaps the underlying study left unspecified are marked
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
-import glob
 import hashlib
 import json
 import os
@@ -25,8 +22,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, classify, features, report, selection, sweep
-from .cleaning import PIPELINE_KINDS, CleaningPipeline, walk_pipeline
+from . import (__version__, classify, cleaning, features, report, selection,
+               sweep)
+from .cleaning import (PIPELINE_KINDS, CleaningPipeline, _one_blas_thread,
+                       walk_pipeline)
 from .data_model import (CHANNELS_1020, CohortLoadError, load_cohort,
                          write_cohort)
 from .segmentation import DIVISORS, SegmentSpec, segment
@@ -193,47 +192,8 @@ def _usable_cpus():
     return os.cpu_count()
 
 
-def _openblas():
-    """(get, set) thread-count functions of the OpenBLAS bundled with
-    numpy's wheel, or None where numpy ships none (a system BLAS, a
-    source build)."""
-    root = Path(np.__file__).parent
-    paths = glob.glob(str(root.parent / "numpy.libs" / "*openblas*")) \
-        + glob.glob(str(root / ".dylibs" / "*openblas*"))
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_%s_num_threads64_",
-                     "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
-            get = getattr(lib, name % "get", None)
-            put = getattr(lib, name % "set", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """numpy's OpenBLAS on one thread for the block, and the count it had
-    restored afterwards. The largest product here is 19 x 19 x samples:
-    a second thread gains it no wall time and busy-waits between
-    FastICA's iterations, about doubling a cleaning's CPU time."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def _blas_threads():
-    blas = _openblas()
+    blas = cleaning._openblas()
     return None if blas is None else blas[0]()
 
 

@@ -84,6 +84,46 @@ DEFAULT_PARAMS = FeatureParams()
 
 
 # ---------------------------------------------------------------------------
+# stacks
+#
+# Every feature group takes one 1-D signal or a (rows, samples) stack of
+# equal-length signals and works along the last axis, and each row of a
+# stack gets the bytes it gets alone:
+# - reductions run along the last axis of C-contiguous arrays, so each row
+#   gets the pairwise sum it gets as a 1-D array (np.compress picks
+#   columns, since p[:, mask] is laid out column-major);
+# - per-row scalar math stays in Python floats where it is `math.*` or
+#   `**`, since numpy's SIMD log, exp and power can differ in the last bit;
+# - a row whose boolean selection differs from the rest of its stack is
+#   reduced on its own.
+
+def _stack(signal):
+    """(C-contiguous float64 (rows, samples) stack, whether the input was
+    one 1-D signal)."""
+    x = np.asarray(signal, dtype=np.float64)
+    return np.ascontiguousarray(x.reshape(-1, x.shape[-1])), x.ndim == 1
+
+
+def _unstack(values, single):
+    """Per-row results as given, or the one row's of a 1-D input."""
+    if isinstance(values, tuple):
+        return tuple(_unstack(v, single) for v in values)
+    return values[0] if single else values
+
+
+def _mean(a):
+    """np.mean along the last axis: the same sum and division, without
+    np.mean's call overhead, which a one-row stack pays in every group."""
+    return a.sum(axis=-1) / a.shape[-1]
+
+
+def _var(a, ddof=0):
+    """np.var along the last axis, computed as np.var computes it."""
+    d = a - _mean(a)[..., None]
+    return (d * d).sum(axis=-1) / (a.shape[-1] - ddof)
+
+
+# ---------------------------------------------------------------------------
 # spectral estimation
 
 def welch_psd(signal, fs, nperseg=None, overlap=0.5):
@@ -92,33 +132,32 @@ def welch_psd(signal, fs, nperseg=None, overlap=0.5):
     Hamming-windowed segments with the given fractional overlap, each
     detrended by its mean. Returns (freqs, psd) with freqs spanning
     [0, fs/2] and sum(psd) * df close to the time-domain variance for
-    stationary signals.
+    stationary signals; psd has one row per row of a stack. The segments
+    of every row go through one rfft and are added in start order.
     """
-    x = np.asarray(signal, dtype=np.float64)
-    n = x.size
+    x, single = _stack(signal)
+    n = x.shape[1]
     if nperseg is None:
         nperseg = min(256, n)
     nperseg = int(min(nperseg, n))
     step = max(1, nperseg - int(math.floor(nperseg * overlap)))
     win = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
     scale = 1.0 / (fs * np.sum(win ** 2))
-    starts = range(0, n - nperseg + 1, step)
-    acc = None
-    count = 0
-    for s in starts:
-        seg = x[s:s + nperseg]
-        seg = seg - seg.mean()
-        spec = np.fft.rfft(win * seg)
-        p = (spec.real ** 2 + spec.imag ** 2) * scale
-        acc = p if acc is None else acc + p
-        count += 1
-    psd = acc / count
+    frames = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=-1)
+    frames = frames[:, ::step].reshape(-1, nperseg)
+    spec = np.fft.rfft(win * (frames - _mean(frames)[:, None]), axis=-1)
+    p = ((spec.real ** 2 + spec.imag ** 2) * scale).reshape(
+        x.shape[0], -1, spec.shape[-1])
+    psd = p[:, 0]
+    for i in range(1, p.shape[1]):
+        psd = psd + p[:, i]
+    psd = psd / p.shape[1]
     if nperseg % 2 == 0:
-        psd[1:-1] *= 2.0
+        psd[:, 1:-1] *= 2.0
     else:
-        psd[1:] *= 2.0
+        psd[:, 1:] *= 2.0
     freqs = np.fft.rfftfreq(nperseg, d=1.0 / fs)
-    return freqs, psd
+    return freqs, _unstack(psd, single)
 
 
 def band_powers(freqs, psd, total_band=(0.5, 40.0)):
@@ -127,15 +166,17 @@ def band_powers(freqs, psd, total_band=(0.5, 40.0)):
     Each band integral is normalized by the total over `total_band`;
     a zero-power spectrum yields all-zero sentinels.
     """
+    p, single = _stack(psd)
     total_mask = (freqs >= total_band[0]) & (freqs < total_band[1])
-    total = float(np.sum(psd[total_mask]))
-    out = np.zeros(len(BANDS))
-    if total <= 0.0:
-        return out
+    total = np.compress(total_mask, p, axis=-1).sum(axis=-1)
+    dead = total <= 0.0
+    total[dead] = 1.0
+    out = np.empty((p.shape[0], len(BANDS)))
     for i, (_, lo, hi) in enumerate(BANDS):
         mask = (freqs >= lo) & (freqs < hi)
-        out[i] = float(np.sum(psd[mask])) / total
-    return out
+        out[:, i] = np.compress(mask, p, axis=-1).sum(axis=-1) / total
+    out[dead] = 0.0
+    return _unstack(out, single)
 
 
 def hjorth(signal):
@@ -144,31 +185,31 @@ def hjorth(signal):
     mobility = sqrt(var(dx)/var(x)); complexity = mobility(dx)/mobility(x),
     with dx the first difference. Constant input returns (0, 0, 0).
     """
-    x = np.asarray(signal, dtype=np.float64)
-    var_x = float(np.var(x))
-    if var_x == 0.0:
-        return 0.0, 0.0, 0.0
-    dx = np.diff(x)
-    var_dx = float(np.var(dx))
-    mobility = math.sqrt(var_dx / var_x)
-    if var_dx == 0.0:
-        return var_x, mobility, 0.0
-    ddx = np.diff(dx)
-    mob_dx = math.sqrt(float(np.var(ddx)) / var_dx)
-    return var_x, mobility, mob_dx / mobility
+    x, single = _stack(signal)
+    dx = x[:, 1:] - x[:, :-1]
+    var_x = _var(x)
+    var_dx = _var(dx)
+    var_ddx = _var(dx[:, 1:] - dx[:, :-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mobility = np.sqrt(var_dx / var_x)
+        complexity = np.sqrt(var_ddx / var_dx) / mobility
+    mobility[var_x == 0.0] = 0.0
+    complexity[(var_x == 0.0) | (var_dx == 0.0)] = 0.0
+    return _unstack((var_x, mobility, complexity), single)
 
 
 def hjorth_spect(freqs, psd):
     """Hjorth mobility/complexity from spectral moments m_k = sum f^k psd."""
-    m0 = float(np.sum(psd))
-    if m0 <= 0.0:
-        return 0.0, 0.0
-    m2 = float(np.sum(freqs ** 2 * psd))
-    m4 = float(np.sum(freqs ** 4 * psd))
-    mobility = math.sqrt(m2 / m0)
-    if m2 <= 0.0:
-        return mobility, 0.0
-    return mobility, math.sqrt(m4 / m2) / mobility
+    p, single = _stack(psd)
+    m0 = p.sum(axis=-1)
+    m2 = (freqs ** 2 * p).sum(axis=-1)
+    m4 = (freqs ** 4 * p).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mobility = np.sqrt(m2 / m0)
+        complexity = np.sqrt(m4 / m2) / mobility
+    mobility[m0 <= 0.0] = 0.0
+    complexity[(m0 <= 0.0) | (m2 <= 0.0)] = 0.0
+    return _unstack((mobility, complexity), single)
 
 
 def psd_fit(freqs, psd, f_range=(1.0, 40.0)):
@@ -178,44 +219,68 @@ def psd_fit(freqs, psd, f_range=(1.0, 40.0)):
     (numerically empty, e.g. spectral nulls of pure tones), are excluded.
     Returns (intercept, slope, mse, r2); a log-constant spectrum takes
     the degenerate route slope = 0, r2 = 0, and all-zero sentinels are
-    returned when fewer than two usable bins remain.
+    returned when fewer than two usable bins remain. The rows that keep
+    every in-range bin are fitted together, any other row on its own.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
-    psd = np.asarray(psd, dtype=np.float64)
-    in_range = (freqs >= f_range[0]) & (freqs <= f_range[1]) & (psd > 0.0)
-    if not in_range.any():
-        return 0.0, 0.0, 0.0, 0.0
-    floor = float(psd[in_range].max()) * 1e-12
-    mask = in_range & (psd >= floor)
-    if int(mask.sum()) < 2:
-        return 0.0, 0.0, 0.0, 0.0
-    lf = np.log10(freqs[mask])
-    lp = np.log10(psd[mask])
-    lf_mean = lf.mean()
-    lp_mean = lp.mean()
-    if float(np.ptp(lp)) < 1e-9:
-        return lp_mean, 0.0, 0.0, 0.0
-    sxx = float(np.sum((lf - lf_mean) ** 2))  # > 0: distinct frequencies
-    slope = float(np.sum((lf - lf_mean) * (lp - lp_mean))) / sxx
+    p, single = _stack(psd)
+    in_freq = (freqs >= f_range[0]) & (freqs <= f_range[1])
+    band = np.compress(in_freq, p, axis=-1)
+    out = np.zeros((4, p.shape[0]))
+    if band.shape[1] < 2:
+        return _unstack(tuple(out), single)
+    whole = ((band > 0.0)
+             & (band >= band.max(axis=-1, keepdims=True) * 1e-12)).all(axis=-1)
+    out[:, whole] = _fit_rows(np.log10(freqs[in_freq]),
+                              np.log10(band[whole]))
+    for r in np.flatnonzero(~whole):
+        in_range = in_freq & (p[r] > 0.0)
+        if in_range.any():
+            mask = in_range & (p[r] >= p[r][in_range].max() * 1e-12)
+            if int(mask.sum()) >= 2:
+                out[:, r] = _fit_rows(np.log10(freqs[mask]),
+                                      np.log10(p[r][mask])[None])[:, 0]
+    return _unstack(tuple(out), single)
+
+
+def _fit_rows(lf, lp):
+    """(intercept, slope, mse, r2) x rows: the OLS fit of each row of lp
+    on lf, both restricted to the usable bins."""
+    lf_mean = _mean(lf)
+    lp_mean = _mean(lp)
+    lf_dev = lf - lf_mean
+    lp_dev = lp - lp_mean[:, None]
+    sxx = (lf_dev ** 2).sum()  # > 0: distinct frequencies
+    slope = (lf_dev * lp_dev).sum(axis=-1) / sxx
     intercept = lp_mean - slope * lf_mean
-    resid = lp - (intercept + slope * lf)
-    mse = float(np.mean(resid ** 2))
-    ss_tot = float(np.sum((lp - lp_mean) ** 2))
-    r2 = 0.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return intercept, slope, mse, r2
+    resid = lp - (intercept[:, None] + slope[:, None] * lf)
+    ss_res = (resid ** 2).sum(axis=-1)
+    ss_tot = (lp_dev ** 2).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = 1.0 - ss_res / ss_tot
+    r2[ss_tot == 0.0] = 0.0
+    fit = np.array([intercept, slope, ss_res / lp.shape[-1], r2])
+    flat = lp.max(axis=-1) - lp.min(axis=-1) < 1e-9
+    fit[:, flat] = 0.0
+    fit[0, flat] = lp_mean[flat]
+    return fit
 
 
 def spect_edge_freq(freqs, psd, edge=0.95, total_band=(0.5, 40.0)):
     """Frequency below which `edge` of the power in total_band lies."""
+    p, single = _stack(psd)
     mask = (freqs >= total_band[0]) & (freqs < total_band[1])
     f = freqs[mask]
-    p = psd[mask]
-    total = float(np.sum(p))
-    if total <= 0.0 or f.size == 0:
-        return 0.0
-    cum = np.cumsum(p)
-    idx = int(np.searchsorted(cum, edge * total))
-    return float(f[min(idx, f.size - 1)])
+    p = np.compress(mask, p, axis=-1)
+    total = p.sum(axis=-1)
+    out = np.zeros(p.shape[0])
+    live = total > 0.0
+    if f.size:
+        # searchsorted's left index, the count of partial sums below the
+        # target: psd >= 0, so the partial sums never decrease
+        idx = (np.cumsum(p, axis=-1) < (edge * total)[:, None]).sum(axis=-1)
+        out[live] = f[np.minimum(idx, f.size - 1)][live]
+    return _unstack(out, single)
 
 
 # ---------------------------------------------------------------------------
@@ -230,66 +295,89 @@ def fractal(signal, kmax=10):
     maximum excursion from the first point, n the segment count.
     Constant input returns (1.0, 1.0).
     """
-    x = np.asarray(signal, dtype=np.float64)
-    n = x.size
-    dists = np.abs(np.diff(x))
-    total_len = float(np.sum(dists))
-    if total_len == 0.0:
-        return 1.0, 1.0
+    x, single = _stack(signal)
+    rows, n = x.shape
+    total_len = np.abs(x[:, 1:] - x[:, :-1]).sum(axis=-1)
+    excursion = np.abs(x - x[:, :1]).max(axis=-1)
+    hfd = np.ones(rows)
+    katz = np.ones(rows)
+    live = np.flatnonzero(total_len != 0.0)
     # Katz; the denominator floor covers the degenerate alternating-signal
     # case where the excursion equals one mean step
-    d = float(np.max(np.abs(x - x[0])))
-    if d == 0.0:
-        katz = 1.0
-    else:
-        log_n = math.log10(n - 1)
-        denom = max(log_n + math.log10(d / total_len), 1e-12)
-        katz = max(1.0, log_n / denom)
-    lk = _curve_lengths(x, kmax)
+    for r, d, length in zip(live, excursion[live].tolist(),
+                            total_len[live].tolist()):
+        if d != 0.0:
+            log_n = math.log10(n - 1)
+            denom = max(log_n + math.log10(d / length), 1e-12)
+            katz[r] = max(1.0, log_n / denom)
+    if not live.size:
+        return _unstack((hfd, katz), single)
+    lk = _curve_lengths(x[live], kmax)
     valid = lk > 0
-    if int(valid.sum()) < 2:
-        return 1.0, katz
-    logk = np.log(1.0 / np.arange(1, kmax + 1)[valid])
-    logl = np.log(lk[valid])
-    slope = _ols_slope(logk, logl)
-    return float(min(2.0, max(1.0, slope))), katz
+    whole = valid.all(axis=-1) & (kmax >= 2)
+    slope = _ols_slope(np.log(1.0 / np.arange(1, kmax + 1)),
+                       np.log(lk[whole]))
+    # min(2, max(1, slope)) as Python takes it, NaN included
+    slope = np.where(slope > 1.0, slope, 1.0)
+    hfd[live[whole]] = np.where(slope < 2.0, slope, 2.0)
+    for r in np.flatnonzero(~whole):
+        if int(valid[r].sum()) >= 2:
+            s = _ols_slope(np.log(1.0 / np.arange(1, kmax + 1)[valid[r]]),
+                           np.log(lk[r][valid[r]]))
+            hfd[live[r]] = min(2.0, max(1.0, float(s)))
+    return _unstack((hfd, katz), single)
 
 
 def _curve_lengths(x, kmax):
-    """Higuchi's mean normalized curve length L(k) for k = 1..kmax.
+    """Higuchi's mean normalized curve length L(k) for k = 1..kmax, along
+    the last axis.
 
     The curve that starts at sample m steps through x[m::k], so its steps
-    are every k-th of the lag-k differences, taken once per k. Curves of
-    fewer than two samples are left out.
+    are every k-th of the lag-k differences. Per k, the curves with the
+    same number of steps are copied into one contiguous array, a curve
+    per row. Curves of fewer than two samples are left out.
     """
-    n = x.size
-    lk = np.empty(kmax)
+    x = np.asarray(x, dtype=np.float64)
+    stack = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
+    rows, n = stack.shape
+    lk = np.empty((rows, kmax))
     for k in range(1, kmax + 1):
-        d = np.abs(x[k:] - x[:-k])
-        lengths = []
-        for m in range(min(k, n - k)):
-            lm = float(np.sum(d[m::k]))
-            norm = (n - 1) / (k * ((n - 1 - m) // k))
-            lengths.append(lm * norm / k)
-        lk[k - 1] = np.mean(lengths)
-    return lk
+        d = np.abs(stack[:, k:] - stack[:, :-k])
+        # curves m < longer take one step more than the others
+        steps, longer = divmod(max(n - k, 0), k)
+        body = d[:, :steps * k].reshape(rows, steps, k)
+        sums = np.empty((rows, k if steps else longer))
+        if longer:
+            curves = np.concatenate(
+                [body[:, :, :longer], d[:, None, steps * k:]], axis=1)
+            sums[:, :longer] = np.ascontiguousarray(
+                curves.transpose(0, 2, 1)).sum(axis=-1)
+        if steps:
+            sums[:, longer:] = np.ascontiguousarray(
+                body[:, :, longer:].transpose(0, 2, 1)).sum(axis=-1)
+        m = np.arange(sums.shape[1])
+        norm = (n - 1) / (k * ((n - 1 - m) // k))
+        lk[:, k - 1] = _mean(sums * norm / k)
+    return lk.reshape(x.shape[:-1] + (kmax,))
 
 
 def _ols_slope(x, y):
-    xm = x - x.mean()
-    return float(np.sum(xm * (y - y.mean())) / np.sum(xm ** 2))
+    """OLS slope of y on x, for each row of y along its last axis."""
+    xm = x - _mean(x)
+    return ((xm * (y - _mean(y)[..., None])).sum(axis=-1)
+            / (xm ** 2).sum())
 
 
 def zero_crossings(signal):
     """Number of sign changes, with values below machine epsilon in
     magnitude clipped to zero."""
-    x = np.asarray(signal, dtype=np.float64).copy()
-    x[np.abs(x) < np.finfo(np.float64).eps] = 0.0
-    sgn = np.sign(x)
-    sgn = sgn[sgn != 0]
-    if sgn.size < 2:
-        return 0
-    return int(np.sum(sgn[1:] != sgn[:-1]))
+    x, single = _stack(signal)
+    sgn = np.sign(np.where(np.abs(x) < np.finfo(np.float64).eps, 0.0, x))
+    out = (sgn[:, 1:] != sgn[:, :-1]).sum(axis=-1)
+    for r in np.flatnonzero(~sgn.all(axis=-1)):
+        s = sgn[r][sgn[r] != 0]
+        out[r] = (s[1:] != s[:-1]).sum() if s.size >= 2 else 0
+    return _unstack(out, single)
 
 
 def app_entropy(signal, m=2, r_factor=0.2):
@@ -300,10 +388,17 @@ def app_entropy(signal, m=2, r_factor=0.2):
     of approximate entropy"): one cKDTree on the m-embedding lists every
     pair within r, and a pair that also lies within r on the next sample
     is a match at m + 1, since every match at m + 1 is a match at m. A
-    constant signal (radius 0) returns the sentinel 0.
+    constant signal (radius 0) returns the sentinel 0. A stack builds one
+    tree per row.
     """
-    x = np.asarray(signal, dtype=np.float64)
-    r = r_factor * float(np.std(x, ddof=1))
+    x, single = _stack(signal)
+    radii = (r_factor * np.sqrt(_var(x, ddof=1))).tolist()
+    out = np.array([_app_entropy_row(row, m, r)
+                    for row, r in zip(x, radii)])
+    return _unstack(out, single)
+
+
+def _app_entropy_row(x, m, r):
     if r == 0.0:
         return 0.0
     n = x.size - m + 1
@@ -323,15 +418,23 @@ def app_entropy(signal, m=2, r_factor=0.2):
 
 def spect_entropy(freqs, psd, total_band=(0.5, 40.0)):
     """Normalized Shannon entropy of the PSD over total_band, in [0, 1]."""
+    p, single = _stack(psd)
     mask = (freqs >= total_band[0]) & (freqs < total_band[1])
-    p = psd[mask]
-    total = float(np.sum(p))
-    n_bins = int(mask.sum())
-    if total <= 0.0 or n_bins < 2:
-        return 0.0
-    p = p / total
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)) / math.log(n_bins))
+    p = np.compress(mask, p, axis=-1)
+    total = p.sum(axis=-1)
+    n_bins = p.shape[1]
+    out = np.zeros(p.shape[0])
+    live = np.flatnonzero(total > 0.0)
+    if n_bins < 2 or not live.size:
+        return _unstack(out, single)
+    p = p[live] / total[live][:, None]
+    whole = (p > 0.0).all(axis=-1)
+    out[live[whole]] = (-(p[whole] * np.log(p[whole])).sum(axis=-1)
+                        / math.log(n_bins))
+    for r in np.flatnonzero(~whole):
+        nz = p[r][p[r] > 0.0]
+        out[live[r]] = -np.sum(nz * np.log(nz)) / math.log(n_bins)
+    return _unstack(out, single)
 
 
 def decorr_time(signal, fs):
@@ -340,19 +443,20 @@ def decorr_time(signal, fs):
     Returns the full duration when the autocorrelation never crosses zero
     and 1/fs for a constant signal.
     """
-    x = np.asarray(signal, dtype=np.float64)
-    n = x.size
-    xm = x - x.mean()
-    denom = float(np.sum(xm ** 2))
-    if denom == 0.0:
-        return 1.0 / fs
+    x, single = _stack(signal)
+    n = x.shape[1]
+    xm = x - _mean(x)[:, None]
+    denom = (xm ** 2).sum(axis=-1)
     nfft = int(2 ** math.ceil(math.log2(2 * n)))
-    spec = np.fft.rfft(xm, nfft)
-    acf = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft)[:n] / denom
-    below = np.nonzero(acf[1:] <= 0.0)[0]
-    if below.size == 0:
-        return n / fs
-    return float(below[0] + 1) / fs
+    spec = np.fft.rfft(xm, nfft, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        acf = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, nfft,
+                           axis=-1)[:, :n] / denom[:, None]
+    below = acf[:, 1:] <= 0.0
+    out = np.where(below.any(axis=-1), (below.argmax(axis=-1) + 1) / fs,
+                   n / fs)
+    out[denom == 0.0] = 1.0 / fs
+    return _unstack(out, single)
 
 
 @functools.lru_cache(maxsize=None)
@@ -375,34 +479,49 @@ def hurst_exp(signal, min_window=10):
     R/S is averaged over non-overlapping blocks for ~10 logarithmically
     spaced block sizes in [min_window, n/2]. The small-sample expectation
     of R/S under the null is subtracted before regressing, so white noise
-    centers on 0.5. Constant input returns the sentinel 0.5.
+    centers on 0.5. Constant input returns the sentinel 0.5. A stack
+    makes one block array per size; a row with a constant block averages
+    the others on its own.
     """
-    x = np.asarray(signal, dtype=np.float64)
-    n = x.size
-    if float(np.std(x)) == 0.0 or n < 2 * min_window:
-        return 0.5
+    x, single = _stack(signal)
+    n = x.shape[1]
+    out = np.full(x.shape[0], 0.5)
+    live = np.flatnonzero(_var(x) != 0.0)  # np.std(x) == 0 exactly then
+    if n < 2 * min_window or not live.size:
+        return _unstack(out, single)
+    x = x[live]
     sizes = np.unique(np.floor(np.logspace(
         math.log10(min_window), math.log10(n / 2.0), 10)).astype(int))
-    log_sizes = []
-    log_rs = []
-    for size in sizes:
-        n_blocks = n // size
-        blocks = x[:n_blocks * size].reshape(n_blocks, size)
-        centered = blocks - blocks.mean(axis=1, keepdims=True)
-        z = np.cumsum(centered, axis=1)
-        rng = z.max(axis=1) - z.min(axis=1)
-        std = blocks.std(axis=1, ddof=1)
-        ok = std > 0
-        if not ok.any():
-            continue
-        rs = float(np.mean(rng[ok] / std[ok]))
-        if rs <= 0:
-            continue
-        log_sizes.append(math.log(size))
-        log_rs.append(math.log(rs) - math.log(_expected_rs(int(size))))
-    if len(log_sizes) < 2:
-        return 0.5
-    return 0.5 + _ols_slope(np.array(log_sizes), np.array(log_rs))
+    log_rs = np.full((live.size, sizes.size), np.nan)  # NaN: size left out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s, size in enumerate(sizes.tolist()):
+            n_blocks = n // size
+            blocks = np.ascontiguousarray(x[:, :n_blocks * size]).reshape(
+                live.size, n_blocks, size)
+            centered = blocks - _mean(blocks)[..., None]
+            z = np.cumsum(centered, axis=-1)
+            rng = z.max(axis=-1) - z.min(axis=-1)
+            # the sample std of each block, as np.std(ddof=1) computes it
+            std = np.sqrt((centered * centered).sum(axis=-1) / (size - 1))
+            ok = std > 0
+            rs = _mean(rng / std)
+            if not ok.all():
+                for r in np.flatnonzero(~ok.all(axis=-1)):
+                    rs[r] = (_mean(rng[r][ok[r]] / std[r][ok[r]])
+                             if ok[r].any() else 0.0)
+            expected = math.log(_expected_rs(size))
+            for r, value in enumerate(rs.tolist()):
+                if value > 0:
+                    log_rs[r, s] = math.log(value) - expected
+    log_sizes = np.array([math.log(size) for size in sizes.tolist()])
+    used = ~np.isnan(log_rs)
+    whole = used.all(axis=-1) & (sizes.size >= 2)
+    out[live[whole]] = 0.5 + _ols_slope(log_sizes, log_rs[whole])
+    for r in np.flatnonzero(~whole):
+        if int(used[r].sum()) >= 2:
+            out[live[r]] = 0.5 + float(_ols_slope(log_sizes[used[r]],
+                                                  log_rs[r][used[r]]))
+    return _unstack(out, single)
 
 
 # ---------------------------------------------------------------------------
@@ -439,23 +558,27 @@ def band_energies(signal, fs, transition_hz=2.0):
     """Absolute mean-square energy per EEG band after band-pass filtering.
 
     Each band-pass is the difference of two low-passes at the band edges;
-    a low-pass shared by adjacent bands is computed once.
+    a low-pass shared by adjacent bands is computed once, and its kernel
+    is designed once per stack.
     """
-    x = np.asarray(signal, dtype=np.float64)[None, :]
+    x, single = _stack(signal)
     edges = {edge for _, lo, hi in BANDS for edge in (lo, hi)}
-    low = {edge: filter_zero_phase(
-        x, lowpass_kernel(fs, edge, transition_hz))[0] for edge in edges}
-    return np.array([float(np.mean((low[hi] - low[lo]) ** 2))
-                     for _, lo, hi in BANDS])
+    low = {edge: filter_zero_phase(x, lowpass_kernel(fs, edge, transition_hz))
+           for edge in edges}
+    out = np.empty((x.shape[0], len(BANDS)))
+    for i, (_, lo, hi) in enumerate(BANDS):
+        out[:, i] = _mean((low[hi] - low[lo]) ** 2)
+    return _unstack(out, single)
 
 
 # ---------------------------------------------------------------------------
 # wavelet subband features
 
 def teager_kaiser(x):
-    """Teager-Kaiser energy x_n^2 - x_{n-1} x_{n+1} over interior samples."""
+    """Teager-Kaiser energy x_n^2 - x_{n-1} x_{n+1} over interior samples
+    (along the last axis)."""
     x = np.asarray(x, dtype=np.float64)
-    return x[1:-1] ** 2 - x[:-2] * x[2:]
+    return x[..., 1:-1] ** 2 - x[..., :-2] * x[..., 2:]
 
 
 def wavelet_features(signal):
@@ -466,95 +589,101 @@ def wavelet_features(signal):
     14 values in the order (d1 mean, d1 std, ..., a6 mean, a6 std).
     dwt.wavedec raises ValueError below 72 samples; from there on every
     subband has at least 8 coefficients, so every TKEO array has at least
-    6 values and a sample standard deviation.
+    6 values and a sample standard deviation. Each row is decomposed on
+    its own; the statistics take a subband of every row at once.
     """
-    approx, details = dwt.wavedec(signal, levels=6)
-    energies = np.array([float(np.mean(d ** 2)) for d in details])
-    tkeo_stats = []
-    for band in details + [approx]:
+    x, single = _stack(signal)
+    per_row = [details + [approx]
+               for approx, details in (dwt.wavedec(row, levels=6)
+                                       for row in x)]
+    energies = np.empty((x.shape[0], 6))
+    tkeo_stats = np.empty((x.shape[0], 14))
+    for level, band in enumerate(map(np.array, zip(*per_row))):
+        if level < 6:
+            energies[:, level] = _mean(band ** 2)
         tk = teager_kaiser(band)
-        tkeo_stats.append(float(np.mean(tk)))
-        tkeo_stats.append(float(np.std(tk, ddof=1)))
-    return energies, np.array(tkeo_stats)
+        tkeo_stats[:, 2 * level] = _mean(tk)
+        tkeo_stats[:, 2 * level + 1] = np.sqrt(_var(tk, ddof=1))
+    return _unstack((energies, tkeo_stats), single)
 
 
 # ---------------------------------------------------------------------------
 # moments with degenerate-input sentinels
 
 def skewness(signal):
-    x = np.asarray(signal, dtype=np.float64)
-    xm = x - x.mean()
-    denom = float(np.mean(xm ** 2)) ** 1.5
-    if denom == 0.0:  # constant, or so small that the power underflows
-        return 0.0
-    return float(np.mean(xm ** 3)) / denom
+    x, single = _stack(signal)
+    xm = x - _mean(x)[:, None]
+    # 0 for a constant row, or one so small that the power underflows
+    denom = [m2 ** 1.5 for m2 in _mean(xm ** 2).tolist()]
+    out = np.array([0.0 if d == 0.0 else m3 / d
+                    for d, m3 in zip(denom, _mean(xm ** 3).tolist())])
+    return _unstack(out, single)
 
 
 def kurtosis(signal):
     """Pearson (non-excess) kurtosis; 3 for a normal distribution."""
-    x = np.asarray(signal, dtype=np.float64)
-    xm = x - x.mean()
-    denom = float(np.mean(xm ** 2)) ** 2
-    if denom == 0.0:  # constant, or so small that the power underflows
-        return 0.0
-    return float(np.mean(xm ** 4)) / denom
+    x, single = _stack(signal)
+    xm = x - _mean(x)[:, None]
+    # 0 for a constant row, or one so small that the power underflows
+    denom = [m2 ** 2 for m2 in _mean(xm ** 2).tolist()]
+    out = np.array([0.0 if d == 0.0 else m4 / d
+                    for d, m4 in zip(denom, _mean(xm ** 4).tolist())])
+    return _unstack(out, single)
 
 
 # ---------------------------------------------------------------------------
 # full vector
 
 def extract_channel(signal, fs, params=DEFAULT_PARAMS):
-    """Compute the canonical 53-feature vector of one channel.
+    """Compute the canonical 53-feature vector of one channel, or of each
+    row of a (rows, samples) stack of equal-length signals.
 
     The signal must be at least 2 s long and finite everywhere. Returns a
-    float array aligned with FEATURE_NAMES.
+    float array aligned with FEATURE_NAMES, of shape (53,) for a 1-D
+    signal and (rows, 53) for a stack; each row's vector has the bytes
+    that row gets alone.
     """
     x = np.asarray(signal, dtype=np.float64)
-    if x.size < 2 * fs:
+    if x.shape[-1] < 2 * fs:
         raise ValueError("signal shorter than 2 s (%d samples at %g Hz)"
-                         % (x.size, fs))
+                         % (x.shape[-1], fs))
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
+    x, single = _stack(x)
 
-    out = np.empty(N_FEATURES)
-    out[0] = float(np.mean(x))
-    out[1] = float(np.var(x, ddof=1))
-    out[2] = float(np.std(x, ddof=1))
-    out[3] = float(np.ptp(x))
-    out[4] = skewness(x)
-    out[5] = kurtosis(x)
-    out[6] = float(np.sqrt(np.mean(x ** 2)))
-    out[7] = float(np.quantile(x, params.quantile))
+    out = np.empty((x.shape[0], N_FEATURES))
+    out[:, 0] = _mean(x)
+    out[:, 1] = _var(x, ddof=1)
+    out[:, 2] = np.sqrt(out[:, 1])  # np.std's bytes: the root of np.var's
+    out[:, 3] = x.max(axis=-1) - x.min(axis=-1)
+    out[:, 4] = skewness(x)
+    out[:, 5] = kurtosis(x)
+    out[:, 6] = np.sqrt(_mean(x ** 2))
+    out[:, 7] = np.quantile(x, params.quantile, axis=-1)
 
     freqs, psd = welch_psd(x, fs, nperseg=params.welch_nperseg,
                            overlap=params.welch_overlap)
 
-    out[8] = hurst_exp(x, min_window=params.hurst_min_window)
-    out[9] = app_entropy(x, m=params.app_entropy_m,
-                         r_factor=params.app_entropy_r)
-    out[10] = decorr_time(x, fs)
-    _, mob, comp = hjorth(x)
-    out[11] = mob
-    out[12] = comp
-    hfd, kfd = fractal(x, kmax=params.higuchi_kmax)
-    out[13] = hfd
-    out[14] = kfd
-    out[15] = float(zero_crossings(x))
-    out[16] = float(np.mean(np.abs(np.diff(x))))
+    out[:, 8] = hurst_exp(x, min_window=params.hurst_min_window)
+    out[:, 9] = app_entropy(x, m=params.app_entropy_m,
+                            r_factor=params.app_entropy_r)
+    out[:, 10] = decorr_time(x, fs)
+    _, out[:, 11], out[:, 12] = hjorth(x)
+    out[:, 13], out[:, 14] = fractal(x, kmax=params.higuchi_kmax)
+    out[:, 15] = zero_crossings(x)
+    out[:, 16] = _mean(np.abs(x[:, 1:] - x[:, :-1]))
 
-    out[17:21] = band_powers(freqs, psd, total_band=params.total_band)
-    mob_s, comp_s = hjorth_spect(freqs, psd)
-    out[21] = mob_s
-    out[22] = comp_s
-    out[23:27] = psd_fit(freqs, psd, f_range=params.psd_fit_range)
-    out[27] = spect_entropy(freqs, psd, total_band=params.total_band)
-    out[28:32] = band_energies(x, fs, transition_hz=params.energy_transition_hz)
-    out[32] = spect_edge_freq(freqs, psd, edge=params.sef_edge,
-                              total_band=params.total_band)
-    energies, tkeo_stats = wavelet_features(x)
-    out[33:39] = energies
-    out[39:53] = tkeo_stats
-    return out
+    out[:, 17:21] = band_powers(freqs, psd, total_band=params.total_band)
+    out[:, 21], out[:, 22] = hjorth_spect(freqs, psd)
+    out[:, 23:27] = np.transpose(
+        psd_fit(freqs, psd, f_range=params.psd_fit_range))
+    out[:, 27] = spect_entropy(freqs, psd, total_band=params.total_band)
+    out[:, 28:32] = band_energies(x, fs,
+                                  transition_hz=params.energy_transition_hz)
+    out[:, 32] = spect_edge_freq(freqs, psd, edge=params.sef_edge,
+                                 total_band=params.total_band)
+    out[:, 33:39], out[:, 39:53] = wavelet_features(x)
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ A sweep call first builds one feature table (`feature_vectors`) for the
 specs it still has to run: each subject is cleaned once along FIR -> ASR
 -> ICA (ASR calibrated on the whole recording, for every chunk), and
 each (subject, cleaning, chunk, channel) vector is extracted once, in
-this process. The specs then only select and cross-validate, serially
-or in fork workers that inherit the table.
+this process, in one stack with the subject's other rows of its length.
+The specs then only select and cross-validate, serially or in fork
+workers that inherit the table.
 Records are emitted in spec order regardless of execution order, and
 per-spec failures become failed rows instead of aborting the sweep.
 """
@@ -19,6 +20,8 @@ import json
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from itertools import combinations
 from pathlib import Path
+
+import numpy as np
 
 from . import classify, cleaning, features, selection
 from .cleaning import PIPELINE_KINDS, CleaningPipeline
@@ -112,7 +115,8 @@ def feature_vectors(cohort, cells, pipeline, params):
     exception that stopped it: a stage or segment that fails stores its
     exception under every key it and later stages would have produced, so
     it is attempted once. Walks each subject through the cleanings once,
-    as deep as the cells need.
+    as deep as the cells need, keeping the channel rows they need; then
+    the subject's rows of each length go to extract_channel as one stack.
     """
     plan = {}
     for kind, chunk, channel in cells:
@@ -120,6 +124,7 @@ def feature_vectors(cohort, cells, pipeline, params):
     depth = max(map(PIPELINE_KINDS.index, plan), default=0)
     table = {}
     for rec in cohort:
+        stacks = {}  # length -> (keys, rows)
         stages = cleaning.walk_pipeline(
             rec, replace(pipeline, kind=PIPELINE_KINDS[depth]))
         cleaned = seg = None
@@ -130,11 +135,32 @@ def feature_vectors(cohort, cells, pipeline, params):
                 seg = (cleaned if isinstance(cleaned, Exception)
                        else _attempt(lambda: segment(cleaned, chunk)))
                 for ch in channels:
-                    table[rec.subject_id, kind, chunk.chunk_id, ch] = (
-                        seg if isinstance(seg, Exception)
-                        else _attempt(lambda: features.extract_channel(
-                            seg.channel(ch), seg.sample_rate_hz, params)))
+                    key = rec.subject_id, kind, chunk.chunk_id, ch
+                    if isinstance(seg, Exception):
+                        table[key] = seg
+                    else:
+                        keys, rows = stacks.setdefault(seg.n_samples,
+                                                       ([], []))
+                        keys.append(key)
+                        # a copy, so that each stage's recording is freed
+                        # once the walk has moved past it
+                        rows.append(seg.channel(ch).copy())
+        for keys, rows in stacks.values():
+            table.update(zip(keys, _extract_stack(rows, rec.sample_rate_hz,
+                                                  params)))
     return table
+
+
+def _extract_stack(rows, fs, params):
+    """One vector or exception per row, from one extract_channel call;
+    when the stack fails, each row is extracted alone, so a failure (a
+    non-finite row, say) stays in its row."""
+    stack = _attempt(lambda: features.extract_channel(np.array(rows), fs,
+                                                      params))
+    if not isinstance(stack, Exception):
+        return list(stack)
+    return [_attempt(lambda: features.extract_channel(row, fs, params))
+            for row in rows]
 
 
 def _attempt(stage):

@@ -8,7 +8,7 @@ import pytest
 import scipy
 
 import eegsweep
-from eegsweep import cli
+from eegsweep import cleaning, cli
 from eegsweep.cli import main
 from eegsweep.features import FeatureMatrix
 
@@ -41,7 +41,8 @@ def test_synth_writes_cohort_and_truth(synth_dir):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert prov["blas"] == "%s %s" % (blas.get("name"), blas.get("version"))
     # the command ran on one BLAS thread, or found no OpenBLAS to pin
-    assert prov["blas_threads"] == (None if cli._openblas() is None else 1)
+    assert prov["blas_threads"] == (
+        None if cleaning._openblas() is None else 1)
 
 
 def test_provenance_cpus_without_affinity_call(tmp_path, monkeypatch):
@@ -79,7 +80,7 @@ class _FakeBlas:
 
 def test_one_blas_thread_restores_the_count_it_found(monkeypatch):
     fake = _FakeBlas(6)
-    monkeypatch.setattr(cli, "_openblas", lambda: (fake.get, fake.put))
+    monkeypatch.setattr(cleaning, "_openblas", lambda: (fake.get, fake.put))
     with cli._one_blas_thread():
         assert fake.threads == 1
     assert fake.threads == 6
@@ -91,7 +92,7 @@ def test_one_blas_thread_restores_the_count_it_found(monkeypatch):
 
 
 def test_one_blas_thread_on_numpys_openblas():
-    blas = cli._openblas()
+    blas = cleaning._openblas()
     if blas is None:
         pytest.skip("numpy bundles no OpenBLAS here")
     get, put = blas
@@ -109,7 +110,7 @@ def test_one_blas_thread_on_numpys_openblas():
 
 def test_main_runs_the_command_on_one_blas_thread(monkeypatch):
     fake = _FakeBlas(4)
-    monkeypatch.setattr(cli, "_openblas", lambda: (fake.get, fake.put))
+    monkeypatch.setattr(cleaning, "_openblas", lambda: (fake.get, fake.put))
     seen = []
 
     def command(args, cfg):
@@ -140,7 +141,7 @@ def test_command_without_openblas_writes_the_same_results(
     runs = []
     for name in ("pinned", "unpinned"):
         if name == "unpinned":
-            monkeypatch.setattr(cli, "_openblas", lambda: None)
+            monkeypatch.setattr(cleaning, "_openblas", lambda: None)
         out = tmp_path / name
         assert main(["sweep", "--manifest", str(synth_dir / "manifest.json"),
                      "--space", str(space), "--out", str(out)]) == 0

@@ -1,10 +1,11 @@
 """FastICA written into preallocated arrays returns, byte for byte, the
 decomposition of the loop with fresh arrays kept in `ica_reference`.
 
-Both sides run under the same BLAS thread count: the process default,
-and the one thread that every command runs on. The count itself can
-change the last bits of a product (a 19 x 3000 recording decomposes to
-other bytes on one thread than on two), so it is held fixed here.
+The BLAS thread count can change the last bits of a product (a 19 x 3000
+recording decomposes to other bytes on one thread than on two), so
+`ica_decompose` runs on one OpenBLAS thread whatever its caller set, and
+the reference runs under the same pin. `ica_decompose` is called both
+under the process default and under an outer pin.
 """
 
 import warnings
@@ -16,9 +17,8 @@ from scipy import signal as sps
 
 import ica_reference
 from conftest import ARTIFACT_MIX, FS
-from eegsweep import synth
-from eegsweep.cleaning import IcaParams, ica_decompose
-from eegsweep.cli import _one_blas_thread
+from eegsweep import cleaning, cli, synth
+from eegsweep.cleaning import IcaParams, _one_blas_thread, ica_decompose
 from eegsweep.data_model import CHANNELS_1020, Recording
 
 
@@ -79,8 +79,9 @@ def decompose(fn, rec, params, warns):
 def test_ica_matches_the_reference_loop(name, one_thread):
     make, params, converged, warns = CASES[name]
     rec = make()
-    with _one_blas_thread() if one_thread else nullcontext():
+    with _one_blas_thread():
         want = decompose(ica_reference.ica_decompose, rec, params, warns)
+    with _one_blas_thread() if one_thread else nullcontext():
         got = decompose(ica_decompose, rec, params, warns)
     for field in ("unmixing", "mixing", "sources"):
         a, b = getattr(got, field), getattr(want, field)
@@ -90,3 +91,25 @@ def test_ica_matches_the_reference_loop(name, one_thread):
         assert got.converged is converged
     if name == "rank_deficient":
         assert got.n_components < len(CHANNELS_1020)
+
+
+def test_ica_bytes_do_not_depend_on_the_callers_thread_count():
+    blas = cleaning._openblas()
+    if blas is None or cli._usable_cpus() < 2:
+        pytest.skip("needs numpy's bundled OpenBLAS and two usable CPUs")
+    get, put = blas
+    make, params, _, warns = CASES["short_warns"]
+    rec = make()
+    with _one_blas_thread():
+        pinned = decompose(ica_decompose, rec, params, warns)
+    before = get()
+    put(2)
+    try:
+        free = decompose(ica_decompose, rec, params, warns)
+        assert get() == 2  # the inner pin restores the count it found
+    finally:
+        put(before)
+    for field in ("unmixing", "mixing", "sources"):
+        assert getattr(free, field).tobytes() \
+            == getattr(pinned, field).tobytes(), field
+    assert free.converged is pinned.converged

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ARTIFACT_MIX
+from conftest import ARTIFACT_MIX, FS
 from eegsweep import classify, cleaning, features, selection, synth
 from eegsweep.classify import GbtConfig
 from eegsweep.cleaning import PIPELINE_KINDS, CleaningPipeline
@@ -298,6 +298,9 @@ def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
+            if name == "extract_channel":  # one signal, or a stack of rows
+                calls["rows"] = (calls.get("rows", 0)
+                                 + len(np.atleast_2d(args[0])))
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
@@ -315,12 +318,15 @@ def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
     assert runs[True][1] == runs[False][1]
     # cached, each subject is walked through the cleanings once; uncached,
     # once per spec. Every spec here needs its own (cleaning, chunk,
-    # channel) vector, so both extract once per spec and subject.
+    # channel) vector, so both extract one row per spec and subject;
+    # cached, each subject's rows go in two stacks, one per segment length
+    # (chunk 1/1, and chunks 1/2 and 2/2).
     n = len(cohort)
-    assert runs[True][0] == {"walk_pipeline": n,
-                             "extract_channel": len(specs) * n}
+    assert runs[True][0] == {"walk_pipeline": n, "extract_channel": 2 * n,
+                             "rows": len(specs) * n}
     assert runs[False][0] == {"walk_pipeline": len(specs) * n,
-                              "extract_channel": len(specs) * n}
+                              "extract_channel": len(specs) * n,
+                              "rows": len(specs) * n}
 
 
 def test_resume_recomputes_an_unparsable_last_line(tmp_path, small_cohort):
@@ -520,9 +526,10 @@ def test_workers_neither_clean_nor_extract(small_cohort, monkeypatch,
                         gbt_base=FAST_GBT, jobs=2)
     calls = [line.split() for line in log.read_text().splitlines()]
     assert {pid for pid, _ in calls} == {str(os.getpid())}
+    # one stack per subject and segment length: chunk 1/1, and the halves
     assert Counter(name for _, name in calls) == {
         "fir_bandpass": len(cohort),
-        "extract_channel": len(specs) * len(cohort)}
+        "extract_channel": 2 * len(cohort)}
     assert all(r.ok for r in records)
 
 
@@ -593,3 +600,83 @@ def test_a_failed_stage_fails_every_later_cleaning(failing_cohort,
     assert str(asr).startswith("insufficient clean calibration data")
     assert all(vectors["adhd002", kind, "1/1", "P3"].shape == (53,)
                for kind in ("raw", "filtered"))
+
+
+# ---------------------------------------------------------------------------
+# stacked extraction
+
+def _stacks_seen(monkeypatch):
+    """Record the shape of every signal extract_channel is given."""
+    shapes = []
+    real = features.extract_channel
+
+    def extract(signal, *args):
+        shapes.append(np.shape(signal))
+        return real(signal, *args)
+    monkeypatch.setattr(features, "extract_channel", extract)
+    return shapes
+
+
+def _alone(rec, kind, chunk, channel):
+    """The vector of one channel row extracted on its own."""
+    seg = segment(cleaning.run_pipeline(rec, CleaningPipeline(kind=kind)),
+                  chunk)
+    return features.extract_channel(seg.channel(channel),
+                                    seg.sample_rate_hz, DEFAULT_PARAMS)
+
+
+def test_a_non_finite_row_fails_only_its_own_key(small_cohort, monkeypatch):
+    rec = small_cohort[0][0]
+    samples = rec.samples.copy()
+    samples[rec.channel_names.index("Cz"), 100] = np.nan  # in chunk 1/2
+    rec = rec.with_samples(samples)
+    chunks = (SegmentSpec(1, 1), SegmentSpec(2, 1), SegmentSpec(2, 2))
+    cells = [("raw", chunk, ch) for chunk in chunks for ch in ("P3", "Cz")]
+    shapes = _stacks_seen(monkeypatch)
+    vectors = feature_vectors([rec], cells, PIPELINE, DEFAULT_PARAMS)
+    n = rec.n_samples
+    # both stacks fail; the rows of each are then extracted alone
+    assert shapes == [(2, n), (n,), (n,), (4, n // 2)] + [(n // 2,)] * 4
+    for chunk in chunks[:2]:
+        bad = vectors[rec.subject_id, "raw", chunk.chunk_id, "Cz"]
+        assert isinstance(bad, ValueError)
+        assert str(bad) == "signal contains non-finite values"
+    for kind, chunk, ch in cells:
+        if (chunk, ch) not in ((chunks[0], "Cz"), (chunks[1], "Cz")):
+            got = vectors[rec.subject_id, kind, chunk.chunk_id, ch]
+            assert got.tobytes() == _alone(rec, kind, chunk, ch).tobytes()
+
+
+def test_a_chunk_under_two_seconds_fails_every_row_of_its_stack(
+        small_cohort):
+    # 12 s / 20 is 0.6 s: below the 1 s that segment() takes for j = 20,
+    # so cut a 30 s recording (1.5 s chunks) from the 12 s ones
+    rec = small_cohort[0][0]
+    rec = rec.with_samples(np.tile(rec.samples, 3)[:, :int(30 * FS)])
+    cells = [("raw", SegmentSpec(20, 3), ch) for ch in ("P3", "Cz")] \
+        + [("raw", SegmentSpec(1, 1), "P3")]
+    with pytest.warns(UserWarning, match="below the 2 s minimum"):
+        vectors = feature_vectors([rec], cells, PIPELINE, DEFAULT_PARAMS)
+    for ch in ("P3", "Cz"):
+        err = vectors[rec.subject_id, "raw", "3/20", ch]
+        assert str(err) == "signal shorter than 2 s (192 samples at 128 Hz)"
+    whole = vectors[rec.subject_id, "raw", "1/1", "P3"]
+    assert whole.tobytes() == _alone(rec, "raw", SegmentSpec(1, 1),
+                                     "P3").tobytes()
+
+
+def test_lengths_one_sample_apart_go_to_separate_stacks(small_cohort,
+                                                        monkeypatch):
+    # halves of 1,535 and 1,536 samples: 767 and 768
+    cohort = [rec.with_samples(rec.samples[:, :1535 + i])
+              for i, rec in enumerate(small_cohort[0][:2])]
+    cells = [(kind, SegmentSpec(2, i), ch) for kind in ("raw", "filtered")
+             for i in (1, 2) for ch in ("P3", "Cz")]
+    shapes = _stacks_seen(monkeypatch)
+    vectors = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
+    assert shapes == [(8, 767), (8, 768)]
+    monkeypatch.undo()
+    for rec in cohort:
+        for kind, chunk, ch in cells:
+            got = vectors[rec.subject_id, kind, chunk.chunk_id, ch]
+            assert got.tobytes() == _alone(rec, kind, chunk, ch).tobytes()
