@@ -22,6 +22,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
+
 from . import (__version__, classify, cleaning, features, report, selection,
                sweep)
 from .cleaning import (PIPELINE_KINDS, CleaningPipeline, _one_blas_thread,
@@ -207,6 +212,17 @@ def _blas_name():
     return "%s %s" % (blas.get("name"), blas.get("version"))
 
 
+def _peak_rss_mb():
+    """This process's peak resident memory so far, in MB; None where the
+    platform has no resource module."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # KiB on Linux, bytes on macOS
+    return round(peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0),
+                 1)
+
+
 def write_provenance(out_dir, args, cfg):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -225,6 +241,9 @@ def write_provenance(out_dir, args, cfg):
         "blas": _blas_name(),
         # null where numpy bundles no OpenBLAS to count
         "blas_threads": _blas_threads(),
+        # this process's peak, import included, up to this write; sweep
+        # workers are not counted
+        "peak_rss_mb": _peak_rss_mb(),
     }
     _write_json(out_dir / "provenance.json", doc)
 

@@ -6,6 +6,10 @@ cascade: D'Agostino-Pearson normality on both groups, then Bartlett
 t (homoscedastic) or Welch's t (heteroscedastic + both normal). The
 non-normal + heteroscedastic combination is indeterminate and the column
 is dropped. A column is kept iff its mean-test p-value is below alpha.
+
+The p-values come from scipy.special, which is what scipy.stats' chi2, f
+and t survival functions call; importing scipy.stats itself would cost
+every command about 34 MB and half a second.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
+from scipy import special as _special
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,50 @@ class SelectionReport:
 
 
 # ---------------------------------------------------------------------------
+# p-values, as scipy.stats' rv_continuous.sf gives them: 1.0 at or below
+# the support's lower end (where chdtrc and fdtrc return NaN for x < 0, and
+# a Bartlett statistic can round to -1e-17), NaN for NaN
+
+def _chi2_sf(x, df):
+    return 1.0 if x <= 0.0 else float(_special.chdtrc(df, x))
+
+
+def _f_sf(x, dfn, dfd):
+    return 1.0 if x <= 0.0 else float(_special.fdtrc(dfn, dfd, x))
+
+
+def _t_sf(x, df):
+    return float(_special.stdtr(df, -x))
+
+
+def _unit_scaled(*samples):
+    """The samples times the one power of two (exact) that brings their
+    largest deviation from its own mean into [0.5, 1).
+
+    For the scale-invariant statistics whose direct form squares a second
+    moment out of the float range (below about 1e-77 or above 1e77)."""
+    top = max(float(np.max(np.abs(s - s.mean()))) for s in samples)
+    shift = -math.frexp(top)[1]
+    return [np.ldexp(s, shift) for s in samples]
+
+
+# ---------------------------------------------------------------------------
 # the individual tests
+
+def _skew_kurtosis(x):
+    """Sample skewness g1 and excess kurtosis g2; None for a constant
+    sample."""
+    xm = x - x.mean()
+    m2 = float(np.mean(xm ** 2))
+    if m2 == 0.0:
+        return None
+    try:
+        g1 = float(np.mean(xm ** 3)) / m2 ** 1.5
+        g2 = float(np.mean(xm ** 4)) / m2 ** 2 - 3.0
+    except (ZeroDivisionError, OverflowError):
+        return _skew_kurtosis(*_unit_scaled(x))
+    return g1, g2
+
 
 def dagostino_pearson(sample, alpha=0.05):
     """Omnibus normality test combining skew and kurtosis.
@@ -72,12 +119,10 @@ def dagostino_pearson(sample, alpha=0.05):
     if n < 20:
         raise ValueError(
             "sample too small for omnibus normality test (n=%d < 20)" % n)
-    xm = x - x.mean()
-    m2 = float(np.mean(xm ** 2))
-    if m2 == 0.0:
+    moments = _skew_kurtosis(x)
+    if moments is None:
         return math.inf, 0.0, False
-    g1 = float(np.mean(xm ** 3)) / m2 ** 1.5
-    g2 = float(np.mean(xm ** 4)) / m2 ** 2 - 3.0
+    g1, g2 = moments
 
     # D'Agostino (1970) skewness transform
     y = g1 * math.sqrt((n + 1) * (n + 3) / (6.0 * (n - 2)))
@@ -102,7 +147,7 @@ def dagostino_pearson(sample, alpha=0.05):
         / math.sqrt(2.0 / (9.0 * a))
 
     k2 = z1 * z1 + z2 * z2
-    p = float(_stats.chi2.sf(k2, 2))
+    p = _chi2_sf(k2, 2)
     return k2, p, p >= alpha
 
 
@@ -123,7 +168,7 @@ def bartlett(a, b):
             - (na - 1) * math.log(va) - (nb - 1) * math.log(vb))
     corr = 1.0 + (1.0 / (na - 1) + 1.0 / (nb - 1) - 1.0 / (n - 2)) / 3.0
     stat /= corr
-    return stat, float(_stats.chi2.sf(stat, 1))
+    return stat, _chi2_sf(stat, 1)
 
 
 def levene(a, b):
@@ -143,7 +188,13 @@ def levene(a, b):
             return 0.0, 1.0
         return math.inf, 0.0
     stat = (n - 2) * num / den
-    return float(stat), float(_stats.f.sf(stat, 1, n - 2))
+    return float(stat), _f_sf(stat, 1, n - 2)
+
+
+def _welch_df(va_n, vb_n, na, nb):
+    """Welch-Satterthwaite degrees of freedom from the groups' variances
+    of the mean."""
+    return (va_n + vb_n) ** 2 / (va_n ** 2 / (na - 1) + vb_n ** 2 / (nb - 1))
 
 
 def t_test(a, b, variant="Student"):
@@ -167,8 +218,12 @@ def t_test(a, b, variant="Student"):
         vb_n = vb / nb
         se = math.sqrt(va_n + vb_n)
         if se > 0.0:
-            df = (va_n + vb_n) ** 2 / (
-                va_n ** 2 / (na - 1) + vb_n ** 2 / (nb - 1))
+            try:
+                df = _welch_df(va_n, vb_n, na, nb)
+            except (ZeroDivisionError, OverflowError):
+                sa, sb = _unit_scaled(a, b)
+                df = _welch_df(float(np.var(sa, ddof=1)) / na,
+                               float(np.var(sb, ddof=1)) / nb, na, nb)
         else:
             df = na + nb - 2
     else:
@@ -178,7 +233,7 @@ def t_test(a, b, variant="Student"):
             return 0.0, float(df), 1.0
         return math.copysign(math.inf, diff), float(df), 0.0
     t = diff / se
-    p = 2.0 * float(_stats.t.sf(abs(t), df))
+    p = 2.0 * _t_sf(abs(t), df)
     return t, float(df), min(p, 1.0)
 
 

@@ -1,6 +1,9 @@
 import json
 import os
 import platform
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,31 @@ def test_synth_writes_cohort_and_truth(synth_dir):
     # the command ran on one BLAS thread, or found no OpenBLAS to pin
     assert prov["blas_threads"] == (
         None if cleaning._openblas() is None else 1)
+    # this process's peak so far, which the write cannot exceed
+    assert 0.0 < prov["peak_rss_mb"] <= round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+
+
+def test_provenance_peak_rss_without_resource_module(tmp_path, monkeypatch):
+    # Windows has no resource module
+    monkeypatch.setattr(cli, "resource", None)
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--subjects", "2",
+                 "--duration", "2", "--seed", "3"]) == 0
+    prov = json.loads((out / "provenance.json").read_text())
+    assert prov["peak_rss_mb"] is None
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs every command about 34 MB and half a second
+    src = str(Path(eegsweep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, eegsweep.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'stats']))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_provenance_cpus_without_affinity_call(tmp_path, monkeypatch):
@@ -477,6 +505,24 @@ def test_select_creates_the_parents_of_its_outputs(tmp_path, capsys, flag):
     assert code == 0, capsys.readouterr().err
     assert paths["--out"].read_text().startswith("P3:a")
     assert paths["--report"].read_text().startswith("column,")
+
+
+def test_select_reports_a_column_of_tiny_values(tmp_path, capsys):
+    # the D'Agostino and Welch forms squared 1e-180 to 0.0 and the command
+    # ended in a ZeroDivisionError traceback
+    rng = np.random.default_rng(0)
+    labels = np.repeat([1, 0], 21)
+    FeatureMatrix(column_names=["P3:tiny", "P3:unit"],
+                  values=np.column_stack([rng.normal(0, 1e-90, 42),
+                                          rng.normal(0, 1, 42)]),
+                  labels=labels,
+                  subject_ids=[]).to_csv(tmp_path / "feat.csv")
+    code = main(["select", "--features", str(tmp_path / "feat.csv"),
+                 "--out", str(tmp_path / "sel.csv"),
+                 "--report", str(tmp_path / "rt.csv")])
+    assert code == 0, capsys.readouterr().err
+    rows = (tmp_path / "rt.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["P3:tiny", "P3:unit"]
 
 
 def test_train_refuses_importance_without_gbt(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+from eegsweep import selection
 from eegsweep.features import FeatureMatrix, build_feature_matrix
 from eegsweep.selection import (bartlett, dagostino_pearson, levene,
                                 select_features, t_test)
@@ -124,6 +127,156 @@ def test_welch_matches_scipy():
     t_ref, p_ref = scipy_stats.ttest_ind(a, b, equal_var=False)
     assert t == pytest.approx(t_ref, rel=1e-10)
     assert p == pytest.approx(p_ref, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# p-values from scipy.special, byte for byte the scipy.stats forms
+
+def same_bytes(x, y):
+    """Equal as float64 bytes; any two NaNs count as equal."""
+    if math.isnan(x) and math.isnan(y):
+        return True
+    return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+def oracle_p(test, result, n=None):
+    """The p-value scipy.stats gives for the statistic a test returned."""
+    if test == "dagostino":
+        return float(scipy_stats.chi2.sf(result[0], 2))
+    if test == "bartlett":
+        return float(scipy_stats.chi2.sf(result[0], 1))
+    if test == "levene":
+        return float(scipy_stats.f.sf(result[0], 1, n - 2))
+    t, df, _ = result
+    return min(2.0 * float(scipy_stats.t.sf(abs(t), df)), 1.0)
+
+
+def variance_matched(a, rng):
+    """A group of another size whose variance equals a's up to rounding,
+    so that Bartlett's statistic lands on either side of 0."""
+    z = rng.standard_normal(int(rng.integers(20, 81)))
+    return (z - z.mean()) / z.std(ddof=1) * a.std(ddof=1) + a.mean()
+
+
+GROUP_KINDS = ("normal", "rounded", "runs", "heavy", "constant")
+
+
+def group(kind, n, scale, rng):
+    if kind == "normal":
+        x = rng.standard_normal(n)
+    elif kind == "rounded":                       # many ties
+        x = np.round(rng.standard_normal(n) * 2.0)
+    elif kind == "runs":                          # constant runs
+        x = np.repeat(rng.standard_normal(n // 5 + 1), 5)[:n]
+    elif kind == "heavy":
+        x = rng.standard_t(3, n)
+    else:
+        x = np.full(n, 0.7)
+    return x * scale + rng.standard_normal() * scale
+
+
+@st.composite
+def group_pairs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    a = group(draw(st.sampled_from(GROUP_KINDS)), draw(st.integers(20, 80)),
+              scale, rng)
+    b = group(draw(st.sampled_from(GROUP_KINDS)), draw(st.integers(20, 80)),
+              scale * draw(st.sampled_from([1.0, 1.5, 0.25])), rng)
+    return a, b, variance_matched(a, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_pairs())
+def test_p_values_match_scipy_stats(groups):
+    a, b, matched = groups
+    with np.errstate(all="ignore"):
+        for x in (a, b):
+            result = dagostino_pearson(x)
+            assert same_bytes(result[1], oracle_p("dagostino", result))
+        for other in (b, matched):
+            result = bartlett(a, other)
+            assert same_bytes(result[1], oracle_p("bartlett", result))
+            result = levene(a, other)
+            assert same_bytes(result[1], oracle_p("levene", result,
+                                                  a.size + other.size))
+            for variant in ("Student", "Welch"):
+                result = t_test(a, other, variant)
+                assert same_bytes(result[2], oracle_p("t", result))
+
+
+@pytest.mark.parametrize("stat", [-1e-17, -0.0, 0.0, 3.7, math.inf, math.nan])
+def test_p_value_edges_match_scipy_stats(stat):
+    # below the support (x <= 0) scipy.stats answers 1.0, where chdtrc
+    # and fdtrc alone give NaN for x < 0
+    for df in (1, 2):
+        assert same_bytes(selection._chi2_sf(stat, df),
+                          float(scipy_stats.chi2.sf(stat, df)))
+    for dfd in (38, 119):
+        assert same_bytes(selection._f_sf(stat, 1, dfd),
+                          float(scipy_stats.f.sf(stat, 1, dfd)))
+    for df in (38, 47.318, math.inf):
+        assert same_bytes(selection._t_sf(stat, df),
+                          float(scipy_stats.t.sf(stat, df)))
+
+
+def test_negative_bartlett_statistic_gives_p_one():
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(21)
+    for _ in range(200):
+        stat, p = bartlett(a, variance_matched(a, rng))
+        if stat < 0.0:
+            break
+    assert stat < 0.0
+    assert p == 1.0 == float(scipy_stats.chi2.sf(stat, 1))
+
+
+def test_welch_p_value_at_a_fractional_df():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(41)
+    b = rng.standard_normal(23) * 2.5 + 0.4
+    result = t_test(a, b, "Welch")
+    assert result[1] != round(result[1])
+    assert same_bytes(result[2], oracle_p("t", result))
+
+
+# ---------------------------------------------------------------------------
+# columns far from unit scale
+
+@pytest.mark.parametrize("shift", [-500, -300, -270, 260, 300, 480])
+def test_normality_and_welch_are_exact_at_any_power_of_two(shift):
+    # the direct form squares m2 or a variance of the mean out of the float
+    # range from about 1e-77 and 1e77; power-of-two scaling is exact
+    rng = np.random.default_rng(shift & 0xFFFF)
+    a = rng.standard_normal(21)
+    b = rng.standard_normal(30) * 1.7 + 0.3
+    a2, b2 = np.ldexp(a, shift), np.ldexp(b, shift)
+    assert dagostino_pearson(a2) == dagostino_pearson(a)
+    assert t_test(a2, b2, "Welch")[1:] == t_test(a, b, "Welch")[1:]
+    assert t_test(a2, b2, "Student")[1:] == t_test(a, b, "Student")[1:]
+
+
+def test_column_of_tiny_values_runs_the_cascade():
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(21) * 1e-90
+    b = rng.standard_normal(21) * 1e-90
+    k2, p, _ = dagostino_pearson(a)
+    ref_k2, ref_p, _ = dagostino_pearson(a * 1e90)
+    assert k2 == pytest.approx(ref_k2, rel=1e-9)
+    assert p == pytest.approx(ref_p, rel=1e-9)
+    _, df, p = t_test(a, b, "Welch")
+    _, ref_df, ref_p = t_test(a * 1e90, b * 1e90, "Welch")
+    assert df == pytest.approx(ref_df, rel=1e-9)
+    assert p == pytest.approx(ref_p, rel=1e-9)
+    _, report = select_features(matrix_from_values(
+        np.column_stack([np.r_[a, b], np.r_[a, b] * 1e90]),
+        [1] * 21 + [0] * 21))
+    tiny, unit = report.rows
+    assert (tiny.normal_adhd, tiny.normal_td, tiny.variance_test,
+            tiny.mean_test, tiny.selected) == (
+        unit.normal_adhd, unit.normal_td, unit.variance_test,
+        unit.mean_test, unit.selected)
+    assert tiny.p_value == pytest.approx(unit.p_value, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
