@@ -9,8 +9,10 @@ column takes and which columns survive.
 
 import numpy as np
 
-from eegsweep import synth
-from eegsweep.features import build_feature_matrix
+from eegsweep import sweep, synth
+from eegsweep.cleaning import CleaningPipeline
+from eegsweep.features import DEFAULT_PARAMS
+from eegsweep.segmentation import SegmentSpec
 from eegsweep.selection import SelectionConfig, select_features
 
 spec = synth.SynthSpec(
@@ -22,7 +24,11 @@ spec = synth.SynthSpec(
     rng_seed=99,
 )
 cohort, _ = synth.generate_cohort(spec)
-matrix = build_feature_matrix(cohort, ["P3"])
+# one table of feature vectors, and the P3 matrix sliced from it
+whole = SegmentSpec(1, 1)
+table = sweep.feature_vectors(cohort, [("raw", whole, "P3")],
+                              CleaningPipeline(), DEFAULT_PARAMS)
+matrix = sweep.feature_matrix(cohort, table, "raw", whole, ["P3"])
 print("design matrix: %d subjects x %d columns"
       % (matrix.n_subjects, matrix.n_columns))
 

@@ -13,7 +13,9 @@ import warnings
 from eegsweep import report, sweep, synth
 from eegsweep.classify import (GbtConfig, cross_validate, gbt_importance,
                                train_final)
-from eegsweep.features import build_feature_matrix
+from eegsweep.cleaning import CleaningPipeline
+from eegsweep.features import DEFAULT_PARAMS
+from eegsweep.segmentation import SegmentSpec
 from eegsweep.selection import select_features
 
 spec = synth.SynthSpec(
@@ -27,7 +29,10 @@ spec = synth.SynthSpec(
 cohort, _ = synth.generate_cohort(spec)
 
 # --- one matrix, three classifiers -----------------------------------------
-matrix = build_feature_matrix(cohort, ["P3"])
+whole = SegmentSpec(1, 1)
+table = sweep.feature_vectors(cohort, [("raw", whole, "P3")],
+                              CleaningPipeline(), DEFAULT_PARAMS)
+matrix = sweep.feature_matrix(cohort, table, "raw", whole, ["P3"])
 selected, _ = select_features(matrix)
 print("selected %d of %d columns" % (selected.n_columns, matrix.n_columns))
 for clf, grid in (("gbt", ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},)),

@@ -72,11 +72,14 @@ def _set_option(cfg, dotted, value):
 
 def _check_members(key, values, allowed):
     """Refuse a value that is not in `allowed`, type included: 2.0 is no
-    divisor and true no subset size."""
-    for v in values:
+    divisor and true no subset size; and refuse a value given twice."""
+    values = list(values)
+    for i, v in enumerate(values):
         if not any(v == a and type(v) is type(a) for a in allowed):
             _fail(key, "%s is not one of %s", json.dumps(v),
                   ", ".join(json.dumps(a) for a in allowed))
+        if v in values[:i]:
+            _fail(key, "%s is given twice", json.dumps(v))
 
 
 def _read_block(default, block, key):
@@ -329,15 +332,16 @@ def cmd_segment(args, cfg):
 
 def cmd_extract(args, cfg):
     channels = tuple(c.strip() for c in args.channels.split(",") if c.strip())
+    if not channels:
+        _fail("--channels", "names no channel: %s", json.dumps(args.channels))
     _check_members("--channels", channels, CHANNELS_1020)
     chunk = _chunk_spec(args.chunk)
     cohort = load_cohort(args.manifest)
-    vectors = sweep.feature_vectors(
+    table = sweep.feature_vectors(
         cohort, [(args.pipeline, chunk, ch) for ch in channels],
         cfg["pipeline"], cfg["features"])
-    matrix = features.build_feature_matrix(
-        cohort, channels,
-        vector_fn=sweep.vector_fn(vectors, args.pipeline, chunk))
+    matrix = sweep.feature_matrix(cohort, table, args.pipeline, chunk,
+                                  channels)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     matrix.to_csv(out)

@@ -736,31 +736,3 @@ class FeatureMatrix:
 def channel_feature_names(channels):
     """Column names for a channel subset, channel-major canonical order."""
     return ["%s:%s" % (ch, f) for ch in channels for f in FEATURE_NAMES]
-
-
-def build_feature_matrix(cohort, channels, vector_fn=None):
-    """Assemble the subjects x (channel, feature) design matrix.
-
-    Rows follow cohort order; columns are channel-major in the canonical
-    53-feature order. `vector_fn(recording, channel)` returns one
-    channel's vector; by default it extracts from the recording as given
-    with the default parameters, so the cohort must already be cleaned
-    and segmented. The sweep and `eegsweep extract` pass a lookup into
-    their feature table for one cleaning and chunk instead
-    (`sweep.vector_fn`).
-    """
-    channels = list(channels)
-    if not channels:
-        raise ValueError("channel subset must not be empty")
-    if vector_fn is None:
-        def vector_fn(rec, ch):
-            return extract_channel(rec.channel(ch), rec.sample_rate_hz)
-    rows = []
-    for rec in cohort:
-        rows.append(np.concatenate([vector_fn(rec, ch) for ch in channels]))
-    return FeatureMatrix(
-        column_names=channel_feature_names(channels),
-        values=np.array(rows),
-        labels=np.array([rec.label for rec in cohort], dtype=int),
-        subject_ids=[rec.subject_id for rec in cohort],
-    )

@@ -7,7 +7,6 @@ so all segments of one divisor have equal length.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 DIVISORS = (1, 2, 3, 4, 5, 20)
@@ -42,21 +41,13 @@ def segment(rec, spec):
     """Extract one equal-part segment of a recording.
 
     Segment i of divisor j covers samples [(i-1)*floor(T/j), i*floor(T/j)).
-    Segments must be at least 2 s long, except j = 20 where >= 1 s is
-    accepted with a warning.
+    Segments must be at least 2 s long, the shortest signal feature
+    extraction accepts.
     """
     seg_len = rec.n_samples // spec.divisor
     min_len = 2.0 * rec.sample_rate_hz
     if seg_len < min_len:
-        if spec.divisor == 20 and seg_len >= rec.sample_rate_hz:
-            warnings.warn(
-                "segment 1/%d of %s is %.2f s, below the 2 s minimum"
-                % (spec.divisor, rec.subject_id,
-                   seg_len / rec.sample_rate_hz), stacklevel=2)
-        else:
-            raise ValueError(
-                "segment length %d below minimum %d samples (j=%d)"
-                % (seg_len, int(min_len), spec.divisor))
+        raise ValueError("segment length %d below minimum %d samples (j=%d)"
+                         % (seg_len, int(min_len), spec.divisor))
     start = (spec.index - 1) * seg_len
     return rec.with_samples(rec.samples[:, start:start + seg_len])
-

@@ -2,12 +2,15 @@
 classifier x selection combinations, with resumable checkpoints.
 
 A sweep call first builds one feature table (`feature_vectors`) for the
-specs it still has to run: each subject is cleaned once along FIR -> ASR
--> ICA (ASR calibrated on the whole recording, for every chunk), and
-each (subject, cleaning, chunk, channel) vector is extracted once, in
-this process, in one stack with the subject's other rows of its length.
-The specs then only select and cross-validate, serially or in fork
-workers that inherit the table.
+specs it still has to run: one float64 array `values[subject, cell, 53]`
+over the distinct (cleaning, chunk, channel) cells of those specs. Each
+subject is cleaned once along FIR -> ASR -> ICA (ASR calibrated on the
+whole recording, for every chunk), and each of its cells is extracted
+once, in this process, in one stack with the subject's other rows of
+its length; a cell that fails keeps its first failure. Every feature
+matrix, a spec's or `eegsweep extract`'s, is a slice of that array
+(`feature_matrix`). The specs then only select and cross-validate,
+serially or in fork workers that inherit the table.
 Records are emitted in spec order regardless of execution order, and
 per-spec failures become failed rows instead of aborting the sweep.
 """
@@ -106,25 +109,39 @@ def _spec_seed(global_seed, spec):
     return int.from_bytes(digest[:8], "big") % (2 ** 31)
 
 
+@dataclass(frozen=True)
+class FeatureTable:
+    """`values[s, cells[cell]]` is the 53-vector of subject s and one
+    (cleaning, chunk, channel) cell; `failures[cells[cell]]` is the cell's
+    first failure, (subject index, exception), and its values from that
+    subject on are undefined."""
+
+    cells: dict
+    values: np.ndarray
+    failures: dict
+
+
 def feature_vectors(cohort, cells, pipeline, params):
     """The feature table of a cohort: every vector the cells need, once.
 
-    `cells` holds (cleaning, chunk, channel) triples, chunk a SegmentSpec;
-    `pipeline`'s kind is ignored. Returns a dict keyed (subject_id,
-    cleaning, chunk_id, channel) whose value is the 53-vector, or the
-    exception that stopped it: a stage or segment that fails stores its
-    exception under every key it and later stages would have produced, so
-    it is attempted once. Walks each subject through the cleanings once,
-    as deep as the cells need, keeping the channel rows they need; then
-    the subject's rows of each length go to extract_channel as one stack.
+    `cells` holds (cleaning, chunk, channel) triples, chunk a SegmentSpec,
+    repeats allowed; `pipeline`'s kind is ignored. Walks each subject
+    through the cleanings once, as deep as the cells need, keeping the
+    channel rows they need; then the subject's rows of each length go to
+    extract_channel as one stack. A stage or segment that fails fails
+    every cell it and later stages would have produced, and is attempted
+    once per subject.
     """
+    index = {cell: pos for pos, cell in enumerate(dict.fromkeys(cells))}
     plan = {}
-    for kind, chunk, channel in cells:
-        plan.setdefault(kind, {}).setdefault(chunk, {})[channel] = None
+    for (kind, chunk, channel), pos in index.items():
+        plan.setdefault(kind, {}).setdefault(chunk, {})[channel] = pos
     depth = max(map(PIPELINE_KINDS.index, plan), default=0)
-    table = {}
-    for rec in cohort:
-        stacks = {}  # length -> (keys, rows)
+    # written subject by subject; a failed entry is never read
+    values = np.empty((len(cohort), len(index), features.N_FEATURES))
+    failures = {}
+    for s, rec in enumerate(cohort):
+        stacks = {}  # length -> (cell positions, rows)
         stages = cleaning.walk_pipeline(
             rec, replace(pipeline, kind=PIPELINE_KINDS[depth]))
         cleaned = seg = None
@@ -134,21 +151,46 @@ def feature_vectors(cohort, cells, pipeline, params):
             for chunk, channels in plan.get(kind, {}).items():
                 seg = (cleaned if isinstance(cleaned, Exception)
                        else _attempt(lambda: segment(cleaned, chunk)))
-                for ch in channels:
-                    key = rec.subject_id, kind, chunk.chunk_id, ch
+                for ch, pos in channels.items():
                     if isinstance(seg, Exception):
-                        table[key] = seg
+                        failures.setdefault(pos, (s, seg))
                     else:
-                        keys, rows = stacks.setdefault(seg.n_samples,
-                                                       ([], []))
-                        keys.append(key)
+                        positions, rows = stacks.setdefault(seg.n_samples,
+                                                            ([], []))
+                        positions.append(pos)
                         # a copy, so that each stage's recording is freed
                         # once the walk has moved past it
                         rows.append(seg.channel(ch).copy())
-        for keys, rows in stacks.values():
-            table.update(zip(keys, _extract_stack(rows, rec.sample_rate_hz,
-                                                  params)))
-    return table
+        for positions, rows in stacks.values():
+            for pos, vector in zip(positions, _extract_stack(
+                    rows, rec.sample_rate_hz, params)):
+                if isinstance(vector, Exception):
+                    failures.setdefault(pos, (s, vector))
+                else:
+                    values[s, pos] = vector
+    return FeatureTable(cells=index, values=values, failures=failures)
+
+
+def feature_matrix(cohort, table, cleaning_kind, chunk, channels):
+    """The subjects x (channel, feature) matrix of one cleaning, chunk and
+    channel subset, sliced from a `feature_vectors` table; columns are
+    channel-major in the canonical 53-feature order. Where a channel
+    failed, raises the failure of the smallest (subject, channel
+    position): the first one a subject-by-subject assembly would meet.
+    """
+    if not channels:
+        raise ValueError("channel subset must not be empty")
+    positions = [table.cells[cleaning_kind, chunk, ch] for ch in channels]
+    failed = [(table.failures[pos][0], i, table.failures[pos][1])
+              for i, pos in enumerate(positions) if pos in table.failures]
+    if failed:
+        # a fresh traceback, not one grown by every spec that raised it
+        raise min(failed, key=lambda f: f[:2])[2].with_traceback(None)
+    return features.FeatureMatrix(
+        column_names=features.channel_feature_names(channels),
+        values=table.values[:, positions].reshape(len(cohort), -1),
+        labels=np.array([rec.label for rec in cohort], dtype=int),
+        subject_ids=[rec.subject_id for rec in cohort])
 
 
 def _extract_stack(rows, fs, params):
@@ -172,20 +214,7 @@ def _attempt(stage):
         return exc.with_traceback(None)
 
 
-def vector_fn(vectors, cleaning_kind, chunk):
-    """`build_feature_matrix`'s vector_fn over a feature table for one
-    cleaning and chunk; a stored exception is raised again."""
-    def vector(rec, channel):
-        value = vectors[rec.subject_id, cleaning_kind, chunk.chunk_id,
-                        channel]
-        if isinstance(value, Exception):
-            # a fresh traceback, not one grown by every spec that raised it
-            raise value.with_traceback(None)
-        return value
-    return vector
-
-
-def run_one(cohort, spec, seed, vectors, grids=None, gbt_base=None,
+def run_one(cohort, spec, seed, table, grids=None, gbt_base=None,
             selection_in_fold=False, eval_on_test_fold=False,
             expand_grid=False):
     """Execute a single experiment spec on a `feature_vectors` table.
@@ -198,9 +227,8 @@ def run_one(cohort, spec, seed, vectors, grids=None, gbt_base=None,
         channels="-".join(spec.channels), classifier=spec.classifier,
         feature_selection=spec.feature_selection)
     try:
-        matrix = features.build_feature_matrix(
-            cohort, spec.channels,
-            vector_fn=vector_fn(vectors, spec.cleaning, spec.chunk))
+        matrix = feature_matrix(cohort, table, spec.cleaning, spec.chunk,
+                                spec.channels)
         selector = None
         if spec.feature_selection:
             if selection_in_fold:
@@ -231,13 +259,13 @@ def _error_text(exc):
 _WORKER = {}
 
 
-def _init_worker(cohort, seed, vectors, options):
-    _WORKER.update(cohort=cohort, seed=seed, vectors=vectors, options=options)
+def _init_worker(cohort, seed, table, options):
+    _WORKER.update(cohort=cohort, seed=seed, table=table, options=options)
 
 
 def _worker_run(spec):
     return run_one(_WORKER["cohort"], spec, _WORKER["seed"],
-                   _WORKER["vectors"], **_WORKER["options"])
+                   _WORKER["table"], **_WORKER["options"])
 
 
 def _load_checkpoint(path):
@@ -333,7 +361,7 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
     pending = [(i, spec) for i, spec in enumerate(specs)
                if spec.key not in done]
     per_spec = [done.get(spec.key) for spec in specs]
-    vectors = feature_vectors(
+    table = feature_vectors(
         cohort, [(spec.cleaning, spec.chunk, ch) for _, spec in pending
                  for ch in spec.channels], pipeline, params)
 
@@ -350,13 +378,13 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
         import multiprocessing as mp
         ctx = mp.get_context("fork")
         with ctx.Pool(jobs, initializer=_init_worker,
-                      initargs=(cohort, seed, vectors, options)) as pool:
+                      initargs=(cohort, seed, table, options)) as pool:
             results = pool.imap(_worker_run, [s for _, s in pending])
             for (i, spec), result in zip(pending, results):
                 finish(i, spec, result)
     else:
         for i, spec in pending:
-            finish(i, spec, run_one(cohort, spec, seed, vectors, **options))
+            finish(i, spec, run_one(cohort, spec, seed, table, **options))
     return [record for group in per_spec for record in group]
 
 

@@ -6,9 +6,22 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from eegsweep import synth
+from eegsweep import synth, sweep
+from eegsweep.cleaning import CleaningPipeline
+from eegsweep.features import DEFAULT_PARAMS
+from eegsweep.segmentation import SegmentSpec
 
 FS = 128.0
+
+
+def raw_feature_matrix(cohort, channels):
+    """The feature matrix of whole, uncleaned recordings, sliced from a
+    feature table of those channels."""
+    whole = SegmentSpec(1, 1)
+    table = sweep.feature_vectors(
+        cohort, [("raw", whole, ch) for ch in channels], CleaningPipeline(),
+        DEFAULT_PARAMS)
+    return sweep.feature_matrix(cohort, table, "raw", whole, channels)
 
 
 def golden_corpus():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import FS, golden_corpus
+from conftest import FS, golden_corpus, raw_feature_matrix
 from eegsweep import cleaning, features, report, selection, sweep
 from eegsweep.classify import GbtConfig, cross_validate
 from eegsweep.data_model import CHANNELS_1020, Recording, load_cohort
@@ -129,7 +129,7 @@ def test_criterion_4_selection_calibration(theta_cohort):
     frac = kept.n_columns / 1000.0
 
     cohort, _ = theta_cohort
-    fmat = features.build_feature_matrix(cohort, ["P3"])
+    fmat = raw_feature_matrix(cohort, ["P3"])
     kept_theta, _ = selection.select_features(fmat)
     has_theta = "P3:pow_theta" in kept_theta.column_names
     elapsed = time.time() - start
@@ -239,10 +239,10 @@ def test_criterion_7_real_dataset_numbers():
         spec = sweep.ExperimentSpec(
             cleaning=cleaning_kind, chunk=SegmentSpec(*chunk),
             channels=channels, classifier="gbt", feature_selection=True)
-        vectors = sweep.feature_vectors(
+        table = sweep.feature_vectors(
             cohort, [(cleaning_kind, spec.chunk, ch) for ch in channels],
             cleaning.CleaningPipeline(), features.DEFAULT_PARAMS)
-        return sweep.run_one(cohort, spec, seed, vectors)[0]
+        return sweep.run_one(cohort, spec, seed, table)[0]
 
     rec_p3 = run("asr", ("P3",))
     rec_p3p4 = run("asr", ("P3", "P4"))

@@ -85,9 +85,20 @@ def _write(tmp_path, name, doc):
     (["sweep", "--set", 'grids.knn=[{"kk": 3}]'], "grids.knn[0]"),
     (["sweep", "--set", "foo"], "foo"),
     (["extract", "--channels", "P3,XX"], "--channels"),
+    # six specs, two keys each computed several times; divisors are
+    # checked before channels
+    (["sweep", "--set", 'space.channels=["P3","P3"]',
+      "--set", "space.subset_sizes=[1,2]", "--set", "space.divisors=[1,1]",
+      "--set", 'space.cleanings=["raw"]', "--set", 'space.classifiers=["knn"]',
+      "--set", "space.selection_flags=[false]"], "space.divisors"),
+    (["sweep", "--set", 'space.channels=["P3","P3"]',
+      "--set", "space.subset_sizes=[1,2]"], "space.channels"),
+    (["extract", "--channels", ""], "--channels"),
+    (["extract", "--channels", "P3,P3"], "--channels"),
 ], ids=["fir_unknown_key", "features_unknown_key", "fir_not_an_object",
         "divisors_not_a_list", "channels_not_a_list", "knn_point_keys",
-        "set_without_value", "unknown_channel"])
+        "set_without_value", "unknown_channel", "repeated_divisor_and_channel",
+        "repeated_channel", "no_channel", "channel_given_twice"])
 def test_bad_config_exits_1_before_the_cohort_loads(tmp_path, capsys, argv,
                                                     key):
     # the manifest does not exist: loading it would exit 2
@@ -343,6 +354,15 @@ CONFIGS = st.fixed_dictionaries({}, optional={
 @given(CONFIGS)
 def test_reader_builds_what_the_old_converters_built(cfg):
     before = json.dumps(cfg, sort_keys=True)
-    assert (_outcome(new_space_and_stamp, cfg)
-            == _outcome(old_space_and_stamp, cfg))
+    space = cfg.get("space", {})
+    repeated = [f.name for f in fields(sweep.SweepSpace) if f.name in space
+                and len(set(space[f.name])) < len(space[f.name])]
+    if repeated:
+        # the old converters took a repeated value; the reader refuses it
+        with pytest.raises(cli.ConfigError, match="^space.%s: .* is given "
+                           "twice$" % repeated[0]):
+            cli._read_config(cfg)
+    else:
+        assert (_outcome(new_space_and_stamp, cfg)
+                == _outcome(old_space_and_stamp, cfg))
     assert json.dumps(cfg, sort_keys=True) == before

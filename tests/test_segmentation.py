@@ -87,13 +87,15 @@ def test_minimum_length_rules():
     rec = make_rec(int(6 * FS))  # 6 s
     with pytest.raises(ValueError, match="below minimum"):
         segment(rec, SegmentSpec(4, 1))  # 1.5 s segments
-    # j = 20 accepts >= 1 s with a warning; below 1 s it raises
-    rec25 = make_rec(int(25 * FS))
-    with pytest.warns(UserWarning):
-        segment(rec25, SegmentSpec(20, 20))
-    rec15 = make_rec(int(15 * FS))
-    with pytest.raises(ValueError):
-        segment(rec15, SegmentSpec(20, 1))
+    assert segment(rec, SegmentSpec(3, 3)).n_samples == 256  # exactly 2 s
+    # j = 20 takes the same 2 s minimum, for every index
+    for n, index in ((int(25 * FS), 20), (int(39.9 * FS), 7)):
+        with pytest.raises(ValueError) as err:
+            segment(make_rec(n), SegmentSpec(20, index))
+        assert str(err.value) == ("segment length %d below minimum 256 "
+                                  "samples (j=20)" % (n // 20))
+    assert segment(make_rec(int(40 * FS)), SegmentSpec(20, 20)).n_samples \
+        == 256
 
 
 def test_segmentation_commutes_with_channel_selection():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+from conftest import raw_feature_matrix
 from eegsweep import selection
-from eegsweep.features import FeatureMatrix, build_feature_matrix
+from eegsweep.features import FeatureMatrix
 from eegsweep.selection import (bartlett, dagostino_pearson, levene,
                                 select_features, t_test)
 
@@ -367,7 +368,7 @@ def test_small_groups_error():
 
 def test_theta_effect_selects_p3_pow_theta(theta_cohort):
     cohort, _ = theta_cohort
-    matrix = build_feature_matrix(cohort, ["P3"])
+    matrix = raw_feature_matrix(cohort, ["P3"])
     kept, report = select_features(matrix)
     assert "P3:pow_theta" in kept.column_names
 

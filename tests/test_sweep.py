@@ -12,12 +12,13 @@ from conftest import ARTIFACT_MIX, FS
 from eegsweep import classify, cleaning, features, selection, synth
 from eegsweep.classify import GbtConfig
 from eegsweep.cleaning import PIPELINE_KINDS, CleaningPipeline
+from eegsweep.data_model import CHANNELS_1020, Recording
 from eegsweep.features import DEFAULT_PARAMS, FeatureParams
 from eegsweep.segmentation import SegmentSpec, segment
 from eegsweep.sweep import (ExperimentRecord, ExperimentSpec, SweepSpace,
-                            _spec_seed, enumerate_space, feature_vectors,
-                            records_from_csv, records_to_csv, run_one,
-                            run_sweep, vector_fn)
+                            _spec_seed, enumerate_space, feature_matrix,
+                            feature_vectors, records_from_csv,
+                            records_to_csv, run_one, run_sweep)
 
 FAST_GRIDS = {"gbt": ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},),
               "knn": ({"k": 3},),
@@ -231,13 +232,13 @@ def test_stage_cache_reuses_cleaning(small_cohort, monkeypatch):
         return real(rec, params)
     monkeypatch.setattr(cleaning, "fir_bandpass", fir_bandpass)
     cell = ("filtered", SegmentSpec(1, 1), "P3")
-    vectors = feature_vectors(cohort[:1], [cell, cell], PIPELINE,
-                              DEFAULT_PARAMS)
-    v1 = vectors["adhd000", "filtered", "1/1", "P3"]
+    table = feature_vectors(cohort[:1], [cell, cell], PIPELINE,
+                            DEFAULT_PARAMS)
     assert filtered == ["adhd000"]
-    v2 = vector_fn(vectors, "filtered", SegmentSpec(1, 1))(cohort[0], "P3")
-    assert np.array_equal(v1, v2)
-    assert len(vectors) == 1
+    assert table.cells == {cell: 0} and not table.failures
+    assert table.values.shape == (1, 1, 53)
+    matrix = feature_matrix(cohort[:1], table, *cell[:2], ["P3"])
+    assert matrix.values.tobytes() == table.values.tobytes()
 
 
 def test_expand_grid_rows(small_cohort):
@@ -435,9 +436,15 @@ def _lazy_run_one(cohort, spec, seed, cache):
         channels="-".join(spec.channels), classifier=spec.classifier,
         feature_selection=spec.feature_selection)
     try:
-        matrix = features.build_feature_matrix(
-            cohort, spec.channels, vector_fn=lambda rec, ch: cache.vector(
-                rec, spec.cleaning, spec.chunk, ch))
+        # subject by subject, channel by channel: the first failure raises
+        rows = [np.concatenate([cache.vector(rec, spec.cleaning, spec.chunk,
+                                             ch) for ch in spec.channels])
+                for rec in cohort]
+        matrix = features.FeatureMatrix(
+            column_names=features.channel_feature_names(spec.channels),
+            values=np.array(rows),
+            labels=np.array([rec.label for rec in cohort], dtype=int),
+            subject_ids=[rec.subject_id for rec in cohort])
         if spec.feature_selection:
             matrix, _ = selection.select_features(matrix)
             if matrix.n_columns == 0:
@@ -580,7 +587,7 @@ def test_each_subject_is_filtered_and_calibrated_once(small_cohort,
 
 def test_a_failed_stage_fails_every_later_cleaning(failing_cohort,
                                                    monkeypatch):
-    """adhd002 (9 s) fails ASR calibration: its asr and ica vectors hold
+    """adhd002 (9 s) fails ASR calibration: its asr and ica cells hold
     that one exception, calibration is attempted once, and its raw and
     filtered vectors are extracted."""
     calibrations = []
@@ -591,15 +598,82 @@ def test_a_failed_stage_fails_every_later_cleaning(failing_cohort,
         return real(rec, params)
     monkeypatch.setattr(cleaning, "asr_calibrate", asr_calibrate)
     whole = SegmentSpec(1, 1)
-    vectors = feature_vectors(
+    table = feature_vectors(
         failing_cohort[2:3], [(kind, whole, "P3") for kind in PIPELINE_KINDS],
         PIPELINE, DEFAULT_PARAMS)
-    asr = vectors["adhd002", "asr", "1/1", "P3"]
+    pos = {kind: table.cells[kind, whole, "P3"] for kind in PIPELINE_KINDS}
     assert calibrations == ["adhd002"]
-    assert vectors["adhd002", "ica", "1/1", "P3"] is asr
+    _, asr = table.failures[pos["asr"]]
+    assert table.failures == {pos["asr"]: (0, asr), pos["ica"]: (0, asr)}
     assert str(asr).startswith("insufficient clean calibration data")
-    assert all(vectors["adhd002", kind, "1/1", "P3"].shape == (53,)
-               for kind in ("raw", "filtered"))
+    for kind in ("raw", "filtered"):
+        assert table.values[0, pos[kind]].tobytes() == _alone(
+            failing_cohort[2], kind, whole, "P3").tobytes()
+
+
+# ---------------------------------------------------------------------------
+# feature matrices, sliced from the table
+
+def test_feature_matrix_shapes(small_cohort):
+    cohort, _ = small_cohort
+    whole = SegmentSpec(1, 1)
+    table = feature_vectors(cohort, [("raw", whole, "P4"),
+                                     ("raw", whole, "P3")],
+                            PIPELINE, DEFAULT_PARAMS)
+    m1 = feature_matrix(cohort, table, "raw", whole, ["P3"])
+    assert m1.values.shape == (len(cohort), 53)
+    assert m1.column_names[0] == "P3:mean"
+    m2 = feature_matrix(cohort, table, "raw", whole, ["P3", "P4"])
+    assert m2.values.shape == (len(cohort), 106)
+    assert m2.column_names[53] == "P4:mean"
+    assert list(m2.labels) == [r.label for r in cohort]
+    assert m2.subject_ids == [r.subject_id for r in cohort]
+    assert m2.values[:, :53].tobytes() == m1.values.tobytes()
+    assert m2.values[:, 53:].tobytes() == table.values[:, 0].tobytes()
+
+
+def test_feature_matrix_empty_channels(small_cohort):
+    cohort, _ = small_cohort
+    table = feature_vectors(cohort, [], PIPELINE, DEFAULT_PARAMS)
+    with pytest.raises(ValueError, match="empty"):
+        feature_matrix(cohort, table, "raw", SegmentSpec(1, 1), [])
+
+
+def test_a_spec_fails_with_its_earliest_subject_then_channel(small_cohort,
+                                                             monkeypatch):
+    """P3 fails at subject 2, Cz and O1 at subject 1, each row with its
+    own text: the spec P3-Cz-O1 raises Cz's, the error that assembling
+    subject by subject, channel by channel, meets first, and not the
+    first failure of its first channel or of the table's first cell."""
+    cohort = small_cohort[0][:3]
+    whole = SegmentSpec(1, 1)
+    channels = ("P3", "Cz", "O1")
+    names = {rec.channel(ch).tobytes(): "%s %s" % (rec.subject_id, ch)
+             for rec in cohort for ch in channels}
+    refused = {"%s %s" % (cohort[s].subject_id, ch)
+               for s, ch in ((2, "P3"), (1, "Cz"), (2, "Cz"), (1, "O1"))}
+    real = features.extract_channel
+
+    def extract(signal, fs, params):
+        for row in np.atleast_2d(signal):
+            if names[row.tobytes()] in refused:
+                raise ValueError("refused " + names[row.tobytes()])
+        return real(signal, fs, params)
+    monkeypatch.setattr(features, "extract_channel", extract)
+    # the table holds the cells in the reverse of the spec's order
+    table = feature_vectors(cohort, [("raw", whole, ch)
+                                     for ch in reversed(channels)],
+                            PIPELINE, DEFAULT_PARAMS)
+    assert {ch: table.failures[table.cells["raw", whole, ch]][0]
+            for ch in channels} == {"P3": 2, "Cz": 1, "O1": 1}
+    text = "refused %s Cz" % cohort[1].subject_id
+    with pytest.raises(ValueError) as err:
+        feature_matrix(cohort, table, "raw", whole, channels)
+    assert str(err.value) == text
+    spec = ExperimentSpec(cleaning="raw", chunk=whole, channels=channels,
+                          classifier="knn", feature_selection=False)
+    assert [r.error for r in run_one(cohort, spec, 0, table)] == [
+        "ValueError: " + text]
 
 
 # ---------------------------------------------------------------------------
@@ -633,36 +707,40 @@ def test_a_non_finite_row_fails_only_its_own_key(small_cohort, monkeypatch):
     chunks = (SegmentSpec(1, 1), SegmentSpec(2, 1), SegmentSpec(2, 2))
     cells = [("raw", chunk, ch) for chunk in chunks for ch in ("P3", "Cz")]
     shapes = _stacks_seen(monkeypatch)
-    vectors = feature_vectors([rec], cells, PIPELINE, DEFAULT_PARAMS)
+    table = feature_vectors([rec], cells, PIPELINE, DEFAULT_PARAMS)
     n = rec.n_samples
     # both stacks fail; the rows of each are then extracted alone
     assert shapes == [(2, n), (n,), (n,), (4, n // 2)] + [(n // 2,)] * 4
-    for chunk in chunks[:2]:
-        bad = vectors[rec.subject_id, "raw", chunk.chunk_id, "Cz"]
-        assert isinstance(bad, ValueError)
-        assert str(bad) == "signal contains non-finite values"
-    for kind, chunk, ch in cells:
-        if (chunk, ch) not in ((chunks[0], "Cz"), (chunks[1], "Cz")):
-            got = vectors[rec.subject_id, kind, chunk.chunk_id, ch]
-            assert got.tobytes() == _alone(rec, kind, chunk, ch).tobytes()
+    bad = [table.cells["raw", chunk, "Cz"] for chunk in chunks[:2]]
+    assert sorted(table.failures) == bad
+    for pos in bad:
+        subject, err = table.failures[pos]
+        assert subject == 0 and isinstance(err, ValueError)
+        assert str(err) == "signal contains non-finite values"
+    for cell in cells:
+        if table.cells[cell] not in bad:
+            got = table.values[0, table.cells[cell]]
+            assert got.tobytes() == _alone(rec, *cell).tobytes()
 
 
-def test_a_chunk_under_two_seconds_fails_every_row_of_its_stack(
-        small_cohort):
-    # 12 s / 20 is 0.6 s: below the 1 s that segment() takes for j = 20,
-    # so cut a 30 s recording (1.5 s chunks) from the 12 s ones
-    rec = small_cohort[0][0]
-    rec = rec.with_samples(np.tile(rec.samples, 3)[:, :int(30 * FS)])
-    cells = [("raw", SegmentSpec(20, 3), ch) for ch in ("P3", "Cz")] \
+def test_a_failed_stack_fails_every_row(monkeypatch):
+    # 4 s at 30 Hz cut in halves: 60-sample rows pass the 2 s minimum and
+    # fail the DWT's 72-sample one, together, and then each alone
+    rng = np.random.default_rng(0)
+    rec = Recording("s", 1, 30.0, CHANNELS_1020,
+                    rng.standard_normal((len(CHANNELS_1020), 120)))
+    cells = [("raw", SegmentSpec(2, 2), ch) for ch in ("P3", "Cz")] \
         + [("raw", SegmentSpec(1, 1), "P3")]
-    with pytest.warns(UserWarning, match="below the 2 s minimum"):
-        vectors = feature_vectors([rec], cells, PIPELINE, DEFAULT_PARAMS)
-    for ch in ("P3", "Cz"):
-        err = vectors[rec.subject_id, "raw", "3/20", ch]
-        assert str(err) == "signal shorter than 2 s (192 samples at 128 Hz)"
-    whole = vectors[rec.subject_id, "raw", "1/1", "P3"]
-    assert whole.tobytes() == _alone(rec, "raw", SegmentSpec(1, 1),
-                                     "P3").tobytes()
+    shapes = _stacks_seen(monkeypatch)
+    table = feature_vectors([rec], cells, PIPELINE, DEFAULT_PARAMS)
+    assert shapes == [(2, 60), (60,), (60,), (1, 120)]
+    text = "signal of length 60 too short for 6-level DWT (needs >= 72 " \
+           "samples)"
+    assert {pos: (subject, str(err))
+            for pos, (subject, err) in table.failures.items()} == {
+        table.cells[cell]: (0, text) for cell in cells[:2]}
+    whole = table.values[0, table.cells[cells[2]]]
+    assert whole.tobytes() == _alone(rec, *cells[2]).tobytes()
 
 
 def test_lengths_one_sample_apart_go_to_separate_stacks(small_cohort,
@@ -673,10 +751,10 @@ def test_lengths_one_sample_apart_go_to_separate_stacks(small_cohort,
     cells = [(kind, SegmentSpec(2, i), ch) for kind in ("raw", "filtered")
              for i in (1, 2) for ch in ("P3", "Cz")]
     shapes = _stacks_seen(monkeypatch)
-    vectors = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
+    table = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
     assert shapes == [(8, 767), (8, 768)]
     monkeypatch.undo()
-    for rec in cohort:
-        for kind, chunk, ch in cells:
-            got = vectors[rec.subject_id, kind, chunk.chunk_id, ch]
-            assert got.tobytes() == _alone(rec, kind, chunk, ch).tobytes()
+    for s, rec in enumerate(cohort):
+        for cell in cells:
+            got = table.values[s, table.cells[cell]]
+            assert got.tobytes() == _alone(rec, *cell).tobytes()
