@@ -296,13 +296,26 @@ def _load_checkpoint(path):
             for doc in docs}
 
 
-def _config_stamp(seed, pipeline, cleanings, params, options):
-    """sha256 of everything that decides a spec's records, the spec aside."""
+def _cohort_sha256(cohort):
+    """sha256 over each recording's id, label, rate, channel names and
+    samples."""
+    digest = hashlib.sha256()
+    for rec in cohort:
+        digest.update(json.dumps(
+            [rec.subject_id, int(rec.label), float(rec.sample_rate_hz),
+             rec.channel_names, rec.samples.shape]).encode())
+        digest.update(rec.samples)
+    return digest.hexdigest()
+
+
+def _config_stamp(seed, pipeline, cleanings, params, options, cohort_sha):
+    """sha256 of everything that decides a spec's records, the spec aside:
+    the config, and the cohort by its `_cohort_sha256`."""
     doc = {key: asdict(value) if is_dataclass(value) else value
            for key, value in options.items()}
     doc.update(seed=seed, params=asdict(params),
                pipelines={kind: asdict(replace(pipeline, kind=kind))
-                          for kind in cleanings})
+                          for kind in cleanings}, cohort=cohort_sha)
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
@@ -320,10 +333,11 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
     to records.jsonl and skipped on resume, so a killed sweep continues
     without recomputation and yields the identical record list. A config
     stamp beside it binds the checkpoint to the seed, grids, flags,
-    cleaning config and feature params; resuming under a different config,
-    but not with other cleanings, raises ValueError. jobs > 1 fans
-    selection and CV out to a fork pool that inherits the table; per-spec
-    seeds are content-derived, so parallelism never changes results. With
+    cleaning config, feature params and the cohort's bytes; resuming under
+    a different config or cohort, but not with other cleanings, raises
+    ValueError. jobs > 1 fans selection and CV out to a fork pool that
+    inherits the table; per-spec seeds are content-derived, so
+    parallelism never changes results. With
     expand_grid, one record per (spec, grid point) is emitted instead of
     one best-config record per spec.
     """
@@ -338,21 +352,23 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         ckpt_path = ckpt_dir / "records.jsonl"
         stamp_path = ckpt_dir / "config.sha256"
+        cohort_sha = _cohort_sha256(cohort)
         stamp = _config_stamp(seed, pipeline,
                               {spec.cleaning for spec in specs}, params,
-                              options)
+                              options, cohort_sha)
         if ckpt_path.exists() and ckpt_path.stat().st_size:
             found = (stamp_path.read_text().strip() if stamp_path.exists()
                      else "missing")
             # a resume may add or drop cleanings; the stamp names the old ones
             if found not in {
-                    _config_stamp(seed, pipeline, kinds, params, options)
+                    _config_stamp(seed, pipeline, kinds, params, options,
+                                  cohort_sha)
                     for n in range(len(PIPELINE_KINDS) + 1)
                     for kinds in combinations(PIPELINE_KINDS, n)}:
                 raise ValueError(
                     "checkpoint %s was written under another sweep config "
-                    "(stamp %s, this run %s); resume with the same config "
-                    "or use a new checkpoint directory"
+                    "or cohort (stamp %s, this run %s); resume with the same "
+                    "config and cohort or use a new checkpoint directory"
                     % (ckpt_dir, found, stamp))
             done = _load_checkpoint(ckpt_path)
         else:

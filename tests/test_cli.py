@@ -4,6 +4,7 @@ import platform
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 import scipy
 
 import eegsweep
-from eegsweep import cleaning, cli
+from eegsweep import classify, cleaning, cli
 from eegsweep.cli import main
+from eegsweep.data_model import load_cohort, write_cohort
 from eegsweep.features import FeatureMatrix
 
 
@@ -49,6 +51,12 @@ def test_synth_writes_cohort_and_truth(synth_dir):
     # this process's peak so far, which the write cannot exceed
     assert 0.0 < prov["peak_rss_mb"] <= round(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+    assert 0 < prov["minor_faults"] \
+        <= resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    # glibc's thresholds, fixed for the process; null without mallopt
+    assert prov["malloc_thresholds"] == (
+        None if cli._mallopt() is None
+        else {"mmap": 4194304, "trim": 33554432})
 
 
 def test_provenance_peak_rss_without_resource_module(tmp_path, monkeypatch):
@@ -58,7 +66,7 @@ def test_provenance_peak_rss_without_resource_module(tmp_path, monkeypatch):
     assert main(["synth", "--out", str(out), "--subjects", "2",
                  "--duration", "2", "--seed", "3"]) == 0
     prov = json.loads((out / "provenance.json").read_text())
-    assert prov["peak_rss_mb"] is None
+    assert prov["peak_rss_mb"] is None and prov["minor_faults"] is None
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -178,6 +186,73 @@ def test_command_without_openblas_writes_the_same_results(
         == (runs[1] / "results.csv").read_bytes()
     prov = json.loads((runs[1] / "provenance.json").read_text())
     assert prov["blas_threads"] is None
+
+
+def test_command_without_mallopt_writes_the_same_results(
+        synth_dir, tmp_path, monkeypatch):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "space": {"cleanings": ["raw"], "divisors": [1, 2],
+                  "subset_sizes": [1], "channels": ["P3", "Cz"],
+                  "classifiers": ["gbt", "knn"], "selection_flags": [False]},
+        "grids": {"gbt": [{"max_depth": 2, "eta": 0.3, "gamma": 0.0}],
+                  "knn": [{"k": 3}]}}))
+    kept = (None if cli._mallopt() is None
+            else {"mmap": 4194304, "trim": 33554432})
+    runs = []
+    try:
+        for name in ("kept", "default"):
+            if name == "default":  # a C library without mallopt
+                monkeypatch.setattr(cli, "_mallopt", lambda: None)
+                cli._keep_freed_heap.cache_clear()
+            out = tmp_path / name
+            assert main(["sweep", "--manifest",
+                         str(synth_dir / "manifest.json"),
+                         "--space", str(space), "--out", str(out)]) == 0
+            runs.append(json.loads((out / "provenance.json").read_text()))
+    finally:
+        cli._keep_freed_heap.cache_clear()  # the next command sets them
+    assert (tmp_path / "kept" / "results.csv").read_bytes() \
+        == (tmp_path / "default" / "results.csv").read_bytes()
+    assert runs[0]["malloc_thresholds"] == kept
+    assert runs[1]["malloc_thresholds"] is None
+
+
+# One default-grid GBT cross-validation on a drawn 41 x 106 matrix, the
+# benchmark's cohort size: its minor page faults and its result as JSON.
+_FAULT_PROBE = """
+import json, resource, sys
+from dataclasses import asdict
+import numpy as np
+from eegsweep import classify, cli
+if sys.argv[1] == "kept":
+    cli._keep_freed_heap()
+rng = np.random.default_rng(16)
+x = rng.standard_normal((41, 106))
+y = np.array([1] * 21 + [0] * 20)
+x[y == 1, :3] += 0.8
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+result = classify.cross_validate(x, y, "gbt", seed=0)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps([faults, asdict(result)], default=repr))
+"""
+
+
+def test_kept_heap_cuts_gbt_page_faults_and_keeps_the_result():
+    if cli._mallopt() is None:
+        pytest.skip("the C library takes no mallopt")
+    # the engine's largest per-level array stays on the heap
+    assert classify._WAVE_ELEMENTS * 8 < cli._MALLOC_THRESHOLDS["mmap"]
+    src = str(Path(eegsweep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    (kept, kept_result), (default, default_result) = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", _FAULT_PROBE, mode], env=env, check=True,
+            capture_output=True, text=True).stdout)
+        for mode in ("kept", "default")]
+    assert kept < default / 10
+    assert kept_result == default_result
 
 
 def test_validate_ok(synth_dir, capsys):
@@ -440,6 +515,33 @@ def test_sweep_resume_under_another_config_exits_2(synth_dir, tmp_path,
     assert (out / "checkpoint" / "records.jsonl").read_bytes() == ckpt
     assert main(argv("--seed", "4")) == 0
     assert (out / "results.csv").read_bytes() == first
+
+
+def test_sweep_resume_on_another_cohort_exits_2(synth_dir, tmp_path,
+                                               capsys):
+    cohort = load_cohort(synth_dir / "manifest.json")
+    samples = cohort[0].samples.copy()
+    samples[0, 0] += 1.0
+    other = tmp_path / "other"
+    write_cohort([replace(cohort[0], samples=samples)] + cohort[1:], other)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "space": {"cleanings": ["raw"], "divisors": [1], "subset_sizes": [1],
+                  "channels": ["P3"], "classifiers": ["knn"],
+                  "selection_flags": [False]},
+        "grids": {"knn": [{"k": 3}]}}))
+    out = tmp_path / "sweep"
+
+    def argv(cohort_dir):
+        return ["sweep", "--manifest", str(cohort_dir / "manifest.json"),
+                "--space", str(space), "--out", str(out), "--resume"]
+
+    assert main(argv(synth_dir)) == 0
+    ckpt = (out / "checkpoint" / "records.jsonl").read_bytes()
+    capsys.readouterr()
+    assert main(argv(other)) == 2
+    assert "another sweep config or cohort" in capsys.readouterr().err
+    assert (out / "checkpoint" / "records.jsonl").read_bytes() == ckpt
 
 
 def test_report_on_a_csv_that_is_not_a_results_table_exits_2(tmp_path,

@@ -14,12 +14,13 @@ from eegsweep import classify, cli, features, sweep
 from eegsweep.cleaning import (PIPELINE_KINDS, AsrParams, CleaningPipeline,
                                FirParams, IcaParams, LabelerThresholds)
 from eegsweep.cli import main
-from eegsweep.data_model import CHANNELS_1020
+from eegsweep.data_model import CHANNELS_1020, load_cohort
 from eegsweep.segmentation import DIVISORS
 
 #: Sets every field of every block. The stamps and the provenance hash
 #: below were written by the command line as it was before the reader,
-#: with `sweep --config` on this config and --seed 5.
+#: with `sweep --config` on this config and --seed 5, and before the
+#: stamp bound the cohort.
 EVERY = {
     "fir": {"low_hz": 1, "high_hz": 35, "transition_low_hz": 0.5,
             "transition_high_hz": 8.0},
@@ -220,7 +221,19 @@ def test_stamp_of_a_config_that_sets_every_field(cohort_dir, tmp_path,
                  "--config", _write(tmp_path, "every.json", EVERY),
                  "--out", str(out), "--seed", "5", "--resume",
                  *flags]) == 0
-    assert (out / "checkpoint" / "config.sha256").read_text() == stamp + "\n"
+    # the old stamp is the reference's; today's adds the cohort as one key
+    options = _options(ref_grids(EVERY))
+    if flags:
+        options.update(selection_in_fold=True, eval_on_test_fold=True,
+                       expand_grid=True)
+    pipelines = {kind: ref_build_pipeline(kind, EVERY)
+                 for kind in EVERY["space"]["cleanings"]}
+    params = ref_feature_params(EVERY)
+    assert ref_config_stamp(5, pipelines, params, options) == stamp
+    options["cohort"] = sweep._cohort_sha256(
+        load_cohort(cohort_dir / "manifest.json"))
+    assert (out / "checkpoint" / "config.sha256").read_text() \
+        == ref_config_stamp(5, pipelines, params, options) + "\n"
     prov = json.loads((out / "provenance.json").read_text())
     assert prov["config_hash"] == EVERY_HASH
 
@@ -275,19 +288,24 @@ def _options(grids):
             "expand_grid": False}
 
 
+COHORT_SHA = "0" * 64
+
+
 def new_space_and_stamp(cfg):
     blocks = cli._read_config(cfg)
     space = blocks["space"]
     return space, sweep._config_stamp(
         0, blocks["pipeline"], space.cleanings, blocks["features"],
-        _options(blocks["grids"]))
+        _options(blocks["grids"]), COHORT_SHA)
 
 
 def old_space_and_stamp(cfg):
+    # the old stamp had no cohort; it joins as one more top-level key
     space = ref_space_from_config(cfg)
     return space, ref_config_stamp(
         0, {kind: ref_build_pipeline(kind, cfg) for kind in space.cleanings},
-        ref_feature_params(cfg), _options(ref_grids(cfg)))
+        ref_feature_params(cfg),
+        dict(_options(ref_grids(cfg)), cohort=COHORT_SHA))
 
 
 def _outcome(build, cfg):

@@ -386,6 +386,25 @@ def test_resume_refuses_another_config(tmp_path, small_cohort, change):
     assert _dump(resumed) == _dump(run_sweep(cohort, specs, **kwargs))
 
 
+def test_resume_refuses_another_cohort(tmp_path, small_cohort):
+    # resuming on a cohort with other samples used to return the first
+    # cohort's rows
+    cohort, _ = small_cohort
+    specs = enumerate_space(SweepSpace(
+        cleanings=("raw",), divisors=(1,), channels=("P3", "P4"),
+        classifiers=("knn",), selection_flags=(False,)))
+    kwargs = dict(seed=7, grids=FAST_GRIDS)
+    ckpt = tmp_path / "ck"
+    run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)
+    before = (ckpt / "records.jsonl").read_bytes()
+    samples = cohort[-1].samples.copy()
+    samples[0, 0] += 1.0
+    other = cohort[:-1] + [replace(cohort[-1], samples=samples)]
+    with pytest.raises(ValueError, match="another sweep config or cohort"):
+        run_sweep(other, specs, checkpoint_dir=ckpt, **kwargs)
+    assert (ckpt / "records.jsonl").read_bytes() == before
+
+
 def test_resume_without_stamp_is_refused(tmp_path, small_cohort):
     cohort, _ = small_cohort
     specs = small_specs()[:2]
