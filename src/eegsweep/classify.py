@@ -75,20 +75,6 @@ class TreeNode:
         return self.feature < 0
 
 
-def _tree_predict(node, x):
-    out = np.empty(x.shape[0])
-    stack = [(node, np.arange(x.shape[0]))]
-    while stack:
-        nd, rows = stack.pop()
-        if nd.is_leaf:
-            out[rows] = nd.leaf_value
-            continue
-        mask = x[rows, nd.feature] <= nd.threshold
-        stack.append((nd.left, rows[mask]))
-        stack.append((nd.right, rows[~mask]))
-    return out
-
-
 def _sigmoid(raw):
     return 1.0 / (1.0 + np.exp(-raw))
 
@@ -102,24 +88,15 @@ def _logloss(y, prob):
 
 @dataclass
 class GbtModel:
+    """A fitted booster, the record of trees and split gains that
+    `gbt_importance` reads. It has no predictor: rows are scored inside
+    the lockstep engine, which routes them down the trees as it grows
+    them."""
     trees: list
     config: GbtConfig
     best_iteration: int         # number of trees actually used
     feature_names: list
     eval_logloss: list
-
-    def predict_raw(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        raw = np.zeros(x.shape[0])
-        for tree in self.trees[:self.best_iteration]:
-            raw += self.config.eta * _tree_predict(tree, x)
-        return raw
-
-    def predict_proba(self, x):
-        return _sigmoid(self.predict_raw(x))
-
-    def predict(self, x):
-        return (self.predict_proba(x) >= 0.5).astype(int)
 
 
 #: Padded elements (boosters x features x rows) of one lockstep wave's
@@ -143,7 +120,13 @@ class _Fit:
     test_x: np.ndarray = None
 
 
+def _check_columns(x):
+    if x.shape[1] == 0:
+        raise ValueError("feature matrix has no columns")
+
+
 def _check_fit_data(x, y):
+    _check_columns(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("feature matrix contains non-finite values")
     if np.unique(y).size < 2:
@@ -387,10 +370,9 @@ class _Wave:
                     test_raw[b] = raw[m + 1:][self.test_rows[b]]
             else:
                 best = best_round[b] or 1
-            model = GbtModel(
-                trees=trees[b], config=f.cfg, best_iteration=best,
-                feature_names=["f%d" % i for i in range(f.x.shape[1])],
-                eval_logloss=hist[b])
+            model = GbtModel(trees=trees[b], config=f.cfg,
+                             best_iteration=best, feature_names=None,
+                             eval_logloss=hist[b])
             out.append((model, test_raw[b], int(depth[b])))
         return out
 
@@ -499,6 +481,21 @@ class _Wave:
             level += 1
 
 
+def _fit_one(x, y, cfg, eval_set, feature_names, test_x=None):
+    """One checked booster through `_boost`, named by `feature_names`
+    or f0, f1, ...; returns (model, raw score of test_x at the best
+    round, or None)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    _check_fit_data(x, y)
+    if eval_set is not None:
+        eval_set = tuple(np.asarray(a, dtype=np.float64) for a in eval_set)
+    model, raw, _ = _boost([_Fit(x, y, cfg, eval_set, test_x)])[0]
+    model.feature_names = list(feature_names) if feature_names is not None \
+        else ["f%d" % i for i in range(x.shape[1])]
+    return model, raw
+
+
 def gbt_train(x, y, cfg=GbtConfig(), eval_set=None, feature_names=None):
     """Boost depth-limited regression trees on the logistic objective.
 
@@ -507,15 +504,7 @@ def gbt_train(x, y, cfg=GbtConfig(), eval_set=None, feature_names=None):
     boosting stops once its logloss has not improved for
     early_stopping_rounds, and the best round is kept.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_fit_data(x, y)
-    if eval_set is not None:
-        eval_set = tuple(np.asarray(a, dtype=np.float64) for a in eval_set)
-    model = _boost([_Fit(x, y, cfg, eval_set)])[0][0]
-    if feature_names is not None:
-        model.feature_names = list(feature_names)
-    return model
+    return _fit_one(x, y, cfg, eval_set, feature_names)[0]
 
 
 def gbt_importance(model):
@@ -825,6 +814,7 @@ def cross_validate(x, y, classifier, grid=None, seed=0, gbt_base=None,
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=int)
+    _check_columns(x)
     if grid is None:
         grid = DEFAULT_GRIDS[classifier]
     fold_of = stratified_folds(y, N_FOLDS, seed)
@@ -889,14 +879,17 @@ def train_final(x, y, cfg=GbtConfig(), split_seed=0, feature_names=None):
     """Stratified 80/20 holdout fit of the boosted-tree model.
 
     Early stopping runs on an internal carve-out of the training portion.
+    The engine routes the holdout rows through every tree as it grows
+    them and scores them at the best round, as it scores CV test folds.
     Returns (model, holdout_accuracy, ranked importance).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=int)
     train_idx, test_idx = stratified_split(y, 0.2, split_seed)
     tr_idx, ev_idx = stratified_split(y[train_idx], 0.2, split_seed + 1)
-    model = gbt_train(x[train_idx][tr_idx], y[train_idx][tr_idx], cfg,
-                      eval_set=(x[train_idx][ev_idx], y[train_idx][ev_idx]),
-                      feature_names=feature_names)
-    acc = float(np.mean(model.predict(x[test_idx]) == y[test_idx]))
+    tx, ty = x[train_idx], y[train_idx]
+    model, raw = _fit_one(tx[tr_idx], ty[tr_idx], cfg,
+                          (tx[ev_idx], ty[ev_idx]), feature_names,
+                          x[test_idx])
+    acc = float(np.mean((_sigmoid(raw) >= 0.5) == y[test_idx]))
     return model, acc, gbt_importance(model)

@@ -3,14 +3,16 @@
 This is the node-at-a-time builder and boosting loop that
 `classify._boost` replaced, kept as the oracle that the lockstep engine
 must match byte for byte. It returns `classify.GbtModel`s built from
-`classify.TreeNode`s, so both sides are compared in one form.
+`classify.TreeNode`s, so both sides are compared in one form. The
+library scores rows only inside its engine; the tree walk and predictor
+here score a model's trees for the tests.
 """
 
 import math
 
 import numpy as np
 
-from eegsweep.classify import GbtModel, TreeNode, _tree_predict
+from eegsweep.classify import GbtModel, TreeNode
 
 
 class TreeBuilder:
@@ -77,6 +79,35 @@ class TreeBuilder:
         return node
 
 
+def tree_predict(node, x):
+    """Each row's leaf value, reached by `x[:, feature] <= threshold`."""
+    out = np.empty(x.shape[0])
+    stack = [(node, np.arange(x.shape[0]))]
+    while stack:
+        nd, rows = stack.pop()
+        if nd.is_leaf:
+            out[rows] = nd.leaf_value
+            continue
+        mask = x[rows, nd.feature] <= nd.threshold
+        stack.append((nd.left, rows[mask]))
+        stack.append((nd.right, rows[~mask]))
+    return out
+
+
+def predict_raw(model, x):
+    """Raw score of the model's first best_iteration trees, added in
+    boosting order."""
+    x = np.asarray(x, dtype=np.float64)
+    raw = np.zeros(x.shape[0])
+    for tree in model.trees[:model.best_iteration]:
+        raw += model.config.eta * tree_predict(tree, x)
+    return raw
+
+
+def predict(model, x):
+    return (1.0 / (1.0 + np.exp(-predict_raw(model, x))) >= 0.5).astype(int)
+
+
 def tree_depth(node):
     """Depth of the deepest leaf; a lone leaf has depth 0."""
     if node.is_leaf:
@@ -112,7 +143,7 @@ def gbt_train(x, y, cfg, eval_set=None):
         trees.append(tree)
         raw += cfg.eta * leaf_values
         if raw_eval is not None:
-            raw_eval += cfg.eta * _tree_predict(tree, x_eval)
+            raw_eval += cfg.eta * tree_predict(tree, x_eval)
             ll = logloss(y_eval, 1.0 / (1.0 + np.exp(-raw_eval)))
             eval_hist.append(ll)
             if ll < best_eval - 1e-12:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eegsweep.classify import (GbtConfig, _logloss, _tree_predict,
-                               cross_validate, gbt_importance, gbt_train,
-                               knn_predict, stratified_folds,
-                               stratified_split, svm_train, train_final)
+import gbt_reference as ref
+from eegsweep.classify import (GbtConfig, _logloss, cross_validate,
+                               gbt_importance, gbt_train, knn_predict,
+                               stratified_folds, stratified_split, svm_train,
+                               train_final)
+from test_gbt_lockstep import boosted, drawn_matrix
 
 FAST_GBT_GRID = ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},)
 
@@ -31,7 +34,7 @@ def xor_clusters(per=50, seed=1):
 def test_gbt_separable_train_and_cv():
     x, y = separable_blobs()
     model = gbt_train(x, y, GbtConfig(max_depth=2, eta=0.3))
-    assert np.mean(model.predict(x) == y) == 1.0
+    assert np.mean(ref.predict(model, x) == y) == 1.0
     res = cross_validate(x, y, "gbt", grid=FAST_GBT_GRID, seed=0)
     assert res.mean_accuracy >= 0.95
 
@@ -61,7 +64,7 @@ def test_gbt_train_logloss_non_increasing():
     raw = np.zeros(x.shape[0])
     hist = []
     for tree in model.trees:
-        raw += model.config.eta * _tree_predict(tree, x)
+        raw += model.config.eta * ref.tree_predict(tree, x)
         hist.append(_logloss(y, 1.0 / (1.0 + np.exp(-raw))))
     assert len(hist) == 60
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
@@ -321,3 +324,40 @@ def test_train_final_split_and_importance():
     assert imp[0][0] == "strong"
     assert acc >= 0.8
 
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(16, 60), d=st.integers(1, 6),
+       decimals=st.integers(0, 1), effect=st.sampled_from([0.0, 1.0, 3.0]),
+       max_depth=st.sampled_from([0, 1, 2, 3, 6]),
+       eta=st.sampled_from([0.1, 0.3, 1.0]),
+       gamma=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 1000))
+def test_train_final_holdout_equals_a_walk_of_its_trees(
+        n, d, decimals, effect, max_depth, eta, gamma, seed):
+    # the holdout is scored from the raw score the engine routed at the
+    # best round; the oracle walks the returned model's trees over it
+    x, y = drawn_matrix(seed, n, d, decimals, effect)
+    cfg = GbtConfig(n_rounds=12, early_stopping_rounds=4,
+                    max_depth=max_depth, eta=eta, gamma=gamma)
+    with boosted() as seen:
+        model, acc, _ = train_final(x, y, cfg, split_seed=seed)
+    _, test_idx = stratified_split(y, 0.2, seed)
+    want = ref.predict_raw(model, x[test_idx])
+    [(_, (_, raw, _))] = seen
+    assert raw.tobytes() == want.tobytes()
+    assert acc == float(np.mean(ref.predict(model, x[test_idx])
+                                == y[test_idx]))
+
+
+@pytest.mark.parametrize("classifier", ["gbt", "svm", "knn"])
+def test_cv_refuses_a_matrix_without_columns(classifier):
+    y = np.repeat([0, 1], 10)
+    with pytest.raises(ValueError, match="no columns"):
+        cross_validate(np.empty((20, 0)), y, classifier)
+
+
+def test_single_fits_refuse_a_matrix_without_columns():
+    y = np.repeat([0, 1], 10)
+    with pytest.raises(ValueError, match="no columns"):
+        gbt_train(np.empty((20, 0)), y)
+    with pytest.raises(ValueError, match="no columns"):
+        train_final(np.empty((20, 0)), y)

@@ -654,3 +654,45 @@ def test_malformed_chunk_exits_1_before_loading(tmp_path, capsys, command,
         "1, 2, 3, 4, 5, 20")
     assert err[0].endswith("got \"%s\"" % chunk)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("classifier", ["gbt", "svm", "knn"])
+def test_train_on_a_selection_that_keeps_no_column_exits_2(
+        tmp_path, capsys, classifier):
+    # selection keeps neither null column; gbt ended in a ZeroDivisionError
+    # traceback, svm and knn exited 0 with five 0.5000 folds fit on zero
+    # columns
+    rng = np.random.default_rng(0)
+    FeatureMatrix(column_names=["P3:a", "P3:b"],
+                  values=rng.standard_normal((50, 2)),
+                  labels=np.repeat([1, 0], 25),
+                  subject_ids=[]).to_csv(tmp_path / "feat.csv")
+    code = main(["train", "--features", str(tmp_path / "feat.csv"),
+                 "--classifier", classifier, "--selection", "yes"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: feature matrix has no columns\n"
+    assert captured.out == ""
+
+
+def test_train_importance_prints_what_it_printed_before(tmp_path, capsys):
+    # recorded when the holdout was still scored by a second tree walk
+    # over the returned model; the engine's routed holdout rows must give
+    # the same accuracy, and the fit the same gains
+    rng = np.random.default_rng(2)
+    labels = np.repeat([1, 0], 20)
+    values = np.round(rng.standard_normal((40, 5)), 1)
+    values[:, :2] += 0.7 * labels[:, None]
+    FeatureMatrix(column_names=["P3:%s" % c for c in "abcde"], values=values,
+                  labels=labels, subject_ids=[]).to_csv(tmp_path / "feat.csv")
+    assert main(["train", "--features", str(tmp_path / "feat.csv"),
+                 "--classifier", "gbt", "--importance", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "classifier=gbt folds=0.6250,0.7500,0.6250,0.8750,0.6250\n"
+        "mean accuracy 0.7000 +- 0.1118, best config "
+        "{\"eta\": 0.3, \"gamma\": 1.0, \"max_depth\": 3}\n"
+        "holdout accuracy 0.8750\n"
+        "  P3:a                         5.5012\n"
+        "  P3:e                         4.4860\n"
+        "  P3:c                         3.9159\n"
+        "  P3:b                         3.1610\n")

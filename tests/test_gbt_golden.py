@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from eegsweep import classify
-from eegsweep.classify import (GBT_GRID, GbtConfig, _logloss, _tree_predict,
-                               cross_validate, gbt_train, stratified_folds,
-                               stratified_split)
+from eegsweep.classify import (GBT_GRID, GbtConfig, _logloss, cross_validate,
+                               gbt_train, stratified_folds, stratified_split)
+from gbt_reference import tree_predict
 
 GOLDEN = Path(__file__).with_name("gbt_golden.json")
 SEED = 17
@@ -69,7 +69,7 @@ def _train_logloss(model, x, y):
     raw = np.zeros(x.shape[0])
     hist = []
     for tree in model.trees:
-        raw += model.config.eta * _tree_predict(tree, x)
+        raw += model.config.eta * tree_predict(tree, x)
         hist.append(_logloss(y, 1.0 / (1.0 + np.exp(-raw))))
     return hist
 

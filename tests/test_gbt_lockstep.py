@@ -33,8 +33,9 @@ def assert_same_as_reference(fit, grown):
     assert model.eval_logloss == want.eval_logloss
     assert depth == max(ref.tree_depth(t) for t in want.trees)
     if fit.test_x is not None:
-        assert test_raw.tobytes() == want.predict_raw(fit.test_x).tobytes()
-        assert (want.predict(fit.test_x)
+        assert test_raw.tobytes() \
+            == ref.predict_raw(want, fit.test_x).tobytes()
+        assert (ref.predict(want, fit.test_x)
                 == (classify._sigmoid(test_raw) >= 0.5)).all()
 
 

@@ -1,16 +1,18 @@
-"""Every public name in src/eegsweep has a caller outside the tests, and
-every dataclass field has a reader.
+"""Every public name and every private function in src/eegsweep has a
+caller outside the tests, and every dataclass field has a reader.
 
 The first scan parses each module with `ast` and lists its public
 module-level functions, classes and constants, and the public methods
-and properties of its classes. A name passes when it appears as a word
-somewhere in src/eegsweep outside its own definition, in demos/ or in
-perfbench/. It matches names, not parameters: an unused keyword argument
-of a used function is not caught here. The second scan lists the fields
-of every dataclass in src/eegsweep and looks for a read of each name, as
-an attribute or through getattr with a constant, anywhere in the project.
-The third scan looks for `Recording(` calls outside the modules that
-load and generate recordings.
+and properties of its classes; the second lists its private module-level
+functions and the private methods of its classes (dunders aside). A name
+passes when it appears as a word somewhere in src/eegsweep outside its
+own definition, in demos/ or in perfbench/. It matches names, not
+parameters: an unused keyword argument of a used function is not caught
+here. The third scan lists the fields of every dataclass in src/eegsweep
+and looks for a read of each name, as an attribute or through getattr
+with a constant, anywhere in the project. The fourth scan looks for
+`Recording(` calls outside the modules that load and generate
+recordings.
 """
 
 import ast
@@ -21,8 +23,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "eegsweep"
 
 
-def public_definitions(path):
-    """(name, first line, last line) of each public definition in a file."""
+def definitions(path):
+    """(name, first line, last line, is a function) of each module-level
+    function, class and constant in a file, and of each method of its
+    classes."""
     out = []
     for node in ast.parse(path.read_text()).body:
         members = [node]
@@ -38,12 +42,15 @@ def public_definitions(path):
                 names = [n.target.id]
             else:
                 names = []
-            out += [(name, n.lineno, n.end_lineno) for name in names
-                    if not name.startswith("_")]
+            out += [(name, n.lineno, n.end_lineno,
+                     isinstance(n, ast.FunctionDef)) for name in names]
     return out
 
 
-def test_every_public_name_has_a_caller_outside_tests():
+def uncalled(wanted):
+    """`module: name` of each definition that `wanted(name, is a
+    function)` picks and that no word outside its definition, in
+    src/eegsweep, demos/ or perfbench/, names."""
     modules = sorted(SRC.glob("*.py"))
     callers = modules + sorted((ROOT / "demos").glob("*.py")) \
         + sorted((ROOT / "perfbench").glob("*.py"))
@@ -51,13 +58,26 @@ def test_every_public_name_has_a_caller_outside_tests():
     unused = []
     for path in modules:
         lines = texts[path].splitlines()
-        for name, first, last in public_definitions(path):
+        for name, first, last, function in definitions(path):
+            if not wanted(name, function):
+                continue
             word = re.compile(r"\b%s\b" % re.escape(name))
             outside = "\n".join(lines[:first - 1] + lines[last:])
             if not any(word.search(outside if other == path else text)
                        for other, text in texts.items()):
                 unused.append("%s: %s" % (path.name, name))
-    assert unused == []
+    return unused
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    assert uncalled(lambda name, function: not name.startswith("_")) == []
+
+
+def test_every_private_function_has_a_caller_outside_tests():
+    assert uncalled(lambda name, function: function
+                    and name.startswith("_")
+                    and not (name.startswith("__") and name.endswith("__"))
+                    ) == []
 
 
 def attribute_reads(path):
