@@ -111,8 +111,9 @@ _CHUNK_ELEMENTS = 1 << 15
 @dataclass
 class _Fit:
     """One pending booster: float64 training rows and labels, its config,
-    the (x, y) set that early stopping watches or None, and the rows
-    whose raw score at the best round is returned."""
+    the (x, y) set that early stopping watches or None, and, for a
+    watched fit, the rows whose raw score at the best round is
+    returned."""
     x: np.ndarray
     y: np.ndarray
     cfg: GbtConfig
@@ -364,12 +365,8 @@ class _Wave:
                         test_raw[b] = raw_routed[self.test_rows[b]].copy()
         out = []
         for b, f in enumerate(fits):
-            if f.eval_set is None:
-                best = len(trees[b])
-                if b in self.test_rows:
-                    test_raw[b] = raw[m + 1:][self.test_rows[b]]
-            else:
-                best = best_round[b] or 1
+            best = len(trees[b]) if f.eval_set is None \
+                else best_round[b] or 1
             model = GbtModel(trees=trees[b], config=f.cfg,
                              best_iteration=best, feature_names=None,
                              eval_logloss=hist[b])
@@ -732,9 +729,10 @@ def _gbt_predictions(folds, grid, seed, gbt_base, eval_on_test):
 
     A model grown under cap D whose deepest leaf sits at depth s < D never
     met its cap, so every cap D' >= s grows it tree for tree. Grid points
-    that differ only in max_depth form one chain per fold, taken in grid
-    order. A chain's next fit depends only on its own earlier fits, so
-    each wave grows the next pending fit of every chain in lockstep.
+    that differ only in max_depth form one chain per fold. One wave grows
+    every chain's deepest cap, a second each cap below that fit's deepest
+    leaf. A second-wave fit meets its cap, or it would equal the first,
+    so none covers another.
     """
     fold_fits = []      # (x, y, eval_set) per fold, or its data error
     for fold, (tx, ty, sx, sy) in enumerate(folds):
@@ -753,7 +751,7 @@ def _gbt_predictions(folds, grid, seed, gbt_base, eval_on_test):
     data_error = next((f for f in fold_fits if isinstance(f, ValueError)),
                       None)
     points = []         # (chain keys, cap) per grid point, or its error
-    pending = {}        # chain key -> its configs still to cover
+    chains = {}         # chain key -> {cap: config}
     for cfg in grid:
         try:
             full = replace(gbt_base or GbtConfig(), **cfg)
@@ -766,23 +764,17 @@ def _gbt_predictions(folds, grid, seed, gbt_base, eval_on_test):
         keys = [(fold, replace(full, max_depth=0))
                 for fold in range(N_FOLDS)]
         for key in keys:
-            pending.setdefault(key, []).append(full)
+            chains.setdefault(key, {})[full.max_depth] = full
         points.append((keys, full.max_depth))
-    fitted = {key: [] for key in pending}   # (lowest cap, highest cap, pred)
+    fitted = {key: [] for key in chains}    # (lowest cap, highest cap, pred)
 
     def covering(key, cap):
         return next((pred for lo, hi, pred in fitted[key] if lo <= cap <= hi),
                     None)
 
-    while True:
-        wave = []
-        for key, configs in pending.items():
-            while configs and covering(key, configs[0].max_depth) is not None:
-                configs.pop(0)
-            if configs:
-                wave.append((key, configs.pop(0)))
+    def grow(wave):
         if not wave:
-            break
+            return
         grown = _boost([_Fit(fold_fits[fold][0], fold_fits[fold][1], cfg,
                              fold_fits[fold][2], folds[fold][2])
                         for (fold, _), cfg in wave])
@@ -791,6 +783,10 @@ def _gbt_predictions(folds, grid, seed, gbt_base, eval_on_test):
             cap = cfg.max_depth
             fitted[key].append((depth, math.inf, pred) if depth < cap
                                else (cap, cap, pred))
+
+    grow([(key, caps[max(caps)]) for key, caps in chains.items()])
+    grow([(key, cfg) for key, caps in chains.items()
+          for cap, cfg in caps.items() if covering(key, cap) is None])
     return [p if isinstance(p, ValueError)
             else [covering(key, p[1]) for key in p[0]] for p in points]
 

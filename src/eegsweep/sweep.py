@@ -6,11 +6,12 @@ specs it still has to run: one float64 array `values[subject, cell, 53]`
 over the distinct (cleaning, chunk, channel) cells of those specs. Each
 subject is cleaned once along FIR -> ASR -> ICA (ASR calibrated on the
 whole recording, for every chunk), and each of its cells is extracted
-once, in this process, in one stack with the subject's other rows of
-its length; a cell that fails keeps its first failure. Every feature
-matrix, a spec's or `eegsweep extract`'s, is a slice of that array
-(`feature_matrix`). The specs then only select and cross-validate,
-serially or in fork workers that inherit the table.
+once, in this process, in one stack with other rows of its length and
+sample rate, from this subject and the next ones, up to a budget of
+samples; a cell that fails keeps the failure of its smallest subject.
+Every feature matrix, a spec's or `eegsweep extract`'s, is a slice of
+that array (`feature_matrix`). The specs then only select and
+cross-validate, serially or in fork workers that inherit the table.
 Records are emitted in spec order regardless of execution order, and
 per-spec failures become failed rows instead of aborting the sweep.
 """
@@ -121,27 +122,54 @@ class FeatureTable:
     failures: dict
 
 
+#: Samples (rows x length) that one extract_channel stack holds at most,
+#: unless one subject's rows of that length need more. It bounds a
+#: stack's temporaries; one 60 s subject's rows of one length on the
+#: benchmark's `clean-features` come close to it, so those stacks keep
+#: the size they had when each subject was extracted on its own.
+_STACK_SAMPLES = 1 << 16
+
+
 def feature_vectors(cohort, cells, pipeline, params):
     """The feature table of a cohort: every vector the cells need, once.
 
     `cells` holds (cleaning, chunk, channel) triples, chunk a SegmentSpec,
     repeats allowed; `pipeline`'s kind is ignored. Walks each subject
     through the cleanings once, as deep as the cells need, keeping the
-    channel rows they need; then the subject's rows of each length go to
-    extract_channel as one stack. A stage or segment that fails fails
-    every cell it and later stages would have produced, and is attempted
-    once per subject.
+    channel rows they need. Rows of one length and sample rate wait in
+    one stack across subjects; it goes to extract_channel when the next
+    subject's rows would take it past _STACK_SAMPLES, and at the end. A
+    subject's rows are never split between stacks. A stage or segment
+    that fails fails every cell it and later stages would have produced,
+    and is attempted once per subject. A cell keeps the failure of its
+    smallest subject, though a stack's failures are known only once it
+    is extracted.
     """
     index = {cell: pos for pos, cell in enumerate(dict.fromkeys(cells))}
     plan = {}
     for (kind, chunk, channel), pos in index.items():
         plan.setdefault(kind, {}).setdefault(chunk, {})[channel] = pos
     depth = max(map(PIPELINE_KINDS.index, plan), default=0)
-    # written subject by subject; a failed entry is never read
+    # written stack by stack; a failed entry is never read
     values = np.empty((len(cohort), len(index), features.N_FEATURES))
     failures = {}
+    pending = {}    # (length, rate) -> [(subject, cell position, row)]
+
+    def fail(pos, s, exc):
+        if pos not in failures or s < failures[pos][0]:
+            failures[pos] = (s, exc)
+
+    def extract(key):
+        subjects, positions, rows = zip(*pending.pop(key))
+        for s, pos, vector in zip(subjects, positions,
+                                  _extract_stack(rows, key[1], params)):
+            if isinstance(vector, Exception):
+                fail(pos, s, vector)
+            else:
+                values[s, pos] = vector
+
     for s, rec in enumerate(cohort):
-        stacks = {}  # length -> (cell positions, rows)
+        mine = {}   # (length, rate) -> this subject's rows
         stages = cleaning.walk_pipeline(
             rec, replace(pipeline, kind=PIPELINE_KINDS[depth]))
         cleaned = seg = None
@@ -153,21 +181,20 @@ def feature_vectors(cohort, cells, pipeline, params):
                        else _attempt(lambda: segment(cleaned, chunk)))
                 for ch, pos in channels.items():
                     if isinstance(seg, Exception):
-                        failures.setdefault(pos, (s, seg))
+                        fail(pos, s, seg)
                     else:
-                        positions, rows = stacks.setdefault(seg.n_samples,
-                                                            ([], []))
-                        positions.append(pos)
                         # a copy, so that each stage's recording is freed
                         # once the walk has moved past it
-                        rows.append(seg.channel(ch).copy())
-        for positions, rows in stacks.values():
-            for pos, vector in zip(positions, _extract_stack(
-                    rows, rec.sample_rate_hz, params)):
-                if isinstance(vector, Exception):
-                    failures.setdefault(pos, (s, vector))
-                else:
-                    values[s, pos] = vector
+                        row = seg.channel(ch).copy()
+                        mine.setdefault((row.size, rec.sample_rate_hz),
+                                        []).append((s, pos, row))
+        for key, rows in mine.items():
+            if key in pending and (len(pending[key]) + len(rows)) * key[0] \
+                    > _STACK_SAMPLES:
+                extract(key)
+            pending.setdefault(key, []).extend(rows)
+    for key in list(pending):
+        extract(key)
     return FeatureTable(cells=index, values=values, failures=failures)
 
 

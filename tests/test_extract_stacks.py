@@ -65,6 +65,19 @@ def test_every_row_of_a_stack_equals_the_per_signal_vector(x):
         assert got[r].tobytes() == want.tobytes(), r
 
 
+def test_a_cohort_sized_stack_equals_the_per_signal_vectors():
+    # 41 subjects x 3 channels of 4 s, as a sweep stacks them across
+    # subjects, with every kind of row and scale in one stack
+    rng = np.random.default_rng(41)
+    scales = (1e-150, 1e-6, 1.0, 1e3)
+    x = np.array([row(KINDS[r % len(KINDS)], int(4 * FS), scales[r % 4], rng)
+                  for r in range(123)])
+    got = features.extract_channel(x, FS)
+    for r, signal in enumerate(x):
+        want = extract_reference.extract_channel(signal, FS)
+        assert got[r].tobytes() == want.tobytes(), r
+
+
 def test_golden_corpus_in_stacks_matches_its_golden_hashes():
     golden = json.loads(GOLDEN.read_text())["extract_channel"]
     by_length = {}

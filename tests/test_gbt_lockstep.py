@@ -129,9 +129,10 @@ def test_one_wave_of_unlike_boosters(shapes, min_hess, budget, seed):
         train, held = perm[:n], perm[n:]
         if np.unique(y[train]).size < 2:
             continue
-        fits.append(_Fit(x[train], y[train].astype(float), cfg,
-                         (x[held], y[held].astype(float)) if watched
-                         else None, x[held]))
+        eval_set = (x[held], y[held].astype(float)) if watched else None
+        # test rows go to watched fits only, as in every library caller
+        fits.append(_Fit(x[train], y[train].astype(float), cfg, eval_set,
+                         x[held] if watched else None))
     with limits(*budget):
         grown = classify._boost(fits)
     for fit, one in zip(fits, grown):

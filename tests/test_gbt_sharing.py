@@ -2,6 +2,8 @@
 only when the shared model is the model an independent fit would grow.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +32,23 @@ def count_fits(monkeypatch):
 
     monkeypatch.setattr(classify, "_boost", counting)
     return calls
+
+
+@contextmanager
+def boost_calls():
+    """The number of fits of every `_boost` call inside the block."""
+    calls = []
+    real = classify._boost
+
+    def counting(fits):
+        calls.append(len(fits))
+        return real(fits)
+
+    classify._boost = counting
+    try:
+        yield calls
+    finally:
+        classify._boost = real
 
 
 def _as_tuple(res):
@@ -64,8 +83,11 @@ def test_shared_fits_equal_independent_fits(depths, order, etas, gamma,
             return np.sort(np.argsort(-gap, kind="stable")[:2])
     kwargs = dict(seed=data_seed, gbt_base=BASE, selector=selector,
                   eval_on_test_fold=eval_on_test)
-    shared = cross_validate(x, y, "gbt", grid=grid, return_all=True,
-                            **kwargs)
+    with boost_calls() as calls:
+        shared = cross_validate(x, y, "gbt", grid=grid, return_all=True,
+                                **kwargs)
+    # the deepest caps, then the caps below their fits' deepest leaves
+    assert len(calls) <= 2
     # a one-point grid fits one model per fold, with nothing to share
     for cfg, res in zip(grid, shared):
         alone = cross_validate(x, y, "gbt", grid=[cfg], **kwargs)
@@ -94,6 +116,20 @@ def test_bound_cap_fits_every_depth(monkeypatch):
     # the repeated depth-1 point reuses its own fit
     assert calls.count(1) == 5
     assert calls.count(2) == 5
+
+
+def test_deepest_cap_covers_the_caps_down_to_its_deepest_leaf(
+        monkeypatch):
+    # ones at (1, 1), zeros at (-1, 1) and (1, -1): two splits isolate
+    # every point, so one cap-3 fit per fold stops at depth 2 and covers
+    # cap 2 too; grown first, the cap-2 fits would meet their cap and
+    # cover nothing else
+    y = np.array([0] * 12 + [1] * 13)
+    x = np.array([[-1.0, 1.0], [1.0, -1.0]] * 6 + [[1.0, 1.0]] * 13)
+    calls = count_fits(monkeypatch)
+    grid = [{"max_depth": d, "eta": 0.3, "gamma": 0.0} for d in (2, 3)]
+    cross_validate(x, y, "gbt", grid=grid, gbt_base=BASE, return_all=True)
+    assert calls == [3] * 5
 
 
 def test_other_settings_never_share(monkeypatch):

@@ -319,14 +319,17 @@ def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
     assert runs[True][1] == runs[False][1]
     # cached, each subject is walked through the cleanings once; uncached,
     # once per spec. Every spec here needs its own (cleaning, chunk,
-    # channel) vector, so both extract one row per spec and subject;
-    # cached, each subject's rows go in two stacks, one per segment length
-    # (chunk 1/1, and chunks 1/2 and 2/2).
+    # channel) vector, so both extract one row per spec and subject.
+    # Cached, rows of one segment length wait across subjects: each
+    # subject adds 4 rows of 1,536 samples (chunk 1/1) and 8 of 768
+    # (chunks 1/2 and 2/2), so a stack of at most 2**16 samples takes 10
+    # subjects, and the 12 take two stacks per length. Uncached, each
+    # spec's 12 rows fit one stack.
     n = len(cohort)
-    assert runs[True][0] == {"walk_pipeline": n, "extract_channel": 2 * n,
+    assert runs[True][0] == {"walk_pipeline": n, "extract_channel": 4,
                              "rows": len(specs) * n}
     assert runs[False][0] == {"walk_pipeline": len(specs) * n,
-                              "extract_channel": len(specs) * n,
+                              "extract_channel": len(specs),
                               "rows": len(specs) * n}
 
 
@@ -552,10 +555,10 @@ def test_workers_neither_clean_nor_extract(small_cohort, monkeypatch,
                         gbt_base=FAST_GBT, jobs=2)
     calls = [line.split() for line in log.read_text().splitlines()]
     assert {pid for pid, _ in calls} == {str(os.getpid())}
-    # one stack per subject and segment length: chunk 1/1, and the halves
+    # two stacks per segment length, chunk 1/1 and the halves, each of
+    # at most 10 subjects' rows (see test_cache_makes_sweep_cheaper)
     assert Counter(name for _, name in calls) == {
-        "fir_bandpass": len(cohort),
-        "extract_channel": 2 * len(cohort)}
+        "fir_bandpass": len(cohort), "extract_channel": 4}
     assert all(r.ok for r in records)
 
 
@@ -695,6 +698,47 @@ def test_a_spec_fails_with_its_earliest_subject_then_channel(small_cohort,
         "ValueError: " + text]
 
 
+def test_a_late_stack_failure_beats_a_later_subjects_stage_failure(
+        small_cohort, monkeypatch):
+    """Subject 1's row fails in a stack that is still waiting when
+    subject 3's filter fails: the cell keeps subject 1's failure, the
+    one a subject-by-subject assembly would meet first."""
+    cohort = small_cohort[0][:4]
+    whole = SegmentSpec(1, 1)
+    names = {segment(cleaning.run_pipeline(rec, CleaningPipeline(
+        kind="filtered")), whole).channel("P3").tobytes(): rec.subject_id
+        for rec in cohort}
+    ids = [rec.subject_id for rec in cohort]
+    events = []
+    real_filter, real_extract = cleaning.fir_bandpass, features.extract_channel
+
+    def fir_bandpass(rec, params):
+        events.append(("filter", rec.subject_id))
+        if rec.subject_id == ids[3]:
+            raise RuntimeError("no clean data in " + rec.subject_id)
+        return real_filter(rec, params)
+
+    def extract(signal, fs, params):
+        rows = [names[row.tobytes()] for row in np.atleast_2d(signal)]
+        events.append(("extract", tuple(rows)))
+        if ids[1] in rows:
+            raise ValueError("refused " + ids[1])
+        return real_extract(signal, fs, params)
+    monkeypatch.setattr(cleaning, "fir_bandpass", fir_bandpass)
+    monkeypatch.setattr(features, "extract_channel", extract)
+    table = feature_vectors(cohort, [("filtered", whole, "P3")], PIPELINE,
+                            DEFAULT_PARAMS)
+    # every filter ran before the stack of subjects 0-2 was extracted
+    assert events[:5] == [("filter", i) for i in ids] \
+        + [("extract", tuple(ids[:3]))]
+    subject, err = table.failures[table.cells["filtered", whole, "P3"]]
+    assert (subject, str(err)) == (1, "refused " + ids[1])
+    spec = ExperimentSpec(cleaning="filtered", chunk=whole, channels=("P3",),
+                          classifier="knn", feature_selection=False)
+    assert [r.error for r in run_one(cohort, spec, 0, table)] == [
+        "ValueError: refused " + ids[1]]
+
+
 # ---------------------------------------------------------------------------
 # stacked extraction
 
@@ -772,6 +816,31 @@ def test_lengths_one_sample_apart_go_to_separate_stacks(small_cohort,
     shapes = _stacks_seen(monkeypatch)
     table = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
     assert shapes == [(8, 767), (8, 768)]
+    monkeypatch.undo()
+    for s, rec in enumerate(cohort):
+        for cell in cells:
+            got = table.values[s, table.cells[cell]]
+            assert got.tobytes() == _alone(rec, *cell).tobytes()
+
+
+def test_each_sample_rate_gets_its_own_stacks(small_cohort, monkeypatch):
+    # subjects 1 and 3 declared at twice the rate: their segments have
+    # the same lengths as the others' and must still not share a stack
+    cohort = [replace(rec, sample_rate_hz=FS * (1 + s % 2))
+              for s, rec in enumerate(small_cohort[0][:4])]
+    chunks = (SegmentSpec(1, 1), SegmentSpec(2, 1), SegmentSpec(2, 2))
+    cells = [("raw", chunk, ch) for chunk in chunks for ch in ("P3", "Cz")]
+    rates = []
+    real = features.extract_channel
+
+    def extract(signal, fs, *args):
+        rates.append((np.shape(signal), fs))
+        return real(signal, fs, *args)
+    monkeypatch.setattr(features, "extract_channel", extract)
+    table = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
+    n = cohort[0].n_samples
+    assert sorted(rates) == sorted(
+        (shape, fs) for shape in ((4, n), (8, n // 2)) for fs in (FS, 2 * FS))
     monkeypatch.undo()
     for s, rec in enumerate(cohort):
         for cell in cells:
