@@ -63,8 +63,8 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     records = sweep.run_sweep(
         cohort, specs, seed=11,
-        grids={"gbt": ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},)},
-        gbt_base=GbtConfig(n_rounds=40, early_stopping_rounds=15))
+        grids={"gbt": ({"max_depth": 2, "eta": 0.3, "gamma": 0.0,
+                        "n_rounds": 40, "early_stopping_rounds": 15},)})
 
 ok = [r for r in records if r.ok]
 print("finished: %d ok, %d failed (selection can keep zero columns on "

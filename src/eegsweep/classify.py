@@ -297,9 +297,8 @@ class _Wave:
         for a, lo in zip(blocks, off):
             self.x[lo:lo + a.shape[0], :a.shape[1]] = a
         self.row_booster = np.repeat(owner, np.diff(off))
-        self.eta_rows = np.repeat([c.eta for c in cfgs] + [0.0]
-                                  + [cfgs[b].eta for b, _ in routed],
-                                  np.diff(off))
+        self.eta_rows = np.array([c.eta for c in cfgs] + [0.0])[
+            self.row_booster]
         width = max(ns)
         root_idx = np.full((width, len(fits), max(ds)), m)
         for b, f in enumerate(fits):
@@ -443,12 +442,6 @@ class _Wave:
                                          .any(axis=1))
                 goes_left = np.zeros(m + 1, dtype=bool)
                 goes_left[go[:train]] = left[:train]
-                # each searched child's parent rank and its column among
-                # the children of its piece of parents
-                rank = np.zeros(sp.size, dtype=int)
-                rank[parents] = np.arange(parents.size)
-                rank = rank[searched // 2]
-                by_rank = np.argsort(rank, kind="stable")
                 d = idx.shape[2]
                 new = np.full((int(child_k[searched[0]]), searched.size, d),
                               m)
@@ -457,12 +450,12 @@ class _Wave:
                                     mode="clip")
                     half = _partition(p_idx, m, np.take(goes_left, p_idx,
                                                         mode="clip"))
-                    mine = by_rank[slice(*np.searchsorted(
-                        rank[by_rank], [c.start, c.stop]))]
+                    # column j of the piece is child 2p + j % 2 of its
+                    # (j // 2)-th parent p
+                    ids = (2 * parents[c][:, None] + [0, 1]).ravel()
+                    keep = child_searched[ids]
                     width = min(width, new.shape[0])
-                    new[:width, mine] = np.take(
-                        half[:width], 2 * (rank[mine] - c.start)
-                        + searched[mine] % 2, axis=1)
+                    new[:width, slot[ids[keep]]] = half[:width, keep]
                 idx = new
             children = [TreeNode() for _ in order]
             for p, f, t, g, a, b in zip(
@@ -723,7 +716,7 @@ def _fit_predict(kind, train_x, train_y, test_x, cfg):
     raise ValueError("unknown classifier %r" % kind)
 
 
-def _gbt_predictions(folds, grid, seed, gbt_base, eval_on_test):
+def _gbt_predictions(folds, grid, seed, eval_on_test):
     """Each grid point's fold predictions, or the ValueError that one of
     its fits raised, from as few boosters as the grid allows.
 
@@ -754,7 +747,7 @@ def _gbt_predictions(folds, grid, seed, gbt_base, eval_on_test):
     chains = {}         # chain key -> {cap: config}
     for cfg in grid:
         try:
-            full = replace(gbt_base or GbtConfig(), **cfg)
+            full = GbtConfig(**cfg)
         except ValueError as exc:
             points.append(exc)
             continue
@@ -766,40 +759,40 @@ def _gbt_predictions(folds, grid, seed, gbt_base, eval_on_test):
         for key in keys:
             chains.setdefault(key, {})[full.max_depth] = full
         points.append((keys, full.max_depth))
-    fitted = {key: [] for key in chains}    # (lowest cap, highest cap, pred)
 
-    def covering(key, cap):
-        return next((pred for lo, hi, pred in fitted[key] if lo <= cap <= hi),
-                    None)
-
-    def grow(wave):
-        if not wave:
-            return
+    def grow(wave):     # (test predictions, depth of the deepest leaf)
         grown = _boost([_Fit(fold_fits[fold][0], fold_fits[fold][1], cfg,
                              fold_fits[fold][2], folds[fold][2])
-                        for (fold, _), cfg in wave])
-        for (key, cfg), (_, raw, depth) in zip(wave, grown):
-            pred = (_sigmoid(raw) >= 0.5).astype(int)
-            cap = cfg.max_depth
-            fitted[key].append((depth, math.inf, pred) if depth < cap
-                               else (cap, cap, pred))
+                        for (fold, _), cfg in wave]) if wave else []
+        return [((_sigmoid(raw) >= 0.5).astype(int), depth)
+                for _, raw, depth in grown]
 
-    grow([(key, caps[max(caps)]) for key, caps in chains.items()])
-    grow([(key, cfg) for key, caps in chains.items()
-          for cap, cfg in caps.items() if covering(key, cap) is None])
+    preds = {}          # (chain key, cap) -> fold predictions
+    wave = [(key, caps[max(caps)]) for key, caps in chains.items()]
+    for (key, _), (pred, depth) in zip(wave, grow(wave)):
+        preds.update(((key, cap), pred) for cap in chains[key]
+                     if cap >= depth)
+    wave = [(key, cfg) for key, caps in chains.items()
+            for cap, cfg in caps.items() if (key, cap) not in preds]
+    for (key, cfg), (pred, _) in zip(wave, grow(wave)):
+        preds[key, cfg.max_depth] = pred
     return [p if isinstance(p, ValueError)
-            else [covering(key, p[1]) for key in p[0]] for p in points]
+            else [preds[key, p[1]] for key in p[0]] for p in points]
 
 
-def cross_validate(x, y, classifier, grid=None, seed=0, gbt_base=None,
-                   selector=None, eval_on_test_fold=False, return_all=False):
+def cross_validate(x, y, classifier, grid=None, seed=0, selector=None,
+                   eval_on_test_fold=False, return_all=False):
     """Stratified 5-fold CV with a small grid search.
 
     For every grid point the mean fold accuracy is computed; the best
     configuration (ties broken by lexicographically smallest config) is
-    reported with its per-fold accuracies. GBT early stopping uses a 20%
-    stratified carve-out of each training fold; eval_on_test_fold=True
-    switches to the laxer protocol that watches the test fold instead.
+    reported with its per-fold accuracies. A GBT grid point is the one
+    source of its booster's settings: it sets any GbtConfig field
+    (n_rounds and early_stopping_rounds too), the others keep their
+    defaults, and `best_config` names what the point set. GBT early
+    stopping uses a 20% stratified carve-out of each training fold;
+    eval_on_test_fold=True switches to the laxer protocol that watches
+    the test fold instead.
     `selector(train_x, train_y) -> column indices` enables leakage-free
     in-fold feature selection. With return_all, one CvResult per grid
     point is returned instead of the best one.
@@ -826,8 +819,7 @@ def cross_validate(x, y, classifier, grid=None, seed=0, gbt_base=None,
         folds.append((tx, y[train_idx], sx, y[fold_of == fold]))
 
     if classifier == "gbt":
-        preds = _gbt_predictions(folds, grid, seed, gbt_base,
-                                 eval_on_test_fold)
+        preds = _gbt_predictions(folds, grid, seed, eval_on_test_fold)
     else:
         preds = []
         for cfg in grid:

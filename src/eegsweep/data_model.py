@@ -191,19 +191,34 @@ def read_manifest(manifest_path):
     """Parse the cohort manifest JSON; returns (sample_rate, channels, entries).
 
     Entries are (subject_id, label, resolved_path) tuples in manifest order.
+    A subject id must be a plain file name: it names the subject's CSV.
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path, "r") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CohortLoadError(["manifest is not a JSON object"])
     for key in ("sample_rate_hz", "channels", "subjects"):
         if key not in doc:
             raise CohortLoadError(["manifest missing key %r" % key])
-    channels = tuple(doc["channels"])
+    channels, subjects = doc["channels"], doc["subjects"]
+    if not (isinstance(channels, list)
+            and all(isinstance(c, str) for c in channels)):
+        raise CohortLoadError(["manifest key 'channels' is not a list of "
+                               "names: %s" % json.dumps(channels)])
+    if not isinstance(subjects, list):
+        raise CohortLoadError(["manifest key 'subjects' is not a list"])
     entries = []
     problems = []
     seen = set()
-    for i, sub in enumerate(doc["subjects"]):
-        sid = sub.get("id", "<entry %d>" % i)
+    for i, sub in enumerate(subjects):
+        sid = isinstance(sub, dict) and sub.get("id", "<entry %d>" % i)
+        if not isinstance(sid, str) or sid in ("", ".", "..") \
+                or "/" in sid or "\\" in sid:
+            problems.append("subject %d: %s is not an object whose id is a "
+                            "plain file name (not empty, . or .., without "
+                            "/ or \\)" % (i, json.dumps(sub)))
+            continue
         if sid in seen:
             problems.append("duplicate subject_id %r" % sid)
         seen.add(sid)
@@ -213,7 +228,7 @@ def read_manifest(manifest_path):
         entries.append((sid, label, manifest_path.parent / sub.get("path", "")))
     if problems:
         raise CohortLoadError(problems)
-    return float(doc["sample_rate_hz"]), channels, entries
+    return float(doc["sample_rate_hz"]), tuple(channels), entries
 
 
 def load_cohort(manifest_path):

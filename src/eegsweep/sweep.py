@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -241,9 +241,8 @@ def _attempt(stage):
         return exc.with_traceback(None)
 
 
-def run_one(cohort, spec, seed, table, grids=None, gbt_base=None,
-            selection_in_fold=False, eval_on_test_fold=False,
-            expand_grid=False):
+def run_one(cohort, spec, seed, table, grids=None, selection_in_fold=False,
+            eval_on_test_fold=False, expand_grid=False):
     """Execute a single experiment spec on a `feature_vectors` table.
 
     Returns a list of ExperimentRecord: the best grid point's, or one per
@@ -267,9 +266,8 @@ def run_one(cohort, spec, seed, table, grids=None, gbt_base=None,
         grid = (grids or {}).get(spec.classifier)
         result = classify.cross_validate(
             matrix.values, matrix.labels, spec.classifier, grid=grid,
-            seed=_spec_seed(seed, spec), gbt_base=gbt_base,
-            selector=selector, eval_on_test_fold=eval_on_test_fold,
-            return_all=expand_grid)
+            seed=_spec_seed(seed, spec), selector=selector,
+            eval_on_test_fold=eval_on_test_fold, return_all=expand_grid)
     except Exception as exc:  # per-spec failures never abort the sweep
         return [replace(record, error=_error_text(exc))]
     # a dropped grid point's record is an error row naming its config
@@ -335,21 +333,20 @@ def _cohort_sha256(cohort):
     return digest.hexdigest()
 
 
-def _config_stamp(seed, pipeline, cleanings, params, options, cohort_sha):
+def _config_stamp(seed, pipeline, params, options, cohort_sha):
     """sha256 of everything that decides a spec's records, the spec aside:
-    the config, and the cohort by its `_cohort_sha256`."""
-    doc = {key: asdict(value) if is_dataclass(value) else value
-           for key, value in options.items()}
-    doc.update(seed=seed, params=asdict(params),
-               pipelines={kind: asdict(replace(pipeline, kind=kind))
-                          for kind in cleanings}, cohort=cohort_sha)
+    the options, seed, feature params, the cleaning config but its kind,
+    which the sweep ignores, and the cohort by its `_cohort_sha256`."""
+    doc = dict(options, seed=seed, params=asdict(params), cohort=cohort_sha,
+               pipeline={k: v for k, v in asdict(pipeline).items()
+                         if k != "kind"})
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
               params=features.DEFAULT_PARAMS, checkpoint_dir=None,
-              grids=None, gbt_base=None, selection_in_fold=False, jobs=1,
+              grids=None, selection_in_fold=False, jobs=1,
               eval_on_test_fold=False, expand_grid=False):
     """Run every spec; returns records in spec order.
 
@@ -359,17 +356,17 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
     and extracts nothing. With checkpoint_dir, finished specs are appended
     to records.jsonl and skipped on resume, so a killed sweep continues
     without recomputation and yields the identical record list. A config
-    stamp beside it binds the checkpoint to the seed, grids, flags,
-    cleaning config, feature params and the cohort's bytes; resuming under
-    a different config or cohort, but not with other cleanings, raises
-    ValueError. jobs > 1 fans selection and CV out to a fork pool that
-    inherits the table; per-spec seeds are content-derived, so
-    parallelism never changes results. With
+    stamp beside it binds the checkpoint to the seed, grids, flags, the
+    one cleaning config, feature params and the cohort's bytes; resuming
+    under a different config or cohort raises ValueError, and a resume
+    may add or drop cleanings. A GBT grid point is the one source of its
+    booster's settings (classify.cross_validate). jobs > 1 fans selection
+    and CV out to a fork pool that inherits the table; per-spec seeds are
+    content-derived, so parallelism never changes results. With
     expand_grid, one record per (spec, grid point) is emitted instead of
     one best-config record per spec.
     """
-    options = {"grids": grids, "gbt_base": gbt_base,
-               "selection_in_fold": selection_in_fold,
+    options = {"grids": grids, "selection_in_fold": selection_in_fold,
                "eval_on_test_fold": eval_on_test_fold,
                "expand_grid": expand_grid}
     done = {}
@@ -379,19 +376,12 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         ckpt_path = ckpt_dir / "records.jsonl"
         stamp_path = ckpt_dir / "config.sha256"
-        cohort_sha = _cohort_sha256(cohort)
-        stamp = _config_stamp(seed, pipeline,
-                              {spec.cleaning for spec in specs}, params,
-                              options, cohort_sha)
+        stamp = _config_stamp(seed, pipeline, params, options,
+                              _cohort_sha256(cohort))
         if ckpt_path.exists() and ckpt_path.stat().st_size:
             found = (stamp_path.read_text().strip() if stamp_path.exists()
                      else "missing")
-            # a resume may add or drop cleanings; the stamp names the old ones
-            if found not in {
-                    _config_stamp(seed, pipeline, kinds, params, options,
-                                  cohort_sha)
-                    for n in range(len(PIPELINE_KINDS) + 1)
-                    for kinds in combinations(PIPELINE_KINDS, n)}:
+            if found != stamp:
                 raise ValueError(
                     "checkpoint %s was written under another sweep config "
                     "or cohort (stamp %s, this run %s); resume with the same "

@@ -16,7 +16,7 @@ import pytest
 import oracles
 from conftest import FS, golden_corpus, raw_feature_matrix
 from eegsweep import cleaning, features, report, selection, sweep
-from eegsweep.classify import GbtConfig, cross_validate
+from eegsweep.classify import cross_validate
 from eegsweep.data_model import CHANNELS_1020, Recording, load_cohort
 
 REGRESSION_FEATURES = {"hurst_exp", "higuchi_fd", "psd_fit_intercept",
@@ -200,13 +200,12 @@ def test_criterion_6_end_to_end_synthetic(theta_cohort):
         cleanings=("filtered", "asr"), divisors=(1, 2), subset_sizes=(1,),
         classifiers=("gbt",), selection_flags=(True,))
     specs = sweep.enumerate_space(space)
-    grids = {"gbt": ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},
-                     {"max_depth": 3, "eta": 0.1, "gamma": 0.0})}
+    rounds = {"n_rounds": 60, "early_stopping_rounds": 20}
+    grids = {"gbt": (dict(rounds, max_depth=2, eta=0.3, gamma=0.0),
+                     dict(rounds, max_depth=3, eta=0.1, gamma=0.0))}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        records = sweep.run_sweep(
-            cohort, specs, seed=17, grids=grids,
-            gbt_base=GbtConfig(n_rounds=60, early_stopping_rounds=20))
+        records = sweep.run_sweep(cohort, specs, seed=17, grids=grids)
     ok_records = [r for r in records if r.ok]
     best = max(ok_records, key=lambda r: r.accuracy)
     by_channel = {}
@@ -280,14 +279,13 @@ def test_criterion_8_determinism_and_resume(tmp_path, small_cohort):
                              classifiers=("gbt", "knn"),
                              selection_flags=(False,))
     specs = sweep.enumerate_space(space)
-    grids = {"gbt": ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},),
+    grids = {"gbt": ({"max_depth": 2, "eta": 0.3, "gamma": 0.0,
+                      "n_rounds": 30, "early_stopping_rounds": 10},),
              "knn": ({"k": 3},)}
-    base = GbtConfig(n_rounds=30, early_stopping_rounds=10)
 
     csvs = []
     for run_dir in ("a", "b"):
-        records = sweep.run_sweep(cohort, specs, seed=9, grids=grids,
-                                  gbt_base=base)
+        records = sweep.run_sweep(cohort, specs, seed=9, grids=grids)
         path = tmp_path / ("results_%s.csv" % run_dir)
         sweep.records_to_csv(records, path)
         csvs.append(path.read_bytes())
@@ -295,10 +293,10 @@ def test_criterion_8_determinism_and_resume(tmp_path, small_cohort):
 
     # kill-and-resume: stop after 5 specs, then resume
     ckpt = tmp_path / "ck"
-    sweep.run_sweep(cohort, specs[:5], seed=9, grids=grids, gbt_base=base,
+    sweep.run_sweep(cohort, specs[:5], seed=9, grids=grids,
                     checkpoint_dir=ckpt)
     resumed = sweep.run_sweep(cohort, specs, seed=9, grids=grids,
-                              gbt_base=base, checkpoint_dir=ckpt)
+                              checkpoint_dir=ckpt)
     resumed_path = tmp_path / "resumed.csv"
     sweep.records_to_csv(resumed, resumed_path)
     resume_identical = resumed_path.read_bytes() == csvs[0]

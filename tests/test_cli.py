@@ -269,6 +269,61 @@ def test_validate_data_error(tmp_path):
     assert main(["validate", "--manifest", str(bad)]) == 2
 
 
+def _escaping_manifest(synth_dir, tmp_path):
+    """synth_dir's manifest, its first subject's id made "../../escaped"
+    and its files named by absolute paths."""
+    doc = json.loads((synth_dir / "manifest.json").read_text())
+    for sub in doc["subjects"]:
+        sub["path"] = str(synth_dir / sub["path"])
+    doc["subjects"][0]["id"] = "../../escaped"
+    path = tmp_path / "in" / "manifest.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["clean", "--pipeline", "raw"],
+    ["segment", "--chunk", "1/2"]], ids=lambda argv: argv[0])
+def test_a_subject_id_that_leaves_the_out_directory_exits_2(
+        synth_dir, tmp_path, capsys, command):
+    # clean and segment wrote escaped.csv two levels above --out, and
+    # validate called the cohort OK
+    out = tmp_path / "a" / "b" / "out"
+    argv = command[:1] + ["--manifest", _escaping_manifest(synth_dir,
+                                                           tmp_path)]
+    if command[0] != "validate":
+        argv += command[1:] + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert 'subject 0: {"id": "../../escaped", ' in captured.err
+    assert "is not an object whose id is a plain file name" in captured.err
+    assert not captured.out
+    assert not list(tmp_path.rglob("escaped*"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change, problem", [
+    ({"subjects": {"s": {"label": 0}}},
+     "manifest key 'subjects' is not a list"),
+    ({"subjects": ["s"]}, 'subject 0: "s" is not an object whose id is a '
+                          "plain file name"),
+    ({"channels": 19}, "manifest key 'channels' is not a list of names: 19"),
+], ids=["subjects_object", "subject_string", "channels_number"])
+def test_a_manifest_of_the_wrong_shape_exits_2(tmp_path, capsys, change,
+                                               problem):
+    # each died with an AttributeError or TypeError traceback
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(dict(
+        {"sample_rate_hz": 128.0, "channels": [], "subjects": []},
+        **change)))
+    out = tmp_path / "out"
+    assert main(["clean", "--manifest", str(manifest), "--pipeline", "raw",
+                 "--out", str(out)]) == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     assert main(["clean", "--manifest", "x.json"]) == 1  # missing args
     assert main(["definitely-not-a-command"]) == 1

@@ -17,10 +17,12 @@ from eegsweep.cli import main
 from eegsweep.data_model import CHANNELS_1020, load_cohort
 from eegsweep.segmentation import DIVISORS
 
-#: Sets every field of every block. The stamps and the provenance hash
-#: below were written by the command line as it was before the reader,
-#: with `sweep --config` on this config and --seed 5, and before the
-#: stamp bound the cohort.
+#: Sets every field of every block. The provenance hash below was
+#: written by the command line as it was before the reader, with `sweep
+#: --config` on this config and --seed 5. The two stamps are those of
+#: the same run with the cohort's sha256 set to COHORT_SHA, recorded when
+#: the stamp came to cover one cleaning config, without its kind, in
+#: place of one pipeline per cleaning of the space.
 EVERY = {
     "fir": {"low_hz": 1, "high_hz": 35, "transition_low_hz": 0.5,
             "transition_high_hz": 8.0},
@@ -47,11 +49,13 @@ EVERY = {
               "knn": [{"k": 3}]},
 }
 EVERY_STAMP = (
-    "25b4823e52b9628c6f02c46631bb7d6d90de4ce33d9e3ebb53a1a08045da6c5e")
+    "496ed6a3839da60948768e699723d6e12ae5712fc59dd35b2d001c3e27513cb9")
 EVERY_STAMP_FLAGS = (
-    "92189468c117716b33ba181024537b491ee144024b71e9bce248fd5f0c6e297c")
+    "222f7874fba5afe546188df8f3397e43783ca235947be434c4bc9cf18622a760")
 EVERY_HASH = (
     "f774f21bc2c5abcb7c0262c6bb298c0513631655f0a7665eb331f5ccc73e8e6c")
+
+COHORT_SHA = "0" * 64
 
 SPACE = {"cleanings": ["raw"], "divisors": [1], "subset_sizes": [1],
          "channels": ["P3"], "classifiers": ["knn"],
@@ -207,7 +211,8 @@ def test_set_keeps_ints_and_reads_lists_as_tuples():
 
 
 # ---------------------------------------------------------------------------
-# the stamp of a valid config is what it was before the reader
+# the stamp of a valid config is the reference formula's, and the reader
+# builds what the converters built before it
 
 @pytest.mark.parametrize("flags, stamp", [
     ((), EVERY_STAMP),
@@ -221,26 +226,27 @@ def test_stamp_of_a_config_that_sets_every_field(cohort_dir, tmp_path,
                  "--config", _write(tmp_path, "every.json", EVERY),
                  "--out", str(out), "--seed", "5", "--resume",
                  *flags]) == 0
-    # the old stamp is the reference's; today's adds the cohort as one key
     options = _options(ref_grids(EVERY))
     if flags:
         options.update(selection_in_fold=True, eval_on_test_fold=True,
                        expand_grid=True)
-    pipelines = {kind: ref_build_pipeline(kind, EVERY)
-                 for kind in EVERY["space"]["cleanings"]}
+    pipeline = ref_build_pipeline("filtered", EVERY)
     params = ref_feature_params(EVERY)
-    assert ref_config_stamp(5, pipelines, params, options) == stamp
-    options["cohort"] = sweep._cohort_sha256(
-        load_cohort(cohort_dir / "manifest.json"))
+    # the recorded stamp pins the formula, in the library and here
+    assert ref_config_stamp(5, pipeline, params, options, COHORT_SHA) \
+        == sweep._config_stamp(5, pipeline, params, options, COHORT_SHA) \
+        == stamp
+    cohort_sha = sweep._cohort_sha256(load_cohort(cohort_dir
+                                                  / "manifest.json"))
     assert (out / "checkpoint" / "config.sha256").read_text() \
-        == ref_config_stamp(5, pipelines, params, options) + "\n"
+        == ref_config_stamp(5, pipeline, params, options, cohort_sha) + "\n"
     prov = json.loads((out / "provenance.json").read_text())
     assert prov["config_hash"] == EVERY_HASH
 
 
-# The three converters and the grid comprehension the reader replaced, and
-# the stamp of one pipeline per cleaning that one cleaning config replaced,
-# copied as they were; they are the reference for the property below.
+# The three converters and the grid comprehension the reader replaced,
+# copied as they were, and the stamp written out on its own; they are the
+# reference for the property below.
 
 def ref_build_pipeline(kind, cfg):
     fir = FirParams(**cfg.get("fir", {}))
@@ -272,40 +278,34 @@ def ref_grids(cfg):
     return {k: tuple(cfg["grids"][k]) for k in cfg.get("grids", {})}
 
 
-def ref_config_stamp(seed, pipelines, params, options):
-    """The stamp as it was computed from one pipeline per cleaning."""
-    doc = {key: asdict(value) if is_dataclass(value) else value
-           for key, value in options.items()}
-    doc.update(seed=seed, params=asdict(params),
-               pipelines={kind: asdict(p) for kind, p in pipelines.items()})
+def ref_config_stamp(seed, pipeline, params, options, cohort_sha):
+    """sha256 of the options, seed, feature params, cohort and the one
+    cleaning config, whose kind the sweep ignores."""
+    cleaning = asdict(pipeline)
+    del cleaning["kind"]
+    doc = dict(options, seed=seed, params=asdict(params), pipeline=cleaning,
+               cohort=cohort_sha)
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def _options(grids):
-    return {"grids": grids or None, "gbt_base": None,
-            "selection_in_fold": False, "eval_on_test_fold": False,
-            "expand_grid": False}
-
-
-COHORT_SHA = "0" * 64
+    return {"grids": grids or None, "selection_in_fold": False,
+            "eval_on_test_fold": False, "expand_grid": False}
 
 
 def new_space_and_stamp(cfg):
     blocks = cli._read_config(cfg)
-    space = blocks["space"]
-    return space, sweep._config_stamp(
-        0, blocks["pipeline"], space.cleanings, blocks["features"],
-        _options(blocks["grids"]), COHORT_SHA)
+    return blocks["space"], sweep._config_stamp(
+        0, blocks["pipeline"], blocks["features"], _options(blocks["grids"]),
+        COHORT_SHA)
 
 
 def old_space_and_stamp(cfg):
-    # the old stamp had no cohort; it joins as one more top-level key
-    space = ref_space_from_config(cfg)
-    return space, ref_config_stamp(
-        0, {kind: ref_build_pipeline(kind, cfg) for kind in space.cleanings},
-        ref_feature_params(cfg),
-        dict(_options(ref_grids(cfg)), cohort=COHORT_SHA))
+    # any kind: the stamp leaves it out
+    return ref_space_from_config(cfg), ref_config_stamp(
+        0, ref_build_pipeline("raw", cfg), ref_feature_params(cfg),
+        _options(ref_grids(cfg)), COHORT_SHA)
 
 
 def _outcome(build, cfg):

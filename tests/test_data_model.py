@@ -165,6 +165,48 @@ def test_duplicate_subject_id(tmp_path):
         load_cohort(tmp_path / "m.json")
 
 
+_MANIFEST = {"sample_rate_hz": 128.0, "channels": list(CHANNELS_1020),
+             "subjects": [{"id": "s", "label": 0, "path": "s.csv"}]}
+
+
+@pytest.mark.parametrize("doc, problem", [
+    ([_MANIFEST], "manifest is not a JSON object"),
+    (7, "manifest is not a JSON object"),
+    (dict(_MANIFEST, channels=19),
+     "manifest key 'channels' is not a list of names: 19"),
+    (dict(_MANIFEST, channels=list(CHANNELS_1020[:-1]) + [5]),
+     "manifest key 'channels' is not a list of names: [\"Fp1\""),
+    (dict(_MANIFEST, subjects={"s": {"label": 0, "path": "s.csv"}}),
+     "manifest key 'subjects' is not a list"),
+    (dict(_MANIFEST, subjects=_MANIFEST["subjects"] + ["t"]),
+     'subject 1: "t" is not an object whose id is a plain file name (not '
+     'empty, . or .., without / or \\)'),
+] + [
+    (dict(_MANIFEST, subjects=[{"id": sid, "label": 0, "path": "s.csv"}]),
+     'subject 0: {"id": %s, "label": 0, "path": "s.csv"} is not an object '
+     "whose id is a plain file name" % json.dumps(sid))
+    for sid in ("../../escaped", "", ".", "..", "a/b", "a\\b", 3)
+], ids=["list", "number", "channels_number", "channel_not_a_name",
+        "subjects_object", "subject_string", "id_escapes", "id_empty",
+        "id_dot", "id_dotdot", "id_slash", "id_backslash", "id_number"])
+def test_manifest_of_the_wrong_shape_names_the_key_or_subject(
+        tmp_path, doc, problem):
+    # each was read as a subject id that leaves the directory, or died
+    # with an AttributeError or TypeError
+    write_recording_csv(make_recording("s", n=256), tmp_path / "s.csv")
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    with pytest.raises(CohortLoadError) as exc:
+        load_cohort(tmp_path / "m.json")
+    (found,) = exc.value.problems
+    assert found.startswith(problem)
+
+
+def test_a_dotted_subject_id_is_a_plain_file_name(tmp_path):
+    rec = make_recording("s.01-a b", n=256)
+    (loaded,) = load_cohort(write_cohort([rec], tmp_path))
+    assert loaded.subject_id == "s.01-a b"
+
+
 def test_samples_read_only():
     rec = make_recording()
     with pytest.raises(ValueError):

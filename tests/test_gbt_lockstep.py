@@ -99,12 +99,11 @@ def test_cv_boosters_equal_the_recursive_builder(
             # more than their median gap
             gap = np.abs(tx[ty == 1].mean(0) - tx[ty == 0].mean(0))
             return np.flatnonzero(gap > np.median(gap))
-    base = GbtConfig(n_rounds=8, early_stopping_rounds=3,
-                     min_child_hessian=min_hess)
+    grid = [dict(cfg, n_rounds=8, early_stopping_rounds=3,
+                 min_child_hessian=min_hess) for cfg in grid]
     with limits(*budget), boosted() as seen:
-        cross_validate(x, y, "gbt", grid=grid, seed=seed, gbt_base=base,
-                       selector=selector, eval_on_test_fold=eval_on_test,
-                       return_all=True)
+        cross_validate(x, y, "gbt", grid=grid, seed=seed, selector=selector,
+                       eval_on_test_fold=eval_on_test, return_all=True)
     assert seen
     for fit, grown in seen:
         assert_same_as_reference(fit, grown)
@@ -164,10 +163,9 @@ def test_small_budgets_cut_levels_and_waves(monkeypatch):
     monkeypatch.setattr(classify, "_Wave", wave)
     monkeypatch.setattr(classify, "_chunks", chunks)
     with limits(64, 2000), boosted() as seen:
-        cross_validate(x, y, "gbt", grid=GBT_GRID, seed=5,
-                       gbt_base=GbtConfig(n_rounds=8,
-                                          early_stopping_rounds=3),
-                       return_all=True)
+        cross_validate(x, y, "gbt", seed=5, return_all=True,
+                       grid=[dict(cfg, n_rounds=8, early_stopping_rounds=3)
+                             for cfg in GBT_GRID])
     assert len(waves) > len(calls) and max(waves) > 1
     assert max(pieces) > 1
     for fit, grown in seen:

@@ -8,9 +8,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from eegsweep import classify
-from eegsweep.classify import GbtConfig, cross_validate
+from eegsweep.classify import cross_validate
 
-BASE = GbtConfig(n_rounds=12, early_stopping_rounds=4)
+#: The rounds every grid point below sets.
+ROUNDS = {"n_rounds": 12, "early_stopping_rounds": 4}
 
 
 def small_matrix(seed, effect):
@@ -73,7 +74,7 @@ def test_shared_fits_equal_independent_fits(depths, order, etas, gamma,
         depths = sorted(depths, reverse=order == "descending")
     depths = depths + depths[:1]    # always one repeated depth
     x, y = small_matrix(data_seed, effect)
-    grid = [{"max_depth": d, "eta": e, "gamma": gamma}
+    grid = [dict(ROUNDS, max_depth=d, eta=e, gamma=gamma)
             for d in depths for e in etas]
     selector = None
     if in_fold_selector:
@@ -81,7 +82,7 @@ def test_shared_fits_equal_independent_fits(depths, order, etas, gamma,
             # the two columns whose class means differ most in this fold
             gap = np.abs(tx[ty == 1].mean(0) - tx[ty == 0].mean(0))
             return np.sort(np.argsort(-gap, kind="stable")[:2])
-    kwargs = dict(seed=data_seed, gbt_base=BASE, selector=selector,
+    kwargs = dict(seed=data_seed, selector=selector,
                   eval_on_test_fold=eval_on_test)
     with boost_calls() as calls:
         shared = cross_validate(x, y, "gbt", grid=grid, return_all=True,
@@ -100,8 +101,8 @@ def test_unbound_cap_fits_once_per_fold(monkeypatch):
     # one column cleanly separates the classes: every tree is a stump
     x, y = small_matrix(0, 50.0)
     calls = count_fits(monkeypatch)
-    grid = [{"max_depth": d, "eta": 0.3, "gamma": 0.0} for d in (12, 6, 3)]
-    cross_validate(x, y, "gbt", grid=grid, gbt_base=BASE, return_all=True)
+    grid = [dict(ROUNDS, max_depth=d, eta=0.3, gamma=0.0) for d in (12, 6, 3)]
+    cross_validate(x, y, "gbt", grid=grid, return_all=True)
     assert calls == [12] * 5
 
 
@@ -109,10 +110,8 @@ def test_bound_cap_fits_every_depth(monkeypatch):
     # without gamma, noise is always worth a root split: a cap of 1 binds
     x, y = small_matrix(1, 0.0)
     calls = count_fits(monkeypatch)
-    grid = [{"max_depth": 1, "eta": 0.3, "gamma": 0.0},
-            {"max_depth": 2, "eta": 0.3, "gamma": 0.0},
-            {"max_depth": 1, "eta": 0.3, "gamma": 0.0}]
-    cross_validate(x, y, "gbt", grid=grid, gbt_base=BASE, return_all=True)
+    grid = [dict(ROUNDS, max_depth=d, eta=0.3, gamma=0.0) for d in (1, 2, 1)]
+    cross_validate(x, y, "gbt", grid=grid, return_all=True)
     # the repeated depth-1 point reuses its own fit
     assert calls.count(1) == 5
     assert calls.count(2) == 5
@@ -127,18 +126,17 @@ def test_deepest_cap_covers_the_caps_down_to_its_deepest_leaf(
     y = np.array([0] * 12 + [1] * 13)
     x = np.array([[-1.0, 1.0], [1.0, -1.0]] * 6 + [[1.0, 1.0]] * 13)
     calls = count_fits(monkeypatch)
-    grid = [{"max_depth": d, "eta": 0.3, "gamma": 0.0} for d in (2, 3)]
-    cross_validate(x, y, "gbt", grid=grid, gbt_base=BASE, return_all=True)
+    grid = [dict(ROUNDS, max_depth=d, eta=0.3, gamma=0.0) for d in (2, 3)]
+    cross_validate(x, y, "gbt", grid=grid, return_all=True)
     assert calls == [3] * 5
 
 
 def test_other_settings_never_share(monkeypatch):
     x, y = small_matrix(0, 50.0)
     calls = count_fits(monkeypatch)
-    grid = [{"max_depth": 3, "eta": 0.3, "gamma": 0.0},
-            {"max_depth": 3, "eta": 0.1, "gamma": 0.0},
-            {"max_depth": 3, "eta": 0.3, "gamma": 1.0}]
-    cross_validate(x, y, "gbt", grid=grid, gbt_base=BASE, return_all=True)
+    grid = [dict(ROUNDS, max_depth=3, eta=e, gamma=g)
+            for e, g in ((0.3, 0.0), (0.1, 0.0), (0.3, 1.0))]
+    cross_validate(x, y, "gbt", grid=grid, return_all=True)
     assert len(calls) == 15
 
 
@@ -162,9 +160,9 @@ def test_each_wave_searches_a_whole_level_per_pass(monkeypatch):
 
     monkeypatch.setattr(classify, "_boost", boost)
     monkeypatch.setattr(classify, "_best_splits", search)
-    grid = [{"max_depth": d, "eta": e, "gamma": 0.0}
+    grid = [dict(ROUNDS, max_depth=d, eta=e, gamma=0.0)
             for d in (6, 12) for e in (0.1, 0.3)]
-    cross_validate(x, y, "gbt", grid=grid, gbt_base=BASE, return_all=True)
+    cross_validate(x, y, "gbt", grid=grid, return_all=True)
     assert waves and waves[0]["fits"] == 10     # 5 folds x 2 etas
     for wave in waves:
         assert wave["searches"] <= wave["rounds"] * (wave["cap"] + 1)

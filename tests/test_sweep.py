@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ARTIFACT_MIX, FS
-from eegsweep import classify, cleaning, features, selection, synth
-from eegsweep.classify import GbtConfig
+from eegsweep import classify, cleaning, features, selection, sweep, synth
 from eegsweep.cleaning import PIPELINE_KINDS, CleaningPipeline
 from eegsweep.data_model import CHANNELS_1020, Recording
 from eegsweep.features import DEFAULT_PARAMS, FeatureParams
@@ -20,10 +19,11 @@ from eegsweep.sweep import (ExperimentRecord, ExperimentSpec, SweepSpace,
                             feature_vectors, records_from_csv,
                             records_to_csv, run_one, run_sweep)
 
-FAST_GRIDS = {"gbt": ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},),
+#: A GBT point sets its rounds; the point is their only source.
+FAST_ROUNDS = {"n_rounds": 30, "early_stopping_rounds": 10}
+FAST_GRIDS = {"gbt": (dict(FAST_ROUNDS, max_depth=2, eta=0.3, gamma=0.0),),
               "knn": ({"k": 3},),
               "svm": ({"c": 1.0, "gamma_rbf": "scale"},)}
-FAST_GBT = GbtConfig(n_rounds=30, early_stopping_rounds=10)
 
 PIPELINE = CleaningPipeline()
 
@@ -70,7 +70,7 @@ def test_enumerate_deterministic_order():
 
 def test_run_sweep_deterministic(small_cohort):
     cohort, _ = small_cohort
-    kwargs = dict(seed=3, grids=FAST_GRIDS, gbt_base=FAST_GBT)
+    kwargs = dict(seed=3, grids=FAST_GRIDS)
     r1 = run_sweep(cohort, small_specs(), **kwargs)
     r2 = run_sweep(cohort, small_specs(), **kwargs)
     assert _dump(r1) == _dump(r2)
@@ -85,22 +85,20 @@ def _run_uncached(cohort, specs, seed):
     return [record for spec in specs for record in run_one(
         cohort, spec, seed,
         feature_vectors(cohort, _cells(spec), PIPELINE, DEFAULT_PARAMS),
-        grids=FAST_GRIDS, gbt_base=FAST_GBT)]
+        grids=FAST_GRIDS)]
 
 
 def test_run_sweep_cache_matches_uncached(small_cohort):
     cohort, _ = small_cohort
     specs = small_specs()
-    cached = run_sweep(cohort, specs, seed=1, grids=FAST_GRIDS,
-                       gbt_base=FAST_GBT)
+    cached = run_sweep(cohort, specs, seed=1, grids=FAST_GRIDS)
     assert _dump(cached) == _dump(_run_uncached(cohort, specs, 1))
 
 
 def test_run_sweep_records_in_spec_order(small_cohort):
     cohort, _ = small_cohort
     specs = small_specs()
-    records = run_sweep(cohort, specs, seed=0, grids=FAST_GRIDS,
-                        gbt_base=FAST_GBT)
+    records = run_sweep(cohort, specs, seed=0, grids=FAST_GRIDS)
     assert len(records) == len(specs)
     for spec, rec in zip(specs, records):
         assert rec.cleaning == spec.cleaning
@@ -118,8 +116,7 @@ def test_run_sweep_failure_rows_do_not_abort(small_cohort):
                          feature_selection=False)
     good = small_specs()[0]
     short = [r.with_samples(r.samples[:, :int(4.0 * 128)]) for r in cohort]
-    records = run_sweep(short, [bad, good], seed=0, grids=FAST_GRIDS,
-                        gbt_base=FAST_GBT)
+    records = run_sweep(short, [bad, good], seed=0, grids=FAST_GRIDS)
     assert not records[0].ok
     assert "below minimum" in records[0].error
     assert records[1].ok
@@ -132,18 +129,16 @@ def test_run_sweep_empty():
 def test_run_sweep_resume_equivalence(tmp_path, small_cohort):
     cohort, _ = small_cohort
     specs = small_specs()
-    full = run_sweep(cohort, specs, seed=7, grids=FAST_GRIDS,
-                     gbt_base=FAST_GBT)
+    full = run_sweep(cohort, specs, seed=7, grids=FAST_GRIDS)
 
     # simulate a crash: run only the first 3 specs into the checkpoint
     ckpt = tmp_path / "ck"
-    run_sweep(cohort, specs[:3], seed=7, grids=FAST_GRIDS,
-              gbt_base=FAST_GBT, checkpoint_dir=ckpt)
+    run_sweep(cohort, specs[:3], seed=7, grids=FAST_GRIDS, checkpoint_dir=ckpt)
     lines = (ckpt / "records.jsonl").read_text().strip().splitlines()
     assert len(lines) == 3
 
     resumed = run_sweep(cohort, specs, seed=7, grids=FAST_GRIDS,
-                        gbt_base=FAST_GBT, checkpoint_dir=ckpt)
+                        checkpoint_dir=ckpt)
     assert _dump(resumed) == _dump(full)
     # no recomputation of finished specs: checkpoint has one line per spec
     lines = (ckpt / "records.jsonl").read_text().strip().splitlines()
@@ -155,17 +150,14 @@ def test_run_sweep_resume_equivalence(tmp_path, small_cohort):
 def test_run_sweep_parallel_matches_serial(small_cohort):
     cohort, _ = small_cohort
     specs = small_specs()
-    serial = run_sweep(cohort, specs, seed=2, grids=FAST_GRIDS,
-                       gbt_base=FAST_GBT, jobs=1)
-    parallel = run_sweep(cohort, specs, seed=2, grids=FAST_GRIDS,
-                         gbt_base=FAST_GBT, jobs=2)
+    serial = run_sweep(cohort, specs, seed=2, grids=FAST_GRIDS, jobs=1)
+    parallel = run_sweep(cohort, specs, seed=2, grids=FAST_GRIDS, jobs=2)
     assert _dump(serial) == _dump(parallel)
 
 
 def test_records_csv_round_trip(tmp_path, small_cohort):
     cohort, _ = small_cohort
-    records = run_sweep(cohort, small_specs()[:4], seed=0, grids=FAST_GRIDS,
-                        gbt_base=FAST_GBT)
+    records = run_sweep(cohort, small_specs()[:4], seed=0, grids=FAST_GRIDS)
     path = tmp_path / "results.csv"
     records_to_csv(records, path)
     back = records_from_csv(path)
@@ -244,10 +236,9 @@ def test_stage_cache_reuses_cleaning(small_cohort, monkeypatch):
 def test_expand_grid_rows(small_cohort):
     cohort, _ = small_cohort
     specs = small_specs()[:2]
-    grids = {"gbt": ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},
-                     {"max_depth": 3, "eta": 0.3, "gamma": 0.0})}
-    records = run_sweep(cohort, specs, seed=0, grids=grids,
-                        gbt_base=FAST_GBT, expand_grid=True)
+    grids = {"gbt": tuple(dict(FAST_ROUNDS, max_depth=d, eta=0.3, gamma=0.0)
+                          for d in (2, 3))}
+    records = run_sweep(cohort, specs, seed=0, grids=grids, expand_grid=True)
     assert len(records) == 4  # 2 specs x 2 grid points
     params = [r.best_params["max_depth"] for r in records]
     assert params == [2, 3, 2, 3]
@@ -283,9 +274,9 @@ def test_lax_early_stop_mode(small_cohort):
     cohort, _ = small_cohort
     specs = small_specs()[:1]
     strict = run_sweep(cohort, specs, seed=0, grids=FAST_GRIDS,
-                       gbt_base=FAST_GBT, eval_on_test_fold=False)
+                       eval_on_test_fold=False)
     lax = run_sweep(cohort, specs, seed=0, grids=FAST_GRIDS,
-                    gbt_base=FAST_GBT, eval_on_test_fold=True)
+                    eval_on_test_fold=True)
     assert strict[0].ok and lax[0].ok
 
 
@@ -311,8 +302,7 @@ def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
     for cached in (True, False):
         calls.clear()
         if cached:
-            records = run_sweep(cohort, specs, seed=4, grids=FAST_GRIDS,
-                                gbt_base=FAST_GBT)
+            records = run_sweep(cohort, specs, seed=4, grids=FAST_GRIDS)
         else:
             records = _run_uncached(cohort, specs, 4)
         runs[cached] = (dict(calls), _dump(records))
@@ -336,7 +326,7 @@ def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
 def test_resume_recomputes_an_unparsable_last_line(tmp_path, small_cohort):
     cohort, _ = small_cohort
     specs = small_specs()[:3]
-    kwargs = dict(seed=7, grids=FAST_GRIDS, gbt_base=FAST_GBT)
+    kwargs = dict(seed=7, grids=FAST_GRIDS)
     ckpt = tmp_path / "ck"
     full = run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)
     path = ckpt / "records.jsonl"
@@ -350,7 +340,7 @@ def test_resume_recomputes_an_unparsable_last_line(tmp_path, small_cohort):
 def test_resume_rejects_a_bad_line_before_the_last(tmp_path, small_cohort):
     cohort, _ = small_cohort
     specs = small_specs()[:3]
-    kwargs = dict(seed=7, grids=FAST_GRIDS, gbt_base=FAST_GBT)
+    kwargs = dict(seed=7, grids=FAST_GRIDS)
     ckpt = tmp_path / "ck"
     run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)
     path = ckpt / "records.jsonl"
@@ -367,7 +357,12 @@ def test_resume_rejects_a_bad_line_before_the_last(tmp_path, small_cohort):
     {"seed": 8},
     {"eval_on_test_fold": True},
     {"params": FeatureParams(quantile=0.9)},
-], ids=["knn_k3_to_k5", "seed", "flag", "feature_params"])
+    # the one cleaning config is stamped whole, though these specs are raw
+    {"pipeline": replace(PIPELINE, fir=replace(PIPELINE.fir, high_hz=35.0))},
+    {"pipeline": replace(PIPELINE, asr=replace(PIPELINE.asr, cutoff_k=15.0))},
+    {"pipeline": replace(PIPELINE, ica=replace(PIPELINE.ica, rng_seed=1))},
+], ids=["knn_k3_to_k5", "seed", "flag", "feature_params", "fir", "asr",
+        "ica"])
 def test_resume_refuses_another_config(tmp_path, small_cohort, change):
     # resuming used to return the old rows, e.g. {"k": 3} after the KNN
     # grid changed to k=5
@@ -375,7 +370,7 @@ def test_resume_refuses_another_config(tmp_path, small_cohort, change):
     specs = enumerate_space(SweepSpace(
         cleanings=("raw",), divisors=(1,), channels=("P3", "Cz"),
         classifiers=("knn",), selection_flags=(False,)))
-    kwargs = dict(seed=7, grids=FAST_GRIDS, gbt_base=FAST_GBT)
+    kwargs = dict(seed=7, grids=FAST_GRIDS)
     ckpt = tmp_path / "ck"
     run_sweep(cohort, specs[:1], checkpoint_dir=ckpt, **kwargs)
     before = (ckpt / "records.jsonl").read_bytes()
@@ -411,7 +406,7 @@ def test_resume_refuses_another_cohort(tmp_path, small_cohort):
 def test_resume_without_stamp_is_refused(tmp_path, small_cohort):
     cohort, _ = small_cohort
     specs = small_specs()[:2]
-    kwargs = dict(seed=7, grids=FAST_GRIDS, gbt_base=FAST_GBT)
+    kwargs = dict(seed=7, grids=FAST_GRIDS)
     ckpt = tmp_path / "ck"
     run_sweep(cohort, specs[:1], checkpoint_dir=ckpt, **kwargs)
     (ckpt / "config.sha256").unlink()
@@ -421,6 +416,67 @@ def test_resume_without_stamp_is_refused(tmp_path, small_cohort):
     (ckpt / "records.jsonl").write_bytes(b"")
     assert len(run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)) == 2
     assert (ckpt / "config.sha256").exists()
+
+
+def test_resume_that_adds_a_cleaning_runs_only_its_specs(tmp_path,
+                                                         small_cohort,
+                                                         monkeypatch):
+    # the stamp covers the one cleaning config, not the cleanings that
+    # the specs name
+    cohort, _ = small_cohort
+    specs = small_specs()
+    kwargs = dict(seed=7, grids=FAST_GRIDS)
+    full = run_sweep(cohort, specs, **kwargs)
+    ckpt = tmp_path / "ck"
+    run_sweep(cohort, [s for s in specs if s.cleaning == "raw"],
+              checkpoint_dir=ckpt, **kwargs)
+    stamp = (ckpt / "config.sha256").read_bytes()
+    ran = []
+    real = sweep.run_one
+
+    def run_one(cohort, spec, *args, **kw):
+        ran.append(spec.key)
+        return real(cohort, spec, *args, **kw)
+    monkeypatch.setattr(sweep, "run_one", run_one)
+    resumed = run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)
+    assert ran == [s.key for s in specs if s.cleaning == "filtered"]
+    assert _dump(resumed) == _dump(full)
+    assert (ckpt / "config.sha256").read_bytes() == stamp
+    lines = (ckpt / "records.jsonl").read_text().splitlines()
+    assert sorted(json.loads(line)["key"] for line in lines) \
+        == sorted(s.key for s in specs)
+
+
+def test_stamp_leaves_out_the_pipeline_kind(tmp_path, small_cohort):
+    # the sweep cleans by each spec's cleaning, never by the config's kind
+    cohort, _ = small_cohort
+    stamps = set()
+    for kind in ("raw", "ica"):
+        ckpt = tmp_path / kind
+        run_sweep(cohort, small_specs()[:1], seed=7, grids=FAST_GRIDS,
+                  pipeline=replace(PIPELINE, kind=kind), checkpoint_dir=ckpt)
+        stamps.add((ckpt / "config.sha256").read_text())
+    assert len(stamps) == 1
+
+
+def test_a_gbt_point_that_sets_its_rounds_names_them(small_cohort,
+                                                     monkeypatch):
+    # the point is the one source of a booster's settings
+    cohort, _ = small_cohort
+    point = dict(max_depth=2, eta=0.3, gamma=0.0, n_rounds=7,
+                 early_stopping_rounds=3)
+    fits = []
+    real = classify._boost
+
+    def boost(batch):
+        fits.extend(batch)
+        return real(batch)
+    monkeypatch.setattr(classify, "_boost", boost)
+    (row,) = run_sweep(cohort, small_specs()[:1], seed=0,
+                       grids={"gbt": (point,)})
+    assert row.ok and row.best_params == point
+    assert fits and {fit.cfg for fit in fits} \
+        == {classify.GbtConfig(**point)}
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +530,7 @@ def _lazy_run_one(cohort, spec, seed, cache):
         result = classify.cross_validate(
             matrix.values, matrix.labels, spec.classifier,
             grid=FAST_GRIDS.get(spec.classifier),
-            seed=_spec_seed(seed, spec), gbt_base=FAST_GBT)
+            seed=_spec_seed(seed, spec))
     except Exception as exc:
         record.error = "%s: %s" % (type(exc).__name__, exc)
         return record
@@ -513,8 +569,7 @@ def test_table_records_equal_the_lazy_memo(failing_cohort, specs, seed):
     cache = _LazyCache()
     lazy = [_lazy_run_one(failing_cohort, spec, seed, cache)
             for spec in specs]
-    table = run_sweep(failing_cohort, specs, seed=seed, grids=FAST_GRIDS,
-                      gbt_base=FAST_GBT)
+    table = run_sweep(failing_cohort, specs, seed=seed, grids=FAST_GRIDS)
     assert _dump(table) == _dump(lazy)
 
 
@@ -551,8 +606,7 @@ def test_workers_neither_clean_nor_extract(small_cohort, monkeypatch,
     log = tmp_path / "calls.log"
     _log_calls(monkeypatch, log, cleaning, "fir_bandpass")
     _log_calls(monkeypatch, log, features, "extract_channel")
-    records = run_sweep(cohort, specs, seed=2, grids=FAST_GRIDS,
-                        gbt_base=FAST_GBT, jobs=2)
+    records = run_sweep(cohort, specs, seed=2, grids=FAST_GRIDS, jobs=2)
     calls = [line.split() for line in log.read_text().splitlines()]
     assert {pid for pid, _ in calls} == {str(os.getpid())}
     # two stacks per segment length, chunk 1/1 and the halves, each of
@@ -574,8 +628,7 @@ def test_failing_cleaning_is_attempted_once(small_cohort, monkeypatch):
         return real(rec, params)
     monkeypatch.setattr(cleaning, "fir_bandpass", fir_bandpass)
     specs = small_specs()
-    records = run_sweep(cohort, specs, seed=4, grids=FAST_GRIDS,
-                        gbt_base=FAST_GBT)
+    records = run_sweep(cohort, specs, seed=4, grids=FAST_GRIDS)
     assert len(attempts) == len(cohort)
     assert set(attempts.values()) == {1}
     for spec, rec in zip(specs, records):
