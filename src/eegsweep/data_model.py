@@ -9,6 +9,7 @@ stable across the whole pipeline.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -192,6 +193,8 @@ def read_manifest(manifest_path):
 
     Entries are (subject_id, label, resolved_path) tuples in manifest order.
     A subject id must be a plain file name: it names the subject's CSV.
+    `sample_rate_hz` must be a finite number or numeric string, and a
+    subject's `path` a string.
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path, "r") as fh:
@@ -201,7 +204,15 @@ def read_manifest(manifest_path):
     for key in ("sample_rate_hz", "channels", "subjects"):
         if key not in doc:
             raise CohortLoadError(["manifest missing key %r" % key])
-    channels, subjects = doc["channels"], doc["subjects"]
+    rate, channels, subjects = (doc["sample_rate_hz"], doc["channels"],
+                                doc["subjects"])
+    try:
+        fs = float(rate)
+    except (TypeError, ValueError):
+        fs = math.nan
+    if isinstance(rate, bool) or not math.isfinite(fs):
+        raise CohortLoadError(["manifest key 'sample_rate_hz' is not a "
+                               "finite number: %s" % json.dumps(rate)])
     if not (isinstance(channels, list)
             and all(isinstance(c, str) for c in channels)):
         raise CohortLoadError(["manifest key 'channels' is not a list of "
@@ -225,10 +236,15 @@ def read_manifest(manifest_path):
         label = sub.get("label")
         if label not in (0, 1):
             problems.append("%s: label must be 0 or 1, got %r" % (sid, label))
-        entries.append((sid, label, manifest_path.parent / sub.get("path", "")))
+        path = sub.get("path", "")
+        if not isinstance(path, str):
+            problems.append("%s: path must be a string, got %s"
+                            % (sid, json.dumps(path)))
+            continue
+        entries.append((sid, label, manifest_path.parent / path))
     if problems:
         raise CohortLoadError(problems)
-    return float(doc["sample_rate_hz"]), tuple(channels), entries
+    return fs, tuple(channels), entries
 
 
 def load_cohort(manifest_path):

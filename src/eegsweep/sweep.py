@@ -8,10 +8,11 @@ subject is cleaned once along FIR -> ASR -> ICA (ASR calibrated on the
 whole recording, for every chunk), and each of its cells is extracted
 once, in this process, in one stack with other rows of its length and
 sample rate, from this subject and the next ones, up to a budget of
-samples; a cell that fails keeps the failure of its smallest subject.
-Every feature matrix, a spec's or `eegsweep extract`'s, is a slice of
-that array (`feature_matrix`). The specs then only select and
-cross-validate, serially or in fork workers that inherit the table.
+samples; a vector that fails leaves its exception at its own
+[subject, cell] of the table's `errors`. Every feature matrix, a spec's
+or `eegsweep extract`'s, is a slice of that array (`feature_matrix`).
+The specs then only select and cross-validate, serially or in fork
+workers that inherit the table.
 Records are emitted in spec order regardless of execution order, and
 per-spec failures become failed rows instead of aborting the sweep.
 """
@@ -113,20 +114,18 @@ def _spec_seed(global_seed, spec):
 @dataclass(frozen=True)
 class FeatureTable:
     """`values[s, cells[cell]]` is the 53-vector of subject s and one
-    (cleaning, chunk, channel) cell; `failures[cells[cell]]` is the cell's
-    first failure, (subject index, exception), and its values from that
-    subject on are undefined."""
+    (cleaning, chunk, channel) cell. `errors` has the shape of
+    `values[..., 0]`: None where the vector is present, else the
+    exception that stage, segment or extraction raised for it."""
 
     cells: dict
     values: np.ndarray
-    failures: dict
+    errors: np.ndarray
 
 
 #: Samples (rows x length) that one extract_channel stack holds at most,
-#: unless one subject's rows of that length need more. It bounds a
-#: stack's temporaries; one 60 s subject's rows of one length on the
-#: benchmark's `clean-features` come close to it, so those stacks keep
-#: the size they had when each subject was extracted on its own.
+#: unless one row is longer. It bounds a stack's temporaries; vectors do
+#: not depend on how rows are grouped into stacks.
 _STACK_SAMPLES = 1 << 16
 
 
@@ -137,13 +136,11 @@ def feature_vectors(cohort, cells, pipeline, params):
     repeats allowed; `pipeline`'s kind is ignored. Walks each subject
     through the cleanings once, as deep as the cells need, keeping the
     channel rows they need. Rows of one length and sample rate wait in
-    one stack across subjects; it goes to extract_channel when the next
-    subject's rows would take it past _STACK_SAMPLES, and at the end. A
-    subject's rows are never split between stacks. A stage or segment
-    that fails fails every cell it and later stages would have produced,
-    and is attempted once per subject. A cell keeps the failure of its
-    smallest subject, though a stack's failures are known only once it
-    is extracted.
+    one stack across subjects; it goes to extract_channel just before
+    the next row would take it past _STACK_SAMPLES, and at the end. A
+    stage or segment that fails fails every cell it and later stages
+    would have produced, and is attempted once per subject. Each failure
+    is kept at its own [subject, cell] of `errors`.
     """
     index = {cell: pos for pos, cell in enumerate(dict.fromkeys(cells))}
     plan = {}
@@ -152,24 +149,19 @@ def feature_vectors(cohort, cells, pipeline, params):
     depth = max(map(PIPELINE_KINDS.index, plan), default=0)
     # written stack by stack; a failed entry is never read
     values = np.empty((len(cohort), len(index), features.N_FEATURES))
-    failures = {}
+    errors = np.full(values.shape[:2], None, dtype=object)
     pending = {}    # (length, rate) -> [(subject, cell position, row)]
-
-    def fail(pos, s, exc):
-        if pos not in failures or s < failures[pos][0]:
-            failures[pos] = (s, exc)
 
     def extract(key):
         subjects, positions, rows = zip(*pending.pop(key))
-        for s, pos, vector in zip(subjects, positions,
-                                  _extract_stack(rows, key[1], params)):
+        for s, pos, vector in zip(subjects, positions, _extract_stack(
+                np.array(rows), key[1], params)):
             if isinstance(vector, Exception):
-                fail(pos, s, vector)
+                errors[s, pos] = vector
             else:
                 values[s, pos] = vector
 
     for s, rec in enumerate(cohort):
-        mine = {}   # (length, rate) -> this subject's rows
         stages = cleaning.walk_pipeline(
             rec, replace(pipeline, kind=PIPELINE_KINDS[depth]))
         cleaned = seg = None
@@ -181,38 +173,36 @@ def feature_vectors(cohort, cells, pipeline, params):
                        else _attempt(lambda: segment(cleaned, chunk)))
                 for ch, pos in channels.items():
                     if isinstance(seg, Exception):
-                        fail(pos, s, seg)
-                    else:
-                        # a copy, so that each stage's recording is freed
-                        # once the walk has moved past it
-                        row = seg.channel(ch).copy()
-                        mine.setdefault((row.size, rec.sample_rate_hz),
-                                        []).append((s, pos, row))
-        for key, rows in mine.items():
-            if key in pending and (len(pending[key]) + len(rows)) * key[0] \
-                    > _STACK_SAMPLES:
-                extract(key)
-            pending.setdefault(key, []).extend(rows)
+                        errors[s, pos] = seg
+                        continue
+                    # a copy, so that each stage's recording is freed
+                    # once the walk has moved past it
+                    row = seg.channel(ch).copy()
+                    key = (row.size, rec.sample_rate_hz)
+                    if key in pending and (len(pending[key]) + 1) \
+                            * row.size > _STACK_SAMPLES:
+                        extract(key)
+                    pending.setdefault(key, []).append((s, pos, row))
     for key in list(pending):
         extract(key)
-    return FeatureTable(cells=index, values=values, failures=failures)
+    return FeatureTable(cells=index, values=values, errors=errors)
 
 
 def feature_matrix(cohort, table, cleaning_kind, chunk, channels):
     """The subjects x (channel, feature) matrix of one cleaning, chunk and
     channel subset, sliced from a `feature_vectors` table; columns are
-    channel-major in the canonical 53-feature order. Where a channel
-    failed, raises the failure of the smallest (subject, channel
-    position): the first one a subject-by-subject assembly would meet.
+    channel-major in the canonical 53-feature order. Where a vector
+    failed, raises the first failure of `errors[:, positions]` in
+    row-major order, subject then channel: the one a subject-by-subject
+    assembly would meet first.
     """
     if not channels:
         raise ValueError("channel subset must not be empty")
     positions = [table.cells[cleaning_kind, chunk, ch] for ch in channels]
-    failed = [(table.failures[pos][0], i, table.failures[pos][1])
-              for i, pos in enumerate(positions) if pos in table.failures]
-    if failed:
-        # a fresh traceback, not one grown by every spec that raised it
-        raise min(failed, key=lambda f: f[:2])[2].with_traceback(None)
+    for exc in table.errors[:, positions].flat:
+        if exc is not None:
+            # a fresh traceback, not one grown by every spec that raised it
+            raise exc.with_traceback(None)
     return features.FeatureMatrix(
         column_names=features.channel_feature_names(channels),
         values=table.values[:, positions].reshape(len(cohort), -1),
@@ -221,15 +211,15 @@ def feature_matrix(cohort, table, cleaning_kind, chunk, channels):
 
 
 def _extract_stack(rows, fs, params):
-    """One vector or exception per row, from one extract_channel call;
-    when the stack fails, each row is extracted alone, so a failure (a
-    non-finite row, say) stays in its row."""
-    stack = _attempt(lambda: features.extract_channel(np.array(rows), fs,
-                                                      params))
-    if not isinstance(stack, Exception):
-        return list(stack)
-    return [_attempt(lambda: features.extract_channel(row, fs, params))
-            for row in rows]
+    """One vector or exception per row of a 2-D stack. A failed stack is
+    split in halves until each failure is down to a one-row stack, so a
+    failure (a non-finite row, say) stays in its row."""
+    stack = _attempt(lambda: features.extract_channel(rows, fs, params))
+    if isinstance(stack, Exception) and len(rows) > 1:
+        half = len(rows) // 2
+        return (_extract_stack(rows[:half], fs, params)
+                + _extract_stack(rows[half:], fs, params))
+    return [stack] if isinstance(stack, Exception) else list(stack)
 
 
 def _attempt(stage):

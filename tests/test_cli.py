@@ -309,10 +309,20 @@ def test_a_subject_id_that_leaves_the_out_directory_exits_2(
     ({"subjects": ["s"]}, 'subject 0: "s" is not an object whose id is a '
                           "plain file name"),
     ({"channels": 19}, "manifest key 'channels' is not a list of names: 19"),
-], ids=["subjects_object", "subject_string", "channels_number"])
+    ({"sample_rate_hz": [128]},
+     "manifest key 'sample_rate_hz' is not a finite number: [128]"),
+    ({"sample_rate_hz": "fast"},
+     "manifest key 'sample_rate_hz' is not a finite number: \"fast\""),
+    ({"sample_rate_hz": "nan"},
+     "manifest key 'sample_rate_hz' is not a finite number: \"nan\""),
+    ({"subjects": [{"id": "s", "label": 0, "path": 7}]},
+     "s: path must be a string, got 7"),
+], ids=["subjects_object", "subject_string", "channels_number", "rate_list",
+        "rate_word", "rate_nan", "path_number"])
 def test_a_manifest_of_the_wrong_shape_exits_2(tmp_path, capsys, change,
                                                problem):
-    # each died with an AttributeError or TypeError traceback
+    # each died with an AttributeError or TypeError traceback, named no
+    # key, or (a rate of nan) loaded and failed later
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(dict(
         {"sample_rate_hz": 128.0, "channels": [], "subjects": []},

@@ -186,19 +186,39 @@ _MANIFEST = {"sample_rate_hz": 128.0, "channels": list(CHANNELS_1020),
      'subject 0: {"id": %s, "label": 0, "path": "s.csv"} is not an object '
      "whose id is a plain file name" % json.dumps(sid))
     for sid in ("../../escaped", "", ".", "..", "a/b", "a\\b", 3)
+] + [
+    (dict(_MANIFEST, sample_rate_hz=rate),
+     "manifest key 'sample_rate_hz' is not a finite number: "
+     + json.dumps(rate))
+    for rate in ([128], "fast", None, True, "nan", "-Infinity")
+] + [
+    (dict(_MANIFEST, subjects=[{"id": "s", "label": 0, "path": path}]),
+     "s: path must be a string, got " + json.dumps(path))
+    for path in (7, ["s.csv"], None)
 ], ids=["list", "number", "channels_number", "channel_not_a_name",
         "subjects_object", "subject_string", "id_escapes", "id_empty",
-        "id_dot", "id_dotdot", "id_slash", "id_backslash", "id_number"])
+        "id_dot", "id_dotdot", "id_slash", "id_backslash", "id_number",
+        "rate_list", "rate_word", "rate_null", "rate_true", "rate_nan",
+        "rate_infinite", "path_number", "path_list", "path_null"])
 def test_manifest_of_the_wrong_shape_names_the_key_or_subject(
         tmp_path, doc, problem):
-    # each was read as a subject id that leaves the directory, or died
-    # with an AttributeError or TypeError
+    # each was read as a subject id that leaves the directory, died with
+    # an AttributeError or TypeError, named no key, or (a rate of nan)
+    # loaded
     write_recording_csv(make_recording("s", n=256), tmp_path / "s.csv")
     (tmp_path / "m.json").write_text(json.dumps(doc))
     with pytest.raises(CohortLoadError) as exc:
         load_cohort(tmp_path / "m.json")
     (found,) = exc.value.problems
     assert found.startswith(problem)
+
+
+def test_a_numeric_string_rate_still_loads(tmp_path):
+    write_recording_csv(make_recording("s", n=256), tmp_path / "s.csv")
+    (tmp_path / "m.json").write_text(json.dumps(
+        dict(_MANIFEST, sample_rate_hz="128")))
+    (rec,) = load_cohort(tmp_path / "m.json")
+    assert rec.sample_rate_hz == 128.0
 
 
 def test_a_dotted_subject_id_is_a_plain_file_name(tmp_path):

@@ -15,9 +15,10 @@ from eegsweep.data_model import CHANNELS_1020, Recording
 from eegsweep.features import DEFAULT_PARAMS, FeatureParams
 from eegsweep.segmentation import SegmentSpec, segment
 from eegsweep.sweep import (ExperimentRecord, ExperimentSpec, SweepSpace,
-                            _spec_seed, enumerate_space, feature_matrix,
-                            feature_vectors, records_from_csv,
-                            records_to_csv, run_one, run_sweep)
+                            _error_text, _spec_seed, enumerate_space,
+                            feature_matrix, feature_vectors,
+                            records_from_csv, records_to_csv, run_one,
+                            run_sweep)
 
 #: A GBT point sets its rounds; the point is their only source.
 FAST_ROUNDS = {"n_rounds": 30, "early_stopping_rounds": 10}
@@ -227,7 +228,7 @@ def test_stage_cache_reuses_cleaning(small_cohort, monkeypatch):
     table = feature_vectors(cohort[:1], [cell, cell], PIPELINE,
                             DEFAULT_PARAMS)
     assert filtered == ["adhd000"]
-    assert table.cells == {cell: 0} and not table.failures
+    assert table.cells == {cell: 0} and table.errors.tolist() == [[None]]
     assert table.values.shape == (1, 1, 53)
     matrix = feature_matrix(cohort[:1], table, *cell[:2], ["P3"])
     assert matrix.values.tobytes() == table.values.tobytes()
@@ -312,9 +313,9 @@ def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
     # channel) vector, so both extract one row per spec and subject.
     # Cached, rows of one segment length wait across subjects: each
     # subject adds 4 rows of 1,536 samples (chunk 1/1) and 8 of 768
-    # (chunks 1/2 and 2/2), so a stack of at most 2**16 samples takes 10
-    # subjects, and the 12 take two stacks per length. Uncached, each
-    # spec's 12 rows fit one stack.
+    # (chunks 1/2 and 2/2), so a stack of at most 2**16 samples takes 42
+    # or 85 rows, and the 12 subjects' 48 and 96 take two stacks per
+    # length. Uncached, each spec's 12 rows fit one stack.
     n = len(cohort)
     assert runs[True][0] == {"walk_pipeline": n, "extract_channel": 4,
                              "rows": len(specs) * n}
@@ -609,8 +610,8 @@ def test_workers_neither_clean_nor_extract(small_cohort, monkeypatch,
     records = run_sweep(cohort, specs, seed=2, grids=FAST_GRIDS, jobs=2)
     calls = [line.split() for line in log.read_text().splitlines()]
     assert {pid for pid, _ in calls} == {str(os.getpid())}
-    # two stacks per segment length, chunk 1/1 and the halves, each of
-    # at most 10 subjects' rows (see test_cache_makes_sweep_cheaper)
+    # two stacks per segment length, chunk 1/1 and the halves (see
+    # test_cache_makes_sweep_cheaper)
     assert Counter(name for _, name in calls) == {
         "fir_bandpass": len(cohort), "extract_channel": 4}
     assert all(r.ok for r in records)
@@ -678,8 +679,9 @@ def test_a_failed_stage_fails_every_later_cleaning(failing_cohort,
         PIPELINE, DEFAULT_PARAMS)
     pos = {kind: table.cells[kind, whole, "P3"] for kind in PIPELINE_KINDS}
     assert calibrations == ["adhd002"]
-    _, asr = table.failures[pos["asr"]]
-    assert table.failures == {pos["asr"]: (0, asr), pos["ica"]: (0, asr)}
+    asr = table.errors[0, pos["asr"]]
+    assert {kind: table.errors[0, p] for kind, p in pos.items()} == {
+        "raw": None, "filtered": None, "asr": asr, "ica": asr}
     assert str(asr).startswith("insufficient clean calibration data")
     for kind in ("raw", "filtered"):
         assert table.values[0, pos[kind]].tobytes() == _alone(
@@ -739,8 +741,11 @@ def test_a_spec_fails_with_its_earliest_subject_then_channel(small_cohort,
     table = feature_vectors(cohort, [("raw", whole, ch)
                                      for ch in reversed(channels)],
                             PIPELINE, DEFAULT_PARAMS)
-    assert {ch: table.failures[table.cells["raw", whole, ch]][0]
-            for ch in channels} == {"P3": 2, "Cz": 1, "O1": 1}
+    assert {(s, ch): str(table.errors[s, table.cells["raw", whole, ch]])
+            for s in range(3) for ch in channels
+            if table.errors[s, table.cells["raw", whole, ch]] is not None} \
+        == {(s, ch): "refused %s %s" % (cohort[s].subject_id, ch)
+            for s, ch in ((2, "P3"), (1, "Cz"), (2, "Cz"), (1, "O1"))}
     text = "refused %s Cz" % cohort[1].subject_id
     with pytest.raises(ValueError) as err:
         feature_matrix(cohort, table, "raw", whole, channels)
@@ -754,8 +759,9 @@ def test_a_spec_fails_with_its_earliest_subject_then_channel(small_cohort,
 def test_a_late_stack_failure_beats_a_later_subjects_stage_failure(
         small_cohort, monkeypatch):
     """Subject 1's row fails in a stack that is still waiting when
-    subject 3's filter fails: the cell keeps subject 1's failure, the
-    one a subject-by-subject assembly would meet first."""
+    subject 3's filter fails: each failure stays at its own subject, and
+    the spec raises subject 1's, the one a subject-by-subject assembly
+    would meet first."""
     cohort = small_cohort[0][:4]
     whole = SegmentSpec(1, 1)
     names = {segment(cleaning.run_pipeline(rec, CleaningPipeline(
@@ -784,12 +790,106 @@ def test_a_late_stack_failure_beats_a_later_subjects_stage_failure(
     # every filter ran before the stack of subjects 0-2 was extracted
     assert events[:5] == [("filter", i) for i in ids] \
         + [("extract", tuple(ids[:3]))]
-    subject, err = table.failures[table.cells["filtered", whole, "P3"]]
-    assert (subject, str(err)) == (1, "refused " + ids[1])
+    # the failed stack is halved until subject 1's row is alone
+    assert events[5:] == [("extract", (ids[0],)), ("extract", tuple(ids[1:3])),
+                          ("extract", (ids[1],)), ("extract", (ids[2],))]
+    errors = table.errors[:, table.cells["filtered", whole, "P3"]]
+    assert [err if err is None else str(err) for err in errors] == [
+        None, "refused " + ids[1], None, "no clean data in " + ids[3]]
     spec = ExperimentSpec(cleaning="filtered", chunk=whole, channels=("P3",),
                           classifier="knn", feature_selection=False)
     assert [r.error for r in run_one(cohort, spec, 0, table)] == [
         "ValueError: refused " + ids[1]]
+
+
+_GRID_CHANNELS = ("P3", "Cz", "O1")
+
+
+@pytest.fixture(scope="module")
+def grid_rows(small_cohort):
+    """Four subjects, and the name (kind, subject, channel) of each of
+    their raw and filtered whole-recording rows, by the row's bytes."""
+    cohort = small_cohort[0][:4]
+    whole = SegmentSpec(1, 1)
+    return cohort, {
+        segment(cleaning.run_pipeline(rec, CleaningPipeline(kind=kind)),
+                whole).channel(ch).tobytes(): (kind, s, ch)
+        for s, rec in enumerate(cohort) for kind in ("raw", "filtered")
+        for ch in _GRID_CHANNELS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.tuples(st.sampled_from(("raw", "filtered")),
+                         st.integers(0, 3), st.sampled_from(_GRID_CHANNELS))),
+       st.one_of(st.none(), st.integers(0, 3)),
+       st.integers(1, 24),
+       st.permutations(_GRID_CHANNELS), st.integers(1, 3))
+def test_errors_hold_each_failure_at_its_subject_and_cell(
+        grid_rows, refused, stage_failure, stack_rows, order, size):
+    """extract_channel refuses a random set of rows and FIR fails for a
+    random subject, under any stack budget: `errors` holds exactly those
+    failures, and each spec's matrix raises what assembling it subject by
+    subject, channel by channel, meets first."""
+    cohort, names = grid_rows
+    whole = SegmentSpec(1, 1)
+    failing = None if stage_failure is None else cohort[stage_failure]
+    codes = {name: i for i, name in enumerate(names.values())}
+    real_filter = cleaning.fir_bandpass
+
+    def fir_bandpass(rec, params):
+        if rec is failing:
+            raise RuntimeError("no clean data in " + rec.subject_id)
+        return real_filter(rec, params)
+
+    def extract(signal, fs, params=DEFAULT_PARAMS):
+        rows = [names[row.tobytes()] for row in np.atleast_2d(signal)]
+        for name in rows:
+            if name in refused:
+                raise ValueError("refused %s %d %s" % name)
+        # a vector that names its row
+        vectors = np.array([[codes[name]] * features.N_FEATURES
+                            for name in rows], dtype=float)
+        return vectors if np.ndim(signal) == 2 else vectors[0]
+
+    cells = [(kind, whole, ch) for kind in ("raw", "filtered")
+             for ch in _GRID_CHANNELS]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cleaning, "fir_bandpass", fir_bandpass)
+        patch.setattr(features, "extract_channel", extract)
+        patch.setattr(sweep, "_STACK_SAMPLES",
+                      stack_rows * cohort[0].n_samples)
+        table = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
+        expected = {}
+        for kind, _, ch in cells:
+            for s, rec in enumerate(cohort):
+                if kind == "filtered" and s == stage_failure:
+                    expected[s, kind, ch] = ("RuntimeError: no clean data in "
+                                             + rec.subject_id)
+                elif (kind, s, ch) in refused:
+                    expected[s, kind, ch] = "ValueError: refused %s %d %s" \
+                        % (kind, s, ch)
+        assert {(s, kind, ch): _error_text(table.errors[s, pos])
+                for (kind, _, ch), pos in table.cells.items()
+                for s in range(len(cohort))
+                if table.errors[s, pos] is not None} == expected
+
+        for kind in ("raw", "filtered"):
+            channels = order[:size]
+            try:  # subject by subject, channel by channel
+                want = np.array([np.concatenate([
+                    features.extract_channel(seg.channel(ch),
+                                             seg.sample_rate_hz)
+                    for ch in channels]) for seg in (
+                        segment(cleaning.run_pipeline(
+                            rec, CleaningPipeline(kind=kind)), whole)
+                        for rec in cohort)])
+            except Exception as exc:
+                with pytest.raises(type(exc)) as got:
+                    feature_matrix(cohort, table, kind, whole, channels)
+                assert str(got.value) == str(exc)
+            else:
+                got = feature_matrix(cohort, table, kind, whole, channels)
+                assert got.values.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -825,13 +925,17 @@ def test_a_non_finite_row_fails_only_its_own_key(small_cohort, monkeypatch):
     shapes = _stacks_seen(monkeypatch)
     table = feature_vectors([rec], cells, PIPELINE, DEFAULT_PARAMS)
     n = rec.n_samples
-    # both stacks fail; the rows of each are then extracted alone
-    assert shapes == [(2, n), (n,), (n,), (4, n // 2)] + [(n // 2,)] * 4
+    # both stacks fail and are halved until each failure is alone; the
+    # two rows of chunk 2/2, the clean half, stay in one stack
+    h = n // 2
+    assert shapes == [(2, n), (1, n), (1, n), (4, h), (2, h), (1, h), (1, h),
+                      (2, h)]
     bad = [table.cells["raw", chunk, "Cz"] for chunk in chunks[:2]]
-    assert sorted(table.failures) == bad
+    assert [pos for pos, err in enumerate(table.errors[0])
+            if err is not None] == bad
     for pos in bad:
-        subject, err = table.failures[pos]
-        assert subject == 0 and isinstance(err, ValueError)
+        err = table.errors[0, pos]
+        assert isinstance(err, ValueError)
         assert str(err) == "signal contains non-finite values"
     for cell in cells:
         if table.cells[cell] not in bad:
@@ -849,14 +953,46 @@ def test_a_failed_stack_fails_every_row(monkeypatch):
         + [("raw", SegmentSpec(1, 1), "P3")]
     shapes = _stacks_seen(monkeypatch)
     table = feature_vectors([rec], cells, PIPELINE, DEFAULT_PARAMS)
-    assert shapes == [(2, 60), (60,), (60,), (1, 120)]
+    assert shapes == [(2, 60), (1, 60), (1, 60), (1, 120)]
     text = "signal of length 60 too short for 6-level DWT (needs >= 72 " \
            "samples)"
-    assert {pos: (subject, str(err))
-            for pos, (subject, err) in table.failures.items()} == {
-        table.cells[cell]: (0, text) for cell in cells[:2]}
+    assert {(s, pos): str(err)
+            for (s, pos), err in np.ndenumerate(table.errors)
+            if err is not None} == {
+        (0, table.cells[cell]): text for cell in cells[:2]}
     whole = table.values[0, table.cells[cells[2]]]
     assert whole.tobytes() == _alone(rec, *cells[2]).tobytes()
+
+
+def test_a_failed_stack_is_bisected_down_to_its_bad_row(small_cohort,
+                                                        monkeypatch):
+    """8 rows in one stack across 4 subjects, one of them non-finite: 7
+    stacked calls find it, where extracting every row again alone took
+    9, and every other row gets the vector it gets alone."""
+    cohort = list(small_cohort[0][:4])
+    samples = cohort[2].samples.copy()
+    samples[cohort[2].channel_names.index("Cz"), 100] = np.inf
+    cohort[2] = cohort[2].with_samples(samples)
+    whole = SegmentSpec(1, 1)
+    cells = [("raw", whole, ch) for ch in ("P3", "Cz")]
+    shapes = _stacks_seen(monkeypatch)
+    table = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
+    n = cohort[0].n_samples
+    # rows 0-3 pass; row 5, subject 2's Cz, is split from 4, 6 and 7
+    assert shapes == [(8, n), (4, n), (4, n), (2, n), (1, n), (1, n), (2, n)]
+    monkeypatch.undo()
+    bad = table.cells["raw", whole, "Cz"]
+    for s, rec in enumerate(cohort):
+        for cell in cells:
+            pos = table.cells[cell]
+            if (s, pos) == (2, bad):
+                err = table.errors[s, pos]
+                assert isinstance(err, ValueError)
+                assert str(err) == "signal contains non-finite values"
+            else:
+                assert table.errors[s, pos] is None
+                assert table.values[s, pos].tobytes() == _alone(
+                    rec, *cell).tobytes()
 
 
 def test_lengths_one_sample_apart_go_to_separate_stacks(small_cohort,
