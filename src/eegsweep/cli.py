@@ -45,7 +45,9 @@ DATA_ERROR = 2
 # glibc's mallopt parameters, and the values every command sets
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MALLOC_THRESHOLDS = {"mmap": 4 << 20, "trim": 32 << 20}
+_MALLOC_ARENAS = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,14 +201,6 @@ def load_config(args):
     return _read_config(cfg)
 
 
-def _usable_cpus():
-    """CPUs this process may run on; the machine's count where the
-    platform has no affinity call (macOS)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
-
-
 def _mallopt():
     """The C library's mallopt, or None where it has none (macOS, musl,
     Windows)."""
@@ -221,23 +215,28 @@ def _mallopt():
 
 @functools.cache
 def _keep_freed_heap():
-    """Fix glibc's mmap and trim thresholds for the whole process, once;
-    returns them, or None where the C library takes no mallopt.
+    """Fix glibc's mmap and trim thresholds and its arena count for the
+    whole process, once; returns them, or None where the C library takes
+    no mallopt.
 
     Under glibc's defaults, freed memory goes back to the OS after each
     level of the boosted-tree engine (a heap trim, and munmap of blocks
     over 128 KiB), so the next level's 0.1-2 MiB numpy temporaries are
     page-faulted in again. Blocks up to 4 MiB now come from the heap,
     which keeps up to 32 MiB of freed memory; setting either value also
-    turns off glibc's dynamic thresholds. glibc has no getter, so nothing
-    is restored; fork workers inherit the setting.
+    turns off glibc's dynamic thresholds. One arena serves every thread:
+    each extra arena would keep its own freed heap, and the feature
+    table's threads would each hold one. glibc has no getter, so nothing
+    is restored; fork workers inherit the settings.
     """
     mallopt = _mallopt()
     if mallopt is None:
         return None
     done = [mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLDS["mmap"]),
-            mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLDS["trim"])]
-    return dict(_MALLOC_THRESHOLDS) if done == [1, 1] else None
+            mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLDS["trim"]),
+            mallopt(_M_ARENA_MAX, _MALLOC_ARENAS)]
+    return (dict(_MALLOC_THRESHOLDS, arena_max=_MALLOC_ARENAS)
+            if done == [1, 1, 1] else None)
 
 
 def _blas_threads():
@@ -288,7 +287,7 @@ def write_provenance(out_dir, args, cfg):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "cpus": _usable_cpus(),
+        "cpus": sweep._usable_cpus(),
         "blas": _blas_name(),
         # null where numpy bundles no OpenBLAS to count
         "blas_threads": _blas_threads(),

@@ -6,13 +6,14 @@ specs it still has to run: one float64 array `values[subject, cell, 53]`
 over the distinct (cleaning, chunk, channel) cells of those specs. Each
 subject is cleaned once along FIR -> ASR -> ICA (ASR calibrated on the
 whole recording, for every chunk), and each of its cells is extracted
-once, in this process, in one stack with other rows of its length and
-sample rate, from this subject and the next ones, up to a budget of
-samples; a vector that fails leaves its exception at its own
-[subject, cell] of the table's `errors`. Every feature matrix, a spec's
-or `eegsweep extract`'s, is a slice of that array (`feature_matrix`).
-The specs then only select and cross-validate, serially or in fork
-workers that inherit the table.
+once, in one stack with other rows of its length and sample rate, from
+this subject and the next ones, up to a budget of samples; a vector
+that fails leaves its exception at its own [subject, cell] of the
+table's `errors`. Walks and stacks run on threads of this process, one
+per usable CPU, and the table's bytes do not depend on how many. Every
+feature matrix, a spec's or `eegsweep extract`'s, is a slice of that
+array (`feature_matrix`). The specs then only select and
+cross-validate, serially or in fork workers that inherit the table.
 Records are emitted in spec order regardless of execution order, and
 per-spec failures become failed rows instead of aborting the sweep.
 """
@@ -22,8 +23,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import numpy as np
@@ -136,56 +140,97 @@ def feature_vectors(cohort, cells, pipeline, params):
     repeats allowed; `pipeline`'s kind is ignored. Walks each subject
     through the cleanings once, as deep as the cells need, keeping the
     channel rows they need. Rows of one length and sample rate wait in
-    one stack across subjects; it goes to extract_channel just before
-    the next row would take it past _STACK_SAMPLES, and at the end. A
-    stage or segment that fails fails every cell it and later stages
-    would have produced, and is attempted once per subject. Each failure
-    is kept at its own [subject, cell] of `errors`.
+    one stack across subjects, in subject order; it goes to
+    extract_channel just before the next row would take it past
+    _STACK_SAMPLES, and at the end. A stage or segment that fails fails
+    every cell it and later stages would have produced, and is attempted
+    once per subject. Each failure is kept at its own [subject, cell] of
+    `errors`.
+
+    Walks and stacks run on a pool of threads, one per usable CPU
+    (`_usable_cpus`), with at most one walk and one stack per thread
+    waiting to be read; FastICA, FIR and the feature kernels spend most
+    of their time in numpy, out of the GIL. The table does not depend on
+    the pool's width. The whole pool runs on one OpenBLAS thread, so that
+    no stage's own pin can hand another thread's FastICA a second one.
     """
     index = {cell: pos for pos, cell in enumerate(dict.fromkeys(cells))}
     plan = {}
     for (kind, chunk, channel), pos in index.items():
         plan.setdefault(kind, {}).setdefault(chunk, {})[channel] = pos
-    depth = max(map(PIPELINE_KINDS.index, plan), default=0)
+    deepest = replace(pipeline, kind=PIPELINE_KINDS[
+        max(map(PIPELINE_KINDS.index, plan), default=0)])
     # written stack by stack; a failed entry is never read
     values = np.empty((len(cohort), len(index), features.N_FEATURES))
     errors = np.full(values.shape[:2], None, dtype=object)
     pending = {}    # (length, rate) -> [(subject, cell position, row)]
+    stacks = deque()    # (subjects, cell positions, future vectors)
+    width = _usable_cpus()
+
+    def store(keep):
+        # read the oldest stacks' vectors until `keep` are left in flight
+        while len(stacks) > keep:
+            subjects, positions, vectors = stacks.popleft()
+            for s, pos, vector in zip(subjects, positions, vectors.result()):
+                if isinstance(vector, Exception):
+                    errors[s, pos] = vector
+                else:
+                    values[s, pos] = vector
 
     def extract(key):
+        store(width - 1)
         subjects, positions, rows = zip(*pending.pop(key))
-        for s, pos, vector in zip(subjects, positions, _extract_stack(
-                np.array(rows), key[1], params)):
-            if isinstance(vector, Exception):
-                errors[s, pos] = vector
-            else:
-                values[s, pos] = vector
+        stacks.append((subjects, positions, pool.submit(
+            _extract_stack, np.array(rows), key[1], params)))
 
-    for s, rec in enumerate(cohort):
-        stages = cleaning.walk_pipeline(
-            rec, replace(pipeline, kind=PIPELINE_KINDS[depth]))
-        cleaned = seg = None
-        for kind in PIPELINE_KINDS[:depth + 1]:
-            if not isinstance(cleaned, Exception):
-                cleaned = _attempt(lambda: next(stages)[1])
-            for chunk, channels in plan.get(kind, {}).items():
-                seg = (cleaned if isinstance(cleaned, Exception)
-                       else _attempt(lambda: segment(cleaned, chunk)))
-                for ch, pos in channels.items():
-                    if isinstance(seg, Exception):
-                        errors[s, pos] = seg
-                        continue
-                    # a copy, so that each stage's recording is freed
-                    # once the walk has moved past it
-                    row = seg.channel(ch).copy()
-                    key = (row.size, rec.sample_rate_hz)
-                    if key in pending and (len(pending[key]) + 1) \
-                            * row.size > _STACK_SAMPLES:
-                        extract(key)
-                    pending.setdefault(key, []).append((s, pos, row))
-    for key in list(pending):
-        extract(key)
+    with cleaning._one_blas_thread(), ThreadPoolExecutor(width) as pool:
+        ahead = (pool.submit(_walk_rows, rec, deepest, plan) for rec in cohort)
+        walks = deque(islice(ahead, width))
+        for s, rec in enumerate(cohort):
+            for pos, row in walks.popleft().result():
+                if isinstance(row, Exception):
+                    errors[s, pos] = row
+                    continue
+                key = (row.size, rec.sample_rate_hz)
+                if key in pending and (len(pending[key]) + 1) \
+                        * row.size > _STACK_SAMPLES:
+                    extract(key)
+                pending.setdefault(key, []).append((s, pos, row))
+            walks.extend(islice(ahead, 1))
+        for key in list(pending):
+            extract(key)
+        store(0)
     return FeatureTable(cells=index, values=values, errors=errors)
+
+
+def _walk_rows(rec, pipeline, plan):
+    """One subject's (cell position, row) pairs in `plan` order, walked
+    through the cleanings up to `pipeline.kind`; the row is the exception
+    where its stage or segment failed."""
+    stages = cleaning.walk_pipeline(rec, pipeline)
+    rows = []
+    cleaned = None
+    for kind in PIPELINE_KINDS[:PIPELINE_KINDS.index(pipeline.kind) + 1]:
+        if not isinstance(cleaned, Exception):
+            cleaned = _attempt(lambda: next(stages)[1])
+        for chunk, channels in plan.get(kind, {}).items():
+            seg = (cleaned if isinstance(cleaned, Exception)
+                   else _attempt(lambda: segment(cleaned, chunk)))
+            # a copy, so that each stage's recording is freed once the
+            # walk has moved past it
+            rows.extend((pos, seg if isinstance(seg, Exception)
+                         else seg.channel(ch).copy())
+                        for ch, pos in channels.items())
+    return rows
+
+
+def _usable_cpus():
+    """CPUs this process may run on, at least 1; the machine's count where
+    the platform has no affinity call (macOS), and 1 where that count is
+    unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def feature_matrix(cohort, table, cleaning_kind, chunk, channels):
@@ -350,8 +395,10 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
     one cleaning config, feature params and the cohort's bytes; resuming
     under a different config or cohort raises ValueError, and a resume
     may add or drop cleanings. A GBT grid point is the one source of its
-    booster's settings (classify.cross_validate). jobs > 1 fans selection
-    and CV out to a fork pool that inherits the table; per-spec seeds are
+    booster's settings (classify.cross_validate). The table is built on
+    threads, one per usable CPU, whatever `jobs` is. jobs > 1 fans
+    selection and CV out to a fork pool of at most one process per
+    pending spec, which inherits the table; per-spec seeds are
     content-derived, so parallelism never changes results. With
     expand_grid, one record per (spec, grid point) is emitted instead of
     one best-config record per spec.
@@ -397,10 +444,12 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
                      "records": [asdict(r) for r in result]},
                     sort_keys=True) + "\n")
 
-    if jobs > 1 and len(pending) > 1:
+    workers = min(jobs, len(pending))
+    if workers > 1:
+        # the table's threads have exited, so a fork copies this one alone
         import multiprocessing as mp
         ctx = mp.get_context("fork")
-        with ctx.Pool(jobs, initializer=_init_worker,
+        with ctx.Pool(workers, initializer=_init_worker,
                       initargs=(cohort, seed, table, options)) as pool:
             results = pool.imap(_worker_run, [s for _, s in pending])
             for (i, spec), result in zip(pending, results):

@@ -12,10 +12,12 @@ import pytest
 import scipy
 
 import eegsweep
-from eegsweep import classify, cleaning, cli
+from eegsweep import classify, cleaning, cli, sweep
+from eegsweep.cleaning import CleaningPipeline
 from eegsweep.cli import main
 from eegsweep.data_model import load_cohort, write_cohort
-from eegsweep.features import FeatureMatrix
+from eegsweep.features import DEFAULT_PARAMS, FeatureMatrix
+from eegsweep.segmentation import SegmentSpec
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +55,11 @@ def test_synth_writes_cohort_and_truth(synth_dir):
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
     assert 0 < prov["minor_faults"] \
         <= resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    # glibc's thresholds, fixed for the process; null without mallopt
+    # glibc's thresholds and arena count, fixed for the process; null
+    # without mallopt
     assert prov["malloc_thresholds"] == (
         None if cli._mallopt() is None
-        else {"mmap": 4194304, "trim": 33554432})
+        else {"mmap": 4194304, "trim": 33554432, "arena_max": 1})
 
 
 def test_provenance_peak_rss_without_resource_module(tmp_path, monkeypatch):
@@ -198,7 +201,7 @@ def test_command_without_mallopt_writes_the_same_results(
         "grids": {"gbt": [{"max_depth": 2, "eta": 0.3, "gamma": 0.0}],
                   "knn": [{"k": 3}]}}))
     kept = (None if cli._mallopt() is None
-            else {"mmap": 4194304, "trim": 33554432})
+            else {"mmap": 4194304, "trim": 33554432, "arena_max": 1})
     runs = []
     try:
         for name in ("kept", "default"):
@@ -761,3 +764,19 @@ def test_train_importance_prints_what_it_printed_before(tmp_path, capsys):
         "  P3:e                         4.4860\n"
         "  P3:c                         3.9159\n"
         "  P3:b                         3.1610\n")
+
+
+def test_cpus_are_one_where_the_count_is_unknown(tmp_path, monkeypatch):
+    # os.cpu_count() returns None where the count cannot be read
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sweep._usable_cpus() == 1
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--subjects", "2",
+                 "--duration", "2", "--seed", "3"]) == 0
+    prov = json.loads((out / "provenance.json").read_text())
+    assert prov["cpus"] == 1
+    cohort = load_cohort(out / "manifest.json")
+    table = sweep.feature_vectors(cohort, [("raw", SegmentSpec(1, 1), "P3")],
+                                  CleaningPipeline(), DEFAULT_PARAMS)
+    assert table.errors.tolist() == [[None]] * len(cohort)

@@ -17,7 +17,7 @@ from scipy import signal as sps
 
 import ica_reference
 from conftest import ARTIFACT_MIX, FS
-from eegsweep import cleaning, cli, synth
+from eegsweep import cleaning, sweep, synth
 from eegsweep.cleaning import IcaParams, _one_blas_thread, ica_decompose
 from eegsweep.data_model import CHANNELS_1020, Recording
 
@@ -95,7 +95,7 @@ def test_ica_matches_the_reference_loop(name, one_thread):
 
 def test_ica_bytes_do_not_depend_on_the_callers_thread_count():
     blas = cleaning._openblas()
-    if blas is None or cli._usable_cpus() < 2:
+    if blas is None or sweep._usable_cpus() < 2:
         pytest.skip("needs numpy's bundled OpenBLAS and two usable CPUs")
     get, put = blas
     make, params, _, warns = CASES["short_warns"]

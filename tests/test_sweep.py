@@ -1,8 +1,13 @@
 import json
+import multiprocessing
 import os
+import sys
 import tempfile
+import threading
+import warnings
 from collections import Counter
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -756,12 +761,10 @@ def test_a_spec_fails_with_its_earliest_subject_then_channel(small_cohort,
         "ValueError: " + text]
 
 
-def test_a_late_stack_failure_beats_a_later_subjects_stage_failure(
-        small_cohort, monkeypatch):
+def _late_stack_failure(small_cohort, monkeypatch, workers):
     """Subject 1's row fails in a stack that is still waiting when
-    subject 3's filter fails: each failure stays at its own subject, and
-    the spec raises subject 1's, the one a subject-by-subject assembly
-    would meet first."""
+    subject 3's filter fails, on `workers` threads: the filter and
+    extract events, the table, and the errors of its one cell."""
     cohort = small_cohort[0][:4]
     whole = SegmentSpec(1, 1)
     names = {segment(cleaning.run_pipeline(rec, CleaningPipeline(
@@ -785,21 +788,52 @@ def test_a_late_stack_failure_beats_a_later_subjects_stage_failure(
         return real_extract(signal, fs, params)
     monkeypatch.setattr(cleaning, "fir_bandpass", fir_bandpass)
     monkeypatch.setattr(features, "extract_channel", extract)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: workers)
     table = feature_vectors(cohort, [("filtered", whole, "P3")], PIPELINE,
                             DEFAULT_PARAMS)
+    errors = table.errors[:, table.cells["filtered", whole, "P3"]]
+    return events, table, [err if err is None else str(err)
+                           for err in errors]
+
+
+def test_a_late_stack_failure_beats_a_later_subjects_stage_failure(
+        small_cohort, monkeypatch):
+    """Subject 1's row fails in a stack that is still waiting when
+    subject 3's filter fails: each failure stays at its own subject, and
+    the spec raises subject 1's, the one a subject-by-subject assembly
+    would meet first."""
+    cohort = small_cohort[0][:4]
+    ids = [rec.subject_id for rec in cohort]
+    events, table, errors = _late_stack_failure(small_cohort, monkeypatch, 1)
     # every filter ran before the stack of subjects 0-2 was extracted
     assert events[:5] == [("filter", i) for i in ids] \
         + [("extract", tuple(ids[:3]))]
     # the failed stack is halved until subject 1's row is alone
     assert events[5:] == [("extract", (ids[0],)), ("extract", tuple(ids[1:3])),
                           ("extract", (ids[1],)), ("extract", (ids[2],))]
-    errors = table.errors[:, table.cells["filtered", whole, "P3"]]
-    assert [err if err is None else str(err) for err in errors] == [
-        None, "refused " + ids[1], None, "no clean data in " + ids[3]]
-    spec = ExperimentSpec(cleaning="filtered", chunk=whole, channels=("P3",),
-                          classifier="knn", feature_selection=False)
+    assert errors == [None, "refused " + ids[1], None,
+                      "no clean data in " + ids[3]]
+    spec = ExperimentSpec(cleaning="filtered", chunk=SegmentSpec(1, 1),
+                          channels=("P3",), classifier="knn",
+                          feature_selection=False)
     assert [r.error for r in run_one(cohort, spec, 0, table)] == [
         "ValueError: refused " + ids[1]]
+
+
+def test_a_late_stack_failure_on_two_workers(small_cohort, monkeypatch):
+    """Two threads filter subjects in either order, but the stack still
+    holds subjects 0-2, is bisected in the same order, and each failure
+    stays at its own subject."""
+    ids = [rec.subject_id for rec in small_cohort[0][:4]]
+    events, _, errors = _late_stack_failure(small_cohort, monkeypatch, 2)
+    assert [e for e in events if e[0] == "extract"] == [
+        ("extract", tuple(ids[:3])), ("extract", (ids[0],)),
+        ("extract", tuple(ids[1:3])), ("extract", (ids[1],)),
+        ("extract", (ids[2],))]
+    filters = [e for e in events if e[0] == "filter"]
+    assert len(filters) == 4 and set(filters) == {("filter", i) for i in ids}
+    assert errors == [None, "refused " + ids[1], None,
+                      "no clean data in " + ids[3]]
 
 
 _GRID_CHANNELS = ("P3", "Cz", "O1")
@@ -823,13 +857,14 @@ def grid_rows(small_cohort):
                          st.integers(0, 3), st.sampled_from(_GRID_CHANNELS))),
        st.one_of(st.none(), st.integers(0, 3)),
        st.integers(1, 24),
-       st.permutations(_GRID_CHANNELS), st.integers(1, 3))
+       st.permutations(_GRID_CHANNELS), st.integers(1, 3),
+       st.integers(1, 3))
 def test_errors_hold_each_failure_at_its_subject_and_cell(
-        grid_rows, refused, stage_failure, stack_rows, order, size):
+        grid_rows, refused, stage_failure, stack_rows, order, size, workers):
     """extract_channel refuses a random set of rows and FIR fails for a
-    random subject, under any stack budget: `errors` holds exactly those
-    failures, and each spec's matrix raises what assembling it subject by
-    subject, channel by channel, meets first."""
+    random subject, under any stack budget and on 1 to 3 threads: `errors`
+    holds exactly those failures, and each spec's matrix raises what
+    assembling it subject by subject, channel by channel, meets first."""
     cohort, names = grid_rows
     whole = SegmentSpec(1, 1)
     failing = None if stage_failure is None else cohort[stage_failure]
@@ -858,6 +893,7 @@ def test_errors_hold_each_failure_at_its_subject_and_cell(
         patch.setattr(features, "extract_channel", extract)
         patch.setattr(sweep, "_STACK_SAMPLES",
                       stack_rows * cohort[0].n_samples)
+        patch.setattr(sweep, "_usable_cpus", lambda: workers)
         table = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
         expected = {}
         for kind, _, ch in cells:
@@ -895,8 +931,16 @@ def test_errors_hold_each_failure_at_its_subject_and_cell(
 # ---------------------------------------------------------------------------
 # stacked extraction
 
+def _one_worker(monkeypatch):
+    """Build feature tables on one thread, as with one usable CPU, so that
+    stacks are extracted in the order they fill."""
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
+
+
 def _stacks_seen(monkeypatch):
-    """Record the shape of every signal extract_channel is given."""
+    """Record the shape of every signal extract_channel is given, on one
+    worker."""
+    _one_worker(monkeypatch)
     shapes = []
     real = features.extract_channel
 
@@ -1035,3 +1079,125 @@ def test_each_sample_rate_gets_its_own_stacks(small_cohort, monkeypatch):
         for cell in cells:
             got = table.values[s, table.cells[cell]]
             assert got.tobytes() == _alone(rec, *cell).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the table's threads and the spec processes
+
+def test_the_worker_count_never_changes_a_table(failing_cohort, monkeypatch):
+    """FIR fails for td003, ASR calibration for adhd002 (9 s) and td001
+    (10 s), and one row of adhd004 is non-finite: on 1, 2 and 3 threads,
+    switching as often as the interpreter lets them, the table holds the
+    same vectors and the same failures."""
+    cohort = list(failing_cohort)
+    samples = cohort[4].samples.copy()
+    samples[cohort[4].channel_names.index("Cz"), 100] = np.nan
+    cohort[4] = cohort[4].with_samples(samples)
+    real = cleaning.fir_bandpass
+
+    def fir_bandpass(rec, params):
+        if rec.subject_id == "td003":
+            raise RuntimeError("no clean data in " + rec.subject_id)
+        return real(rec, params)
+    monkeypatch.setattr(cleaning, "fir_bandpass", fir_bandpass)
+    cells = [(kind, chunk, ch) for kind in PIPELINE_KINDS
+             for chunk in (SegmentSpec(1, 1), SegmentSpec(2, 1),
+                           SegmentSpec(2, 2))
+             for ch in ("P3", "Cz")]
+    tables = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(sweep, "_usable_cpus", lambda: workers)
+            table = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
+            tables[workers] = (
+                {(s, pos): _error_text(err)
+                 for (s, pos), err in np.ndenumerate(table.errors)
+                 if err is not None},
+                table.values[table.errors == None].tobytes())  # noqa: E711
+    finally:
+        sys.setswitchinterval(interval)
+    assert tables[2] == tables[1] and tables[3] == tables[1]
+    errors = {(cohort[s].subject_id, cell[0]): text
+              for cell, pos in table.cells.items()
+              for (s, p), text in tables[1][0].items() if p == pos}
+    assert errors["td003", "filtered"] == errors["td003", "ica"] \
+        == "RuntimeError: no clean data in td003"
+    for sid in ("adhd002", "td001"):
+        assert errors[sid, "asr"].startswith(
+            "ValueError: insufficient clean calibration data")
+    assert errors["adhd004", "raw"] \
+        == "ValueError: signal contains non-finite values"
+
+
+def test_one_blas_pin_holds_the_whole_pool(small_cohort, monkeypatch):
+    """A library call with OpenBLAS on 2 threads: two FastICA runs
+    overlap on the table's threads, each reads 1 thread from entry to
+    exit, and the caller's 2 are back once the table is built."""
+    blas = cleaning._openblas()
+    if blas is None or sweep._usable_cpus() < 2:
+        pytest.skip("needs numpy's bundled OpenBLAS and two usable CPUs")
+    get, put = blas
+    both = threading.Barrier(2, timeout=60)
+    seen = []
+    real = cleaning.ica_decompose
+
+    def ica_decompose(rec, params):
+        seen.append(get())
+        both.wait()  # the other subject's ICA has started too
+        seen.append(get())
+        try:
+            return real(rec, params)
+        finally:
+            seen.append(get())
+    monkeypatch.setattr(cleaning, "ica_decompose", ica_decompose)
+    before = get()
+    put(2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # short recordings
+            table = feature_vectors(small_cohort[0][:2],
+                                    [("ica", SegmentSpec(1, 1), "P3")],
+                                    PIPELINE, DEFAULT_PARAMS)
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen == [1] * 6
+    assert table.errors.tolist() == [[None], [None]]
+
+
+def test_spec_processes_are_no_more_than_pending_specs(
+        tmp_path, small_cohort, monkeypatch):
+    """A resume with 2 of 4 specs left under jobs=8 starts a pool of 2,
+    and one with 1 left starts none."""
+    cohort, _ = small_cohort
+    specs = small_specs()[:4]
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(sweep, "_WORKER", {})
+    want = _dump(run_sweep(cohort, specs, seed=1, grids=FAST_GRIDS))
+    for done, pool_sizes in ((2, [2]), (3, [])):
+        sizes.clear()
+        ckpt = tmp_path / str(done)
+        run_sweep(cohort, specs[:done], seed=1, grids=FAST_GRIDS,
+                  checkpoint_dir=ckpt)
+        got = run_sweep(cohort, specs, seed=1, grids=FAST_GRIDS,
+                        checkpoint_dir=ckpt, jobs=8)
+        assert sizes == pool_sizes and _dump(got) == want
