@@ -45,7 +45,8 @@ print("  residual RMS outside masks: %.3f (line amplitude/sqrt(2) = %.3f)"
 
 # the injected class effect is visible as relative theta power at P3
 def theta_fraction(x, fs):
-    freqs, psd = welch_psd(x, fs)
+    freqs, psd = welch_psd(x[None], fs)
+    psd = psd[0]
     total = psd[(freqs >= 0.5) & (freqs < 40)].sum()
     return psd[(freqs >= 4) & (freqs < 8)].sum() / total
 

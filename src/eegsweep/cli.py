@@ -190,7 +190,10 @@ def load_config(args):
     cfg = {}
     if path:
         with open(path) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                _fail(path, "not valid JSON: %s", exc)
         if not isinstance(cfg, dict):
             _fail(path, "expected a JSON object")
     for item in args.set or []:

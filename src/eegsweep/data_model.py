@@ -142,9 +142,11 @@ def validate_recording(rec):
         violations.append(
             "non-finite value at channel %s, sample %d (%d total)"
             % (name, t_idx, int(bad.sum())))
-    if rec.sample_rate_hz > 0 and rec.duration_s < MIN_DURATION_S:
-        violations.append("duration below 2 s (%.3f s at %g Hz)"
-                          % (rec.duration_s, rec.sample_rate_hz))
+    if (rec.sample_rate_hz > 0
+            and rec.n_samples < MIN_DURATION_S * rec.sample_rate_hz):
+        violations.append("duration below %g s (%.3f s at %g Hz)"
+                          % (MIN_DURATION_S, rec.duration_s,
+                             rec.sample_rate_hz))
     return violations
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import dwt
-from .data_model import read_csv_matrix
+from .data_model import MIN_DURATION_S, read_csv_matrix
 
 #: Canonical feature order. Column names in matrices are "<CH>:<feature>".
 FEATURE_NAMES = (
@@ -86,30 +86,17 @@ DEFAULT_PARAMS = FeatureParams()
 # ---------------------------------------------------------------------------
 # stacks
 #
-# Every feature group takes one 1-D signal or a (rows, samples) stack of
-# equal-length signals and works along the last axis, and each row of a
-# stack gets the bytes it gets alone:
-# - reductions run along the last axis of C-contiguous arrays, so each row
-#   gets the pairwise sum it gets as a 1-D array (np.compress picks
+# Every feature group takes the C-contiguous float64 (rows, samples) stack
+# that extract_channel builds, or the (rows, bins) PSD computed from it,
+# works along the last axis and returns per-row arrays. Each row gets the
+# bytes it gets in a stack of its own:
+# - reductions run along the last axis of C-contiguous arrays, so a row's
+#   pairwise sums do not depend on its neighbours (np.compress picks
 #   columns, since p[:, mask] is laid out column-major);
 # - per-row scalar math stays in Python floats where it is `math.*` or
 #   `**`, since numpy's SIMD log, exp and power can differ in the last bit;
 # - a row whose boolean selection differs from the rest of its stack is
 #   reduced on its own.
-
-def _stack(signal):
-    """(C-contiguous float64 (rows, samples) stack, whether the input was
-    one 1-D signal)."""
-    x = np.asarray(signal, dtype=np.float64)
-    return np.ascontiguousarray(x.reshape(-1, x.shape[-1])), x.ndim == 1
-
-
-def _unstack(values, single):
-    """Per-row results as given, or the one row's of a 1-D input."""
-    if isinstance(values, tuple):
-        return tuple(_unstack(v, single) for v in values)
-    return values[0] if single else values
-
 
 def _mean(a):
     """np.mean along the last axis: the same sum and division, without
@@ -132,22 +119,21 @@ def welch_psd(signal, fs, nperseg=None, overlap=0.5):
     Hamming-windowed segments with the given fractional overlap, each
     detrended by its mean. Returns (freqs, psd) with freqs spanning
     [0, fs/2] and sum(psd) * df close to the time-domain variance for
-    stationary signals; psd has one row per row of a stack. The segments
-    of every row go through one rfft and are added in start order.
+    stationary signals; psd has one row per row of the stack. The
+    segments of every row go through one rfft and are added in start order.
     """
-    x, single = _stack(signal)
-    n = x.shape[1]
+    n = signal.shape[1]
     if nperseg is None:
         nperseg = min(256, n)
     nperseg = int(min(nperseg, n))
     step = max(1, nperseg - int(math.floor(nperseg * overlap)))
     win = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
     scale = 1.0 / (fs * np.sum(win ** 2))
-    frames = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=-1)
-    frames = frames[:, ::step].reshape(-1, nperseg)
+    frames = np.lib.stride_tricks.sliding_window_view(
+        signal, nperseg, axis=-1)[:, ::step].reshape(-1, nperseg)
     spec = np.fft.rfft(win * (frames - _mean(frames)[:, None]), axis=-1)
     p = ((spec.real ** 2 + spec.imag ** 2) * scale).reshape(
-        x.shape[0], -1, spec.shape[-1])
+        signal.shape[0], -1, spec.shape[-1])
     psd = p[:, 0]
     for i in range(1, p.shape[1]):
         psd = psd + p[:, i]
@@ -157,7 +143,7 @@ def welch_psd(signal, fs, nperseg=None, overlap=0.5):
     else:
         psd[:, 1:] *= 2.0
     freqs = np.fft.rfftfreq(nperseg, d=1.0 / fs)
-    return freqs, _unstack(psd, single)
+    return freqs, psd
 
 
 def band_powers(freqs, psd, total_band=(0.5, 40.0)):
@@ -166,28 +152,26 @@ def band_powers(freqs, psd, total_band=(0.5, 40.0)):
     Each band integral is normalized by the total over `total_band`;
     a zero-power spectrum yields all-zero sentinels.
     """
-    p, single = _stack(psd)
     total_mask = (freqs >= total_band[0]) & (freqs < total_band[1])
-    total = np.compress(total_mask, p, axis=-1).sum(axis=-1)
+    total = np.compress(total_mask, psd, axis=-1).sum(axis=-1)
     dead = total <= 0.0
     total[dead] = 1.0
-    out = np.empty((p.shape[0], len(BANDS)))
+    out = np.empty((psd.shape[0], len(BANDS)))
     for i, (_, lo, hi) in enumerate(BANDS):
         mask = (freqs >= lo) & (freqs < hi)
-        out[:, i] = np.compress(mask, p, axis=-1).sum(axis=-1) / total
+        out[:, i] = np.compress(mask, psd, axis=-1).sum(axis=-1) / total
     out[dead] = 0.0
-    return _unstack(out, single)
+    return out
 
 
 def hjorth(signal):
     """Time-domain Hjorth parameters (activity, mobility, complexity).
 
     mobility = sqrt(var(dx)/var(x)); complexity = mobility(dx)/mobility(x),
-    with dx the first difference. Constant input returns (0, 0, 0).
+    with dx the first difference, per row. A constant row gets (0, 0, 0).
     """
-    x, single = _stack(signal)
-    dx = x[:, 1:] - x[:, :-1]
-    var_x = _var(x)
+    dx = signal[:, 1:] - signal[:, :-1]
+    var_x = _var(signal)
     var_dx = _var(dx)
     var_ddx = _var(dx[:, 1:] - dx[:, :-1])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -195,21 +179,20 @@ def hjorth(signal):
         complexity = np.sqrt(var_ddx / var_dx) / mobility
     mobility[var_x == 0.0] = 0.0
     complexity[(var_x == 0.0) | (var_dx == 0.0)] = 0.0
-    return _unstack((var_x, mobility, complexity), single)
+    return var_x, mobility, complexity
 
 
 def hjorth_spect(freqs, psd):
     """Hjorth mobility/complexity from spectral moments m_k = sum f^k psd."""
-    p, single = _stack(psd)
-    m0 = p.sum(axis=-1)
-    m2 = (freqs ** 2 * p).sum(axis=-1)
-    m4 = (freqs ** 4 * p).sum(axis=-1)
+    m0 = psd.sum(axis=-1)
+    m2 = (freqs ** 2 * psd).sum(axis=-1)
+    m4 = (freqs ** 4 * psd).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         mobility = np.sqrt(m2 / m0)
         complexity = np.sqrt(m4 / m2) / mobility
     mobility[m0 <= 0.0] = 0.0
     complexity[(m0 <= 0.0) | (m2 <= 0.0)] = 0.0
-    return _unstack((mobility, complexity), single)
+    return mobility, complexity
 
 
 def psd_fit(freqs, psd, f_range=(1.0, 40.0)):
@@ -222,25 +205,23 @@ def psd_fit(freqs, psd, f_range=(1.0, 40.0)):
     returned when fewer than two usable bins remain. The rows that keep
     every in-range bin are fitted together, any other row on its own.
     """
-    freqs = np.asarray(freqs, dtype=np.float64)
-    p, single = _stack(psd)
     in_freq = (freqs >= f_range[0]) & (freqs <= f_range[1])
-    band = np.compress(in_freq, p, axis=-1)
-    out = np.zeros((4, p.shape[0]))
+    band = np.compress(in_freq, psd, axis=-1)
+    out = np.zeros((4, psd.shape[0]))
     if band.shape[1] < 2:
-        return _unstack(tuple(out), single)
+        return tuple(out)
     whole = ((band > 0.0)
              & (band >= band.max(axis=-1, keepdims=True) * 1e-12)).all(axis=-1)
     out[:, whole] = _fit_rows(np.log10(freqs[in_freq]),
                               np.log10(band[whole]))
     for r in np.flatnonzero(~whole):
-        in_range = in_freq & (p[r] > 0.0)
+        in_range = in_freq & (psd[r] > 0.0)
         if in_range.any():
-            mask = in_range & (p[r] >= p[r][in_range].max() * 1e-12)
+            mask = in_range & (psd[r] >= psd[r][in_range].max() * 1e-12)
             if int(mask.sum()) >= 2:
                 out[:, r] = _fit_rows(np.log10(freqs[mask]),
-                                      np.log10(p[r][mask])[None])[:, 0]
-    return _unstack(tuple(out), single)
+                                      np.log10(psd[r][mask])[None])[:, 0]
+    return tuple(out)
 
 
 def _fit_rows(lf, lp):
@@ -268,19 +249,18 @@ def _fit_rows(lf, lp):
 
 def spect_edge_freq(freqs, psd, edge=0.95, total_band=(0.5, 40.0)):
     """Frequency below which `edge` of the power in total_band lies."""
-    p, single = _stack(psd)
     mask = (freqs >= total_band[0]) & (freqs < total_band[1])
     f = freqs[mask]
-    p = np.compress(mask, p, axis=-1)
-    total = p.sum(axis=-1)
-    out = np.zeros(p.shape[0])
+    psd = np.compress(mask, psd, axis=-1)
+    total = psd.sum(axis=-1)
+    out = np.zeros(psd.shape[0])
     live = total > 0.0
     if f.size:
         # searchsorted's left index, the count of partial sums below the
         # target: psd >= 0, so the partial sums never decrease
-        idx = (np.cumsum(p, axis=-1) < (edge * total)[:, None]).sum(axis=-1)
+        idx = (np.cumsum(psd, axis=-1) < (edge * total)[:, None]).sum(axis=-1)
         out[live] = f[np.minimum(idx, f.size - 1)][live]
-    return _unstack(out, single)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +273,11 @@ def fractal(signal, kmax=10):
     clamped to the admissible range [1, 2]; Katz is
     log10(n) / (log10(n) + log10(d/L)) with L the total length, d the
     maximum excursion from the first point, n the segment count.
-    Constant input returns (1.0, 1.0).
+    A constant row gets (1.0, 1.0).
     """
-    x, single = _stack(signal)
-    rows, n = x.shape
-    total_len = np.abs(x[:, 1:] - x[:, :-1]).sum(axis=-1)
-    excursion = np.abs(x - x[:, :1]).max(axis=-1)
+    rows, n = signal.shape
+    total_len = np.abs(signal[:, 1:] - signal[:, :-1]).sum(axis=-1)
+    excursion = np.abs(signal - signal[:, :1]).max(axis=-1)
     hfd = np.ones(rows)
     katz = np.ones(rows)
     live = np.flatnonzero(total_len != 0.0)
@@ -311,8 +290,8 @@ def fractal(signal, kmax=10):
             denom = max(log_n + math.log10(d / length), 1e-12)
             katz[r] = max(1.0, log_n / denom)
     if not live.size:
-        return _unstack((hfd, katz), single)
-    lk = _curve_lengths(x[live], kmax)
+        return hfd, katz
+    lk = _curve_lengths(signal[live], kmax)
     valid = lk > 0
     whole = valid.all(axis=-1) & (kmax >= 2)
     slope = _ols_slope(np.log(1.0 / np.arange(1, kmax + 1)),
@@ -325,24 +304,22 @@ def fractal(signal, kmax=10):
             s = _ols_slope(np.log(1.0 / np.arange(1, kmax + 1)[valid[r]]),
                            np.log(lk[r][valid[r]]))
             hfd[live[r]] = min(2.0, max(1.0, float(s)))
-    return _unstack((hfd, katz), single)
+    return hfd, katz
 
 
 def _curve_lengths(x, kmax):
-    """Higuchi's mean normalized curve length L(k) for k = 1..kmax, along
-    the last axis.
+    """Higuchi's mean normalized curve length L(k) for k = 1..kmax, of each
+    row of a (rows, samples) stack.
 
     The curve that starts at sample m steps through x[m::k], so its steps
     are every k-th of the lag-k differences. Per k, the curves with the
     same number of steps are copied into one contiguous array, a curve
     per row. Curves of fewer than two samples are left out.
     """
-    x = np.asarray(x, dtype=np.float64)
-    stack = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
-    rows, n = stack.shape
+    rows, n = x.shape
     lk = np.empty((rows, kmax))
     for k in range(1, kmax + 1):
-        d = np.abs(stack[:, k:] - stack[:, :-k])
+        d = np.abs(x[:, k:] - x[:, :-k])
         # curves m < longer take one step more than the others
         steps, longer = divmod(max(n - k, 0), k)
         body = d[:, :steps * k].reshape(rows, steps, k)
@@ -358,7 +335,7 @@ def _curve_lengths(x, kmax):
         m = np.arange(sums.shape[1])
         norm = (n - 1) / (k * ((n - 1 - m) // k))
         lk[:, k - 1] = _mean(sums * norm / k)
-    return lk.reshape(x.shape[:-1] + (kmax,))
+    return lk
 
 
 def _ols_slope(x, y):
@@ -369,15 +346,15 @@ def _ols_slope(x, y):
 
 
 def zero_crossings(signal):
-    """Number of sign changes, with values below machine epsilon in
-    magnitude clipped to zero."""
-    x, single = _stack(signal)
-    sgn = np.sign(np.where(np.abs(x) < np.finfo(np.float64).eps, 0.0, x))
+    """Number of sign changes in each row, with values below machine
+    epsilon in magnitude clipped to zero."""
+    tiny = np.abs(signal) < np.finfo(np.float64).eps
+    sgn = np.sign(np.where(tiny, 0.0, signal))
     out = (sgn[:, 1:] != sgn[:, :-1]).sum(axis=-1)
     for r in np.flatnonzero(~sgn.all(axis=-1)):
         s = sgn[r][sgn[r] != 0]
         out[r] = (s[1:] != s[:-1]).sum() if s.size >= 2 else 0
-    return _unstack(out, single)
+    return out
 
 
 def app_entropy(signal, m=2, r_factor=0.2):
@@ -388,14 +365,13 @@ def app_entropy(signal, m=2, r_factor=0.2):
     of approximate entropy"): one cKDTree on the m-embedding lists every
     pair within r, and a pair that also lies within r on the next sample
     is a match at m + 1, since every match at m + 1 is a match at m. A
-    constant signal (radius 0) returns the sentinel 0. A stack builds one
-    tree per row.
+    constant row (radius 0) gets the sentinel 0. Each row gets its own
+    tree.
     """
-    x, single = _stack(signal)
-    radii = (r_factor * np.sqrt(_var(x, ddof=1))).tolist()
+    radii = (r_factor * np.sqrt(_var(signal, ddof=1))).tolist()
     out = np.array([_app_entropy_row(row, m, r)
-                    for row, r in zip(x, radii)])
-    return _unstack(out, single)
+                    for row, r in zip(signal, radii)])
+    return out
 
 
 def _app_entropy_row(x, m, r):
@@ -418,34 +394,32 @@ def _app_entropy_row(x, m, r):
 
 def spect_entropy(freqs, psd, total_band=(0.5, 40.0)):
     """Normalized Shannon entropy of the PSD over total_band, in [0, 1]."""
-    p, single = _stack(psd)
     mask = (freqs >= total_band[0]) & (freqs < total_band[1])
-    p = np.compress(mask, p, axis=-1)
-    total = p.sum(axis=-1)
-    n_bins = p.shape[1]
-    out = np.zeros(p.shape[0])
+    psd = np.compress(mask, psd, axis=-1)
+    total = psd.sum(axis=-1)
+    n_bins = psd.shape[1]
+    out = np.zeros(psd.shape[0])
     live = np.flatnonzero(total > 0.0)
     if n_bins < 2 or not live.size:
-        return _unstack(out, single)
-    p = p[live] / total[live][:, None]
-    whole = (p > 0.0).all(axis=-1)
-    out[live[whole]] = (-(p[whole] * np.log(p[whole])).sum(axis=-1)
+        return out
+    psd = psd[live] / total[live][:, None]
+    whole = (psd > 0.0).all(axis=-1)
+    out[live[whole]] = (-(psd[whole] * np.log(psd[whole])).sum(axis=-1)
                         / math.log(n_bins))
     for r in np.flatnonzero(~whole):
-        nz = p[r][p[r] > 0.0]
+        nz = psd[r][psd[r] > 0.0]
         out[live[r]] = -np.sum(nz * np.log(nz)) / math.log(n_bins)
-    return _unstack(out, single)
+    return out
 
 
 def decorr_time(signal, fs):
     """First lag (in seconds) at which the autocorrelation drops to <= 0.
 
-    Returns the full duration when the autocorrelation never crosses zero
-    and 1/fs for a constant signal.
+    A row gets the full duration when its autocorrelation never crosses
+    zero and 1/fs when it is constant.
     """
-    x, single = _stack(signal)
-    n = x.shape[1]
-    xm = x - _mean(x)[:, None]
+    n = signal.shape[1]
+    xm = signal - _mean(signal)[:, None]
     denom = (xm ** 2).sum(axis=-1)
     nfft = int(2 ** math.ceil(math.log2(2 * n)))
     spec = np.fft.rfft(xm, nfft, axis=-1)
@@ -456,7 +430,7 @@ def decorr_time(signal, fs):
     out = np.where(below.any(axis=-1), (below.argmax(axis=-1) + 1) / fs,
                    n / fs)
     out[denom == 0.0] = 1.0 / fs
-    return _unstack(out, single)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -479,17 +453,16 @@ def hurst_exp(signal, min_window=10):
     R/S is averaged over non-overlapping blocks for ~10 logarithmically
     spaced block sizes in [min_window, n/2]. The small-sample expectation
     of R/S under the null is subtracted before regressing, so white noise
-    centers on 0.5. Constant input returns the sentinel 0.5. A stack
-    makes one block array per size; a row with a constant block averages
-    the others on its own.
+    centers on 0.5. A constant row gets the sentinel 0.5. One block array
+    per size holds every row; a row with a constant block averages the
+    others on its own.
     """
-    x, single = _stack(signal)
-    n = x.shape[1]
-    out = np.full(x.shape[0], 0.5)
-    live = np.flatnonzero(_var(x) != 0.0)  # np.std(x) == 0 exactly then
+    n = signal.shape[1]
+    out = np.full(signal.shape[0], 0.5)
+    live = np.flatnonzero(_var(signal) != 0.0)  # np.std(x) == 0 exactly then
     if n < 2 * min_window or not live.size:
-        return _unstack(out, single)
-    x = x[live]
+        return out
+    x = signal[live]
     sizes = np.unique(np.floor(np.logspace(
         math.log10(min_window), math.log10(n / 2.0), 10)).astype(int))
     log_rs = np.full((live.size, sizes.size), np.nan)  # NaN: size left out
@@ -521,7 +494,7 @@ def hurst_exp(signal, min_window=10):
         if int(used[r].sum()) >= 2:
             out[live[r]] = 0.5 + float(_ols_slope(log_sizes[used[r]],
                                                   log_rs[r][used[r]]))
-    return _unstack(out, single)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -561,24 +534,23 @@ def band_energies(signal, fs, transition_hz=2.0):
     a low-pass shared by adjacent bands is computed once, and its kernel
     is designed once per stack.
     """
-    x, single = _stack(signal)
     edges = {edge for _, lo, hi in BANDS for edge in (lo, hi)}
-    low = {edge: filter_zero_phase(x, lowpass_kernel(fs, edge, transition_hz))
+    low = {edge: filter_zero_phase(signal,
+                                   lowpass_kernel(fs, edge, transition_hz))
            for edge in edges}
-    out = np.empty((x.shape[0], len(BANDS)))
+    out = np.empty((signal.shape[0], len(BANDS)))
     for i, (_, lo, hi) in enumerate(BANDS):
         out[:, i] = _mean((low[hi] - low[lo]) ** 2)
-    return _unstack(out, single)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # wavelet subband features
 
 def teager_kaiser(x):
-    """Teager-Kaiser energy x_n^2 - x_{n-1} x_{n+1} over interior samples
-    (along the last axis)."""
-    x = np.asarray(x, dtype=np.float64)
-    return x[..., 1:-1] ** 2 - x[..., :-2] * x[..., 2:]
+    """Teager-Kaiser energy x_n^2 - x_{n-1} x_{n+1} over the interior
+    samples of each row."""
+    return x[:, 1:-1] ** 2 - x[:, :-2] * x[:, 2:]
 
 
 def wavelet_features(signal):
@@ -592,43 +564,38 @@ def wavelet_features(signal):
     6 values and a sample standard deviation. Each row is decomposed on
     its own; the statistics take a subband of every row at once.
     """
-    x, single = _stack(signal)
     per_row = [details + [approx]
                for approx, details in (dwt.wavedec(row, levels=6)
-                                       for row in x)]
-    energies = np.empty((x.shape[0], 6))
-    tkeo_stats = np.empty((x.shape[0], 14))
+                                       for row in signal)]
+    energies = np.empty((signal.shape[0], 6))
+    tkeo_stats = np.empty((signal.shape[0], 14))
     for level, band in enumerate(map(np.array, zip(*per_row))):
         if level < 6:
             energies[:, level] = _mean(band ** 2)
         tk = teager_kaiser(band)
         tkeo_stats[:, 2 * level] = _mean(tk)
         tkeo_stats[:, 2 * level + 1] = np.sqrt(_var(tk, ddof=1))
-    return _unstack((energies, tkeo_stats), single)
+    return energies, tkeo_stats
 
 
 # ---------------------------------------------------------------------------
 # moments with degenerate-input sentinels
 
 def skewness(signal):
-    x, single = _stack(signal)
-    xm = x - _mean(x)[:, None]
+    xm = signal - _mean(signal)[:, None]
     # 0 for a constant row, or one so small that the power underflows
     denom = [m2 ** 1.5 for m2 in _mean(xm ** 2).tolist()]
-    out = np.array([0.0 if d == 0.0 else m3 / d
-                    for d, m3 in zip(denom, _mean(xm ** 3).tolist())])
-    return _unstack(out, single)
+    return np.array([0.0 if d == 0.0 else m3 / d
+                     for d, m3 in zip(denom, _mean(xm ** 3).tolist())])
 
 
 def kurtosis(signal):
     """Pearson (non-excess) kurtosis; 3 for a normal distribution."""
-    x, single = _stack(signal)
-    xm = x - _mean(x)[:, None]
+    xm = signal - _mean(signal)[:, None]
     # 0 for a constant row, or one so small that the power underflows
     denom = [m2 ** 2 for m2 in _mean(xm ** 2).tolist()]
-    out = np.array([0.0 if d == 0.0 else m4 / d
-                    for d, m4 in zip(denom, _mean(xm ** 4).tolist())])
-    return _unstack(out, single)
+    return np.array([0.0 if d == 0.0 else m4 / d
+                     for d, m4 in zip(denom, _mean(xm ** 4).tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -638,18 +605,21 @@ def extract_channel(signal, fs, params=DEFAULT_PARAMS):
     """Compute the canonical 53-feature vector of one channel, or of each
     row of a (rows, samples) stack of equal-length signals.
 
-    The signal must be at least 2 s long and finite everywhere. Returns a
-    float array aligned with FEATURE_NAMES, of shape (53,) for a 1-D
-    signal and (rows, 53) for a stack; each row's vector has the bytes
-    that row gets alone.
+    The one entry that also takes a 1-D signal: it builds the C-contiguous
+    float64 stack every feature group takes. The signal must be at least
+    MIN_DURATION_S (2 s) long and finite everywhere. Returns a float array
+    aligned with FEATURE_NAMES, of shape (53,) for a 1-D signal and
+    (rows, 53) for a stack; each row's vector has the bytes that row gets
+    alone.
     """
     x = np.asarray(signal, dtype=np.float64)
-    if x.shape[-1] < 2 * fs:
-        raise ValueError("signal shorter than 2 s (%d samples at %g Hz)"
-                         % (x.shape[-1], fs))
+    single = x.ndim == 1
+    x = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
+    if x.shape[1] < MIN_DURATION_S * fs:
+        raise ValueError("signal shorter than %g s (%d samples at %g Hz)"
+                         % (MIN_DURATION_S, x.shape[1], fs))
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite values")
-    x, single = _stack(x)
 
     out = np.empty((x.shape[0], N_FEATURES))
     out[:, 0] = _mean(x)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .data_model import MIN_DURATION_S
+
 DIVISORS = (1, 2, 3, 4, 5, 20)
 
 
@@ -41,11 +43,11 @@ def segment(rec, spec):
     """Extract one equal-part segment of a recording.
 
     Segment i of divisor j covers samples [(i-1)*floor(T/j), i*floor(T/j)).
-    Segments must be at least 2 s long, the shortest signal feature
-    extraction accepts.
+    Segments must be at least MIN_DURATION_S (2 s) long, the shortest
+    signal feature extraction accepts.
     """
     seg_len = rec.n_samples // spec.divisor
-    min_len = 2.0 * rec.sample_rate_hz
+    min_len = MIN_DURATION_S * rec.sample_rate_hz
     if seg_len < min_len:
         raise ValueError("segment length %d below minimum %d samples (j=%d)"
                          % (seg_len, int(min_len), spec.divisor))

@@ -494,7 +494,7 @@ def records_from_csv(path):
         if header != list(RESULT_COLUMNS):
             raise ValueError("%s is not a results table: its header is not "
                              "%s" % (path, ",".join(RESULT_COLUMNS)))
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -503,6 +503,10 @@ def records_from_csv(path):
             else:
                 cells = line.split(",")
                 cells[7:] = [c.replace(";", ",") for c in cells[7:]]
+            if len(cells) != len(RESULT_COLUMNS):
+                raise ValueError("%s, line %d: %d cells, expected %d"
+                                 % (path, line_no, len(cells),
+                                    len(RESULT_COLUMNS)))
             records.append(ExperimentRecord(
                 accuracy=float(cells[0]), spread=float(cells[1]),
                 cleaning=cells[2], chunk=cells[3], channels=cells[4],

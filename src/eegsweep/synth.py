@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import CHANNELS_1020, MONTAGE_COORDS, Recording
+from .data_model import (CHANNELS_1020, MIN_DURATION_S, MONTAGE_COORDS,
+                         Recording)
 
 #: Sinusoid carrier frequency used per band, Hz.
 BAND_CENTERS = {"delta": 2.0, "theta": 6.0, "alpha": 10.0, "beta": 20.0}
@@ -74,8 +75,8 @@ class GroundTruth:
 def _validate_spec(spec):
     if spec.n_subjects_per_class < 1:
         raise ValueError("n_subjects_per_class must be >= 1")
-    if spec.duration_s < 2:
-        raise ValueError("duration_s must be >= 2")
+    if spec.duration_s < MIN_DURATION_S:
+        raise ValueError("duration_s must be >= %g" % MIN_DURATION_S)
     if spec.class_effect.effect_size <= 0:
         raise ValueError("effect_size must be > 0")
     if spec.class_effect.target_channel not in CHANNELS_1020:

@@ -1,3 +1,4 @@
+import inspect
 import sys
 from pathlib import Path
 
@@ -6,12 +7,28 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from eegsweep import synth, sweep
+from eegsweep import features, synth, sweep
 from eegsweep.cleaning import CleaningPipeline
 from eegsweep.features import DEFAULT_PARAMS
 from eegsweep.segmentation import SegmentSpec
 
 FS = 128.0
+
+
+def one_row(group, *args, **kwargs):
+    """A feature group's outputs for one 1-D signal or PSD.
+
+    The argument named signal or psd goes in as a one-row stack, x[None],
+    and row 0 of each output comes back; welch_psd's freqs, one per bin,
+    come back whole.
+    """
+    bound = inspect.signature(group).bind(*args, **kwargs)
+    name = "psd" if "psd" in bound.arguments else "signal"
+    bound.arguments[name] = bound.arguments[name][None]
+    out = group(*bound.args, **bound.kwargs)
+    if group is features.welch_psd:
+        return out[0], out[1][0]
+    return tuple(o[0] for o in out) if isinstance(out, tuple) else out[0]
 
 
 def raw_feature_matrix(cohort, channels):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ARTIFACT_MIX
+from conftest import ARTIFACT_MIX, one_row
 from eegsweep import cleaning, synth
 from eegsweep.cleaning import (PIPELINE_KINDS, AsrParams, CleaningPipeline,
                                FirParams, IcaParams, asr_calibrate,
@@ -265,7 +265,7 @@ def test_ica_drop_line_component():
     out = ica_reconstruct(rec, dec, [lab != "line_noise" for lab in labels])
 
     def line_power(x):
-        freqs, psd = welch_psd(x, FS)
+        freqs, psd = one_row(welch_psd, x, FS)
         return psd[np.argmin(np.abs(freqs - 50.0))]
 
     for ch in range(0, 19, 6):

@@ -626,6 +626,43 @@ def test_report_on_a_csv_that_is_not_a_results_table_exits_2(tmp_path,
     assert not (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize("row", [
+    "0.5,0,raw,1/1,P3",
+    "0.5,0,raw,1/1,P3,knn,No,{},,0.9",
+    '"0.5","0","raw","1/1","P3"',
+    '"0.5","0","raw","1/1","P3","knn","No","{}","","0.9"',
+], ids=["5_plain", "10_plain", "5_quoted", "10_quoted"])
+def test_report_refuses_a_results_row_of_the_wrong_width(tmp_path, capsys,
+                                                         row):
+    # 5 cells died with an IndexError traceback; 10 cells lost the last
+    # one and exited 0
+    records = tmp_path / "short.csv"
+    records.write_text(",".join(sweep.RESULT_COLUMNS) + "\n"
+                       + '0.75,0.1,raw,1/1,P3,knn,No,{"k": 3},\n'
+                       + row + "\n")
+    code = main(["report", "--records", str(records),
+                 "--out", str(tmp_path / "rep")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: %s, line 3: %d cells, expected 9"
+        % (records, row.count(",") + 1)]
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--manifest", "missing.json", "--config"],
+    ["sweep", "--manifest", "missing.json", "--out", "out", "--space"],
+], ids=["config", "space"])
+def test_a_config_file_that_is_not_json_exits_1(tmp_path, capsys, argv):
+    # it exited 2 with the decoder's message alone, naming no file
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"features": {"quantile": 0.5,}}')
+    assert main(argv + [str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config: %s: not valid JSON: Expecting property name "
+        "enclosed in double quotes: line 1 column 31 (char 30)\n" % bad)
+
+
 @pytest.mark.parametrize("flag", ["--group-by", "--significance-factor"])
 @pytest.mark.parametrize("name", ["foo", "best_params"])
 def test_report_refuses_a_name_that_is_no_results_column(tmp_path, capsys,

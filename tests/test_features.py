@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 
 import higuchi_reference
 import oracles
-from conftest import FS, golden_corpus, raw_feature_matrix
+from conftest import FS, golden_corpus, one_row, raw_feature_matrix
 from eegsweep import features as F
 
 T8 = np.arange(int(8 * FS)) / FS
@@ -26,7 +26,7 @@ def feat(x, name, fs=FS):
 # welch_psd
 
 def test_welch_peak_at_tone():
-    freqs, psd = F.welch_psd(SINE10, FS)
+    freqs, psd = one_row(F.welch_psd, SINE10, FS)
     assert abs(freqs[np.argmax(psd)] - 10.0) <= 0.5
 
 
@@ -34,20 +34,20 @@ def test_welch_white_noise_flat():
     acc = None
     for s in range(50):
         x = np.random.default_rng(s).standard_normal(int(8 * FS))
-        freqs, psd = F.welch_psd(x, FS)
+        freqs, psd = one_row(F.welch_psd, x, FS)
         acc = psd if acc is None else acc + psd
     band = acc[(freqs >= 1) & (freqs <= 40)]
     assert band.max() / band.min() < 10
 
 
 def test_welch_zero_signal():
-    _, psd = F.welch_psd(np.zeros(1024), FS)
+    _, psd = one_row(F.welch_psd, np.zeros(1024), FS)
     assert not psd.any()
 
 
 def test_welch_parseval():
     x = np.random.default_rng(3).standard_normal(4096)
-    freqs, psd = F.welch_psd(x, FS)
+    freqs, psd = one_row(F.welch_psd, x, FS)
     df = freqs[1] - freqs[0]
     assert psd.sum() * df == pytest.approx(np.var(x), rel=0.1)
 
@@ -56,15 +56,15 @@ def test_welch_parseval():
 # band powers
 
 def test_band_powers_sine6():
-    freqs, psd = F.welch_psd(2.0 * np.sin(2 * np.pi * 6 * T8), FS)
-    powers = F.band_powers(freqs, psd)
+    freqs, psd = one_row(F.welch_psd, 2.0 * np.sin(2 * np.pi * 6 * T8), FS)
+    powers = one_row(F.band_powers, freqs, psd)
     assert powers[1] >= 0.95  # theta
 
 
 def test_band_powers_two_tone_ratio():
     x = np.sin(2 * np.pi * 2 * T8) + np.sin(2 * np.pi * 10 * T8)
-    freqs, psd = F.welch_psd(x, FS)
-    powers = F.band_powers(freqs, psd)
+    freqs, psd = one_row(F.welch_psd, x, FS)
+    powers = one_row(F.band_powers, freqs, psd)
     ratio = powers[0] / powers[2]
     assert 0.8 <= ratio <= 1.25
 
@@ -72,7 +72,7 @@ def test_band_powers_two_tone_ratio():
 def test_band_powers_flat_psd():
     freqs = np.linspace(0.0, 64.0, 1281)
     psd = np.ones_like(freqs)
-    powers = F.band_powers(freqs, psd)
+    powers = one_row(F.band_powers, freqs, psd)
     assert powers[0] == pytest.approx(3.5 / 39.5, rel=0.02)
     assert sum(powers) <= 1.0 + 1e-12
 
@@ -83,7 +83,7 @@ def test_band_powers_flat_psd():
 def test_hjorth_sine_closed_form():
     x = np.sin(2 * np.pi * 10 * T16)
     omega = 2 * np.pi * 10 / FS
-    _, mob, comp = F.hjorth(x)
+    _, mob, comp = one_row(F.hjorth, x)
     assert mob == pytest.approx(2 * np.sin(omega / 2), abs=1e-3)
     assert comp == pytest.approx(1.0, abs=1e-3)
 
@@ -91,17 +91,17 @@ def test_hjorth_sine_closed_form():
 def test_hjorth_noise_complexity_above_one():
     for s in range(10):
         x = np.random.default_rng(s).standard_normal(2048)
-        assert F.hjorth(x)[2] > 1.0
+        assert one_row(F.hjorth, x)[2] > 1.0
 
 
 def test_hjorth_constant_sentinel():
-    assert F.hjorth(np.full(512, 2.0)) == (0.0, 0.0, 0.0)
+    assert one_row(F.hjorth, np.full(512, 2.0)) == (0.0, 0.0, 0.0)
 
 
 def test_hjorth_spect_moments():
     freqs = np.array([0.0, 1.0, 2.0, 3.0])
     psd = np.array([0.0, 1.0, 0.0, 0.0])
-    mob, comp = F.hjorth_spect(freqs, psd)
+    mob, comp = one_row(F.hjorth_spect, freqs, psd)
     assert mob == pytest.approx(1.0)
     assert comp == pytest.approx(1.0)
 
@@ -111,25 +111,25 @@ def test_hjorth_spect_moments():
 
 def test_katz_straight_line_exact():
     line = np.arange(1024, dtype=float)
-    _, katz = F.fractal(line)
+    _, katz = one_row(F.fractal, line)
     assert katz == 1.0
 
 
 def test_higuchi_slow_sine_range():
     x = np.sin(2 * np.pi * 2 * T16)
-    hfd, _ = F.fractal(x)
+    hfd, _ = one_row(F.fractal, x)
     assert 1.0 <= hfd <= 1.3
 
 
 def test_higuchi_noise_range():
     for s in range(20):
         x = np.random.default_rng(s).standard_normal(2048)
-        hfd, _ = F.fractal(x)
+        hfd, _ = one_row(F.fractal, x)
         assert 1.9 <= hfd <= 2.0
 
 
 def test_fractal_constant_sentinels():
-    hfd, katz = F.fractal(np.full(400, 1.5))
+    hfd, katz = one_row(F.fractal, np.full(400, 1.5))
     assert hfd == 1.0 and katz == 1.0
 
 
@@ -155,14 +155,14 @@ def higuchi_cases(draw):
 @given(higuchi_cases())
 def test_curve_lengths_equal_the_per_curve_gathers(case):
     x, kmax = case
-    assert (F._curve_lengths(x, kmax).tobytes()
+    assert (F._curve_lengths(x[None], kmax)[0].tobytes()
             == higuchi_reference.curve_lengths(x, kmax).tobytes())
 
 
 def test_curve_lengths_of_a_strided_signal():
     # a channel row of a recording sliced by a step is not contiguous
     x = np.random.default_rng(9).standard_normal((3, 4000))[1, ::2]
-    assert (F._curve_lengths(x, 10).tobytes()
+    assert (F._curve_lengths(x[None], 10)[0].tobytes()
             == higuchi_reference.curve_lengths(x, 10).tobytes())
 
 
@@ -170,17 +170,17 @@ def test_curve_lengths_of_a_strided_signal():
 # entropies / decorrelation / hurst
 
 def test_entropies_sine_low():
-    freqs, psd = F.welch_psd(SINE10, FS)
-    assert F.spect_entropy(freqs, psd) <= 0.2
-    assert F.app_entropy(SINE10) <= 0.3
+    freqs, psd = one_row(F.welch_psd, SINE10, FS)
+    assert one_row(F.spect_entropy, freqs, psd) <= 0.2
+    assert one_row(F.app_entropy, SINE10) <= 0.3
 
 
 def test_entropies_noise():
     ses, dts = [], []
     for s in range(30):
         x = np.random.default_rng(s).standard_normal(2048)
-        ses.append(F.spect_entropy(*F.welch_psd(x, FS)))
-        dts.append(F.decorr_time(x, FS))
+        ses.append(one_row(F.spect_entropy, *one_row(F.welch_psd, x, FS)))
+        dts.append(one_row(F.decorr_time, x, FS))
     assert min(ses) >= 0.9
     # white-noise autocorrelation hovers around zero from lag 1 on; the
     # first non-positive lag is small but not always exactly 1
@@ -191,7 +191,7 @@ def test_entropies_noise():
 
 
 def test_app_entropy_constant_sentinel():
-    assert F.app_entropy(np.full(600, 4.2)) == 0.0
+    assert one_row(F.app_entropy, np.full(600, 4.2)) == 0.0
 
 
 def _phi_two_searches(x, m, r):
@@ -254,25 +254,26 @@ def app_entropy_cases(draw):
 @given(app_entropy_cases())
 def test_app_entropy_equals_the_two_search_formula(case):
     x, m, r_factor = case
-    assert (F.app_entropy(x, m, r_factor)
+    assert (one_row(F.app_entropy, x, m, r_factor)
             == app_entropy_two_searches(x, m, r_factor))
 
 
 def test_decorr_time_slow_sine():
     # quarter period of a 1 Hz tone is 0.25 s
     x = np.sin(2 * np.pi * 1.0 * T8)
-    assert F.decorr_time(x, FS) == pytest.approx(0.25, abs=0.05)
+    assert one_row(F.decorr_time, x, FS) == pytest.approx(0.25, abs=0.05)
 
 
 def test_hurst_white_noise_calibrated():
-    vals = [F.hurst_exp(np.random.default_rng(s).standard_normal(2048))
+    vals = [one_row(F.hurst_exp,
+                    np.random.default_rng(s).standard_normal(2048))
             for s in range(40)]
     assert all(abs(v - 0.5) <= 0.1 for v in vals)
 
 
 def test_hurst_persistent_signal_high():
     walk = np.cumsum(np.random.default_rng(0).standard_normal(2048))
-    assert F.hurst_exp(walk) > 0.8
+    assert one_row(F.hurst_exp, walk) > 0.8
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,7 @@ def test_hurst_persistent_signal_high():
 def test_psd_fit_exact_power_law():
     freqs = np.linspace(0.5, 64, 1000)
     psd = freqs ** -2.0
-    intercept, slope, mse, r2 = F.psd_fit(freqs, psd)
+    intercept, slope, mse, r2 = one_row(F.psd_fit, freqs, psd)
     assert slope == pytest.approx(-2.0, abs=1e-6)
     assert r2 == pytest.approx(1.0, abs=1e-9)
     assert mse <= 1e-12
@@ -290,7 +291,7 @@ def test_psd_fit_exact_power_law():
 def test_psd_fit_constant_degenerate():
     freqs = np.linspace(0.5, 64, 1000)
     psd = np.full_like(freqs, 2.5)
-    intercept, slope, mse, r2 = F.psd_fit(freqs, psd)
+    intercept, slope, mse, r2 = one_row(F.psd_fit, freqs, psd)
     assert slope == 0.0
     assert intercept == pytest.approx(np.log10(2.5))
     assert r2 == 0.0
@@ -307,8 +308,8 @@ def test_psd_fit_pink_noise_slope():
         shape = np.zeros_like(f)
         shape[1:] = f[1:] ** -0.5
         x = np.fft.irfft(spec * shape, n)
-        freqs, psd = F.welch_psd(x, FS)
-        slopes.append(F.psd_fit(freqs, psd)[1])
+        freqs, psd = one_row(F.welch_psd, x, FS)
+        slopes.append(one_row(F.psd_fit, freqs, psd)[1])
     assert np.mean(slopes) == pytest.approx(-1.0, abs=0.3)
 
 
@@ -316,19 +317,19 @@ def test_psd_fit_pink_noise_slope():
 # band energies
 
 def test_band_energies_sine10():
-    energies = F.band_energies(SINE10, FS)
+    energies = one_row(F.band_energies, SINE10, FS)
     assert energies[2] == pytest.approx(0.5, abs=0.02)
     assert energies[0] <= 0.01 and energies[1] <= 0.01 and energies[3] <= 0.01
 
 
 def test_band_energies_zero():
-    assert not any(F.band_energies(np.zeros(1024), FS))
+    assert not any(one_row(F.band_energies, np.zeros(1024), FS))
 
 
 def test_band_energies_quadratic_scaling():
     x = np.random.default_rng(1).standard_normal(1024)
-    e1 = np.array(F.band_energies(x, FS))
-    e2 = np.array(F.band_energies(2.0 * x, FS))
+    e1 = np.array(one_row(F.band_energies, x, FS))
+    e2 = np.array(one_row(F.band_energies, 2.0 * x, FS))
     assert np.allclose(e2, 4.0 * e1, rtol=0.01)
 
 
@@ -336,7 +337,7 @@ def test_band_energies_quadratic_scaling():
 # wavelet features
 
 def test_wavelet_zero_signal():
-    energies, tkeo = F.wavelet_features(np.zeros(1024))
+    energies, tkeo = one_row(F.wavelet_features, np.zeros(1024))
     assert not energies.any() and not tkeo.any()
 
 
@@ -351,7 +352,7 @@ def test_wavelet_impulse_energy():
 
 def test_wavelet_sine32_boundary_band():
     x = np.sin(2 * np.pi * 32 * T8)
-    energies, _ = F.wavelet_features(x)
+    energies, _ = one_row(F.wavelet_features, x)
     from eegsweep import dwt
     _, details = dwt.wavedec(x, 6)
     sums = [(d ** 2).sum() for d in details]
@@ -360,7 +361,7 @@ def test_wavelet_sine32_boundary_band():
 
 def test_wavelet_too_short():
     with pytest.raises(ValueError, match="too short"):
-        F.wavelet_features(np.zeros(64))
+        one_row(F.wavelet_features, np.zeros(64))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +408,7 @@ def test_extract_rejects_short_and_nonfinite():
 def test_moments_of_a_signal_whose_powers_underflow():
     # m2 > 0, but m2 ** 1.5 and m2 ** 2 underflow to 0
     x = 1e-110 * np.random.default_rng(4).standard_normal(512)
-    assert F.skewness(x) == 0.0 and F.kurtosis(x) == 0.0
+    assert one_row(F.skewness, x) == 0.0 and one_row(F.kurtosis, x) == 0.0
     assert np.all(np.isfinite(F.extract_channel(x, FS)))
 
 

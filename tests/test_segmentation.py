@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eegsweep.data_model import CHANNELS_1020, Recording
+from eegsweep.data_model import CHANNELS_1020, Recording, validate_recording
+from eegsweep.features import extract_channel
 from eegsweep.segmentation import DIVISORS, SegmentSpec, segment
 
 FS = 128.0
@@ -21,6 +24,25 @@ def test_spec_validation_and_chunk_id():
         SegmentSpec(divisor=7, index=1)
     with pytest.raises(ValueError):
         SegmentSpec(divisor=3, index=4)
+
+
+@pytest.mark.parametrize("fs", [128.0, 100.5, 256.0])
+def test_one_2_s_floor_for_recordings_segments_and_signals(fs):
+    shortest = math.ceil(2 * fs)
+    for n, admitted in ((shortest - 1, False), (shortest, True)):
+        samples = np.random.default_rng(n).standard_normal((19, n))
+        rec = Recording("s", 1, fs, CHANNELS_1020, samples)
+        assert (validate_recording(rec) == []) is admitted
+        if admitted:
+            segment(rec, SegmentSpec(1, 1))
+            extract_channel(samples[0], fs)
+        else:
+            assert validate_recording(rec) == [
+                "duration below 2 s (%.3f s at %g Hz)" % (n / fs, fs)]
+            with pytest.raises(ValueError, match="below minimum"):
+                segment(rec, SegmentSpec(1, 1))
+            with pytest.raises(ValueError, match="shorter than 2 s"):
+                extract_channel(samples[0], fs)
 
 
 def test_identity_segmentation():

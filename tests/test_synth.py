@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import one_row
 from eegsweep import synth
 from eegsweep.data_model import CHANNELS_1020, Recording
 from eegsweep.features import welch_psd
@@ -12,7 +13,7 @@ def zero_recording(n=2560, fs=128.0):
 
 
 def theta_rel_power(x, fs):
-    freqs, psd = welch_psd(x, fs)
+    freqs, psd = one_row(welch_psd, x, fs)
     total = psd[(freqs >= 0.5) & (freqs < 40)].sum()
     return psd[(freqs >= 4) & (freqs < 8)].sum() / total
 
@@ -96,8 +97,10 @@ def test_kurtosis_effect_axis():
                            rng_seed=5)
     cohort, _ = synth.generate_cohort(spec)
     from eegsweep.features import kurtosis
-    k1 = np.mean([kurtosis(r.channel("C3")) for r in cohort if r.label == 1])
-    k0 = np.mean([kurtosis(r.channel("C3")) for r in cohort if r.label == 0])
+    k1 = np.mean([one_row(kurtosis, r.channel("C3"))
+                  for r in cohort if r.label == 1])
+    k0 = np.mean([one_row(kurtosis, r.channel("C3"))
+                  for r in cohort if r.label == 0])
     assert k1 > k0 + 0.5
 
 
@@ -131,7 +134,7 @@ def test_line_50hz_single_psd_peak():
     out, mask = synth.inject_artifact(
         rec, synth.ArtifactSpec(kind="line_50hz", amplitude=1.0), rng_seed=1)
     assert not mask.any()
-    freqs, psd = welch_psd(out.samples[7], rec.sample_rate_hz)
+    freqs, psd = one_row(welch_psd, out.samples[7], rec.sample_rate_hz)
     assert abs(freqs[np.argmax(psd)] - 50.0) <= 0.5
 
 
@@ -148,7 +151,7 @@ def test_muscle_burst_band_power_ratio():
     fs = rec.sample_rate_hz
 
     def band_power_20_45(seg):
-        freqs, psd = welch_psd(seg, fs, nperseg=min(128, seg.size))
+        freqs, psd = one_row(welch_psd, seg, fs, nperseg=min(128, seg.size))
         return psd[(freqs >= 20) & (freqs <= 45)].mean()
 
     inside = band_power_20_45(x[mask])
@@ -193,6 +196,6 @@ def test_pink_background_psd_slope():
     from eegsweep.features import psd_fit
     slopes = []
     for ch in range(19):
-        freqs, psd = welch_psd(cohort[0].samples[ch], 128.0)
-        slopes.append(psd_fit(freqs, psd)[1])
+        freqs, psd = one_row(welch_psd, cohort[0].samples[ch], 128.0)
+        slopes.append(one_row(psd_fit, freqs, psd)[1])
     assert abs(np.mean(slopes) - (-1.0)) < 0.3
