@@ -473,7 +473,7 @@ def cmd_sweep(args, cfg):
     sweep.records_to_csv(records, out / "results.csv")
     write_provenance(out, args, cfg)
     n_failed = sum(1 for r in records if not r.ok)
-    print("ran %d specs (%d failed) -> %s"
+    print("wrote %d rows (%d failed) -> %s"
           % (len(records), n_failed, out / "results.csv"))
     return 0
 

@@ -95,8 +95,8 @@ DEFAULT_PARAMS = FeatureParams()
 #   columns, since p[:, mask] is laid out column-major);
 # - per-row scalar math stays in Python floats where it is `math.*` or
 #   `**`, since numpy's SIMD log, exp and power can differ in the last bit;
-# - a row whose boolean selection differs from the rest of its stack is
-#   reduced on its own.
+# - a boolean selection of each row's entries is reduced per group of rows
+#   that select the same entries (_by_mask), each group as one stack.
 
 def _mean(a):
     """np.mean along the last axis: the same sum and division, without
@@ -110,10 +110,21 @@ def _var(a, ddof=0):
     return (d * d).sum(axis=-1) / (a.shape[-1] - ddof)
 
 
+def _by_mask(mask):
+    """(mask row, row indices) for each distinct row of a (rows, n) boolean
+    mask, in order of first appearance; the rows of a group are reduced
+    together, on np.compress(mask row, x[rows], axis=-1)."""
+    groups = {}
+    for r, key in enumerate(map(bytes, np.packbits(mask, axis=-1))):
+        groups.setdefault(key, []).append(r)
+    return [(mask[rows[0]], np.array(rows)) for rows in groups.values()]
+
+
 # ---------------------------------------------------------------------------
 # spectral estimation
 
-def welch_psd(signal, fs, nperseg=None, overlap=0.5):
+def welch_psd(signal, fs, nperseg=DEFAULT_PARAMS.welch_nperseg,
+              overlap=DEFAULT_PARAMS.welch_overlap):
     """Welch power spectral density (one-sided, density scaling).
 
     Hamming-windowed segments with the given fractional overlap, each
@@ -122,10 +133,7 @@ def welch_psd(signal, fs, nperseg=None, overlap=0.5):
     stationary signals; psd has one row per row of the stack. The
     segments of every row go through one rfft and are added in start order.
     """
-    n = signal.shape[1]
-    if nperseg is None:
-        nperseg = min(256, n)
-    nperseg = int(min(nperseg, n))
+    nperseg = int(min(nperseg, signal.shape[1]))
     step = max(1, nperseg - int(math.floor(nperseg * overlap)))
     win = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
     scale = 1.0 / (fs * np.sum(win ** 2))
@@ -146,7 +154,7 @@ def welch_psd(signal, fs, nperseg=None, overlap=0.5):
     return freqs, psd
 
 
-def band_powers(freqs, psd, total_band=(0.5, 40.0)):
+def band_powers(freqs, psd, total_band=DEFAULT_PARAMS.total_band):
     """Relative delta/theta/alpha/beta power of a PSD.
 
     Each band integral is normalized by the total over `total_band`;
@@ -195,7 +203,7 @@ def hjorth_spect(freqs, psd):
     return mobility, complexity
 
 
-def psd_fit(freqs, psd, f_range=(1.0, 40.0)):
+def psd_fit(freqs, psd, f_range=DEFAULT_PARAMS.psd_fit_range):
     """OLS fit of log10(psd) on log10(f) inside f_range.
 
     Zero-power bins, and bins more than 120 dB below the in-range peak
@@ -203,24 +211,17 @@ def psd_fit(freqs, psd, f_range=(1.0, 40.0)):
     Returns (intercept, slope, mse, r2); a log-constant spectrum takes
     the degenerate route slope = 0, r2 = 0, and all-zero sentinels are
     returned when fewer than two usable bins remain. The rows that keep
-    every in-range bin are fitted together, any other row on its own.
+    the same bins are fitted together.
     """
     in_freq = (freqs >= f_range[0]) & (freqs <= f_range[1])
+    lf = np.log10(freqs[in_freq])
     band = np.compress(in_freq, psd, axis=-1)
+    peak = band.max(axis=-1, keepdims=True, initial=0.0)
     out = np.zeros((4, psd.shape[0]))
-    if band.shape[1] < 2:
-        return tuple(out)
-    whole = ((band > 0.0)
-             & (band >= band.max(axis=-1, keepdims=True) * 1e-12)).all(axis=-1)
-    out[:, whole] = _fit_rows(np.log10(freqs[in_freq]),
-                              np.log10(band[whole]))
-    for r in np.flatnonzero(~whole):
-        in_range = in_freq & (psd[r] > 0.0)
-        if in_range.any():
-            mask = in_range & (psd[r] >= psd[r][in_range].max() * 1e-12)
-            if int(mask.sum()) >= 2:
-                out[:, r] = _fit_rows(np.log10(freqs[mask]),
-                                      np.log10(psd[r][mask])[None])[:, 0]
+    for mask, rows in _by_mask((band > 0.0) & (band >= peak * 1e-12)):
+        if mask.sum() >= 2:
+            out[:, rows] = _fit_rows(np.compress(mask, lf), np.log10(
+                np.compress(mask, band[rows], axis=-1)))
     return tuple(out)
 
 
@@ -247,7 +248,8 @@ def _fit_rows(lf, lp):
     return fit
 
 
-def spect_edge_freq(freqs, psd, edge=0.95, total_band=(0.5, 40.0)):
+def spect_edge_freq(freqs, psd, edge=DEFAULT_PARAMS.sef_edge,
+                    total_band=DEFAULT_PARAMS.total_band):
     """Frequency below which `edge` of the power in total_band lies."""
     mask = (freqs >= total_band[0]) & (freqs < total_band[1])
     f = freqs[mask]
@@ -266,7 +268,7 @@ def spect_edge_freq(freqs, psd, edge=0.95, total_band=(0.5, 40.0)):
 # ---------------------------------------------------------------------------
 # time-domain complexity
 
-def fractal(signal, kmax=10):
+def fractal(signal, kmax=DEFAULT_PARAMS.higuchi_kmax):
     """(Higuchi fractal dimension, Katz fractal dimension).
 
     Higuchi uses the standard curve-length regression over k = 1..kmax,
@@ -289,21 +291,15 @@ def fractal(signal, kmax=10):
             log_n = math.log10(n - 1)
             denom = max(log_n + math.log10(d / length), 1e-12)
             katz[r] = max(1.0, log_n / denom)
-    if not live.size:
-        return hfd, katz
     lk = _curve_lengths(signal[live], kmax)
-    valid = lk > 0
-    whole = valid.all(axis=-1) & (kmax >= 2)
-    slope = _ols_slope(np.log(1.0 / np.arange(1, kmax + 1)),
-                       np.log(lk[whole]))
-    # min(2, max(1, slope)) as Python takes it, NaN included
-    slope = np.where(slope > 1.0, slope, 1.0)
-    hfd[live[whole]] = np.where(slope < 2.0, slope, 2.0)
-    for r in np.flatnonzero(~whole):
-        if int(valid[r].sum()) >= 2:
-            s = _ols_slope(np.log(1.0 / np.arange(1, kmax + 1)[valid[r]]),
-                           np.log(lk[r][valid[r]]))
-            hfd[live[r]] = min(2.0, max(1.0, float(s)))
+    log_k = np.log(1.0 / np.arange(1, kmax + 1))
+    for mask, rows in _by_mask(lk > 0):
+        if mask.sum() >= 2:
+            slope = _ols_slope(np.compress(mask, log_k),
+                               np.log(np.compress(mask, lk[rows], axis=-1)))
+            # min(2, max(1, slope)) as Python takes it, NaN included
+            slope = np.where(slope > 1.0, slope, 1.0)
+            hfd[live[rows]] = np.where(slope < 2.0, slope, 2.0)
     return hfd, katz
 
 
@@ -350,14 +346,15 @@ def zero_crossings(signal):
     epsilon in magnitude clipped to zero."""
     tiny = np.abs(signal) < np.finfo(np.float64).eps
     sgn = np.sign(np.where(tiny, 0.0, signal))
-    out = (sgn[:, 1:] != sgn[:, :-1]).sum(axis=-1)
-    for r in np.flatnonzero(~sgn.all(axis=-1)):
-        s = sgn[r][sgn[r] != 0]
-        out[r] = (s[1:] != s[:-1]).sum() if s.size >= 2 else 0
+    out = np.zeros(signal.shape[0], dtype=np.intp)
+    for mask, rows in _by_mask(sgn != 0.0):
+        s = np.compress(mask, sgn[rows], axis=-1)  # < 2 signs count 0
+        out[rows] = (s[:, 1:] != s[:, :-1]).sum(axis=-1)
     return out
 
 
-def app_entropy(signal, m=2, r_factor=0.2):
+def app_entropy(signal, m=DEFAULT_PARAMS.app_entropy_m,
+                r_factor=DEFAULT_PARAMS.app_entropy_r):
     """Approximate entropy phi(m) - phi(m+1), Chebyshev radius 0.2 std.
 
     Self-matches are counted, as in the original definition. Both counts
@@ -392,7 +389,7 @@ def _app_entropy_row(x, m, r):
             - float(np.mean(np.log(counts_m1 / (n - 1)))))
 
 
-def spect_entropy(freqs, psd, total_band=(0.5, 40.0)):
+def spect_entropy(freqs, psd, total_band=DEFAULT_PARAMS.total_band):
     """Normalized Shannon entropy of the PSD over total_band, in [0, 1]."""
     mask = (freqs >= total_band[0]) & (freqs < total_band[1])
     psd = np.compress(mask, psd, axis=-1)
@@ -400,15 +397,12 @@ def spect_entropy(freqs, psd, total_band=(0.5, 40.0)):
     n_bins = psd.shape[1]
     out = np.zeros(psd.shape[0])
     live = np.flatnonzero(total > 0.0)
-    if n_bins < 2 or not live.size:
+    if n_bins < 2:
         return out
     psd = psd[live] / total[live][:, None]
-    whole = (psd > 0.0).all(axis=-1)
-    out[live[whole]] = (-(psd[whole] * np.log(psd[whole])).sum(axis=-1)
-                        / math.log(n_bins))
-    for r in np.flatnonzero(~whole):
-        nz = psd[r][psd[r] > 0.0]
-        out[live[r]] = -np.sum(nz * np.log(nz)) / math.log(n_bins)
+    for mask, rows in _by_mask(psd > 0.0):
+        nz = np.compress(mask, psd[rows], axis=-1)
+        out[live[rows]] = -(nz * np.log(nz)).sum(axis=-1) / math.log(n_bins)
     return out
 
 
@@ -447,15 +441,15 @@ def _expected_rs(n):
     return front * s * ((n - 0.5) / n)
 
 
-def hurst_exp(signal, min_window=10):
+def hurst_exp(signal, min_window=DEFAULT_PARAMS.hurst_min_window):
     """Hurst exponent by bias-corrected rescaled-range regression.
 
     R/S is averaged over non-overlapping blocks for ~10 logarithmically
     spaced block sizes in [min_window, n/2]. The small-sample expectation
     of R/S under the null is subtracted before regressing, so white noise
     centers on 0.5. A constant row gets the sentinel 0.5. One block array
-    per size holds every row; a row with a constant block averages the
-    others on its own.
+    per size holds every row; the rows that leave out the same blocks, or
+    the same sizes, are averaged, or regressed, together.
     """
     n = signal.shape[1]
     out = np.full(signal.shape[0], 0.5)
@@ -476,24 +470,21 @@ def hurst_exp(signal, min_window=10):
             rng = z.max(axis=-1) - z.min(axis=-1)
             # the sample std of each block, as np.std(ddof=1) computes it
             std = np.sqrt((centered * centered).sum(axis=-1) / (size - 1))
-            ok = std > 0
-            rs = _mean(rng / std)
-            if not ok.all():
-                for r in np.flatnonzero(~ok.all(axis=-1)):
-                    rs[r] = (_mean(rng[r][ok[r]] / std[r][ok[r]])
-                             if ok[r].any() else 0.0)
+            rs = np.zeros(live.size)  # 0: no block with spread
+            for mask, rows in _by_mask(std > 0):
+                if mask.any():
+                    rs[rows] = _mean(np.compress(mask, rng[rows], axis=-1)
+                                     / np.compress(mask, std[rows], axis=-1))
             expected = math.log(_expected_rs(size))
             for r, value in enumerate(rs.tolist()):
                 if value > 0:
                     log_rs[r, s] = math.log(value) - expected
     log_sizes = np.array([math.log(size) for size in sizes.tolist()])
-    used = ~np.isnan(log_rs)
-    whole = used.all(axis=-1) & (sizes.size >= 2)
-    out[live[whole]] = 0.5 + _ols_slope(log_sizes, log_rs[whole])
-    for r in np.flatnonzero(~whole):
-        if int(used[r].sum()) >= 2:
-            out[live[r]] = 0.5 + float(_ols_slope(log_sizes[used[r]],
-                                                  log_rs[r][used[r]]))
+    for mask, rows in _by_mask(~np.isnan(log_rs)):
+        if mask.sum() >= 2:
+            out[live[rows]] = 0.5 + _ols_slope(
+                np.compress(mask, log_sizes),
+                np.compress(mask, log_rs[rows], axis=-1))
     return out
 
 
@@ -527,7 +518,8 @@ def filter_zero_phase(samples, kernel):
     return out
 
 
-def band_energies(signal, fs, transition_hz=2.0):
+def band_energies(signal, fs,
+                  transition_hz=DEFAULT_PARAMS.energy_transition_hz):
     """Absolute mean-square energy per EEG band after band-pass filtering.
 
     Each band-pass is the difference of two low-passes at the band edges;

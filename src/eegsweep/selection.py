@@ -15,6 +15,7 @@ every command about 34 MB and half a second.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +84,17 @@ def _unit_scaled(*samples):
     largest deviation from its own mean into [0.5, 1).
 
     For the scale-invariant statistics whose direct form squares a second
-    moment out of the float range (below about 1e-77 or above 1e77)."""
+    moment out of the normal float range (below about 1e-77 or above 1e77)."""
     top = max(float(np.max(np.abs(s - s.mean()))) for s in samples)
     shift = -math.frexp(top)[1]
     return [np.ldexp(s, shift) for s in samples]
+
+
+def _square_out_of_range(v):
+    """Whether v * v falls below the normal floats or overflows. A NaN is
+    in range: no scaling mends it, so it takes the direct form."""
+    square = v * v
+    return square < sys.float_info.min or square == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +107,10 @@ def _skew_kurtosis(x):
     m2 = float(np.mean(xm ** 2))
     if m2 == 0.0:
         return None
-    try:
-        g1 = float(np.mean(xm ** 3)) / m2 ** 1.5
-        g2 = float(np.mean(xm ** 4)) / m2 ** 2 - 3.0
-    except (ZeroDivisionError, OverflowError):
+    if _square_out_of_range(m2):
         return _skew_kurtosis(*_unit_scaled(x))
-    return g1, g2
+    return (float(np.mean(xm ** 3)) / m2 ** 1.5,
+            float(np.mean(xm ** 4)) / m2 ** 2 - 3.0)
 
 
 def dagostino_pearson(sample, alpha=0.05):
@@ -218,12 +224,12 @@ def t_test(a, b, variant="Student"):
         vb_n = vb / nb
         se = math.sqrt(va_n + vb_n)
         if se > 0.0:
-            try:
-                df = _welch_df(va_n, vb_n, na, nb)
-            except (ZeroDivisionError, OverflowError):
+            # (va_n + vb_n) ** 2 is the largest square the df takes
+            if _square_out_of_range(va_n + vb_n):
                 sa, sb = _unit_scaled(a, b)
-                df = _welch_df(float(np.var(sa, ddof=1)) / na,
-                               float(np.var(sb, ddof=1)) / nb, na, nb)
+                va_n = float(np.var(sa, ddof=1)) / na
+                vb_n = float(np.var(sb, ddof=1)) / nb
+            df = _welch_df(va_n, vb_n, na, nb)
         else:
             df = na + nb - 2
     else:

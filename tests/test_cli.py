@@ -409,6 +409,25 @@ def test_sweep_and_report_round_trip(synth_dir, tmp_path, capsys):
     assert len(topo) == 3
 
 
+def test_sweep_prints_the_rows_it_wrote(synth_dir, tmp_path, capsys):
+    # 2 specs x a 2-point grid give 4 rows; the resumed rerun computes
+    # nothing and writes the same 4 rows
+    out = tmp_path / "sweepout"
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "space": {"cleanings": ["raw"], "divisors": [1],
+                  "subset_sizes": [1], "channels": ["P3", "Cz"],
+                  "classifiers": ["knn"], "selection_flags": [False]},
+        "grids": {"knn": [{"k": 3}, {"k": 5}]}}))
+    argv = ["sweep", "--manifest", str(synth_dir / "manifest.json"),
+            "--space", str(space), "--out", str(out), "--expand-grid",
+            "--resume"]
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "wrote 4 rows (0 failed) -> %s\n" \
+            % (out / "results.csv")
+
+
 def test_clean_writes_sidecar(synth_dir, tmp_path):
     out = tmp_path / "cleaned"
     code = main(["clean", "--manifest", str(synth_dir / "manifest.json"),

@@ -2,11 +2,12 @@
 per-signal extraction kept in `extract_reference`.
 
 `features.extract_channel` takes one 1-D signal or a (rows, samples)
-stack, and every feature group works along the last axis. Rows that a
-group must treat on their own (a constant row, a constant run that
-leaves R/S blocks without spread, zero bins in a spectrum, an
+stack, and every feature group works along the last axis. Rows whose
+boolean selections differ from an ordinary row's, so that a group
+reduces them in a group of their own (a constant row, a constant run
+that leaves R/S blocks without spread, zero bins in a spectrum, an
 alternating row whose even-lag Higuchi lengths are 0, exact zeros among
-the signs) are mixed here with ordinary rows in one stack.
+the signs), are mixed here with ordinary rows in one stack.
 """
 
 import hashlib

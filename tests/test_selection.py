@@ -280,6 +280,22 @@ def test_column_of_tiny_values_runs_the_cascade():
     assert tiny.p_value == pytest.approx(unit.p_value, rel=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-77, 1e-78, 1e-79, 1e-80, 1e-81, 1e80])
+def test_normality_and_welch_keep_their_precision_near_the_subnormals(scale):
+    # around 1e-79 the squared second moments are subnormal, not 0: the
+    # direct form raises no error there but loses bits
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(30)
+    b = rng.standard_normal(25) + 0.3
+    close = dict(rel=1e-12, abs=0.0)
+    assert dagostino_pearson(a * scale)[0] == pytest.approx(
+        dagostino_pearson(a)[0], **close)
+    _, df, p = t_test(a * scale, b * scale, "Welch")
+    _, ref_df, ref_p = t_test(a, b, "Welch")
+    assert df == pytest.approx(ref_df, **close)
+    assert p == pytest.approx(ref_p, **close)
+
+
 # ---------------------------------------------------------------------------
 # cascade
 
