@@ -28,7 +28,7 @@ cohort, _ = synth.generate_cohort(spec)
 whole = SegmentSpec(1, 1)
 table = sweep.feature_vectors(cohort, [("raw", whole, "P3")],
                               CleaningPipeline(), DEFAULT_PARAMS)
-matrix = sweep.feature_matrix(cohort, table, "raw", whole, ["P3"])
+matrix = sweep.feature_matrix(table, "raw", whole, ["P3"])
 print("design matrix: %d subjects x %d columns"
       % (matrix.n_subjects, matrix.n_columns))
 

@@ -32,7 +32,7 @@ cohort, _ = synth.generate_cohort(spec)
 whole = SegmentSpec(1, 1)
 table = sweep.feature_vectors(cohort, [("raw", whole, "P3")],
                               CleaningPipeline(), DEFAULT_PARAMS)
-matrix = sweep.feature_matrix(cohort, table, "raw", whole, ["P3"])
+matrix = sweep.feature_matrix(table, "raw", whole, ["P3"])
 selected, _ = select_features(matrix)
 print("selected %d of %d columns" % (selected.n_columns, matrix.n_columns))
 for clf, grid in (("gbt", ({"max_depth": 2, "eta": 0.3, "gamma": 0.0},)),

@@ -33,6 +33,11 @@ class FirParams:
     transition_low_hz: float = 0.5
     transition_high_hz: float = 10.0
 
+    def __post_init__(self):
+        for name in ("transition_low_hz", "transition_high_hz"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError("%s must be > 0" % name)
+
 
 @dataclass(frozen=True)
 class AsrParams:

@@ -393,8 +393,7 @@ def cmd_extract(args, cfg):
     table = sweep.feature_vectors(
         cohort, [(args.pipeline, chunk, ch) for ch in channels],
         cfg["pipeline"], cfg["features"])
-    matrix = sweep.feature_matrix(cohort, table, args.pipeline, chunk,
-                                  channels)
+    matrix = sweep.feature_matrix(table, args.pipeline, chunk, channels)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     matrix.to_csv(out)

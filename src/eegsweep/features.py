@@ -78,6 +78,14 @@ class FeatureParams:
             raise ValueError("app_entropy_m must be an int >= 1")
         if not self.app_entropy_r > 0.0:
             raise ValueError("app_entropy_r must be > 0")
+        if not 0.0 <= self.quantile <= 1.0:
+            raise ValueError("quantile must be in [0, 1]")
+        if not self.welch_nperseg >= 1:
+            raise ValueError("welch_nperseg must be >= 1")
+        if not self.hurst_min_window >= 2:
+            raise ValueError("hurst_min_window must be >= 2")
+        if not self.energy_transition_hz > 0.0:
+            raise ValueError("energy_transition_hz must be > 0")
 
 
 DEFAULT_PARAMS = FeatureParams()

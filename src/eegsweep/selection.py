@@ -79,22 +79,40 @@ def _t_sf(x, df):
     return float(_special.stdtr(df, -x))
 
 
+# Each test is scale-invariant, but its direct form squares moments of
+# the samples. Where a nonzero one squares below the normal floats or
+# overflows (a spread below about 1e-77 or above 1e77), the test takes its
+# moments once more, and only once, on the `_unit_scaled` samples; a
+# sample whose mean overflows (about 1e307) keeps the direct form. Below
+# about 1e-162 a variance underflows to 0: the cascade reads a constant.
+
 def _unit_scaled(*samples):
     """The samples times the one power of two (exact) that brings their
-    largest deviation from its own mean into [0.5, 1).
-
-    For the scale-invariant statistics whose direct form squares a second
-    moment out of the normal float range (below about 1e-77 or above 1e77)."""
+    largest deviation from its own mean into [0.5, 1)."""
     top = max(float(np.max(np.abs(s - s.mean()))) for s in samples)
     shift = -math.frexp(top)[1]
     return [np.ldexp(s, shift) for s in samples]
 
 
-def _square_out_of_range(v):
-    """Whether v * v falls below the normal floats or overflows. A NaN is
-    in range: no scaling mends it, so it takes the direct form."""
-    square = v * v
-    return square < sys.float_info.min or square == math.inf
+def _squares_out_of_range(*values):
+    """Whether the square of a nonzero value falls below the normal floats
+    or overflows. A zero or a NaN is in range: no scaling mends it."""
+    for v in values:
+        square = v * v
+        if v != 0.0 and (square < sys.float_info.min or square == math.inf):
+            return True
+    return False
+
+
+def _variances(a, b):
+    """a, b and their variances (ddof=1), taken once more on the
+    `_unit_scaled` samples where va, vb or va/na + vb/nb squares out of
+    range."""
+    va, vb = float(np.var(a, ddof=1)), float(np.var(b, ddof=1))
+    if _squares_out_of_range(va, vb, va / a.size + vb / b.size):
+        a, b = _unit_scaled(a, b)
+        va, vb = float(np.var(a, ddof=1)), float(np.var(b, ddof=1))
+    return a, b, va, vb
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +120,18 @@ def _square_out_of_range(v):
 
 def _skew_kurtosis(x):
     """Sample skewness g1 and excess kurtosis g2; None for a constant
-    sample."""
+    sample. Its moments are taken once more on the `_unit_scaled` sample
+    where m2 or the root of m4 squares out of range."""
     xm = x - x.mean()
     m2 = float(np.mean(xm ** 2))
     if m2 == 0.0:
         return None
-    if _square_out_of_range(m2):
-        return _skew_kurtosis(*_unit_scaled(x))
-    return (float(np.mean(xm ** 3)) / m2 ** 1.5,
-            float(np.mean(xm ** 4)) / m2 ** 2 - 3.0)
+    m4 = float(np.mean(xm ** 4))
+    if _squares_out_of_range(m2, math.sqrt(m4)):
+        [x] = _unit_scaled(x)
+        xm = x - x.mean()
+        m2, m4 = float(np.mean(xm ** 2)), float(np.mean(xm ** 4))
+    return float(np.mean(xm ** 3)) / m2 ** 1.5, m4 / m2 ** 2 - 3.0
 
 
 def dagostino_pearson(sample, alpha=0.05):
@@ -159,11 +180,9 @@ def dagostino_pearson(sample, alpha=0.05):
 
 def bartlett(a, b):
     """Bartlett's homoscedasticity test for two groups (chi-square, df=1)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b, va, vb = _variances(np.asarray(a, dtype=np.float64),
+                              np.asarray(b, dtype=np.float64))
     na, nb = a.size, b.size
-    va = float(np.var(a, ddof=1))
-    vb = float(np.var(b, ddof=1))
     if va == vb:
         return 0.0, 1.0
     if va == 0.0 or vb == 0.0:
@@ -182,13 +201,12 @@ def levene(a, b):
     the group means)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    za = np.abs(a - np.mean(a))
-    zb = np.abs(b - np.mean(b))
     na, nb = a.size, b.size
     n = na + nb
-    zbar = (za.sum() + zb.sum()) / n
+    za, zb, zbar, den = _abs_deviations(a, b)
+    if _squares_out_of_range(zbar, den):
+        za, zb, zbar, den = _abs_deviations(*_unit_scaled(a, b))
     num = na * (za.mean() - zbar) ** 2 + nb * (zb.mean() - zbar) ** 2
-    den = float(np.sum((za - za.mean()) ** 2) + np.sum((zb - zb.mean()) ** 2))
     if den == 0.0:
         if num == 0.0:
             return 0.0, 1.0
@@ -197,10 +215,14 @@ def levene(a, b):
     return float(stat), _f_sf(stat, 1, n - 2)
 
 
-def _welch_df(va_n, vb_n, na, nb):
-    """Welch-Satterthwaite degrees of freedom from the groups' variances
-    of the mean."""
-    return (va_n + vb_n) ** 2 / (va_n ** 2 / (na - 1) + vb_n ** 2 / (nb - 1))
+def _abs_deviations(a, b):
+    """Levene's |deviations| from each group's mean, their grand mean zbar,
+    and den, the sum of their squared deviations from their group means."""
+    za = np.abs(a - np.mean(a))
+    zb = np.abs(b - np.mean(b))
+    zbar = (za.sum() + zb.sum()) / (a.size + b.size)
+    den = float(np.sum((za - za.mean()) ** 2) + np.sum((zb - zb.mean()) ** 2))
+    return za, zb, zbar, den
 
 
 def t_test(a, b, variant="Student"):
@@ -209,31 +231,23 @@ def t_test(a, b, variant="Student"):
     Identical groups give t = 0, p = 1. When the standard error is zero
     and the means differ the test reports p = 0.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    if variant not in ("Student", "Welch"):
+        raise ValueError("variant must be 'Student' or 'Welch'")
+    a, b, va, vb = _variances(np.asarray(a, dtype=np.float64),
+                              np.asarray(b, dtype=np.float64))
     na, nb = a.size, b.size
     diff = float(a.mean() - b.mean())
-    va = float(np.var(a, ddof=1))
-    vb = float(np.var(b, ddof=1))
+    df = na + nb - 2
     if variant == "Student":
-        df = na + nb - 2
         sp2 = ((na - 1) * va + (nb - 1) * vb) / df
         se = math.sqrt(sp2 * (1.0 / na + 1.0 / nb))
-    elif variant == "Welch":
+    else:
         va_n = va / na
         vb_n = vb / nb
         se = math.sqrt(va_n + vb_n)
-        if se > 0.0:
-            # (va_n + vb_n) ** 2 is the largest square the df takes
-            if _square_out_of_range(va_n + vb_n):
-                sa, sb = _unit_scaled(a, b)
-                va_n = float(np.var(sa, ddof=1)) / na
-                vb_n = float(np.var(sb, ddof=1)) / nb
-            df = _welch_df(va_n, vb_n, na, nb)
-        else:
-            df = na + nb - 2
-    else:
-        raise ValueError("variant must be 'Student' or 'Welch'")
+        if se > 0.0:  # Welch-Satterthwaite
+            df = (va_n + vb_n) ** 2 / (va_n ** 2 / (na - 1)
+                                       + vb_n ** 2 / (nb - 1))
     if se == 0.0:
         if diff == 0.0:
             return 0.0, float(df), 1.0

@@ -12,8 +12,8 @@ that fails leaves its exception at its own [subject, cell] of the
 table's `errors`. Walks and stacks run on threads of this process, one
 per usable CPU, and the table's bytes do not depend on how many. Every
 feature matrix, a spec's or `eegsweep extract`'s, is a slice of that
-array (`feature_matrix`). The specs then only select and
-cross-validate, serially or in fork workers that inherit the table.
+table, its labels and ids included (`feature_matrix`). The specs then
+select and cross-validate, serially or in fork workers that inherit it.
 Records are emitted in spec order regardless of execution order, and
 per-spec failures become failed rows instead of aborting the sweep.
 """
@@ -117,14 +117,17 @@ def _spec_seed(global_seed, spec):
 
 @dataclass(frozen=True)
 class FeatureTable:
-    """`values[s, cells[cell]]` is the 53-vector of subject s and one
-    (cleaning, chunk, channel) cell. `errors` has the shape of
-    `values[..., 0]`: None where the vector is present, else the
-    exception that stage, segment or extraction raised for it."""
+    """`values[s, cells[cell]]` is the 53-vector of subject s, of label
+    `labels[s]` (read-only) and id `subject_ids[s]`, and one (cleaning,
+    chunk, channel) cell. `errors` has the shape of `values[..., 0]`:
+    None where the vector is present, else the exception that stage,
+    segment or extraction raised for it."""
 
     cells: dict
     values: np.ndarray
     errors: np.ndarray
+    labels: np.ndarray
+    subject_ids: tuple
 
 
 #: Samples (rows x length) that one extract_channel stack holds at most,
@@ -145,7 +148,7 @@ def feature_vectors(cohort, cells, pipeline, params):
     _STACK_SAMPLES, and at the end. A stage or segment that fails fails
     every cell it and later stages would have produced, and is attempted
     once per subject. Each failure is kept at its own [subject, cell] of
-    `errors`.
+    `errors`. The table keeps the cohort's labels and subject ids.
 
     Walks and stacks run on a pool of threads, one per usable CPU
     (`_usable_cpus`), with at most one walk and one stack per thread
@@ -200,7 +203,10 @@ def feature_vectors(cohort, cells, pipeline, params):
         for key in list(pending):
             extract(key)
         store(0)
-    return FeatureTable(cells=index, values=values, errors=errors)
+    labels = np.array([rec.label for rec in cohort], dtype=int)
+    labels.flags.writeable = False
+    return FeatureTable(index, values, errors, labels,
+                        tuple(rec.subject_id for rec in cohort))
 
 
 def _walk_rows(rec, pipeline, plan):
@@ -233,13 +239,13 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def feature_matrix(cohort, table, cleaning_kind, chunk, channels):
+def feature_matrix(table, cleaning_kind, chunk, channels):
     """The subjects x (channel, feature) matrix of one cleaning, chunk and
-    channel subset, sliced from a `feature_vectors` table; columns are
-    channel-major in the canonical 53-feature order. Where a vector
-    failed, raises the first failure of `errors[:, positions]` in
-    row-major order, subject then channel: the one a subject-by-subject
-    assembly would meet first.
+    channel subset, sliced from a `feature_vectors` table, with the
+    table's labels and subject ids; columns are channel-major in the
+    canonical 53-feature order. Where a vector failed, raises the first
+    failure of `errors[:, positions]` in row-major order, subject then
+    channel: the one a subject-by-subject assembly would meet first.
     """
     if not channels:
         raise ValueError("channel subset must not be empty")
@@ -250,9 +256,8 @@ def feature_matrix(cohort, table, cleaning_kind, chunk, channels):
             raise exc.with_traceback(None)
     return features.FeatureMatrix(
         column_names=features.channel_feature_names(channels),
-        values=table.values[:, positions].reshape(len(cohort), -1),
-        labels=np.array([rec.label for rec in cohort], dtype=int),
-        subject_ids=[rec.subject_id for rec in cohort])
+        values=table.values[:, positions].reshape(len(table.labels), -1),
+        labels=table.labels, subject_ids=list(table.subject_ids))
 
 
 def _extract_stack(rows, fs, params):
@@ -276,7 +281,7 @@ def _attempt(stage):
         return exc.with_traceback(None)
 
 
-def run_one(cohort, spec, seed, table, grids=None, selection_in_fold=False,
+def run_one(table, spec, seed, grids=None, selection_in_fold=False,
             eval_on_test_fold=False, expand_grid=False):
     """Execute a single experiment spec on a `feature_vectors` table.
 
@@ -288,7 +293,7 @@ def run_one(cohort, spec, seed, table, grids=None, selection_in_fold=False,
         channels="-".join(spec.channels), classifier=spec.classifier,
         feature_selection=spec.feature_selection)
     try:
-        matrix = feature_matrix(cohort, table, spec.cleaning, spec.chunk,
+        matrix = feature_matrix(table, spec.cleaning, spec.chunk,
                                 spec.channels)
         selector = None
         if spec.feature_selection:
@@ -316,16 +321,12 @@ def _error_text(exc):
     return "%s: %s" % (type(exc).__name__, exc)
 
 
-_WORKER = {}
-
-
-def _init_worker(cohort, seed, table, options):
-    _WORKER.update(cohort=cohort, seed=seed, table=table, options=options)
+_WORKER = {}    # a fork worker's table, seed and options
 
 
 def _worker_run(spec):
-    return run_one(_WORKER["cohort"], spec, _WORKER["seed"],
-                   _WORKER["table"], **_WORKER["options"])
+    return run_one(_WORKER["table"], spec, _WORKER["seed"],
+                   **_WORKER["options"])
 
 
 def _load_checkpoint(path):
@@ -398,10 +399,10 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
     booster's settings (classify.cross_validate). The table is built on
     threads, one per usable CPU, whatever `jobs` is. jobs > 1 fans
     selection and CV out to a fork pool of at most one process per
-    pending spec, which inherits the table; per-spec seeds are
-    content-derived, so parallelism never changes results. With
-    expand_grid, one record per (spec, grid point) is emitted instead of
-    one best-config record per spec.
+    pending spec, which reads the table alone (not the cohort);
+    per-spec seeds are content-derived, so parallelism never changes
+    results. With expand_grid, one record per (spec, grid point) is
+    emitted instead of one best-config record per spec.
     """
     options = {"grids": grids, "selection_in_fold": selection_in_fold,
                "eval_on_test_fold": eval_on_test_fold,
@@ -449,14 +450,14 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
         # the table's threads have exited, so a fork copies this one alone
         import multiprocessing as mp
         ctx = mp.get_context("fork")
-        with ctx.Pool(workers, initializer=_init_worker,
-                      initargs=(cohort, seed, table, options)) as pool:
+        with ctx.Pool(workers, initializer=_WORKER.update, initargs=(
+                dict(table=table, seed=seed, options=options),)) as pool:
             results = pool.imap(_worker_run, [s for _, s in pending])
             for (i, spec), result in zip(pending, results):
                 finish(i, spec, result)
     else:
         for i, spec in pending:
-            finish(i, spec, run_one(cohort, spec, seed, table, **options))
+            finish(i, spec, run_one(table, spec, seed, **options))
     return [record for group in per_spec for record in group]
 
 

@@ -38,7 +38,7 @@ def raw_feature_matrix(cohort, channels):
     table = sweep.feature_vectors(
         cohort, [("raw", whole, ch) for ch in channels], CleaningPipeline(),
         DEFAULT_PARAMS)
-    return sweep.feature_matrix(cohort, table, "raw", whole, channels)
+    return sweep.feature_matrix(table, "raw", whole, channels)
 
 
 def golden_corpus():

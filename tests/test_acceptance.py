@@ -241,7 +241,7 @@ def test_criterion_7_real_dataset_numbers():
         table = sweep.feature_vectors(
             cohort, [(cleaning_kind, spec.chunk, ch) for ch in channels],
             cleaning.CleaningPipeline(), features.DEFAULT_PARAMS)
-        return sweep.run_one(cohort, spec, seed, table)[0]
+        return sweep.run_one(table, spec, seed)[0]
 
     rec_p3 = run("asr", ("P3",))
     rec_p3p4 = run("asr", ("P3", "P4"))

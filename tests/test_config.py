@@ -120,7 +120,12 @@ def test_bad_config_exits_1_before_the_cohort_loads(tmp_path, capsys, argv,
 @pytest.mark.parametrize("setting, message", [
     ("features.app_entropy_m=0", "app_entropy_m must be an int >= 1"),
     ("features.app_entropy_r=-0.2", "app_entropy_r must be > 0"),
-], ids=["app_entropy_m", "app_entropy_r"])
+    ("features.hurst_min_window=1", "hurst_min_window must be >= 2"),
+    ("features.energy_transition_hz=0", "energy_transition_hz must be > 0"),
+    ("features.welch_nperseg=0", "welch_nperseg must be >= 1"),
+    ("features.quantile=1.5", "quantile must be in [0, 1]"),
+], ids=["app_entropy_m", "app_entropy_r", "hurst_min_window",
+        "energy_transition_hz", "welch_nperseg", "quantile"])
 def test_feature_range_check_exits_2_before_the_cohort_loads(
         tmp_path, capsys, setting, message):
     # the manifest does not exist: loading it would print another error
@@ -175,7 +180,9 @@ def test_config_file_refusals(tmp_path, capsys, doc, key):
 @pytest.mark.parametrize("entry, message", [
     ("asr.cutoff_k=0", "cutoff_k must be > 0"),
     ('grids.gbt=[{"eta": 0.3}, {"eta": 0}]', "eta must be in (0, 1]"),
-], ids=["asr", "gbt_point"])
+    ("fir.transition_low_hz=0", "transition_low_hz must be > 0"),
+    ("fir.transition_high_hz=0", "transition_high_hz must be > 0"),
+], ids=["asr", "gbt_point", "fir_transition_low", "fir_transition_high"])
 def test_range_checks_of_the_dataclasses_keep_exit_2(tmp_path, capsys,
                                                      entry, message):
     code = main(["sweep", "--manifest", str(tmp_path / "missing.json"),

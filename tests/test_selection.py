@@ -296,6 +296,35 @@ def test_normality_and_welch_keep_their_precision_near_the_subnormals(scale):
     assert p == pytest.approx(ref_p, **close)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e77, 1e154, 1e300])
+def test_every_test_keeps_its_precision_at_extreme_scales(scale):
+    # each squares a moment out of the normal floats here: subnormal
+    # variances at 1e-160, an overflowing fourth moment at 1e77, and
+    # overflowing variances from about 1e154
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(30)
+    b = rng.standard_normal(25) * 1.6 + 0.3
+    close = dict(rel=1e-12, abs=0.0)
+    for test, groups in ((dagostino_pearson, (a,)), (dagostino_pearson, (b,)),
+                         (bartlett, (a, b)), (levene, (a, b)),
+                         (lambda a, b: t_test(a, b, "Student"), (a, b)),
+                         (lambda a, b: t_test(a, b, "Welch"), (a, b))):
+        got = test(*(g * scale for g in groups))
+        want = test(*groups)
+        assert list(got[:3]) == pytest.approx(list(want[:3]), **close)
+
+
+def test_a_sample_whose_sum_overflows_is_taken_once():
+    # no scaling mends moments about an infinite mean: the direct form
+    # answers, where rescaling until the moments fit would never end
+    rng = np.random.default_rng(0)
+    rng.standard_normal(30)
+    b = rng.standard_normal(25) * 1.6 + 0.3
+    assert np.sum(b * 1e307) == math.inf
+    k2, p, normal = dagostino_pearson(b * 1e307)
+    assert math.isnan(k2) and math.isnan(p) and not normal
+
+
 # ---------------------------------------------------------------------------
 # cascade
 

@@ -89,9 +89,8 @@ def _cells(spec):
 def _run_uncached(cohort, specs, seed):
     """Every spec on its own fresh table: nothing is shared between specs."""
     return [record for spec in specs for record in run_one(
-        cohort, spec, seed,
         feature_vectors(cohort, _cells(spec), PIPELINE, DEFAULT_PARAMS),
-        grids=FAST_GRIDS)]
+        spec, seed, grids=FAST_GRIDS)]
 
 
 def test_run_sweep_cache_matches_uncached(small_cohort):
@@ -235,7 +234,7 @@ def test_stage_cache_reuses_cleaning(small_cohort, monkeypatch):
     assert filtered == ["adhd000"]
     assert table.cells == {cell: 0} and table.errors.tolist() == [[None]]
     assert table.values.shape == (1, 1, 53)
-    matrix = feature_matrix(cohort[:1], table, *cell[:2], ["P3"])
+    matrix = feature_matrix(table, *cell[:2], ["P3"])
     assert matrix.values.tobytes() == table.values.tobytes()
 
 
@@ -440,9 +439,9 @@ def test_resume_that_adds_a_cleaning_runs_only_its_specs(tmp_path,
     ran = []
     real = sweep.run_one
 
-    def run_one(cohort, spec, *args, **kw):
+    def run_one(table, spec, *args, **kw):
         ran.append(spec.key)
-        return real(cohort, spec, *args, **kw)
+        return real(table, spec, *args, **kw)
     monkeypatch.setattr(sweep, "run_one", run_one)
     resumed = run_sweep(cohort, specs, checkpoint_dir=ckpt, **kwargs)
     assert ran == [s.key for s in specs if s.cleaning == "filtered"]
@@ -702,10 +701,10 @@ def test_feature_matrix_shapes(small_cohort):
     table = feature_vectors(cohort, [("raw", whole, "P4"),
                                      ("raw", whole, "P3")],
                             PIPELINE, DEFAULT_PARAMS)
-    m1 = feature_matrix(cohort, table, "raw", whole, ["P3"])
+    m1 = feature_matrix(table, "raw", whole, ["P3"])
     assert m1.values.shape == (len(cohort), 53)
     assert m1.column_names[0] == "P3:mean"
-    m2 = feature_matrix(cohort, table, "raw", whole, ["P3", "P4"])
+    m2 = feature_matrix(table, "raw", whole, ["P3", "P4"])
     assert m2.values.shape == (len(cohort), 106)
     assert m2.column_names[53] == "P4:mean"
     assert list(m2.labels) == [r.label for r in cohort]
@@ -718,7 +717,82 @@ def test_feature_matrix_empty_channels(small_cohort):
     cohort, _ = small_cohort
     table = feature_vectors(cohort, [], PIPELINE, DEFAULT_PARAMS)
     with pytest.raises(ValueError, match="empty"):
-        feature_matrix(cohort, table, "raw", SegmentSpec(1, 1), [])
+        feature_matrix(table, "raw", SegmentSpec(1, 1), [])
+
+
+def test_a_table_carries_its_cohorts_labels_and_ids(small_cohort):
+    """A matrix sliced from a table alone has the labels and ids of the
+    table's cohort, in its order (here class 0 first), and no caller can
+    write to the table's labels."""
+    cohort = small_cohort[0][::-1]
+    whole = SegmentSpec(1, 1)
+    table = feature_vectors(cohort, [("raw", whole, "P3")], PIPELINE,
+                            DEFAULT_PARAMS)
+    matrix = feature_matrix(table, "raw", whole, ["P3"])
+    assert matrix.labels.tolist() == table.labels.tolist() \
+        == [rec.label for rec in cohort]
+    assert matrix.labels.tolist()[0] == 0
+    assert matrix.subject_ids == list(table.subject_ids) \
+        == [rec.subject_id for rec in cohort]
+    assert matrix.values[0].tobytes() == _alone(cohort[0], "raw", whole,
+                                                "P3").tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        table.labels[0] = 1
+
+
+_TABLE_CHANNELS = ("P3", "P4", "C3", "Cz", "O1")
+
+
+def _synthetic_table(seed, n_a, n_b):
+    """A table of drawn vectors, one raw whole-recording cell per channel
+    of _TABLE_CHANNELS. Each column is normal, heavy-tailed, skewed or
+    constant within a class, some with a class shift or a spread that
+    differs by class, at scales from 1e-5 to 1e5, so that the cascade
+    takes every route."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat([1, 0], [n_a, n_b])
+    shape = (n_a + n_b, len(_TABLE_CHANNELS) * features.N_FEATURES)
+    values = np.choose(rng.integers(0, 4, shape[1]), [
+        rng.standard_normal(shape), rng.standard_t(2, shape),
+        rng.exponential(size=shape), np.ones(shape)])
+    values *= np.where(labels[:, None] == 1, rng.choice([1.0, 3.0], shape[1]),
+                       1.0)
+    values += labels[:, None] * rng.choice([0.0, 0.0, 0.8, 2.0], shape[1])
+    values *= 10.0 ** rng.integers(-5, 6, shape[1])
+    labels.flags.writeable = False
+    whole = SegmentSpec(1, 1)
+    return sweep.FeatureTable(
+        cells={("raw", whole, ch): i for i, ch in enumerate(_TABLE_CHANNELS)},
+        values=values.reshape(shape[0], len(_TABLE_CHANNELS), -1),
+        errors=np.full((shape[0], len(_TABLE_CHANNELS)), None, dtype=object),
+        labels=labels, subject_ids=tuple("s%d" % s for s in range(shape[0])))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from(_TABLE_CHANNELS), min_size=1, max_size=3,
+                unique=True),
+       st.integers(0, 2 ** 16), st.integers(20, 30), st.integers(20, 30))
+def test_subset_selection_concatenates_its_channels_selections(
+        channels, seed, n_a, n_b):
+    """Whole-cohort selection routes each column on its own, so a subset
+    keeps exactly its channels' kept columns, each offset by 53 times the
+    channel's place in the subset, with the same routes and bytes."""
+    table = _synthetic_table(seed, n_a, n_b)
+    whole = SegmentSpec(1, 1)
+    alone = [selection.select_features(feature_matrix(table, "raw", whole,
+                                                      [ch]))
+             for ch in channels]
+    kept, report = selection.select_features(
+        feature_matrix(table, "raw", whole, channels))
+    assert [j for j, row in enumerate(report.rows) if row.selected] == [
+        features.N_FEATURES * i + j for i, (_, rep) in enumerate(alone)
+        for j, row in enumerate(rep.rows) if row.selected]
+    assert repr(report.rows) == repr([row for _, rep in alone
+                                      for row in rep.rows])
+    assert kept.column_names == [name for matrix, _ in alone
+                                 for name in matrix.column_names]
+    assert kept.values.tobytes() == np.hstack(
+        [matrix.values for matrix, _ in alone]).tobytes()
 
 
 def test_a_spec_fails_with_its_earliest_subject_then_channel(small_cohort,
@@ -753,11 +827,11 @@ def test_a_spec_fails_with_its_earliest_subject_then_channel(small_cohort,
             for s, ch in ((2, "P3"), (1, "Cz"), (2, "Cz"), (1, "O1"))}
     text = "refused %s Cz" % cohort[1].subject_id
     with pytest.raises(ValueError) as err:
-        feature_matrix(cohort, table, "raw", whole, channels)
+        feature_matrix(table, "raw", whole, channels)
     assert str(err.value) == text
     spec = ExperimentSpec(cleaning="raw", chunk=whole, channels=channels,
                           classifier="knn", feature_selection=False)
-    assert [r.error for r in run_one(cohort, spec, 0, table)] == [
+    assert [r.error for r in run_one(table, spec, 0)] == [
         "ValueError: " + text]
 
 
@@ -816,7 +890,7 @@ def test_a_late_stack_failure_beats_a_later_subjects_stage_failure(
     spec = ExperimentSpec(cleaning="filtered", chunk=SegmentSpec(1, 1),
                           channels=("P3",), classifier="knn",
                           feature_selection=False)
-    assert [r.error for r in run_one(cohort, spec, 0, table)] == [
+    assert [r.error for r in run_one(table, spec, 0)] == [
         "ValueError: refused " + ids[1]]
 
 
@@ -921,10 +995,10 @@ def test_errors_hold_each_failure_at_its_subject_and_cell(
                         for rec in cohort)])
             except Exception as exc:
                 with pytest.raises(type(exc)) as got:
-                    feature_matrix(cohort, table, kind, whole, channels)
+                    feature_matrix(table, kind, whole, channels)
                 assert str(got.value) == str(exc)
             else:
-                got = feature_matrix(cohort, table, kind, whole, channels)
+                got = feature_matrix(table, kind, whole, channels)
                 assert got.values.tobytes() == want.tobytes()
 
 
