@@ -179,10 +179,13 @@ def dagostino_pearson(sample, alpha=0.05):
 
 
 def bartlett(a, b):
-    """Bartlett's homoscedasticity test for two groups (chi-square, df=1)."""
+    """Bartlett's homoscedasticity test for two groups (chi-square, df=1);
+    NaN, NaN where a variance is not finite, as levene and t_test give."""
     a, b, va, vb = _variances(np.asarray(a, dtype=np.float64),
                               np.asarray(b, dtype=np.float64))
     na, nb = a.size, b.size
+    if not (math.isfinite(va) and math.isfinite(vb)):
+        return math.nan, math.nan
     if va == vb:
         return 0.0, 1.0
     if va == 0.0 or vb == 0.0:

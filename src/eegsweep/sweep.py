@@ -12,8 +12,9 @@ that fails leaves its exception at its own [subject, cell] of the
 table's `errors`. Walks and stacks run on threads of this process, one
 per usable CPU, and the table's bytes do not depend on how many. Every
 feature matrix, a spec's or `eegsweep extract`'s, is a slice of that
-table, its labels and ids included (`feature_matrix`). The specs then
-select and cross-validate, serially or in fork workers that inherit it.
+table, its labels and ids included (`feature_matrix`), and whole-cohort
+selection runs once per cell of it (`_kept_columns`). The specs then
+cross-validate, serially or in fork workers that inherit the table.
 Records are emitted in spec order regardless of execution order, and
 per-spec failures become failed rows instead of aborting the sweep.
 """
@@ -121,13 +122,15 @@ class FeatureTable:
     `labels[s]` (read-only) and id `subject_ids[s]`, and one (cleaning,
     chunk, channel) cell. `errors` has the shape of `values[..., 0]`:
     None where the vector is present, else the exception that stage,
-    segment or extraction raised for it."""
+    segment or extraction raised for it. `kept` maps a cell position to
+    its `_kept_columns`, or to the exception its selection raised."""
 
     cells: dict
     values: np.ndarray
     errors: np.ndarray
     labels: np.ndarray
     subject_ids: tuple
+    kept: dict = field(default_factory=dict, compare=False)
 
 
 #: Samples (rows x length) that one extract_channel stack holds at most,
@@ -260,6 +263,22 @@ def feature_matrix(table, cleaning_kind, chunk, channels):
         labels=table.labels, subject_ids=list(table.subject_ids))
 
 
+def _kept_columns(table, cleaning_kind, chunk, channel):
+    """The columns (within its 53) that whole-cohort selection keeps on
+    one cell, selected the first time the cell is asked for; raises the
+    exception its selection raised."""
+    pos = table.cells[cleaning_kind, chunk, channel]
+    if pos not in table.kept:
+        table.kept[pos] = _attempt(lambda: [
+            j for j, row in enumerate(selection.select_features(feature_matrix(
+                table, cleaning_kind, chunk, [channel]))[1].rows)
+            if row.selected])
+    kept = table.kept[pos]
+    if isinstance(kept, Exception):
+        raise kept.with_traceback(None)
+    return kept
+
+
 def _extract_stack(rows, fs, params):
     """One vector or exception per row of a 2-D stack. A failed stack is
     split in halves until each failure is down to a one-row stack, so a
@@ -285,8 +304,10 @@ def run_one(table, spec, seed, grids=None, selection_in_fold=False,
             eval_on_test_fold=False, expand_grid=False):
     """Execute a single experiment spec on a `feature_vectors` table.
 
-    Returns a list of ExperimentRecord: the best grid point's, or one per
-    grid point when expand_grid is set.
+    The cascade routes each column on its own, so whole-cohort selection
+    keeps each channel's `_kept_columns`, offset by 53 per place. Returns
+    a list of ExperimentRecord: the best grid point's, or one per grid
+    point when expand_grid is set.
     """
     record = ExperimentRecord(
         cleaning=spec.cleaning, chunk=spec.chunk.chunk_id,
@@ -300,9 +321,13 @@ def run_one(table, spec, seed, grids=None, selection_in_fold=False,
             if selection_in_fold:
                 selector = selection.select_indices
             else:
-                matrix, _ = selection.select_features(matrix)
-                if matrix.n_columns == 0:
+                kept = [features.N_FEATURES * place + j
+                        for place, ch in enumerate(spec.channels)
+                        for j in _kept_columns(table, spec.cleaning,
+                                               spec.chunk, ch)]
+                if not kept:
                     raise ValueError("selection kept no columns")
+                matrix = matrix.select_columns(kept)
         grid = (grids or {}).get(spec.classifier)
         result = classify.cross_validate(
             matrix.values, matrix.labels, spec.classifier, grid=grid,
@@ -397,12 +422,13 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
     under a different config or cohort raises ValueError, and a resume
     may add or drop cleanings. A GBT grid point is the one source of its
     booster's settings (classify.cross_validate). The table is built on
-    threads, one per usable CPU, whatever `jobs` is. jobs > 1 fans
-    selection and CV out to a fork pool of at most one process per
-    pending spec, which reads the table alone (not the cohort);
-    per-spec seeds are content-derived, so parallelism never changes
-    results. With expand_grid, one record per (spec, grid point) is
-    emitted instead of one best-config record per spec.
+    threads, one per usable CPU, whatever `jobs` is. jobs > 1 fans the
+    specs out to a fork pool of at most one process per pending spec,
+    which reads the table alone (not the cohort); each process selects
+    a cell at most once, for the first spec that needs it. Per-spec
+    seeds are content-derived, so parallelism never changes results.
+    With expand_grid, one record per (spec, grid point) is emitted
+    instead of one best-config record per spec.
     """
     options = {"grids": grids, "selection_in_fold": selection_in_fold,
                "eval_on_test_fold": eval_on_test_fold,

@@ -325,6 +325,19 @@ def test_a_sample_whose_sum_overflows_is_taken_once():
     assert math.isnan(k2) and math.isnan(p) and not normal
 
 
+def test_every_test_answers_nan_where_both_sums_overflow():
+    # both variances are infinite there, so no test can compare them;
+    # two equal infinities must not read as equal variances
+    rng = np.random.default_rng(0)
+    a = (rng.standard_normal(30) + 5.0) * 1e307
+    b = (rng.standard_normal(25) + 5.3) * 1e307
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.sum(a) == np.sum(b) == math.inf
+        for got in (bartlett(a, b), levene(a, b), t_test(a, b, "Student"),
+                    t_test(a, b, "Welch")):
+            assert math.isnan(got[0]) and math.isnan(got[-1])
+
+
 # ---------------------------------------------------------------------------
 # cascade
 

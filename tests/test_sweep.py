@@ -795,6 +795,58 @@ def test_subset_selection_concatenates_its_channels_selections(
         [matrix.values for matrix, _ in alone]).tobytes()
 
 
+def _per_spec_run_one(table, spec, seed):
+    """run_one as it was with whole-cohort selection run on each spec's
+    own subset matrix (best grid point only)."""
+    record = ExperimentRecord(
+        cleaning=spec.cleaning, chunk=spec.chunk.chunk_id,
+        channels="-".join(spec.channels), classifier=spec.classifier,
+        feature_selection=spec.feature_selection)
+    try:
+        matrix, _ = selection.select_features(feature_matrix(
+            table, spec.cleaning, spec.chunk, spec.channels))
+        if matrix.n_columns == 0:
+            raise ValueError("selection kept no columns")
+        result = classify.cross_validate(
+            matrix.values, matrix.labels, spec.classifier,
+            grid=FAST_GRIDS.get(spec.classifier),
+            seed=_spec_seed(seed, spec))
+    except Exception as exc:
+        return replace(record, error=_error_text(exc))
+    return replace(record, accuracy=result.mean_accuracy,
+                   spread=result.spread, best_params=result.best_config)
+
+
+def test_each_cell_is_selected_once_for_every_spec(theta_cohort,
+                                                   monkeypatch):
+    """Whole-cohort selection specs over the singles, pairs and trio of
+    P3, P4 and C3 give the records of selecting each spec's own subset,
+    serially and in fork workers, and select each cell once."""
+    cohort, _ = theta_cohort
+    specs = enumerate_space(SweepSpace(
+        cleanings=("raw",), divisors=(1, 2), subset_sizes=(1, 2, 3),
+        channels=("P3", "P4", "C3"), classifiers=("knn",),
+        selection_flags=(True,)))
+    table = feature_vectors(cohort, [(spec.cleaning, spec.chunk, ch)
+                                     for spec in specs
+                                     for ch in spec.channels],
+                            PIPELINE, DEFAULT_PARAMS)
+    reference = [_per_spec_run_one(table, spec, 3) for spec in specs]
+    assert all(r.ok for r in reference if "P3" in r.channels)
+    assert _dump(run_sweep(cohort, specs, seed=3, grids=FAST_GRIDS,
+                           jobs=2)) == _dump(reference)
+    calls = Counter()
+    real = selection.select_features
+
+    def select_features(matrix, *args):
+        calls[matrix.values.tobytes()] += 1
+        return real(matrix, *args)
+    monkeypatch.setattr(selection, "select_features", select_features)
+    assert _dump(run_sweep(cohort, specs, seed=3, grids=FAST_GRIDS,
+                           jobs=1)) == _dump(reference)
+    assert sorted(calls.values()) == [1] * len(table.cells) == [1] * 9
+
+
 def test_a_spec_fails_with_its_earliest_subject_then_channel(small_cohort,
                                                              monkeypatch):
     """P3 fails at subject 2, Cz and O1 at subject 1, each row with its
@@ -829,10 +881,13 @@ def test_a_spec_fails_with_its_earliest_subject_then_channel(small_cohort,
     with pytest.raises(ValueError) as err:
         feature_matrix(table, "raw", whole, channels)
     assert str(err.value) == text
-    spec = ExperimentSpec(cleaning="raw", chunk=whole, channels=channels,
-                          classifier="knn", feature_selection=False)
-    assert [r.error for r in run_one(table, spec, 0)] == [
-        "ValueError: " + text]
+    # the vectors fail before selection, whose n=20 floor would refuse
+    # these three subjects
+    for sel in (False, True):
+        spec = ExperimentSpec(cleaning="raw", chunk=whole, channels=channels,
+                              classifier="knn", feature_selection=sel)
+        assert [r.error for r in run_one(table, spec, 0)] == [
+            "ValueError: " + text]
 
 
 def _late_stack_failure(small_cohort, monkeypatch, workers):
