@@ -794,8 +794,9 @@ def cross_validate(x, y, classifier, grid=None, seed=0, selector=None,
     eval_on_test_fold=True switches to the laxer protocol that watches
     the test fold instead.
     `selector(train_x, train_y) -> column indices` enables leakage-free
-    in-fold feature selection. With return_all, one CvResult per grid
-    point is returned instead of the best one.
+    in-fold feature selection; a fold that keeps no column keeps all.
+    With return_all, one CvResult per grid point is returned instead of
+    the best one.
 
     A grid point whose fit raises ValueError in any fold is dropped with
     a UserWarning; with return_all its CvResult carries the error. When

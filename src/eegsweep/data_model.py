@@ -195,8 +195,8 @@ def read_manifest(manifest_path):
 
     Entries are (subject_id, label, resolved_path) tuples in manifest order.
     A subject id must be a plain file name: it names the subject's CSV.
-    `sample_rate_hz` must be a finite number or numeric string, and a
-    subject's `path` a string.
+    `sample_rate_hz` must be a finite number or numeric string, `subjects`
+    a list of one subject or more, and a subject's `path` a string.
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path, "r") as fh:
@@ -219,8 +219,9 @@ def read_manifest(manifest_path):
             and all(isinstance(c, str) for c in channels)):
         raise CohortLoadError(["manifest key 'channels' is not a list of "
                                "names: %s" % json.dumps(channels)])
-    if not isinstance(subjects, list):
-        raise CohortLoadError(["manifest key 'subjects' is not a list"])
+    if not (isinstance(subjects, list) and subjects):
+        raise CohortLoadError(["manifest key 'subjects' is not a list of "
+                               "one subject or more"])
     entries = []
     problems = []
     seen = set()

@@ -28,6 +28,18 @@ class GroupSummary:
     max: float
 
 
+def _accuracies_by(records, keys_of):
+    """Each key's finite accuracies, for every key `keys_of(rec)` yields;
+    records with a non-finite accuracy (failed rows) are ignored."""
+    groups = {}
+    for rec in records:
+        acc = float(rec.accuracy)
+        if np.isfinite(acc):
+            for key in keys_of(rec):
+                groups.setdefault(key, []).append(acc)
+    return groups
+
+
 def summarize(records, group_by):
     """One GroupSummary per distinct key of the group_by columns.
 
@@ -36,13 +48,8 @@ def summarize(records, group_by):
     non-finite accuracy (failed rows) are ignored.
     """
     group_by = list(group_by)
-    groups = {}
-    for rec in records:
-        acc = float(rec.accuracy)
-        if not np.isfinite(acc):
-            continue
-        key = tuple(getattr(rec, c) for c in group_by)
-        groups.setdefault(key, []).append(acc)
+    groups = _accuracies_by(
+        records, lambda rec: [tuple(getattr(rec, c) for c in group_by)])
     out = []
     for key in sorted(groups, key=lambda k: tuple(str(v) for v in k)):
         vals = np.array(groups[key])
@@ -68,12 +75,7 @@ def mark_significance(records, factor, pairs):
     Returns one dict per pair: {pair, p, significant, note}. Pairs with a
     group of fewer than two records are reported as insufficient data.
     """
-    levels = {}
-    for rec in records:
-        acc = float(rec.accuracy)
-        if not np.isfinite(acc):
-            continue
-        levels.setdefault(getattr(rec, factor), []).append(acc)
+    levels = _accuracies_by(records, lambda rec: [getattr(rec, factor)])
     out = []
     for a, b in pairs:
         xa = levels.get(a, [])
@@ -97,13 +99,7 @@ def topomap_data(records, reduce="max"):
     """
     if reduce not in ("max", "median"):
         raise ValueError("reduce must be 'max' or 'median'")
-    per_channel = {}
-    for rec in records:
-        acc = float(rec.accuracy)
-        if not np.isfinite(acc):
-            continue
-        for ch in rec.channels.split("-"):
-            per_channel.setdefault(ch, []).append(acc)
+    per_channel = _accuracies_by(records, lambda rec: rec.channels.split("-"))
     fn = np.max if reduce == "max" else np.median
     rows = []
     for ch in CHANNELS_1020:

@@ -295,9 +295,15 @@ def _route_column(a, b, cfg):
 
 
 def _route_columns(values, labels, cfg):
-    """The cascade's route for every column of a subjects x columns array."""
+    """The cascade's route for every column of a subjects x columns array;
+    ValueError where a group is below the normality test's n=20 floor."""
     mask_a = labels == 1
     mask_b = labels == 0
+    n_a, n_b = int(np.sum(mask_a)), int(np.sum(mask_b))
+    if n_a < 20 or n_b < 20:
+        raise ValueError(
+            "groups of %d/%d are below the n=20 validity floor of the "
+            "normality test" % (n_a, n_b))
     return [_route_column(col[mask_a], col[mask_b], cfg) for col in values.T]
 
 
@@ -308,12 +314,6 @@ def select_features(matrix, cfg=SelectionConfig()):
     Column order is preserved; the label column is always retained by
     construction (labels live outside the value block).
     """
-    n_a = int(np.sum(matrix.labels == 1))
-    n_b = int(np.sum(matrix.labels == 0))
-    if n_a < 20 or n_b < 20:
-        raise ValueError(
-            "groups of %d/%d are below the n=20 validity floor of the "
-            "normality test" % (n_a, n_b))
     routes = _route_columns(matrix.values, matrix.labels, cfg)
     rows = [SelectionRow(column=name, **routed)
             for name, routed in zip(matrix.column_names, routes)]

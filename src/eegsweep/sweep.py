@@ -305,9 +305,10 @@ def run_one(table, spec, seed, grids=None, selection_in_fold=False,
     """Execute a single experiment spec on a `feature_vectors` table.
 
     The cascade routes each column on its own, so whole-cohort selection
-    keeps each channel's `_kept_columns`, offset by 53 per place. Returns
-    a list of ExperimentRecord: the best grid point's, or one per grid
-    point when expand_grid is set.
+    keeps each channel's `_kept_columns`, offset by 53 per place; as in
+    each fold of `classify.cross_validate`, keeping none keeps every
+    column. Returns a list of ExperimentRecord: the best grid point's, or
+    one per grid point when expand_grid is set.
     """
     record = ExperimentRecord(
         cleaning=spec.cleaning, chunk=spec.chunk.chunk_id,
@@ -325,9 +326,8 @@ def run_one(table, spec, seed, grids=None, selection_in_fold=False,
                         for place, ch in enumerate(spec.channels)
                         for j in _kept_columns(table, spec.cleaning,
                                                spec.chunk, ch)]
-                if not kept:
-                    raise ValueError("selection kept no columns")
-                matrix = matrix.select_columns(kept)
+                if kept:    # none kept keeps every column, as in each fold
+                    matrix = matrix.select_columns(kept)
         grid = (grids or {}).get(spec.classifier)
         result = classify.cross_validate(
             matrix.values, matrix.labels, spec.classifier, grid=grid,

@@ -15,7 +15,7 @@ import eegsweep
 from eegsweep import classify, cleaning, cli, sweep
 from eegsweep.cleaning import CleaningPipeline
 from eegsweep.cli import main
-from eegsweep.data_model import load_cohort, write_cohort
+from eegsweep.data_model import CHANNELS_1020, load_cohort, write_cohort
 from eegsweep.features import DEFAULT_PARAMS, FeatureMatrix
 from eegsweep.segmentation import SegmentSpec
 
@@ -309,6 +309,8 @@ def test_a_subject_id_that_leaves_the_out_directory_exits_2(
 @pytest.mark.parametrize("change, problem", [
     ({"subjects": {"s": {"label": 0}}},
      "manifest key 'subjects' is not a list"),
+    ({"channels": list(CHANNELS_1020)},
+     "manifest key 'subjects' is not a list of one subject or more"),
     ({"subjects": ["s"]}, 'subject 0: "s" is not an object whose id is a '
                           "plain file name"),
     ({"channels": 19}, "manifest key 'channels' is not a list of names: 19"),
@@ -320,12 +322,13 @@ def test_a_subject_id_that_leaves_the_out_directory_exits_2(
      "manifest key 'sample_rate_hz' is not a finite number: \"nan\""),
     ({"subjects": [{"id": "s", "label": 0, "path": 7}]},
      "s: path must be a string, got 7"),
-], ids=["subjects_object", "subject_string", "channels_number", "rate_list",
-        "rate_word", "rate_nan", "path_number"])
+], ids=["subjects_object", "subjects_empty", "subject_string",
+        "channels_number", "rate_list", "rate_word", "rate_nan",
+        "path_number"])
 def test_a_manifest_of_the_wrong_shape_exits_2(tmp_path, capsys, change,
                                                problem):
     # each died with an AttributeError or TypeError traceback, named no
-    # key, or (a rate of nan) loaded and failed later
+    # key, or (a rate of nan, no subjects) loaded and failed later
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(dict(
         {"sample_rate_hz": 128.0, "channels": [], "subjects": []},

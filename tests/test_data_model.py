@@ -178,6 +178,8 @@ _MANIFEST = {"sample_rate_hz": 128.0, "channels": list(CHANNELS_1020),
      "manifest key 'channels' is not a list of names: [\"Fp1\""),
     (dict(_MANIFEST, subjects={"s": {"label": 0, "path": "s.csv"}}),
      "manifest key 'subjects' is not a list"),
+    (dict(_MANIFEST, subjects=[]),
+     "manifest key 'subjects' is not a list of one subject or more"),
     (dict(_MANIFEST, subjects=_MANIFEST["subjects"] + ["t"]),
      'subject 1: "t" is not an object whose id is a plain file name (not '
      'empty, . or .., without / or \\)'),
@@ -196,15 +198,16 @@ _MANIFEST = {"sample_rate_hz": 128.0, "channels": list(CHANNELS_1020),
      "s: path must be a string, got " + json.dumps(path))
     for path in (7, ["s.csv"], None)
 ], ids=["list", "number", "channels_number", "channel_not_a_name",
-        "subjects_object", "subject_string", "id_escapes", "id_empty",
-        "id_dot", "id_dotdot", "id_slash", "id_backslash", "id_number",
-        "rate_list", "rate_word", "rate_null", "rate_true", "rate_nan",
-        "rate_infinite", "path_number", "path_list", "path_null"])
+        "subjects_object", "subjects_empty", "subject_string", "id_escapes",
+        "id_empty", "id_dot", "id_dotdot", "id_slash", "id_backslash",
+        "id_number", "rate_list", "rate_word", "rate_null", "rate_true",
+        "rate_nan", "rate_infinite", "path_number", "path_list",
+        "path_null"])
 def test_manifest_of_the_wrong_shape_names_the_key_or_subject(
         tmp_path, doc, problem):
     # each was read as a subject id that leaves the directory, died with
-    # an AttributeError or TypeError, named no key, or (a rate of nan)
-    # loaded
+    # an AttributeError or TypeError, named no key, or (a rate of nan, no
+    # subjects) loaded
     write_recording_csv(make_recording("s", n=256), tmp_path / "s.csv")
     (tmp_path / "m.json").write_text(json.dumps(doc))
     with pytest.raises(CohortLoadError) as exc:

@@ -10,7 +10,7 @@ from conftest import raw_feature_matrix
 from eegsweep import selection
 from eegsweep.features import FeatureMatrix
 from eegsweep.selection import (bartlett, dagostino_pearson, levene,
-                                select_features, t_test)
+                                select_features, select_indices, t_test)
 
 
 def matrix_from_values(values, labels):
@@ -418,10 +418,15 @@ def test_column_order_preserved():
 
 
 def test_small_groups_error():
+    """Whole-cohort and in-fold selection refuse small groups alike; the
+    in-fold one failed in D'Agostino's own n < 20 check instead."""
     values = np.random.default_rng(0).standard_normal((30, 3))
     labels = np.array([1] * 15 + [0] * 15)
-    with pytest.raises(ValueError, match="validity floor"):
+    floor = "^groups of 15/15 are below the n=20 validity floor"
+    with pytest.raises(ValueError, match=floor):
         select_features(matrix_from_values(values, labels))
+    with pytest.raises(ValueError, match=floor):
+        select_indices(values, labels)
 
 
 def test_theta_effect_selects_p3_pow_theta(theta_cohort):

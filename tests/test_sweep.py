@@ -529,9 +529,9 @@ def _lazy_run_one(cohort, spec, seed, cache):
             labels=np.array([rec.label for rec in cohort], dtype=int),
             subject_ids=[rec.subject_id for rec in cohort])
         if spec.feature_selection:
-            matrix, _ = selection.select_features(matrix)
-            if matrix.n_columns == 0:
-                raise ValueError("selection kept no columns")
+            selected, _ = selection.select_features(matrix)
+            if selected.n_columns:  # none kept keeps every column
+                matrix = selected
         result = classify.cross_validate(
             matrix.values, matrix.labels, spec.classifier,
             grid=FAST_GRIDS.get(spec.classifier),
@@ -796,17 +796,18 @@ def test_subset_selection_concatenates_its_channels_selections(
 
 
 def _per_spec_run_one(table, spec, seed):
-    """run_one as it was with whole-cohort selection run on each spec's
-    own subset matrix (best grid point only)."""
+    """run_one with whole-cohort selection run on each spec's own subset
+    matrix (best grid point only)."""
     record = ExperimentRecord(
         cleaning=spec.cleaning, chunk=spec.chunk.chunk_id,
         channels="-".join(spec.channels), classifier=spec.classifier,
         feature_selection=spec.feature_selection)
     try:
-        matrix, _ = selection.select_features(feature_matrix(
-            table, spec.cleaning, spec.chunk, spec.channels))
-        if matrix.n_columns == 0:
-            raise ValueError("selection kept no columns")
+        matrix = feature_matrix(table, spec.cleaning, spec.chunk,
+                                spec.channels)
+        selected, _ = selection.select_features(matrix)
+        if selected.n_columns:  # none kept keeps every column
+            matrix = selected
         result = classify.cross_validate(
             matrix.values, matrix.labels, spec.classifier,
             grid=FAST_GRIDS.get(spec.classifier),
@@ -832,7 +833,7 @@ def test_each_cell_is_selected_once_for_every_spec(theta_cohort,
                                      for ch in spec.channels],
                             PIPELINE, DEFAULT_PARAMS)
     reference = [_per_spec_run_one(table, spec, 3) for spec in specs]
-    assert all(r.ok for r in reference if "P3" in r.channels)
+    assert all(r.ok for r in reference)
     assert _dump(run_sweep(cohort, specs, seed=3, grids=FAST_GRIDS,
                            jobs=2)) == _dump(reference)
     calls = Counter()
@@ -845,6 +846,43 @@ def test_each_cell_is_selected_once_for_every_spec(theta_cohort,
     assert _dump(run_sweep(cohort, specs, seed=3, grids=FAST_GRIDS,
                            jobs=1)) == _dump(reference)
     assert sorted(calls.values()) == [1] * len(table.cells) == [1] * 9
+
+
+def test_a_selection_that_keeps_no_column_keeps_every_column(
+        theta_cohort):
+    """Whole-cohort selection keeps no column of raw C3 at 1/1, of P4 at
+    1/2, or of either at 2/2 (the effect is at P3 alone). Those specs
+    cross-validate every column of their subset, as a fold whose
+    selection keeps none does, and P3-C3 at 1/1 keeps P3's columns."""
+    cohort, _ = theta_cohort
+    whole, first, second = (SegmentSpec(1, 1), SegmentSpec(2, 1),
+                            SegmentSpec(2, 2))
+    specs = [ExperimentSpec("raw", chunk, channels, clf, True)
+             for chunk, channels in ((whole, ("C3",)), (first, ("P4",)))
+             for clf in ("knn", "svm", "gbt")]
+    specs += [ExperimentSpec("raw", second, ("P4", "C3"), "knn", True),
+              ExperimentSpec("raw", whole, ("P3", "C3"), "knn", True)]
+    table = feature_vectors(cohort, [(spec.cleaning, spec.chunk, ch)
+                                     for spec in specs
+                                     for ch in spec.channels],
+                            PIPELINE, DEFAULT_PARAMS)
+    p3, _ = selection.select_features(feature_matrix(table, "raw", whole,
+                                                     ["P3"]))
+    assert 0 < p3.n_columns < features.N_FEATURES
+    matrices = [feature_matrix(table, spec.cleaning, spec.chunk,
+                               spec.channels) for spec in specs[:-1]] + [p3]
+    expected = []
+    for spec, matrix in zip(specs, matrices):
+        result = classify.cross_validate(
+            matrix.values, matrix.labels, spec.classifier,
+            grid=FAST_GRIDS[spec.classifier], seed=_spec_seed(7, spec))
+        expected.append(ExperimentRecord(
+            cleaning="raw", chunk=spec.chunk.chunk_id,
+            channels="-".join(spec.channels), classifier=spec.classifier,
+            feature_selection=True, accuracy=result.mean_accuracy,
+            spread=result.spread, best_params=result.best_config))
+    assert _dump(run_sweep(cohort, specs, seed=7,
+                           grids=FAST_GRIDS)) == _dump(expected)
 
 
 def test_a_spec_fails_with_its_earliest_subject_then_channel(small_cohort,
