@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import dwt
 from .data_model import MIN_DURATION_S, read_csv_matrix
@@ -361,17 +360,27 @@ def zero_crossings(signal):
     return out
 
 
+#: Candidate pairs that one block of app_entropy's neighbour search holds
+#: at most, unless one point alone has more. Like sweep._STACK_SAMPLES, it
+#: bounds temporaries only: the counts are integers, so no value depends
+#: on it.
+_APEN_CANDIDATES = 1 << 16
+
+
 def app_entropy(signal, m=DEFAULT_PARAMS.app_entropy_m,
                 r_factor=DEFAULT_PARAMS.app_entropy_r):
     """Approximate entropy phi(m) - phi(m+1), Chebyshev radius 0.2 std.
 
     Self-matches are counted, as in the original definition. Both counts
     come from one neighbour search, as in Manis (2008, "Fast computation
-    of approximate entropy"): one cKDTree on the m-embedding lists every
-    pair within r, and a pair that also lies within r on the next sample
-    is a match at m + 1, since every match at m + 1 is a match at m. A
-    constant row (radius 0) gets the sentinel 0. Each row gets its own
-    tree.
+    of approximate entropy"): each pair within r on the m-embedding is
+    found once, and a pair that also lies within r on the next sample is
+    a match at m + 1, since every match at m + 1 is a match at m. The
+    search is an exact bucket grid in numpy (_match_counts), in memory
+    bounded by _APEN_CANDIDATES. A constant row (radius 0) gets the
+    sentinel 0, and so does a row whose radius overflows to inf, where
+    every pair matches. A row whose radius is NaN (a non-finite sample,
+    or a variance that overflows) raises ValueError.
     """
     radii = (r_factor * np.sqrt(_var(signal, ddof=1))).tolist()
     out = np.array([_app_entropy_row(row, m, r)
@@ -383,18 +392,86 @@ def _app_entropy_row(x, m, r):
     if r == 0.0:
         return 0.0
     n = x.size - m + 1
-    emb = np.lib.stride_tricks.sliding_window_view(x, m)
-    pairs = cKDTree(emb).query_pairs(r, p=np.inf, output_type="ndarray")
-    i, j = pairs.T.astype(np.int32)  # contiguous columns, i < j
-    counts_m = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + 1
-    keep = j < n - 1
-    i, j = i[keep], j[keep]
-    nxt = x[m:]
-    keep = np.abs(nxt[i] - nxt[j]) <= r
-    counts_m1 = (np.bincount(i[keep], minlength=n - 1)
-                 + np.bincount(j[keep], minlength=n - 1) + 1)
+    if n < 1:
+        raise ValueError("app_entropy needs at least m = %d samples, got %d"
+                         % (m, x.size))
+    # one point of finite samples has no pair to search, and reads NaN
+    if r != r and (n > 1 or not np.isfinite(x).all()):
+        raise ValueError("app_entropy radius is NaN: the row holds a "
+                         "non-finite sample, or its variance overflows")
+    if n == 1 or r == math.inf:  # no pair, or every pair matches
+        counts_m, counts_m1 = np.full(n, n), np.full(n - 1, n - 1)
+    else:
+        counts_m, counts_m1 = _match_counts(x, m, r, n)
     return (float(np.mean(np.log(counts_m / n)))
             - float(np.mean(np.log(counts_m1 / (n - 1)))))
+
+
+def _match_counts(x, m, r, n):
+    """Matches of each of the n embedding points at m, and of the first
+    n - 1 at m + 1, self-matches included, for a finite radius r.
+
+    Points are bucketed by their first coordinate a, in buckets of width
+    w just over r, and ordered by one integer key: (bucket, rank of their
+    second coordinate c, or of a when m is 1). The later point of a pair
+    within r then lies in one of two key ranges of the earlier one: its
+    own bucket after it, and the next bucket, each over the ranks of c
+    within w. Every candidate is decided by the predicate itself,
+    abs(x[i + k] - x[j + k]) <= r for each k < m, then at k = m for the
+    m + 1 count. Points go in blocks of at most _APEN_CANDIDATES
+    candidates.
+    """
+    a = x[:n]
+    c = x[1:n + 1] if m > 1 else a
+    a_min = a.min()
+    # A gap that rounds to r or less is at most r (1 + 2^-53). w is wider
+    # than that by 2^-20, normal, and at least 2^-28 of the largest |a|, so
+    # rounding moves a key by under 2^-23 of a bucket: no pair within r is
+    # two buckets apart, and none lies outside [c - w, c + w] once rounded.
+    w = (max(r, max(-a_min, a.max()) * 2.0 ** -28, 2.0 ** -1000)
+         * (1 + 2.0 ** -20))
+    by_c = np.argsort(c)
+    rank = np.empty(n, np.intp)
+    rank[by_c] = np.arange(n)
+    key = ((a - a_min) / w).astype(np.intp) * n + rank
+    order = np.argsort(key)
+    key = key[order]
+    base = key - rank[order]
+    c_sorted = c[by_c]
+    c = c[order]
+    lo_rank = np.searchsorted(c_sorted, c - w)
+    hi_rank = np.searchsorted(c_sorted, c + w, "right")
+    pos = np.arange(n)
+    starts = np.stack((pos + 1, np.searchsorted(key, base + n + lo_rank)))
+    lens = np.stack((np.searchsorted(key, base + hi_rank),
+                     np.searchsorted(key, base + n + hi_rank))) - starts
+    cum = np.concatenate(([0], np.cumsum(lens.sum(axis=0))))
+    padded = np.append(x, np.nan)  # the last point has no sample m
+    cols = [padded[order + k] for k in range(m + 1)]
+    counts = np.ones((2, n), np.intp)
+    p0 = 0
+    while p0 < n:
+        p1 = max(int(np.searchsorted(cum, cum[p0] + _APEN_CANDIDATES,
+                                     "right")) - 1, p0 + 1)
+        size = lens[:, p0:p1].ravel()
+        owner = np.repeat(np.tile(pos[p0:p1], 2), size)
+        # each range's positions, start + 0, 1, ...
+        cand = (np.repeat(starts[:, p0:p1].ravel() - np.cumsum(size) + size,
+                          size) + np.arange(owner.size))
+        ok = np.ones(owner.size, bool)
+        for col in cols[:m]:
+            ok &= np.abs(col[owner] - col[cand]) <= r
+        owner, cand = owner[ok], cand[ok]
+        top = int(cand.max(initial=p0)) + 1
+        counts[0, p0:top] += np.bincount(
+            np.concatenate((owner, cand)) - p0, minlength=top - p0)
+        ok = np.abs(cols[m][owner] - cols[m][cand]) <= r
+        counts[1, p0:top] += np.bincount(
+            np.concatenate((owner[ok], cand[ok])) - p0, minlength=top - p0)
+        p0 = p1
+    out = np.empty_like(counts)
+    out[:, order] = counts
+    return out[0], out[1, :n - 1]
 
 
 def spect_entropy(freqs, psd, total_band=DEFAULT_PARAMS.total_band):

@@ -73,12 +73,15 @@ def test_provenance_peak_rss_without_resource_module(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs every command about 34 MB and half a second
+    # scipy.stats costs every command about 34 MB and half a second, and
+    # scipy.spatial about 12 MB with the scipy.sparse and scipy.linalg it
+    # pulls in
     src = str(Path(eegsweep.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, eegsweep.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] == ['scipy', 'stats']))")
+            "if m.split('.')[:2] in [['scipy', 'stats'], ['scipy', 'spatial'],"
+            " ['scipy', 'sparse'], ['scipy', 'linalg']]))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -211,17 +212,29 @@ def app_entropy_two_searches(x, m, r_factor):
     return _phi_two_searches(x, m, r) - _phi_two_searches(x, m + 1, r)
 
 
+#: The longest row the strategy draws under each block budget (None keeps
+#: features._APEN_CANDIDATES), so that a tiny budget still runs in a few
+#: thousand blocks.
+_APEN_BUDGET_ROWS = {None: 4000, 97: 1200, 7: 320}
+
+
 @st.composite
 def app_entropy_cases(draw):
-    """(signal, m, r_factor): noise, random walks, small integers with
-    heavy ties, or a constant; the radius is the default, a tiny one that
-    matches nothing but ties, or the Chebyshev distance of a pair of
-    m-vectors, so that a pair sits exactly on r."""
-    n = draw(st.integers(256, 4000))
+    """(signal, m, r_factor, block budget): noise, random walks, small
+    integers with heavy ties, noise with one spike at 1e6 std, or a
+    constant, scaled by 1e-150 to 1e150; the radius is the default, a tiny
+    one that matches nothing but ties, or the Chebyshev distance of a pair
+    of m-vectors, so that a pair sits exactly on r; the block budget is
+    the default or small enough that a row spans many blocks."""
+    budget = draw(st.sampled_from(list(_APEN_BUDGET_ROWS)))
+    n = draw(st.integers(256, _APEN_BUDGET_ROWS[budget]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    kind = draw(st.sampled_from(["noise", "walk", "ties", "constant"]))
-    if kind == "noise":
+    kind = draw(st.sampled_from(["noise", "walk", "ties", "spike",
+                                 "constant"]))
+    if kind in ("noise", "spike"):
         x = rng.standard_normal(n)
+        if kind == "spike":
+            x[draw(st.integers(0, n - 1))] = 1e6 * np.std(x, ddof=1)
     elif kind == "walk":
         x = np.cumsum(rng.standard_normal(n))
     elif kind == "ties":
@@ -229,13 +242,14 @@ def app_entropy_cases(draw):
         x = rng.integers(-k, k + 1, n).astype(float)
     else:
         x = np.full(n, draw(st.floats(-1e3, 1e3)))
-    m = draw(st.sampled_from([1, 2, 3]))
+    x = x * 10.0 ** draw(st.integers(-150, 150))
+    m = draw(st.integers(1, 4))
+    std = float(np.std(x, ddof=1))  # inf for a spike at 1e150
     radius = draw(st.sampled_from(["default", "tiny", "pair"]))
-    if radius == "default" or np.ptp(x) == 0.0:
-        return x, m, 0.2
+    if radius == "default" or np.ptp(x) == 0.0 or std == np.inf:
+        return x, m, 0.2, budget
     if radius == "tiny":
-        return x, m, 1e-9
-    std = float(np.std(x, ddof=1))
+        return x, m, 1e-9, budget
     emb = np.lib.stride_tricks.sliding_window_view(x, m)
     a = draw(st.integers(0, n - m))
     dists = np.unique(np.max(np.abs(emb - emb[a]), axis=1))[1:]
@@ -247,15 +261,43 @@ def app_entropy_cases(draw):
         if float(cand) * std == d:
             r_factor = float(cand)
             break
-    return x, m, r_factor
+    return x, m, r_factor, budget
 
 
 @settings(max_examples=60, deadline=None)
 @given(app_entropy_cases())
 def test_app_entropy_equals_the_two_search_formula(case):
-    x, m, r_factor = case
-    assert (one_row(F.app_entropy, x, m, r_factor)
-            == app_entropy_two_searches(x, m, r_factor))
+    x, m, r_factor, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(F, "_APEN_CANDIDATES", budget)
+        assert (one_row(F.app_entropy, x, m, r_factor)
+                == app_entropy_two_searches(x, m, r_factor))
+
+
+def test_app_entropy_memory_is_bounded_on_a_long_row():
+    # one 285 s row at 128 Hz, where the array of every pair within r
+    # would take over 300 MB
+    x = np.random.default_rng(7).standard_normal(36480)
+    tracemalloc.start()
+    try:
+        one_row(F.app_entropy, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_app_entropy_radius_nan_and_inf(m):
+    # a NaN sample, or +-1.7e308 halves whose sum is inf - inf, give a NaN
+    # radius; a scale of 1e160 overflows the variance to an infinite one
+    with pytest.raises(ValueError, match="radius is NaN"):
+        one_row(F.app_entropy, np.r_[np.nan, np.zeros(40)], m)
+    with pytest.raises(ValueError, match="radius is NaN"):
+        one_row(F.app_entropy, np.repeat([1.7e308, -1.7e308], 4), m)
+    big = np.random.default_rng(m).standard_normal(40) * 1e160
+    assert one_row(F.app_entropy, big, m) == 0.0
 
 
 def test_decorr_time_slow_sine():
