@@ -67,8 +67,8 @@ with warnings.catch_warnings():
                         "n_rounds": 40, "early_stopping_rounds": 15},)})
 
 ok = [r for r in records if r.ok]
-print("finished: %d ok, %d failed (selection can keep zero columns on "
-      "channels without an effect)" % (len(ok), len(records) - len(ok)))
+print("finished: %d ok, %d failed (where selection keeps no column, a "
+      "spec uses every column)" % (len(ok), len(records) - len(ok)))
 
 print("\naccuracy by cleaning:")
 for s in report.summarize(records, ["cleaning"]):

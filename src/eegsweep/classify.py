@@ -9,6 +9,7 @@ neighbors. Everything is deterministic under a fixed seed.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -97,6 +98,7 @@ class GbtModel:
     best_iteration: int         # number of trees actually used
     feature_names: list
     eval_logloss: list
+    test_raw: np.ndarray = None  # raw score of the test rows, best round
 
 
 #: Padded elements (boosters x features x rows) of one lockstep wave's
@@ -368,7 +370,7 @@ class _Wave:
                 else best_round[b] or 1
             model = GbtModel(trees=trees[b], config=f.cfg,
                              best_iteration=best, feature_names=None,
-                             eval_logloss=hist[b])
+                             eval_logloss=hist[b], test_raw=test_raw[b])
             out.append((model, test_raw[b], int(depth[b])))
         return out
 
@@ -471,30 +473,27 @@ class _Wave:
             level += 1
 
 
-def _fit_one(x, y, cfg, eval_set, feature_names, test_x=None):
-    """One checked booster through `_boost`, named by `feature_names`
-    or f0, f1, ...; returns (model, raw score of test_x at the best
-    round, or None)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_fit_data(x, y)
-    if eval_set is not None:
-        eval_set = tuple(np.asarray(a, dtype=np.float64) for a in eval_set)
-    model, raw, _ = _boost([_Fit(x, y, cfg, eval_set, test_x)])[0]
-    model.feature_names = list(feature_names) if feature_names is not None \
-        else ["f%d" % i for i in range(x.shape[1])]
-    return model, raw
-
-
-def gbt_train(x, y, cfg=GbtConfig(), eval_set=None, feature_names=None):
+def gbt_train(x, y, cfg=GbtConfig(), eval_set=None, feature_names=None,
+              test_x=None):
     """Boost depth-limited regression trees on the logistic objective.
 
     Split gain and leaf weights follow the second-order expansion; splits
     with non-positive gain are rejected. When an eval set is given,
     boosting stops once its logloss has not improved for
-    early_stopping_rounds, and the best round is kept.
+    early_stopping_rounds, and the best round is kept; the raw score of
+    test_x's rows at that round is the model's test_raw (a fit without
+    an eval set scores none). Features are named by `feature_names`, or
+    f0, f1, ...
     """
-    return _fit_one(x, y, cfg, eval_set, feature_names)[0]
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    _check_fit_data(x, y)
+    if eval_set is not None:
+        eval_set = tuple(np.asarray(a, dtype=np.float64) for a in eval_set)
+    model = _boost([_Fit(x, y, cfg, eval_set, test_x)])[0][0]
+    model.feature_names = list(feature_names) if feature_names is not None \
+        else ["f%d" % i for i in range(x.shape[1])]
+    return model
 
 
 def gbt_importance(model):
@@ -706,6 +705,21 @@ def _config_sort_key(cfg):
     return tuple(sorted((k, token(v)) for k, v in cfg.items()))
 
 
+def check_point(classifier, point):
+    """Raise ValueError where an svm or knn grid point sets a value that
+    no fit runs with: k must be an int >= 1, c > 0, and gamma_rbf
+    "scale" or > 0. GbtConfig checks a gbt point."""
+    def positive(v, kind=numbers.Real):
+        return isinstance(v, kind) and not isinstance(v, bool) and v > 0
+    if classifier == "knn" and not positive(point["k"], numbers.Integral):
+        raise ValueError("k must be an int >= 1")
+    if classifier == "svm" and not positive(point["c"]):
+        raise ValueError("c must be > 0")
+    if classifier == "svm" and point["gamma_rbf"] != "scale" \
+            and not positive(point["gamma_rbf"]):
+        raise ValueError('gamma_rbf must be "scale" or > 0')
+
+
 def _fit_predict(kind, train_x, train_y, test_x, cfg):
     if kind == "svm":
         model = svm_train(train_x, train_y, c=cfg["c"],
@@ -798,9 +812,10 @@ def cross_validate(x, y, classifier, grid=None, seed=0, selector=None,
     With return_all, one CvResult per grid point is returned instead of
     the best one.
 
-    A grid point whose fit raises ValueError in any fold is dropped with
-    a UserWarning; with return_all its CvResult carries the error. When
-    every point fails, the first point's error is raised.
+    A grid point out of range (check_point, GbtConfig), or whose fit
+    raises ValueError in any fold, is dropped with a UserWarning; with
+    return_all its CvResult carries the error. When every point fails,
+    the first point's error is raised.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=int)
@@ -825,6 +840,7 @@ def cross_validate(x, y, classifier, grid=None, seed=0, selector=None,
         preds = []
         for cfg in grid:
             try:
+                check_point(classifier, cfg)
                 preds.append([_fit_predict(classifier, tx, ty, sx, cfg)
                               for tx, ty, sx, _ in folds])
             except ValueError as exc:
@@ -840,11 +856,8 @@ def cross_validate(x, y, classifier, grid=None, seed=0, selector=None,
         confusions = []
         for p, (_, _, _, truth) in zip(pred, folds):
             accs.append(float(np.mean(p == truth)))
-            tn = int(np.sum((p == 0) & (truth == 0)))
-            fp = int(np.sum((p == 1) & (truth == 0)))
-            fn = int(np.sum((p == 0) & (truth == 1)))
-            tp = int(np.sum((p == 1) & (truth == 1)))
-            confusions.append((tn, fp, fn, tp))
+            confusions.append(tuple(
+                np.bincount(2 * truth + p, minlength=4).tolist()))
         results.append(CvResult(
             fold_accuracies=accs, mean_accuracy=float(np.mean(accs)),
             spread=float(np.std(accs, ddof=1)), best_config=dict(cfg),
@@ -877,8 +890,7 @@ def train_final(x, y, cfg=GbtConfig(), split_seed=0, feature_names=None):
     train_idx, test_idx = stratified_split(y, 0.2, split_seed)
     tr_idx, ev_idx = stratified_split(y[train_idx], 0.2, split_seed + 1)
     tx, ty = x[train_idx], y[train_idx]
-    model, raw = _fit_one(tx[tr_idx], ty[tr_idx], cfg,
-                          (tx[ev_idx], ty[ev_idx]), feature_names,
-                          x[test_idx])
-    acc = float(np.mean((_sigmoid(raw) >= 0.5) == y[test_idx]))
+    model = gbt_train(tx[tr_idx], ty[tr_idx], cfg, (tx[ev_idx], ty[ev_idx]),
+                      feature_names, x[test_idx])
+    acc = float(np.mean((_sigmoid(model.test_raw) >= 0.5) == y[test_idx]))
     return model, acc, gbt_importance(model)

@@ -37,6 +37,9 @@ class FirParams:
         for name in ("transition_low_hz", "transition_high_hz"):
             if not getattr(self, name) > 0.0:
                 raise ValueError("%s must be > 0" % name)
+        # the Nyquist bound needs the sample rate: bandpass_kernel checks it
+        if not 0.0 < self.low_hz < self.high_hz:
+            raise ValueError("low_hz must be in (0, high_hz)")
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,9 @@ class AsrParams:
     proc_overlap: float = 0.5
 
     def __post_init__(self):
-        if self.cutoff_k <= 0:
-            raise ValueError("cutoff_k must be > 0")
+        for name in ("cutoff_k", "calib_window_s", "proc_window_s"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError("%s must be > 0" % name)
         if not 0.0 < self.proc_overlap < 1.0:
             raise ValueError("proc_overlap must be in (0, 1)")
 

@@ -126,7 +126,8 @@ def _read_block(default, block, key):
 def _read_grids(block):
     """Grid points by classifier. A gbt point is read as a GbtConfig
     block, range checks included; an svm or knn point sets exactly the
-    keys of its default grid's points."""
+    keys of its default grid's points, in classify.check_point's
+    ranges."""
     if not isinstance(block, dict):
         _fail("grids", "expected an object, got %s", json.dumps(block))
     _check_members("grids", block, tuple(classify.DEFAULT_GRIDS))
@@ -143,6 +144,7 @@ def _read_grids(block):
             elif sorted(point) != sorted(keys):
                 _fail(where, "has %s; a %s point sets exactly %s",
                       ", ".join(point) or "no key", name, ", ".join(keys))
+            classify.check_point(name, point)
     return {name: tuple(points) for name, points in block.items()}
 
 
@@ -162,7 +164,7 @@ def _read_config(cfg):
             ("classifiers", tuple(classify.DEFAULT_GRIDS)),
             ("selection_flags", (True, False))):
         _check_members("space." + axis, getattr(space, axis), allowed)
-    pipeline = {k: v for k, v in cfg.items() if k in blocks[:3]}
+    pipeline = {k: cfg[k] for k in blocks[:3] if k in cfg}  # in this order
     return {"merged": cfg, "space": space,
             "pipeline": _read_block(CleaningPipeline(), pipeline, ""),
             "features": _read_block(features.DEFAULT_PARAMS,
@@ -257,29 +259,12 @@ def _blas_name():
     return "%s %s" % (blas.get("name"), blas.get("version"))
 
 
-def _peak_rss_mb():
-    """This process's peak resident memory so far, in MB; None where the
-    platform has no resource module."""
-    if resource is None:
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # KiB on Linux, bytes on macOS
-    return round(peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0),
-                 1)
-
-
-def _minor_faults():
-    """This process's minor page faults so far; None where the platform
-    has no resource module."""
-    if resource is None:
-        return None
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
 def write_provenance(out_dir, args, cfg):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     canon = json.dumps(cfg["merged"], sort_keys=True)
+    # null where the platform has no resource module
+    usage = resource and resource.getrusage(resource.RUSAGE_SELF)
     doc = {
         "command": args.command,
         "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
@@ -294,12 +279,13 @@ def write_provenance(out_dir, args, cfg):
         "blas": _blas_name(),
         # null where numpy bundles no OpenBLAS to count
         "blas_threads": _blas_threads(),
-        # this process's peak, import included, up to this write; sweep
-        # workers are not counted
-        "peak_rss_mb": _peak_rss_mb(),
+        # this process's peak, import included, up to this write (KiB on
+        # Linux, bytes on macOS); sweep workers are not counted
+        "peak_rss_mb": usage and round(usage.ru_maxrss / (
+            1024.0 ** 2 if sys.platform == "darwin" else 1024.0), 1),
         # null where the C library takes no mallopt
         "malloc_thresholds": _keep_freed_heap(),
-        "minor_faults": _minor_faults(),
+        "minor_faults": usage and usage.ru_minflt,
     }
     _write_json(out_dir / "provenance.json", doc)
 
@@ -430,7 +416,8 @@ def cmd_train(args, cfg):
     if args.selection == "yes":
         matrix, _ = selection.select_features(matrix)
     result = classify.cross_validate(
-        matrix.values, matrix.labels, args.classifier, seed=args.seed)
+        matrix.values, matrix.labels, args.classifier,
+        grid=cfg["grids"].get(args.classifier), seed=args.seed)
     print("classifier=%s folds=%s" % (args.classifier, ",".join(
         "%.4f" % a for a in result.fold_accuracies)))
     print("mean accuracy %.4f +- %.4f, best config %s"

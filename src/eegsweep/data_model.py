@@ -116,24 +116,17 @@ class Recording:
 
 
 def validate_recording(rec):
-    """Check Recording invariants; return a list of violation strings.
+    """Check a recording's samples (load_cohort checks its rate and
+    channel names); return a list of violation strings.
 
     An empty list means the recording is admissible to the pipeline.
     Violations are data, not failures, so nothing is raised here.
     """
     violations = []
-    if rec.sample_rate_hz <= 0:
-        violations.append("sample_rate_hz must be positive, got %r"
-                          % rec.sample_rate_hz)
     n_named = len(rec.channel_names)
     if rec.samples.shape[0] != n_named:
         violations.append("row count %d != channel count %d"
                           % (rec.samples.shape[0], n_named))
-    if len(set(rec.channel_names)) != n_named:
-        violations.append("duplicate channel names")
-    if set(rec.channel_names) != set(CHANNELS_1020):
-        violations.append("channel names do not match the %d-channel montage"
-                          % len(CHANNELS_1020))
     bad = ~np.isfinite(rec.samples)
     if bad.any():
         ch_idx, t_idx = np.argwhere(bad)[0]
@@ -142,8 +135,7 @@ def validate_recording(rec):
         violations.append(
             "non-finite value at channel %s, sample %d (%d total)"
             % (name, t_idx, int(bad.sum())))
-    if (rec.sample_rate_hz > 0
-            and rec.n_samples < MIN_DURATION_S * rec.sample_rate_hz):
+    if rec.n_samples < MIN_DURATION_S * rec.sample_rate_hz:
         violations.append("duration below %g s (%.3f s at %g Hz)"
                           % (MIN_DURATION_S, rec.duration_s,
                              rec.sample_rate_hz))
@@ -195,8 +187,9 @@ def read_manifest(manifest_path):
 
     Entries are (subject_id, label, resolved_path) tuples in manifest order.
     A subject id must be a plain file name: it names the subject's CSV.
-    `sample_rate_hz` must be a finite number or numeric string, `subjects`
-    a list of one subject or more, and a subject's `path` a string.
+    `sample_rate_hz` must be a positive finite number or numeric string,
+    `subjects` a list of one subject or more, and a subject's `path` a
+    string.
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path, "r") as fh:
@@ -215,6 +208,9 @@ def read_manifest(manifest_path):
     if isinstance(rate, bool) or not math.isfinite(fs):
         raise CohortLoadError(["manifest key 'sample_rate_hz' is not a "
                                "finite number: %s" % json.dumps(rate)])
+    if fs <= 0.0:
+        raise CohortLoadError(["manifest key 'sample_rate_hz' must be "
+                               "positive, got %s" % json.dumps(rate)])
     if not (isinstance(channels, list)
             and all(isinstance(c, str) for c in channels)):
         raise CohortLoadError(["manifest key 'channels' is not a list of "

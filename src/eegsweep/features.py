@@ -81,6 +81,8 @@ class FeatureParams:
             raise ValueError("quantile must be in [0, 1]")
         if not self.welch_nperseg >= 1:
             raise ValueError("welch_nperseg must be >= 1")
+        if not isinstance(self.higuchi_kmax, int) or self.higuchi_kmax < 2:
+            raise ValueError("higuchi_kmax must be an int >= 2")
         if not self.hurst_min_window >= 2:
             raise ValueError("hurst_min_window must be >= 2")
         if not self.energy_transition_hz > 0.0:
@@ -235,16 +237,12 @@ def psd_fit(freqs, psd, f_range=DEFAULT_PARAMS.psd_fit_range):
 def _fit_rows(lf, lp):
     """(intercept, slope, mse, r2) x rows: the OLS fit of each row of lp
     on lf, both restricted to the usable bins."""
-    lf_mean = _mean(lf)
     lp_mean = _mean(lp)
-    lf_dev = lf - lf_mean
-    lp_dev = lp - lp_mean[:, None]
-    sxx = (lf_dev ** 2).sum()  # > 0: distinct frequencies
-    slope = (lf_dev * lp_dev).sum(axis=-1) / sxx
-    intercept = lp_mean - slope * lf_mean
+    slope = _ols_slope(lf, lp)  # distinct frequencies: no zero division
+    intercept = lp_mean - slope * _mean(lf)
     resid = lp - (intercept[:, None] + slope[:, None] * lf)
     ss_res = (resid ** 2).sum(axis=-1)
-    ss_tot = (lp_dev ** 2).sum(axis=-1)
+    ss_tot = ((lp - lp_mean[:, None]) ** 2).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = 1.0 - ss_res / ss_tot
     r2[ss_tot == 0.0] = 0.0
@@ -377,11 +375,18 @@ def app_entropy(signal, m=DEFAULT_PARAMS.app_entropy_m,
     found once, and a pair that also lies within r on the next sample is
     a match at m + 1, since every match at m + 1 is a match at m. The
     search is an exact bucket grid in numpy (_match_counts), in memory
-    bounded by _APEN_CANDIDATES. A constant row (radius 0) gets the
-    sentinel 0, and so does a row whose radius overflows to inf, where
-    every pair matches. A row whose radius is NaN (a non-finite sample,
-    or a variance that overflows) raises ValueError.
+    bounded by _APEN_CANDIDATES. ApEn does not depend on scale, so each
+    row is first scaled by the powers of two (exact) that bring its
+    largest |sample|, then its largest deviation from its mean, into
+    [0.5, 1), where neither its mean nor its variance overflows. A
+    constant row (radius 0) gets the sentinel 0; a non-finite sample
+    (radius NaN) raises ValueError.
     """
+    shift = -np.frexp(np.abs(signal).max(axis=-1, initial=0.0))[1]
+    scaled = np.ldexp(signal, shift[:, None])
+    shift -= np.frexp(np.abs(scaled - _mean(scaled)[:, None]).max(
+        axis=-1, initial=0.0))[1]
+    signal = np.ldexp(signal, shift[:, None])
     radii = (r_factor * np.sqrt(_var(signal, ddof=1))).tolist()
     out = np.array([_app_entropy_row(row, m, r)
                     for row, r in zip(signal, radii)])
@@ -399,7 +404,7 @@ def _app_entropy_row(x, m, r):
     if r != r and (n > 1 or not np.isfinite(x).all()):
         raise ValueError("app_entropy radius is NaN: the row holds a "
                          "non-finite sample, or its variance overflows")
-    if n == 1 or r == math.inf:  # no pair, or every pair matches
+    if n == 1:  # no pair to search
         counts_m, counts_m1 = np.full(n, n), np.full(n - 1, n - 1)
     else:
         counts_m, counts_m1 = _match_counts(x, m, r, n)
@@ -425,11 +430,13 @@ def _match_counts(x, m, r, n):
     c = x[1:n + 1] if m > 1 else a
     a_min = a.min()
     # A gap that rounds to r or less is at most r (1 + 2^-53). w is wider
-    # than that by 2^-20, normal, and at least 2^-28 of the largest |a|, so
+    # than that by 2^-20, and at least 2^-28 of the largest |a|, so
     # rounding moves a key by under 2^-23 of a bucket: no pair within r is
     # two buckets apart, and none lies outside [c - w, c + w] once rounded.
-    w = (max(r, max(-a_min, a.max()) * 2.0 ** -28, 2.0 ** -1000)
-         * (1 + 2.0 ** -20))
+    # w is normal for any r_factor above about 1e-290: app_entropy's
+    # scaling leaves the row a deviation of at least 0.5 from its mean, so
+    # r is at least r_factor / (2 sqrt(x.size)).
+    w = max(r, max(-a_min, a.max()) * 2.0 ** -28) * (1 + 2.0 ** -20)
     by_c = np.argsort(c)
     rank = np.empty(n, np.intp)
     rank[by_c] = np.arange(n)

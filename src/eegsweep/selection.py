@@ -36,23 +36,28 @@ class SelectionConfig:
 
 @dataclass
 class SelectionRow:
-    """Route taken and outcome for one feature column."""
+    """Route taken and outcome for one column; defaults: not tested."""
 
     column: str
-    normal_adhd: bool
-    normal_td: bool
-    variance_test: str       # "Bartlett" | "Levene" | "none"
-    variance_p: float
-    homoscedastic: bool
-    mean_test: str           # "Student" | "Welch" | "Indeterminate"
-    p_value: float           # NaN when indeterminate
-    selected: bool
+    normal_adhd: bool = False
+    normal_td: bool = False
+    variance_test: str = "none"       # or "Bartlett" | "Levene"
+    variance_p: float = math.nan
+    homoscedastic: bool = False
+    mean_test: str = "Indeterminate"  # or "Student" | "Welch"
+    p_value: float = math.nan         # NaN when indeterminate
+    selected: bool = False
 
 
 @dataclass
 class SelectionReport:
     rows: list
     alpha: float
+
+    @property
+    def kept(self):
+        """Indices of the selected columns, in column order."""
+        return [j for j, row in enumerate(self.rows) if row.selected]
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -266,40 +271,30 @@ def t_test(a, b, variant="Student"):
 # ---------------------------------------------------------------------------
 # the cascade
 
-def _route_column(a, b, cfg):
-    """Run the test cascade for one column; returns a SelectionRow sans name."""
+def _route_column(column, a, b, cfg):
+    """Run the test cascade for one column; a constant group is not
+    tested."""
+    row = SelectionRow(column)
     if float(np.var(a)) == 0.0 or float(np.var(b)) == 0.0:
-        return dict(normal_adhd=False, normal_td=False, variance_test="none",
-                    variance_p=float("nan"), homoscedastic=False,
-                    mean_test="Indeterminate", p_value=float("nan"),
-                    selected=False)
-    _, _, normal_a = dagostino_pearson(a, cfg.alpha)
-    _, _, normal_b = dagostino_pearson(b, cfg.alpha)
-    if normal_a and normal_b:
-        var_test = "Bartlett"
-        _, var_p = bartlett(a, b)
-    else:
-        var_test = "Levene"
-        _, var_p = levene(a, b)
-    homo = var_p >= cfg.alpha
-    if homo:
-        mean_test = "Student"
-    elif normal_a and normal_b:
-        mean_test = "Welch"
-    else:
-        return dict(normal_adhd=normal_a, normal_td=normal_b,
-                    variance_test=var_test, variance_p=var_p,
-                    homoscedastic=False, mean_test="Indeterminate",
-                    p_value=float("nan"), selected=False)
-    _, _, p = t_test(a, b, variant=mean_test)
-    return dict(normal_adhd=normal_a, normal_td=normal_b,
-                variance_test=var_test, variance_p=var_p, homoscedastic=homo,
-                mean_test=mean_test, p_value=p, selected=p < cfg.alpha)
+        return row
+    _, _, row.normal_adhd = dagostino_pearson(a, cfg.alpha)
+    _, _, row.normal_td = dagostino_pearson(b, cfg.alpha)
+    normal = row.normal_adhd and row.normal_td
+    row.variance_test = "Bartlett" if normal else "Levene"
+    _, row.variance_p = (bartlett if normal else levene)(a, b)
+    row.homoscedastic = row.variance_p >= cfg.alpha
+    if not (row.homoscedastic or normal):
+        return row  # indeterminate
+    row.mean_test = "Student" if row.homoscedastic else "Welch"
+    _, _, row.p_value = t_test(a, b, variant=row.mean_test)
+    row.selected = row.p_value < cfg.alpha
+    return row
 
 
-def _route_columns(values, labels, cfg):
-    """The cascade's route for every column of a subjects x columns array;
-    ValueError where a group is below the normality test's n=20 floor."""
+def _select(columns, values, labels, cfg):
+    """The cascade's report on every column of a subjects x columns array,
+    named by `columns`; ValueError where a group is below the normality
+    test's n=20 floor."""
     mask_a = labels == 1
     mask_b = labels == 0
     n_a, n_b = int(np.sum(mask_a)), int(np.sum(mask_b))
@@ -307,7 +302,9 @@ def _route_columns(values, labels, cfg):
         raise ValueError(
             "groups of %d/%d are below the n=20 validity floor of the "
             "normality test" % (n_a, n_b))
-    return [_route_column(col[mask_a], col[mask_b], cfg) for col in values.T]
+    return SelectionReport(
+        rows=[_route_column(name, col[mask_a], col[mask_b], cfg)
+              for name, col in zip(columns, values.T)], alpha=cfg.alpha)
 
 
 def select_features(matrix, cfg=SelectionConfig()):
@@ -317,12 +314,8 @@ def select_features(matrix, cfg=SelectionConfig()):
     Column order is preserved; the label column is always retained by
     construction (labels live outside the value block).
     """
-    routes = _route_columns(matrix.values, matrix.labels, cfg)
-    rows = [SelectionRow(column=name, **routed)
-            for name, routed in zip(matrix.column_names, routes)]
-    kept = [j for j, routed in enumerate(routes) if routed["selected"]]
-    report = SelectionReport(rows=rows, alpha=cfg.alpha)
-    return matrix.select_columns(kept), report
+    report = _select(matrix.column_names, matrix.values, matrix.labels, cfg)
+    return matrix.select_columns(report.kept), report
 
 
 def select_indices(values, labels):
@@ -331,5 +324,5 @@ def select_indices(values, labels):
 
     Used for in-fold selection where only training rows may be seen.
     """
-    routes = _route_columns(values, labels, SelectionConfig())
-    return [j for j, routed in enumerate(routes) if routed["selected"]]
+    return _select(map(str, range(values.shape[1])), values, labels,
+                   SelectionConfig()).kept

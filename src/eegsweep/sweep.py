@@ -269,10 +269,8 @@ def _kept_columns(table, cleaning_kind, chunk, channel):
     exception its selection raised."""
     pos = table.cells[cleaning_kind, chunk, channel]
     if pos not in table.kept:
-        table.kept[pos] = _attempt(lambda: [
-            j for j, row in enumerate(selection.select_features(feature_matrix(
-                table, cleaning_kind, chunk, [channel]))[1].rows)
-            if row.selected])
+        table.kept[pos] = _attempt(lambda: selection.select_features(
+            feature_matrix(table, cleaning_kind, chunk, [channel]))[1].kept)
     kept = table.kept[pos]
     if isinstance(kept, Exception):
         raise kept.with_traceback(None)

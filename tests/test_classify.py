@@ -265,6 +265,27 @@ def test_cv_drops_a_failing_grid_point():
         cross_validate(x, y, "knn", grid=({"k": 99}, {"k": 98}), seed=0)
 
 
+def test_cv_drops_an_out_of_range_knn_point():
+    # k=-1 scored 0.5 as a valid point
+    x, y = separable_blobs(n=20, seed=9)
+    with pytest.warns(UserWarning, match=r"\{'k': -1\} dropped: ValueError: "
+                      r"k must be an int >= 1"):
+        every = cross_validate(x, y, "knn", grid=({"k": -1}, {"k": 3}),
+                               seed=0, return_all=True)
+    assert isinstance(every[0].error, ValueError)
+    assert np.isnan(every[0].mean_accuracy)
+    assert every[1].error is None and every[1].mean_accuracy >= 0.95
+
+
+def test_gbt_train_scores_test_rows_only_when_watched():
+    x, y = separable_blobs(n=20, seed=9)
+    cfg = GbtConfig(max_depth=2, n_rounds=5)
+    model = gbt_train(x[:30], y[:30], cfg, eval_set=(x[30:], y[30:]),
+                      test_x=x[:4])
+    assert model.test_raw.shape == (4,)
+    assert gbt_train(x, y, cfg, test_x=x[:4]).test_raw is None
+
+
 def test_cv_null_labels_near_chance():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((60, 10))

@@ -323,10 +323,12 @@ def test_a_subject_id_that_leaves_the_out_directory_exits_2(
      "manifest key 'sample_rate_hz' is not a finite number: \"fast\""),
     ({"sample_rate_hz": "nan"},
      "manifest key 'sample_rate_hz' is not a finite number: \"nan\""),
+    ({"sample_rate_hz": 0},
+     "manifest key 'sample_rate_hz' must be positive, got 0"),
     ({"subjects": [{"id": "s", "label": 0, "path": 7}]},
      "s: path must be a string, got 7"),
 ], ids=["subjects_object", "subjects_empty", "subject_string",
-        "channels_number", "rate_list", "rate_word", "rate_nan",
+        "channels_number", "rate_list", "rate_word", "rate_nan", "rate_zero",
         "path_number"])
 def test_a_manifest_of_the_wrong_shape_exits_2(tmp_path, capsys, change,
                                                problem):
@@ -826,6 +828,19 @@ def test_train_importance_prints_what_it_printed_before(tmp_path, capsys):
         "  P3:e                         4.4860\n"
         "  P3:c                         3.9159\n"
         "  P3:b                         3.1610\n")
+
+
+def test_train_searches_the_config_grid(tmp_path, capsys):
+    # train searched the default grid whatever the grids block said
+    rng = np.random.default_rng(2)
+    labels = np.repeat([1, 0], 20)
+    values = rng.standard_normal((40, 3)) + 0.7 * labels[:, None]
+    FeatureMatrix(column_names=["P3:%s" % c for c in "abc"], values=values,
+                  labels=labels, subject_ids=[]).to_csv(tmp_path / "feat.csv")
+    assert main(["train", "--features", str(tmp_path / "feat.csv"),
+                 "--classifier", "knn", "--set",
+                 'grids={"knn": [{"k": 1}]}']) == 0
+    assert capsys.readouterr().out.endswith('best config {"k": 1}\n')
 
 
 def test_cpus_are_one_where_the_count_is_unknown(tmp_path, monkeypatch):

@@ -124,8 +124,13 @@ def test_bad_config_exits_1_before_the_cohort_loads(tmp_path, capsys, argv,
     ("features.energy_transition_hz=0", "energy_transition_hz must be > 0"),
     ("features.welch_nperseg=0", "welch_nperseg must be >= 1"),
     ("features.quantile=1.5", "quantile must be in [0, 1]"),
+    # 0 and 1 gave every row a Higuchi dimension of 1.0, -1 error rows
+    ("features.higuchi_kmax=1", "higuchi_kmax must be an int >= 2"),
+    ("features.higuchi_kmax=0", "higuchi_kmax must be an int >= 2"),
+    ("features.higuchi_kmax=-1", "higuchi_kmax must be an int >= 2"),
 ], ids=["app_entropy_m", "app_entropy_r", "hurst_min_window",
-        "energy_transition_hz", "welch_nperseg", "quantile"])
+        "energy_transition_hz", "welch_nperseg", "quantile", "higuchi_kmax_1",
+        "higuchi_kmax_0", "higuchi_kmax_negative"])
 def test_feature_range_check_exits_2_before_the_cohort_loads(
         tmp_path, capsys, setting, message):
     # the manifest does not exist: loading it would print another error
@@ -182,13 +187,32 @@ def test_config_file_refusals(tmp_path, capsys, doc, key):
     ('grids.gbt=[{"eta": 0.3}, {"eta": 0}]', "eta must be in (0, 1]"),
     ("fir.transition_low_hz=0", "transition_low_hz must be > 0"),
     ("fir.transition_high_hz=0", "transition_high_hz must be > 0"),
-], ids=["asr", "gbt_point", "fir_transition_low", "fir_transition_high"])
+    # each of these died or wrote wrong rows only once data had loaded
+    ("asr.calib_window_s=0", "calib_window_s must be > 0"),
+    ("asr.proc_window_s=0", "proc_window_s must be > 0"),
+    ('fir={"low_hz": 30, "high_hz": 10}', "low_hz must be in (0, high_hz)"),
+    ("fir.low_hz=0", "low_hz must be in (0, high_hz)"),
+    ('grids.knn=[{"k": -1}]', "k must be an int >= 1"),
+    ('grids.knn=[{"k": 0}]', "k must be an int >= 1"),
+    ('grids.knn=[{"k": 2.5}]', "k must be an int >= 1"),
+    ('grids.knn=[{"k": true}]', "k must be an int >= 1"),
+    ('grids.svm=[{"c": -1.0, "gamma_rbf": "scale"}]', "c must be > 0"),
+    ('grids.svm=[{"c": 1.0, "gamma_rbf": "auto"}]',
+     'gamma_rbf must be "scale" or > 0'),
+    ('grids.svm=[{"c": 1.0, "gamma_rbf": 0}]',
+     'gamma_rbf must be "scale" or > 0'),
+], ids=["asr", "gbt_point", "fir_transition_low", "fir_transition_high",
+        "asr_calib_window", "asr_proc_window", "fir_band_reversed",
+        "fir_low_zero", "knn_k_negative", "knn_k_zero", "knn_k_fraction",
+        "knn_k_bool", "svm_c_negative", "svm_gamma_word", "svm_gamma_zero"])
 def test_range_checks_of_the_dataclasses_keep_exit_2(tmp_path, capsys,
                                                      entry, message):
     code = main(["sweep", "--manifest", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "out"), "--set", entry])
     assert code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -324,8 +348,9 @@ def _outcome(build, cfg):
 
 
 # Any of these passes every range check but asr.proc_overlap's, which
-# needs (0, 1), and features.app_entropy_m's, which needs an int; both
-# readers must refuse the same draws.
+# needs (0, 1), features.app_entropy_m's and higuchi_kmax's, which need
+# an int, and fir's low_hz < high_hz; both readers must refuse the same
+# draws.
 NUMBER = st.integers(1, 50) | st.floats(0.01, 0.99)
 
 

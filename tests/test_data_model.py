@@ -194,6 +194,12 @@ _MANIFEST = {"sample_rate_hz": 128.0, "channels": list(CHANNELS_1020),
      + json.dumps(rate))
     for rate in ([128], "fast", None, True, "nan", "-Infinity")
 ] + [
+    # each subject reported "sample_rate_hz must be positive"
+    (dict(_MANIFEST, sample_rate_hz=rate),
+     "manifest key 'sample_rate_hz' must be positive, got "
+     + json.dumps(rate))
+    for rate in (0, -128.0, "-1")
+] + [
     (dict(_MANIFEST, subjects=[{"id": "s", "label": 0, "path": path}]),
      "s: path must be a string, got " + json.dumps(path))
     for path in (7, ["s.csv"], None)
@@ -201,8 +207,8 @@ _MANIFEST = {"sample_rate_hz": 128.0, "channels": list(CHANNELS_1020),
         "subjects_object", "subjects_empty", "subject_string", "id_escapes",
         "id_empty", "id_dot", "id_dotdot", "id_slash", "id_backslash",
         "id_number", "rate_list", "rate_word", "rate_null", "rate_true",
-        "rate_nan", "rate_infinite", "path_number", "path_list",
-        "path_null"])
+        "rate_nan", "rate_infinite", "rate_zero", "rate_negative",
+        "rate_negative_string", "path_number", "path_list", "path_null"])
 def test_manifest_of_the_wrong_shape_names_the_key_or_subject(
         tmp_path, doc, problem):
     # each was read as a subject id that leaves the directory, died with
