@@ -14,6 +14,7 @@ import contextlib
 import ctypes
 import glob
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features as _features
-from .data_model import CHANNELS_1020
+from .data_model import CHANNELS_1020, check_pair
 
 PIPELINE_KINDS = ("raw", "filtered", "asr", "ica")
 
@@ -57,6 +58,7 @@ class AsrParams:
                 raise ValueError("%s must be > 0" % name)
         if not 0.0 < self.proc_overlap < 1.0:
             raise ValueError("proc_overlap must be in (0, 1)")
+        check_pair("calib_z_bounds", self.calib_z_bounds)
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,9 @@ class LabelerThresholds:
     muscle_power: float = 0.6
     channel_dominance: float = 0.9
 
+    def __post_init__(self):
+        check_pair("muscle_band", self.muscle_band)
+
 
 @dataclass(frozen=True)
 class IcaParams:
@@ -80,6 +85,14 @@ class IcaParams:
     rng_seed: int = 0
     variance_coverage: float = 0.9999
     labeler: LabelerThresholds = LabelerThresholds()
+
+    def __post_init__(self):
+        # 0 iterations would return the random starting unmixing
+        for name, least in (("rng_seed", 0), ("max_iter", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    and not isinstance(value, bool) and value >= least):
+                raise ValueError("%s must be an int >= %d" % (name, least))
 
 
 @dataclass(frozen=True)

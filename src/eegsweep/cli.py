@@ -425,7 +425,8 @@ def cmd_train(args, cfg):
              json.dumps(result.best_config, sort_keys=True)))
     if args.importance:
         model, holdout, imp = classify.train_final(
-            matrix.values, matrix.labels, split_seed=args.seed,
+            matrix.values, matrix.labels,
+            classify.GbtConfig(**result.best_config), split_seed=args.seed,
             feature_names=matrix.column_names)
         print("holdout accuracy %.4f" % holdout)
         for name, gain in imp[:15]:
@@ -615,7 +616,7 @@ def build_parser():
     common(p)
     p.add_argument("--records", required=True, help="results.csv from sweep")
     p.add_argument("--group-by", default="cleaning")
-    p.add_argument("--reduce", default="max", choices=("max", "median"))
+    p.add_argument("--reduce", default="max", choices=tuple(report.REDUCTIONS))
     p.add_argument("--significance-factor",
                    help="column for pairwise Welch tests, e.g. cleaning")
     p.add_argument("--svg", action="store_true",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,6 +114,19 @@ class Recording:
             channel_names=self.channel_names,
             samples=samples,
         )
+
+
+def check_pair(name, pair, above=None):
+    """Raise ValueError unless `pair` is two numbers (not bools), the first
+    below the second and, where `above` is given, above it: the band and
+    range fields of the config blocks."""
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    for v in pair)
+            and pair[0] < pair[1] and (above is None or pair[0] > above)):
+        floor = "" if above is None else "above %g and " % above
+        raise ValueError("%s must be two numbers, the first %sbelow the "
+                         "second" % (name, floor))
 
 
 def validate_recording(rec):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dwt
-from .data_model import MIN_DURATION_S, read_csv_matrix
+from .data_model import MIN_DURATION_S, check_pair, read_csv_matrix
 
 #: Canonical feature order. Column names in matrices are "<CH>:<feature>".
 FEATURE_NAMES = (
@@ -87,6 +87,8 @@ class FeatureParams:
             raise ValueError("hurst_min_window must be >= 2")
         if not self.energy_transition_hz > 0.0:
             raise ValueError("energy_transition_hz must be > 0")
+        check_pair("total_band", self.total_band)
+        check_pair("psd_fit_range", self.psd_fit_range, above=0.0)
 
 
 DEFAULT_PARAMS = FeatureParams()
@@ -99,25 +101,15 @@ DEFAULT_PARAMS = FeatureParams()
 # that extract_channel builds, or the (rows, bins) PSD computed from it,
 # works along the last axis and returns per-row arrays. Each row gets the
 # bytes it gets in a stack of its own:
-# - reductions run along the last axis of C-contiguous arrays, so a row's
-#   pairwise sums do not depend on its neighbours (np.compress picks
-#   columns, since p[:, mask] is laid out column-major);
+# - reductions are numpy's own (sum, np.mean, np.var, np.std) along the
+#   last axis of C-contiguous arrays, so a row's pairwise sums do not
+#   depend on its neighbours (np.compress picks columns, since p[:, mask]
+#   is laid out column-major); the moments group centres each stack once
+#   for the variance, skewness and kurtosis;
 # - per-row scalar math stays in Python floats where it is `math.*` or
 #   `**`, since numpy's SIMD log, exp and power can differ in the last bit;
 # - a boolean selection of each row's entries is reduced per group of rows
 #   that select the same entries (_by_mask), each group as one stack.
-
-def _mean(a):
-    """np.mean along the last axis: the same sum and division, without
-    np.mean's call overhead, which a one-row stack pays in every group."""
-    return a.sum(axis=-1) / a.shape[-1]
-
-
-def _var(a, ddof=0):
-    """np.var along the last axis, computed as np.var computes it."""
-    d = a - _mean(a)[..., None]
-    return (d * d).sum(axis=-1) / (a.shape[-1] - ddof)
-
 
 def _by_mask(mask):
     """(mask row, row indices) for each distinct row of a (rows, n) boolean
@@ -148,7 +140,8 @@ def welch_psd(signal, fs, nperseg=DEFAULT_PARAMS.welch_nperseg,
     scale = 1.0 / (fs * np.sum(win ** 2))
     frames = np.lib.stride_tricks.sliding_window_view(
         signal, nperseg, axis=-1)[:, ::step].reshape(-1, nperseg)
-    spec = np.fft.rfft(win * (frames - _mean(frames)[:, None]), axis=-1)
+    frames = frames - np.mean(frames, axis=-1)[:, None]
+    spec = np.fft.rfft(win * frames, axis=-1)
     p = ((spec.real ** 2 + spec.imag ** 2) * scale).reshape(
         signal.shape[0], -1, spec.shape[-1])
     psd = p[:, 0]
@@ -188,9 +181,9 @@ def hjorth(signal):
     with dx the first difference, per row. A constant row gets (0, 0, 0).
     """
     dx = signal[:, 1:] - signal[:, :-1]
-    var_x = _var(signal)
-    var_dx = _var(dx)
-    var_ddx = _var(dx[:, 1:] - dx[:, :-1])
+    var_x = np.var(signal, axis=-1)
+    var_dx = np.var(dx, axis=-1)
+    var_ddx = np.var(dx[:, 1:] - dx[:, :-1], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         mobility = np.sqrt(var_dx / var_x)
         complexity = np.sqrt(var_ddx / var_dx) / mobility
@@ -237,9 +230,9 @@ def psd_fit(freqs, psd, f_range=DEFAULT_PARAMS.psd_fit_range):
 def _fit_rows(lf, lp):
     """(intercept, slope, mse, r2) x rows: the OLS fit of each row of lp
     on lf, both restricted to the usable bins."""
-    lp_mean = _mean(lp)
+    lp_mean = np.mean(lp, axis=-1)
     slope = _ols_slope(lf, lp)  # distinct frequencies: no zero division
-    intercept = lp_mean - slope * _mean(lf)
+    intercept = lp_mean - slope * np.mean(lf)
     resid = lp - (intercept[:, None] + slope[:, None] * lf)
     ss_res = (resid ** 2).sum(axis=-1)
     ss_tot = ((lp - lp_mean[:, None]) ** 2).sum(axis=-1)
@@ -335,14 +328,14 @@ def _curve_lengths(x, kmax):
                 body[:, :, longer:].transpose(0, 2, 1)).sum(axis=-1)
         m = np.arange(sums.shape[1])
         norm = (n - 1) / (k * ((n - 1 - m) // k))
-        lk[:, k - 1] = _mean(sums * norm / k)
+        lk[:, k - 1] = np.mean(sums * norm / k, axis=-1)
     return lk
 
 
 def _ols_slope(x, y):
     """OLS slope of y on x, for each row of y along its last axis."""
-    xm = x - _mean(x)
-    return ((xm * (y - _mean(y)[..., None])).sum(axis=-1)
+    xm = x - np.mean(x)
+    return ((xm * (y - np.mean(y, axis=-1)[..., None])).sum(axis=-1)
             / (xm ** 2).sum())
 
 
@@ -384,10 +377,10 @@ def app_entropy(signal, m=DEFAULT_PARAMS.app_entropy_m,
     """
     shift = -np.frexp(np.abs(signal).max(axis=-1, initial=0.0))[1]
     scaled = np.ldexp(signal, shift[:, None])
-    shift -= np.frexp(np.abs(scaled - _mean(scaled)[:, None]).max(
-        axis=-1, initial=0.0))[1]
+    deviation = np.abs(scaled - np.mean(scaled, axis=-1)[:, None])
+    shift -= np.frexp(deviation.max(axis=-1, initial=0.0))[1]
     signal = np.ldexp(signal, shift[:, None])
-    radii = (r_factor * np.sqrt(_var(signal, ddof=1))).tolist()
+    radii = (r_factor * np.std(signal, axis=-1, ddof=1)).tolist()
     out = np.array([_app_entropy_row(row, m, r)
                     for row, r in zip(signal, radii)])
     return out
@@ -505,7 +498,7 @@ def decorr_time(signal, fs):
     zero and 1/fs when it is constant.
     """
     n = signal.shape[1]
-    xm = signal - _mean(signal)[:, None]
+    xm = signal - np.mean(signal, axis=-1)[:, None]
     denom = (xm ** 2).sum(axis=-1)
     nfft = int(2 ** math.ceil(math.log2(2 * n)))
     spec = np.fft.rfft(xm, nfft, axis=-1)
@@ -545,7 +538,8 @@ def hurst_exp(signal, min_window=DEFAULT_PARAMS.hurst_min_window):
     """
     n = signal.shape[1]
     out = np.full(signal.shape[0], 0.5)
-    live = np.flatnonzero(_var(signal) != 0.0)  # np.std(x) == 0 exactly then
+    # np.std(x) == 0 exactly where the variance is 0
+    live = np.flatnonzero(np.var(signal, axis=-1) != 0.0)
     if n < 2 * min_window or not live.size:
         return out
     x = signal[live]
@@ -557,7 +551,7 @@ def hurst_exp(signal, min_window=DEFAULT_PARAMS.hurst_min_window):
             n_blocks = n // size
             blocks = np.ascontiguousarray(x[:, :n_blocks * size]).reshape(
                 live.size, n_blocks, size)
-            centered = blocks - _mean(blocks)[..., None]
+            centered = blocks - np.mean(blocks, axis=-1)[..., None]
             z = np.cumsum(centered, axis=-1)
             rng = z.max(axis=-1) - z.min(axis=-1)
             # the sample std of each block, as np.std(ddof=1) computes it
@@ -565,8 +559,9 @@ def hurst_exp(signal, min_window=DEFAULT_PARAMS.hurst_min_window):
             rs = np.zeros(live.size)  # 0: no block with spread
             for mask, rows in _by_mask(std > 0):
                 if mask.any():
-                    rs[rows] = _mean(np.compress(mask, rng[rows], axis=-1)
-                                     / np.compress(mask, std[rows], axis=-1))
+                    rs[rows] = np.mean(
+                        np.compress(mask, rng[rows], axis=-1)
+                        / np.compress(mask, std[rows], axis=-1), axis=-1)
             expected = math.log(_expected_rs(size))
             for r, value in enumerate(rs.tolist()):
                 if value > 0:
@@ -624,7 +619,7 @@ def band_energies(signal, fs,
            for edge in edges}
     out = np.empty((signal.shape[0], len(BANDS)))
     for i, (_, lo, hi) in enumerate(BANDS):
-        out[:, i] = _mean((low[hi] - low[lo]) ** 2)
+        out[:, i] = np.mean((low[hi] - low[lo]) ** 2, axis=-1)
     return out
 
 
@@ -655,31 +650,35 @@ def wavelet_features(signal):
     tkeo_stats = np.empty((signal.shape[0], 14))
     for level, band in enumerate(map(np.array, zip(*per_row))):
         if level < 6:
-            energies[:, level] = _mean(band ** 2)
+            energies[:, level] = np.mean(band ** 2, axis=-1)
         tk = teager_kaiser(band)
-        tkeo_stats[:, 2 * level] = _mean(tk)
-        tkeo_stats[:, 2 * level + 1] = np.sqrt(_var(tk, ddof=1))
+        tkeo_stats[:, 2 * level] = np.mean(tk, axis=-1)
+        tkeo_stats[:, 2 * level + 1] = np.std(tk, axis=-1, ddof=1)
     return energies, tkeo_stats
 
 
 # ---------------------------------------------------------------------------
 # moments with degenerate-input sentinels
 
-def skewness(signal):
-    xm = signal - _mean(signal)[:, None]
-    # 0 for a constant row, or one so small that the power underflows
-    denom = [m2 ** 1.5 for m2 in _mean(xm ** 2).tolist()]
-    return np.array([0.0 if d == 0.0 else m3 / d
-                     for d, m3 in zip(denom, _mean(xm ** 3).tolist())])
+def moments(signal):
+    """(variance, skewness, kurtosis) of each row, from one centring.
 
+    The variance is the sample variance (ddof 1), with np.var's bytes;
+    skewness is m3 / m2^1.5 and kurtosis the Pearson (non-excess)
+    m4 / m2^2, 3 for a normal distribution, with m_k the k-th central
+    moment. Both read 0 for a constant row, or one so small that the
+    power of m2 underflows.
+    """
+    xm = signal - np.mean(signal, axis=-1)[:, None]
+    ss = (xm * xm).sum(axis=-1)
+    m2 = (ss / xm.shape[-1]).tolist()
 
-def kurtosis(signal):
-    """Pearson (non-excess) kurtosis; 3 for a normal distribution."""
-    xm = signal - _mean(signal)[:, None]
-    # 0 for a constant row, or one so small that the power underflows
-    denom = [m2 ** 2 for m2 in _mean(xm ** 2).tolist()]
-    return np.array([0.0 if d == 0.0 else m4 / d
-                     for d, m4 in zip(denom, _mean(xm ** 4).tolist())])
+    def standardized(k, power):
+        denom = [m ** power for m in m2]
+        return np.array([0.0 if d == 0.0 else mk / d for d, mk in zip(
+            denom, np.mean(xm ** k, axis=-1).tolist())])
+
+    return ss / (xm.shape[-1] - 1), standardized(3, 1.5), standardized(4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -706,13 +705,11 @@ def extract_channel(signal, fs, params=DEFAULT_PARAMS):
         raise ValueError("signal contains non-finite values")
 
     out = np.empty((x.shape[0], N_FEATURES))
-    out[:, 0] = _mean(x)
-    out[:, 1] = _var(x, ddof=1)
+    out[:, 0] = np.mean(x, axis=-1)
+    out[:, 1], out[:, 4], out[:, 5] = moments(x)
     out[:, 2] = np.sqrt(out[:, 1])  # np.std's bytes: the root of np.var's
     out[:, 3] = x.max(axis=-1) - x.min(axis=-1)
-    out[:, 4] = skewness(x)
-    out[:, 5] = kurtosis(x)
-    out[:, 6] = np.sqrt(_mean(x ** 2))
+    out[:, 6] = np.sqrt(np.mean(x ** 2, axis=-1))
     out[:, 7] = np.quantile(x, params.quantile, axis=-1)
 
     freqs, psd = welch_psd(x, fs, nperseg=params.welch_nperseg,
@@ -725,7 +722,7 @@ def extract_channel(signal, fs, params=DEFAULT_PARAMS):
     _, out[:, 11], out[:, 12] = hjorth(x)
     out[:, 13], out[:, 14] = fractal(x, kmax=params.higuchi_kmax)
     out[:, 15] = zero_crossings(x)
-    out[:, 16] = _mean(np.abs(x[:, 1:] - x[:, :-1]))
+    out[:, 16] = np.mean(np.abs(x[:, 1:] - x[:, :-1]), axis=-1)
 
     out[:, 17:21] = band_powers(freqs, psd, total_band=params.total_band)
     out[:, 21], out[:, 22] = hjorth_spect(freqs, psd)

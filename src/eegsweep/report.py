@@ -90,17 +90,22 @@ def mark_significance(records, factor, pairs):
     return out
 
 
+#: The reductions of a channel's accuracies that topomap_data takes.
+REDUCTIONS = {"max": np.max, "median": np.median}
+
+
 def topomap_data(records, reduce="max"):
     """Per-channel aggregated accuracy with head coordinates.
 
     A channel aggregates every record whose channel subset contains it.
     Returns rows (channel, x, y, value); channels with no records are
-    omitted. reduce is "max" or "median".
+    omitted. reduce names one of REDUCTIONS.
     """
-    if reduce not in ("max", "median"):
-        raise ValueError("reduce must be 'max' or 'median'")
+    if reduce not in REDUCTIONS:
+        raise ValueError("reduce must be %s"
+                         % " or ".join(map(repr, REDUCTIONS)))
     per_channel = _accuracies_by(records, lambda rec: rec.channels.split("-"))
-    fn = np.max if reduce == "max" else np.median
+    fn = REDUCTIONS[reduce]
     rows = []
     for ch in CHANNELS_1020:
         if ch not in per_channel:

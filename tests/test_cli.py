@@ -12,7 +12,7 @@ import pytest
 import scipy
 
 import eegsweep
-from eegsweep import classify, cleaning, cli, sweep
+from eegsweep import classify, cleaning, cli, report, sweep
 from eegsweep.cleaning import CleaningPipeline
 from eegsweep.cli import main
 from eegsweep.data_model import CHANNELS_1020, load_cohort, write_cohort
@@ -653,6 +653,19 @@ def test_report_on_a_csv_that_is_not_a_results_table_exits_2(tmp_path,
     assert not (tmp_path / "rep").exists()
 
 
+def test_report_reduce_takes_the_reductions_report_declares(capsys):
+    # the choices were written out twice, in the parser and in
+    # report.topomap_data's check
+    parser = cli.build_parser()
+    for name in report.REDUCTIONS:
+        assert parser.parse_args(["report", "--records", "r.csv", "--out",
+                                  "o", "--reduce", name]).reduce == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["report", "--records", "r.csv", "--out", "o",
+                           "--reduce", "mean"])
+    assert "invalid choice: 'mean'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row", [
     "0.5,0,raw,1/1,P3",
     "0.5,0,raw,1/1,P3,knn,No,{},,0.9",
@@ -807,27 +820,59 @@ def test_train_on_a_selection_that_keeps_no_column_exits_2(
     assert captured.out == ""
 
 
-def test_train_importance_prints_what_it_printed_before(tmp_path, capsys):
-    # recorded when the holdout was still scored by a second tree walk
-    # over the returned model; the engine's routed holdout rows must give
-    # the same accuracy, and the fit the same gains
+def _importance_matrix(tmp_path):
+    """A 20 + 20-subject, 5-column feature matrix, written to feat.csv,
+    where cross-validation picks max_depth 3 and gamma 1.0."""
     rng = np.random.default_rng(2)
     labels = np.repeat([1, 0], 20)
     values = np.round(rng.standard_normal((40, 5)), 1)
     values[:, :2] += 0.7 * labels[:, None]
-    FeatureMatrix(column_names=["P3:%s" % c for c in "abcde"], values=values,
-                  labels=labels, subject_ids=[]).to_csv(tmp_path / "feat.csv")
-    assert main(["train", "--features", str(tmp_path / "feat.csv"),
-                 "--classifier", "gbt", "--importance", "--seed", "3"]) == 0
-    assert capsys.readouterr().out == (
-        "classifier=gbt folds=0.6250,0.7500,0.6250,0.8750,0.6250\n"
-        "mean accuracy 0.7000 +- 0.1118, best config "
-        "{\"eta\": 0.3, \"gamma\": 1.0, \"max_depth\": 3}\n"
+    matrix = FeatureMatrix(column_names=["P3:%s" % c for c in "abcde"],
+                           values=values, labels=labels, subject_ids=[])
+    matrix.to_csv(tmp_path / "feat.csv")
+    return matrix
+
+
+def _holdout_lines(matrix, cfg):
+    """What train --importance --seed 3 prints of train_final's fit."""
+    _, holdout, imp = classify.train_final(
+        matrix.values, matrix.labels, cfg, split_seed=3,
+        feature_names=matrix.column_names)
+    return "holdout accuracy %.4f\n" % holdout + "".join(
+        "  %-28s %.4f\n" % (name, gain) for name, gain in imp[:15])
+
+
+def test_train_importance_prints_what_it_printed_before(tmp_path, capsys):
+    # recorded when the holdout was still scored by a second tree walk
+    # over the returned model; the engine's routed holdout rows must give
+    # the same accuracy, and the default fit the same gains
+    matrix = _importance_matrix(tmp_path)
+    assert _holdout_lines(matrix, classify.GbtConfig()) == (
         "holdout accuracy 0.8750\n"
         "  P3:a                         5.5012\n"
         "  P3:e                         4.4860\n"
         "  P3:c                         3.9159\n"
         "  P3:b                         3.1610\n")
+    assert main(["train", "--features", str(tmp_path / "feat.csv"),
+                 "--classifier", "gbt", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "classifier=gbt folds=0.6250,0.7500,0.6250,0.8750,0.6250\n"
+        "mean accuracy 0.7000 +- 0.1118, best config "
+        "{\"eta\": 0.3, \"gamma\": 1.0, \"max_depth\": 3}\n")
+
+
+def test_train_importance_fits_the_chosen_grid_point(tmp_path, capsys):
+    # the holdout model was fitted at GbtConfig() defaults, whatever
+    # cross-validation chose
+    matrix = _importance_matrix(tmp_path)
+    assert main(["train", "--features", str(tmp_path / "feat.csv"),
+                 "--classifier", "gbt", "--importance", "--seed", "3"]) == 0
+    out = capsys.readouterr().out.split("\n", 2)
+    assert out[1].endswith('{"eta": 0.3, "gamma": 1.0, "max_depth": 3}')
+    chosen = _holdout_lines(matrix, classify.GbtConfig(
+        eta=0.3, gamma=1.0, max_depth=3))
+    assert chosen != _holdout_lines(matrix, classify.GbtConfig())
+    assert out[2] == chosen
 
 
 def test_train_searches_the_config_grid(tmp_path, capsys):

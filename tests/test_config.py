@@ -128,9 +128,22 @@ def test_bad_config_exits_1_before_the_cohort_loads(tmp_path, capsys, argv,
     ("features.higuchi_kmax=1", "higuchi_kmax must be an int >= 2"),
     ("features.higuchi_kmax=0", "higuchi_kmax must be an int >= 2"),
     ("features.higuchi_kmax=-1", "higuchi_kmax must be an int >= 2"),
+    # an IndexError traceback, or NaN in every psd_fit column
+    ("features.total_band=[40]",
+     "total_band must be two numbers, the first below the second"),
+    ("features.total_band=[40, 0.5]",
+     "total_band must be two numbers, the first below the second"),
+    ('features.total_band=["0.5", 40]',
+     "total_band must be two numbers, the first below the second"),
+    ("features.psd_fit_range=[]", "psd_fit_range must be two numbers, "
+     "the first above 0 and below the second"),
+    ("features.psd_fit_range=[0, 40]", "psd_fit_range must be two numbers, "
+     "the first above 0 and below the second"),
 ], ids=["app_entropy_m", "app_entropy_r", "hurst_min_window",
         "energy_transition_hz", "welch_nperseg", "quantile", "higuchi_kmax_1",
-        "higuchi_kmax_0", "higuchi_kmax_negative"])
+        "higuchi_kmax_0", "higuchi_kmax_negative", "total_band_one_number",
+        "total_band_reversed", "total_band_string", "psd_fit_range_empty",
+        "psd_fit_range_from_0"])
 def test_feature_range_check_exits_2_before_the_cohort_loads(
         tmp_path, capsys, setting, message):
     # the manifest does not exist: loading it would print another error
@@ -201,10 +214,22 @@ def test_config_file_refusals(tmp_path, capsys, doc, key):
      'gamma_rbf must be "scale" or > 0'),
     ('grids.svm=[{"c": 1.0, "gamma_rbf": 0}]',
      'gamma_rbf must be "scale" or > 0'),
+    # a TypeError traceback, or numpy's error, once the cohort was cleaned
+    ("ica.rng_seed=2.5", "rng_seed must be an int >= 0"),
+    ("ica.rng_seed=-1", "rng_seed must be an int >= 0"),
+    ("ica.max_iter=2.5", "max_iter must be an int >= 1"),
+    ("ica.max_iter=0", "max_iter must be an int >= 1"),
+    ("asr.calib_z_bounds=[1]",
+     "calib_z_bounds must be two numbers, the first below the second"),
+    ("ica.labeler.muscle_band=[1]",
+     "muscle_band must be two numbers, the first below the second"),
 ], ids=["asr", "gbt_point", "fir_transition_low", "fir_transition_high",
         "asr_calib_window", "asr_proc_window", "fir_band_reversed",
         "fir_low_zero", "knn_k_negative", "knn_k_zero", "knn_k_fraction",
-        "knn_k_bool", "svm_c_negative", "svm_gamma_word", "svm_gamma_zero"])
+        "knn_k_bool", "svm_c_negative", "svm_gamma_word", "svm_gamma_zero",
+        "ica_seed_fraction", "ica_seed_negative", "ica_max_iter_fraction",
+        "ica_max_iter_zero", "asr_z_bounds_one_number",
+        "muscle_band_one_number"])
 def test_range_checks_of_the_dataclasses_keep_exit_2(tmp_path, capsys,
                                                      entry, message):
     code = main(["sweep", "--manifest", str(tmp_path / "missing.json"),
@@ -348,9 +373,10 @@ def _outcome(build, cfg):
 
 
 # Any of these passes every range check but asr.proc_overlap's, which
-# needs (0, 1), features.app_entropy_m's and higuchi_kmax's, which need
-# an int, and fir's low_hz < high_hz; both readers must refuse the same
-# draws.
+# needs (0, 1), features.app_entropy_m's and higuchi_kmax's and ica's
+# rng_seed and max_iter, which need an int, fir's low_hz < high_hz and
+# the first number of each pair below the second; both readers must
+# refuse the same draws.
 NUMBER = st.integers(1, 50) | st.floats(0.01, 0.99)
 
 
