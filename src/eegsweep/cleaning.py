@@ -201,13 +201,13 @@ def asr_calibrate(rec, params=AsrParams()):
             % int(accepted.sum()))
     calib = windows[:, accepted, :].reshape(x.shape[0], -1)
 
-    cov = calib @ calib.T / calib.shape[1]
+    cov = np.dot(calib, calib.T) / calib.shape[1]
     evals, evecs = np.linalg.eigh(cov)
     evals = np.clip(evals, 0.0, None)
-    mixing_sqrt = (evecs * np.sqrt(evals)) @ evecs.T
+    mixing_sqrt = np.dot(evecs * np.sqrt(evals), evecs.T)
 
     # per-direction RMS statistics over sliding processing-sized windows
-    comp = evecs.T @ calib
+    comp = np.dot(evecs.T, calib)
     pwin = int(round(params.proc_window_s * fs))
     hop = max(1, int(round(pwin * (1.0 - params.proc_overlap))))
     starts = _window_starts(comp.shape[1], pwin, hop)
@@ -250,16 +250,18 @@ def asr_process(rec, model, params=AsrParams()):
     weight = np.zeros(n)
     for s in starts:
         seg = x[:, s:s + win]
+        # @, not np.dot: np.dot gives other bytes on this strided window
         cov = seg @ seg.T / win
         evals, v = np.linalg.eigh(cov)
         # calibration RMS thresholds projected onto the window directions,
         # squared to compare against variances
-        proj = (thr[:, None] * (u.T @ v)) ** 2
+        proj = (thr[:, None] * np.dot(u.T, v)) ** 2
         flagged = evals > proj.sum(axis=0)
         if flagged.any():
             keep_rows = v.T[~flagged]
-            recon = m @ np.linalg.pinv(keep_rows @ m) @ keep_rows
-            seg = recon @ seg
+            recon = np.dot(np.dot(m, np.linalg.pinv(np.dot(keep_rows, m))),
+                           keep_rows)
+            seg = np.dot(recon, seg)
         out[:, s:s + win] += seg * fade
         weight[s:s + win] += fade
     covered = weight > 0
@@ -334,9 +336,9 @@ def _one_blas_thread():
 
 
 def _sym_decorrelate(w):
-    s, u = np.linalg.eigh(w @ w.T)
+    s, u = np.linalg.eigh(np.dot(w, w.T))
     s = np.clip(s, 1e-12, None)
-    return (u / np.sqrt(s)) @ u.T @ w
+    return np.dot(np.dot(u / np.sqrt(s), u.T), w)
 
 
 @_one_blas_thread()
@@ -358,7 +360,7 @@ def ica_decompose(rec, params=IcaParams()):
             "recording has %d samples; ICA is better conditioned with >= %d"
             % (n_t, min_t), stacklevel=3)  # past the pin's wrapper
 
-    cov = x @ x.T / n_t
+    cov = np.dot(x, x.T) / n_t
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = np.clip(evals[order], 0.0, None)
@@ -370,20 +372,23 @@ def ica_decompose(rec, params=IcaParams()):
     k = int(np.searchsorted(cum, params.variance_coverage) + 1)
     k = min(k, n_ch)
     whiten = evecs[:, :k].T / np.sqrt(evals[:k])[:, None]  # k x channels
-    z = whiten @ x
+    z = np.dot(whiten, x)
 
     rng = np.random.default_rng(params.rng_seed)
     w = _sym_decorrelate(rng.standard_normal((k, k)))
     converged = False
-    # the two k x samples arrays of every iteration, written in place
+    # the two k x samples arrays of every iteration, written in place.
+    # Products go through np.dot, which releases the interpreter lock:
+    # np.matmul holds it for g @ z.T on numpy 2.4, so the table's threads
+    # could not run two subjects' FastICA at once. The bytes are the same.
     g = np.empty_like(z)
     g_prime = np.empty_like(z)
     for _ in range(params.max_iter):
-        np.matmul(w, z, out=g)
+        np.dot(w, z, out=g)
         np.tanh(g, out=g)
         np.square(g, out=g_prime)
         np.subtract(1.0, g_prime, out=g_prime)
-        w_new = (g @ z.T) / n_t - g_prime.mean(axis=1)[:, None] * w
+        w_new = np.dot(g, z.T) / n_t - g_prime.mean(axis=1)[:, None] * w
         w_new = _sym_decorrelate(w_new)
         delta = float(np.max(np.abs(np.abs(np.einsum(
             "ij,ij->i", w_new, w)) - 1.0)))
@@ -392,9 +397,9 @@ def ica_decompose(rec, params=IcaParams()):
             converged = True
             break
 
-    unmixing = w @ whiten
+    unmixing = np.dot(w, whiten)
     mixing = np.linalg.pinv(unmixing)
-    sources = unmixing @ x
+    sources = np.dot(unmixing, x)
     return IcaDecomposition(unmixing=unmixing, mixing=mixing,
                             sources=sources, converged=converged)
 
@@ -460,7 +465,8 @@ def ica_reconstruct(rec, decomp, keep):
     keeping none yields all zeros. Metadata comes from `rec`.
     """
     keep = np.asarray(keep, dtype=bool)
-    return rec.with_samples(decomp.mixing[:, keep] @ decomp.sources[keep])
+    return rec.with_samples(np.dot(decomp.mixing[:, keep],
+                                   decomp.sources[keep]))
 
 
 # ---------------------------------------------------------------------------

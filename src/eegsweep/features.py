@@ -375,15 +375,20 @@ def app_entropy(signal, m=DEFAULT_PARAMS.app_entropy_m,
     constant row (radius 0) gets the sentinel 0; a non-finite sample
     (radius NaN) raises ValueError.
     """
-    shift = -np.frexp(np.abs(signal).max(axis=-1, initial=0.0))[1]
+    shift = _unit_shift(signal)
     scaled = np.ldexp(signal, shift[:, None])
-    deviation = np.abs(scaled - np.mean(scaled, axis=-1)[:, None])
-    shift -= np.frexp(deviation.max(axis=-1, initial=0.0))[1]
+    shift += _unit_shift(scaled - np.mean(scaled, axis=-1)[:, None])
     signal = np.ldexp(signal, shift[:, None])
     radii = (r_factor * np.std(signal, axis=-1, ddof=1)).tolist()
     out = np.array([_app_entropy_row(row, m, r)
                     for row, r in zip(signal, radii)])
     return out
+
+
+def _unit_shift(signal):
+    """Per row, the power of two whose ldexp (exact) brings the largest
+    |sample| into [0.5, 1); 0 for an empty or all-zero row."""
+    return -np.frexp(np.abs(signal).max(axis=-1, initial=0.0))[1]
 
 
 def _app_entropy_row(x, m, r):
@@ -667,11 +672,21 @@ def moments(signal):
     skewness is m3 / m2^1.5 and kurtosis the Pearson (non-excess)
     m4 / m2^2, 3 for a normal distribution, with m_k the k-th central
     moment. Both read 0 for a constant row, or one so small that the
-    power of m2 underflows.
+    power of m2 underflows. Neither depends on scale, so a row whose
+    m2 * m2 overflows takes them on the row times the power of two
+    (exact) that brings its largest |sample| into [0.5, 1), as
+    app_entropy's first step does; its variance is left as it is.
     """
     xm = signal - np.mean(signal, axis=-1)[:, None]
     ss = (xm * xm).sum(axis=-1)
-    m2 = (ss / xm.shape[-1]).tolist()
+    m2 = ss / xm.shape[-1]
+    wide = [i for i, m in enumerate(m2.tolist()) if m * m == math.inf]
+    if wide:
+        rows = signal[wide]
+        rows = np.ldexp(rows, _unit_shift(rows)[:, None])
+        xm[wide] = rows - np.mean(rows, axis=-1)[:, None]
+        m2[wide] = (xm[wide] * xm[wide]).sum(axis=-1) / xm.shape[-1]
+    m2 = m2.tolist()
 
     def standardized(k, power):
         denom = [m ** power for m in m2]

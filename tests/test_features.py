@@ -471,6 +471,17 @@ def test_moments_of_a_signal_whose_powers_underflow():
     assert np.all(np.isfinite(F.extract_channel(x, FS)))
 
 
+@pytest.mark.parametrize("k", [256, 260, 500])
+def test_moments_of_a_signal_whose_m2_squared_overflows(k):
+    # m2 ** 2 overflows from k = 256; the moments do not depend on scale
+    x = np.random.default_rng(4).standard_normal(512)
+    cols = [F.FEATURE_NAMES.index(name) for name in ("skewness", "kurtosis")]
+    want = F.extract_channel(x, FS)[cols]
+    got = F.extract_channel(2.0 ** k * x, FS)[cols]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert one_row(F.moments, 2.0 ** k * x)[1:] == tuple(got)
+
+
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, st.integers(int(2 * FS), 1200),
                   elements=st.floats(-1e3, 1e3)))

@@ -6,9 +6,15 @@ recording decomposes to other bytes on one thread than on two), so
 `ica_decompose` runs on one OpenBLAS thread whatever its caller set, and
 the reference runs under the same pin. `ica_decompose` is called both
 under the process default and under an outer pin.
+
+Its products go through np.dot, which releases the interpreter lock, so
+two threads' FastICA run their OpenBLAS calls at once; each must still
+give the bytes it gives alone.
 """
 
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
@@ -113,3 +119,28 @@ def test_ica_bytes_do_not_depend_on_the_callers_thread_count():
         assert getattr(free, field).tobytes() \
             == getattr(pinned, field).tobytes(), field
     assert free.converged is pinned.converged
+
+
+def test_concurrent_decompositions_give_the_serial_bytes():
+    # Two calls start together on two threads, under the outer pin that
+    # sweep.feature_vectors holds around its pool. On one CPU the threads
+    # interleave instead, which is also a case to cover.
+    jobs = [(artifact_recording(), IcaParams(rng_seed=0, max_iter=12)),
+            (rank_deficient(), IcaParams(rng_seed=0))]
+    barrier = threading.Barrier(len(jobs))
+
+    def together(rec, params):
+        barrier.wait()
+        return ica_decompose(rec, params)
+
+    with _one_blas_thread():
+        serial = [ica_decompose(rec, params) for rec, params in jobs]
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            running = [pool.submit(together, *job) for job in jobs]
+            concurrent = [future.result() for future in running]
+    for got, want in zip(concurrent, serial):
+        for field in ("unmixing", "mixing", "sources"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape, field
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), field
+        assert got.converged is want.converged
