@@ -15,6 +15,7 @@ import ctypes
 import glob
 import math
 import numbers
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -316,23 +317,38 @@ def _openblas():
     return None
 
 
+# OpenBLAS's thread count is process-wide, so _one_blas_thread counts its
+# open pins process-wide too, with the count the first of them found
+_PIN_LOCK = threading.Lock()
+_pins = {"open": 0, "found": None}
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """numpy's OpenBLAS on one thread for the block, and the count it had
     restored afterwards. The largest product here is 19 x 19 x samples:
     a second thread gains it no wall time and busy-waits between
-    FastICA's iterations, about doubling a cleaning's CPU time."""
+    FastICA's iterations, about doubling a cleaning's CPU time. The count
+    is process-wide, so pins nest and overlap across threads: the first
+    to open saves the count and pins it, and the last to close restores
+    it."""
     blas = _openblas()
     if blas is None:
         yield
         return
     get, put = blas
-    before = get()
-    put(1)
+    with _PIN_LOCK:
+        if not _pins["open"]:
+            _pins["found"] = get()
+            put(1)
+        _pins["open"] += 1
     try:
         yield
     finally:
-        put(before)
+        with _PIN_LOCK:
+            _pins["open"] -= 1
+            if not _pins["open"]:
+                put(_pins["found"])
 
 
 def _sym_decorrelate(w):

@@ -259,12 +259,20 @@ def _blas_name():
     return "%s %s" % (blas.get("name"), blas.get("version"))
 
 
+def _peak_rss_mb(usage):
+    """A getrusage peak in MB (ru_maxrss is KiB on Linux, bytes on
+    macOS)."""
+    return round(usage.ru_maxrss / (
+        1024.0 ** 2 if sys.platform == "darwin" else 1024.0), 1)
+
+
 def write_provenance(out_dir, args, cfg):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     canon = json.dumps(cfg["merged"], sort_keys=True)
     # null where the platform has no resource module
     usage = resource and resource.getrusage(resource.RUSAGE_SELF)
+    children = resource and resource.getrusage(resource.RUSAGE_CHILDREN)
     doc = {
         "command": args.command,
         "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
@@ -279,10 +287,16 @@ def write_provenance(out_dir, args, cfg):
         "blas": _blas_name(),
         # null where numpy bundles no OpenBLAS to count
         "blas_threads": _blas_threads(),
-        # this process's peak, import included, up to this write (KiB on
-        # Linux, bytes on macOS); sweep workers are not counted
-        "peak_rss_mb": usage and round(usage.ru_maxrss / (
-            1024.0 ** 2 if sys.platform == "darwin" else 1024.0), 1),
+        # the sweep's spec processes; null for the other commands
+        "jobs": getattr(args, "jobs", None),
+        # this process's peak, import included, up to this write; its
+        # children are not counted
+        "peak_rss_mb": usage and _peak_rss_mb(usage),
+        # this process's waited-for children so far, a sweep's spec
+        # processes among them: the largest one's peak, and their CPU
+        "workers_peak_rss_mb": children and _peak_rss_mb(children),
+        "workers_cpu_s": children and round(
+            children.ru_utime + children.ru_stime, 3),
         # null where the C library takes no mallopt
         "malloc_thresholds": _keep_freed_heap(),
         "minor_faults": usage and usage.ru_minflt,
@@ -444,7 +458,9 @@ def cmd_train(args, cfg):
 
 
 def cmd_sweep(args, cfg):
-    if args.jobs < 1:
+    if args.jobs is None:  # the feature table's width
+        args.jobs = sweep._usable_cpus()
+    elif args.jobs < 1:
         _fail("--jobs", "expected at least 1, got %d", args.jobs)
     cohort = load_cohort(args.manifest)
     specs = sweep.enumerate_space(cfg["space"])
@@ -598,7 +614,9 @@ def build_parser():
     p.add_argument("--space", help="JSON sweep-space config (same format "
                                    "as --config)")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int,
+                   help="processes that cross-validate the specs "
+                        "(default: the usable CPUs; 1 runs them here)")
     p.add_argument("--resume", action="store_true",
                    help="use/continue a checkpoint under OUT/checkpoint")
     p.add_argument("--expand-grid", action="store_true",

@@ -157,8 +157,8 @@ def feature_vectors(cohort, cells, pipeline, params):
     (`_usable_cpus`), with at most one walk and one stack per thread
     waiting to be read; FastICA, FIR and the feature kernels spend most
     of their time in numpy, out of the GIL. The table does not depend on
-    the pool's width. The whole pool runs on one OpenBLAS thread, so that
-    no stage's own pin can hand another thread's FastICA a second one.
+    the pool's width. The whole pool runs on one OpenBLAS thread, ASR and
+    the feature kernels as well as the FastICA that pins itself.
     """
     index = {cell: pos for pos, cell in enumerate(dict.fromkeys(cells))}
     plan = {}
@@ -425,6 +425,9 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
     which reads the table alone (not the cohort); each process selects
     a cell at most once, for the first spec that needs it. Per-spec
     seeds are content-derived, so parallelism never changes results.
+    `jobs` defaults to 1, which runs every spec in this process, where
+    an in-process caller's patches and counters see it; `eegsweep
+    sweep` passes the usable-CPU count unless --jobs says otherwise.
     With expand_grid, one record per (spec, grid point) is emitted
     instead of one best-config record per spec.
     """

@@ -1,9 +1,13 @@
 import json
+import multiprocessing
 import os
 import platform
 import resource
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,6 +59,14 @@ def test_synth_writes_cohort_and_truth(synth_dir):
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
     assert 0 < prov["minor_faults"] \
         <= resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    # synth starts no spec processes; its waited-for children so far
+    # cannot exceed the ones counted now
+    assert prov["jobs"] is None
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert 0.0 <= prov["workers_peak_rss_mb"] \
+        <= round(children.ru_maxrss / 1024.0, 1)
+    assert 0.0 <= prov["workers_cpu_s"] \
+        <= round(children.ru_utime + children.ru_stime, 3)
     # glibc's thresholds and arena count, fixed for the process; null
     # without mallopt
     assert prov["malloc_thresholds"] == (
@@ -70,6 +82,8 @@ def test_provenance_peak_rss_without_resource_module(tmp_path, monkeypatch):
                  "--duration", "2", "--seed", "3"]) == 0
     prov = json.loads((out / "provenance.json").read_text())
     assert prov["peak_rss_mb"] is None and prov["minor_faults"] is None
+    assert prov["workers_peak_rss_mb"] is None
+    assert prov["workers_cpu_s"] is None
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -131,6 +145,61 @@ def test_one_blas_thread_restores_the_count_it_found(monkeypatch):
             assert fake.threads == 1
             raise RuntimeError("command failed")
     assert fake.threads == 6 and fake.calls == [1, 6, 1, 6]
+
+
+def test_overlapping_blas_pins_restore_the_count_they_found(monkeypatch):
+    # The first pin closes while the second is open: the second must stay
+    # pinned, and the count the first found must come back at the end. A
+    # pin that restores what it read on entry lifted the second pin to 6
+    # and then left OpenBLAS at 1.
+    fake = _FakeBlas(6)
+    monkeypatch.setattr(cleaning, "_openblas", lambda: (fake.get, fake.put))
+    barrier = threading.Barrier(2, timeout=30)
+    seen = []
+
+    def first():
+        with cli._one_blas_thread():
+            barrier.wait()  # pinned
+            barrier.wait()  # the second is pinned too
+        barrier.wait()  # closed
+
+    def second():
+        barrier.wait()
+        with cli._one_blas_thread():
+            barrier.wait()
+            barrier.wait()
+            seen.append(fake.threads)
+
+    with ThreadPoolExecutor(2) as pool:
+        for job in [pool.submit(first), pool.submit(second)]:
+            job.result()
+    assert seen == [1] and fake.threads == 6 and fake.calls == [1, 6]
+
+
+def test_blas_pins_on_many_threads_hold_and_restore(monkeypatch):
+    # more threads than cores, switching every microsecond: every read
+    # inside a pin is 1, and the count found comes back at the end
+    fake = _FakeBlas(6)
+    monkeypatch.setattr(cleaning, "_openblas", lambda: (fake.get, fake.put))
+    interval = sys.getswitchinterval()
+
+    def pin_often():
+        reads = set()
+        for _ in range(300):
+            with cli._one_blas_thread():
+                reads.add(fake.threads)
+                time.sleep(0)  # let another thread open or close a pin
+                reads.add(fake.threads)
+        return reads
+
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            jobs = [pool.submit(pin_often) for _ in range(8)]
+            reads = set().union(*(job.result(timeout=60) for job in jobs))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reads == {1} and fake.threads == 6
 
 
 def test_one_blas_thread_on_numpys_openblas():
@@ -720,6 +789,62 @@ def test_report_refuses_a_name_that_is_no_results_column(tmp_path, capsys,
                    "feature_selection", "error"):
         assert '"%s"' % column in err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_sweep_jobs_default_to_the_usable_cpus(synth_dir, tmp_path,
+                                               monkeypatch, width):
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: width)
+    seen = []
+
+    def spy(*args, jobs=1, **kwargs):
+        seen.append(jobs)
+        return []
+
+    monkeypatch.setattr(sweep, "run_sweep", spy)
+    out = tmp_path / "out"
+    assert main(["sweep", "--manifest", str(synth_dir / "manifest.json"),
+                 "--out", str(out)]) == 0
+    assert main(["sweep", "--manifest", str(synth_dir / "manifest.json"),
+                 "--out", str(out), "--jobs", "3"]) == 0
+    assert seen == [width, 3]
+    assert json.loads((out / "provenance.json").read_text())["jobs"] == 3
+
+
+@pytest.mark.parametrize("width", [None, 2], ids=["usable", "two"])
+def test_a_default_width_sweep_writes_the_serial_bytes(
+        synth_dir, tmp_path, monkeypatch, width):
+    # "usable" runs at this process's width: the serial path on one CPU,
+    # the fork pool on more; "two" forks on any machine
+    if width is not None:
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: width)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "space": {"cleanings": ["raw"], "divisors": [1, 2],
+                  "subset_sizes": [1, 2], "channels": ["P3", "Cz"],
+                  "classifiers": ["gbt", "knn"], "selection_flags": [False]},
+        "grids": {"gbt": [{"max_depth": 2, "eta": 0.3, "gamma": 0.0}],
+                  "knn": [{"k": 3}]}}))
+
+    def run(name, *extra):
+        out = tmp_path / name
+        assert main(["sweep", "--manifest", str(synth_dir / "manifest.json"),
+                     "--space", str(space), "--out", str(out),
+                     "--seed", "4", *extra]) == 0
+        assert multiprocessing.active_children() == []
+        return out
+
+    default, serial = run("default"), run("serial", "--jobs", "1")
+    assert (default / "results.csv").read_bytes() \
+        == (serial / "results.csv").read_bytes()
+    prov = json.loads((default / "provenance.json").read_text())
+    assert prov["jobs"] == sweep._usable_cpus()
+    if prov["jobs"] > 1:  # the spec processes were waited for
+        assert prov["workers_cpu_s"] > 0.0
+        assert prov["workers_peak_rss_mb"] > 0.0
+    serial_prov = json.loads((serial / "provenance.json").read_text())
+    assert serial_prov["jobs"] == 1
+    assert prov["config_hash"] == serial_prov["config_hash"]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
