@@ -317,6 +317,15 @@ def _openblas():
     return None
 
 
+def _set_blas_threads(get, put, n):
+    """Set OpenBLAS's thread count to n, unless it already is n. After a
+    fork, any call to the setter starts OpenBLAS's server threads again,
+    and each new one busy-waits for about 2^28 cycles (0.11-0.13 CPU-s on
+    a 2-core machine), even when the count does not change."""
+    if get() != n:
+        put(n)
+
+
 # OpenBLAS's thread count is process-wide, so _one_blas_thread counts its
 # open pins process-wide too, with the count the first of them found
 _PIN_LOCK = threading.Lock()
@@ -331,7 +340,10 @@ def _one_blas_thread():
     FastICA's iterations, about doubling a cleaning's CPU time. The count
     is process-wide, so pins nest and overlap across threads: the first
     to open saves the count and pins it, and the last to close restores
-    it."""
+    it. Each calls the setter only where the count differs, so under a
+    count that is already 1, as `eegsweep` sets for its whole process,
+    a pin calls none, and no pin after a sweep's fork restarts
+    OpenBLAS's threads."""
     blas = _openblas()
     if blas is None:
         yield
@@ -340,7 +352,7 @@ def _one_blas_thread():
     with _PIN_LOCK:
         if not _pins["open"]:
             _pins["found"] = get()
-            put(1)
+            _set_blas_threads(get, put, 1)
         _pins["open"] += 1
     try:
         yield
@@ -348,7 +360,7 @@ def _one_blas_thread():
         with _PIN_LOCK:
             _pins["open"] -= 1
             if not _pins["open"]:
-                put(_pins["found"])
+                _set_blas_threads(get, put, _pins["found"])
 
 
 def _sym_decorrelate(w):

@@ -31,8 +31,7 @@ except ImportError:  # Windows
 
 from . import (__version__, classify, cleaning, features, report, selection,
                sweep)
-from .cleaning import (PIPELINE_KINDS, CleaningPipeline, _one_blas_thread,
-                       walk_pipeline)
+from .cleaning import PIPELINE_KINDS, CleaningPipeline, walk_pipeline
 from .data_model import (CHANNELS_1020, CohortLoadError, load_cohort,
                          write_cohort)
 from .segmentation import DIVISORS, SegmentSpec, segment
@@ -244,6 +243,25 @@ def _keep_freed_heap():
             if done == [1, 1, 1] else None)
 
 
+def _set_up_process():
+    """The settings every command runs under, made for the whole process
+    and never handed back: glibc's heap (`_keep_freed_heap`) and numpy's
+    OpenBLAS on one thread (see `cleaning._one_blas_thread` for why one).
+
+    The BLAS count is set only where it is not 1 already, so it is set
+    once per process. A restore after each command would follow a sweep's
+    fork, which tears down OpenBLAS's server threads; any set call then
+    starts them again, and each busy-waits for about 0.12 CPU-s. Fork
+    workers inherit the count of 1. The library's own pins
+    (`sweep.feature_vectors`, `cleaning.ica_decompose`) find 1 and call
+    nothing.
+    """
+    _keep_freed_heap()
+    blas = cleaning._openblas()
+    if blas is not None:
+        cleaning._set_blas_threads(*blas, 1)
+
+
 def _blas_threads():
     blas = cleaning._openblas()
     return None if blas is None else blas[0]()
@@ -257,6 +275,10 @@ def _blas_name():
     except (TypeError, KeyError):
         return None
     return "%s %s" % (blas.get("name"), blas.get("version"))
+
+
+def _cpu_s(usage):
+    return usage.ru_utime + usage.ru_stime
 
 
 def _peak_rss_mb(usage):
@@ -273,6 +295,7 @@ def write_provenance(out_dir, args, cfg):
     # null where the platform has no resource module
     usage = resource and resource.getrusage(resource.RUSAGE_SELF)
     children = resource and resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_at_start, workers_cpu_at_start = args.cpu_at_start or (None, None)
     doc = {
         "command": args.command,
         "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
@@ -292,11 +315,16 @@ def write_provenance(out_dir, args, cfg):
         # this process's peak, import included, up to this write; its
         # children are not counted
         "peak_rss_mb": usage and _peak_rss_mb(usage),
-        # this process's waited-for children so far, a sweep's spec
-        # processes among them: the largest one's peak, and their CPU
+        # this process's CPU (user + system, all threads) from main's
+        # start to this write
+        "cpu_s": usage and round(_cpu_s(usage) - cpu_at_start, 3),
+        # the largest peak of this process's waited-for children so far,
+        # a sweep's spec processes among them
         "workers_peak_rss_mb": children and _peak_rss_mb(children),
+        # the CPU of the children waited for since main's start: this
+        # command's spec processes
         "workers_cpu_s": children and round(
-            children.ru_utime + children.ru_stime, 3),
+            _cpu_s(children) - workers_cpu_at_start, 3),
         # null where the C library takes no mallopt
         "malloc_thresholds": _keep_freed_heap(),
         "minor_faults": usage and usage.ru_minflt,
@@ -645,15 +673,24 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; returns its exit code. The process set-up
+    (`_set_up_process`) comes first and stays after the return: an
+    in-process caller keeps glibc's heap settings and OpenBLAS on one
+    thread, and `OPENBLAS_NUM_THREADS` is not restored."""
+    # this process's CPU and its waited-for children's so far, so that
+    # provenance.json counts this command's alone
+    cpu_at_start = resource and (
+        _cpu_s(resource.getrusage(resource.RUSAGE_SELF)),
+        _cpu_s(resource.getrusage(resource.RUSAGE_CHILDREN)))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
-    _keep_freed_heap()
+    args.cpu_at_start = cpu_at_start
+    _set_up_process()
     try:
-        with _one_blas_thread():
-            return args.fn(args, load_config(args))
+        return args.fn(args, load_config(args))
     except ConfigError as exc:
         print("error: config: %s" % exc, file=sys.stderr)
         return USAGE_ERROR

@@ -59,14 +59,17 @@ def test_synth_writes_cohort_and_truth(synth_dir):
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
     assert 0 < prov["minor_faults"] \
         <= resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    # synth starts no spec processes; its waited-for children so far
-    # cannot exceed the ones counted now
+    # the command's own CPU, which this process's so far cannot be below
+    self_usage = resource.getrusage(resource.RUSAGE_SELF)
+    assert 0.0 < prov["cpu_s"] \
+        <= round(self_usage.ru_utime + self_usage.ru_stime, 3)
+    # synth starts no spec processes, so none were waited for during the
+    # command; the largest child's peak so far cannot exceed today's
     assert prov["jobs"] is None
+    assert prov["workers_cpu_s"] == 0.0
     children = resource.getrusage(resource.RUSAGE_CHILDREN)
     assert 0.0 <= prov["workers_peak_rss_mb"] \
         <= round(children.ru_maxrss / 1024.0, 1)
-    assert 0.0 <= prov["workers_cpu_s"] \
-        <= round(children.ru_utime + children.ru_stime, 3)
     # glibc's thresholds and arena count, fixed for the process; null
     # without mallopt
     assert prov["malloc_thresholds"] == (
@@ -82,6 +85,7 @@ def test_provenance_peak_rss_without_resource_module(tmp_path, monkeypatch):
                  "--duration", "2", "--seed", "3"]) == 0
     prov = json.loads((out / "provenance.json").read_text())
     assert prov["peak_rss_mb"] is None and prov["minor_faults"] is None
+    assert prov["cpu_s"] is None
     assert prov["workers_peak_rss_mb"] is None
     assert prov["workers_cpu_s"] is None
 
@@ -137,11 +141,11 @@ class _FakeBlas:
 def test_one_blas_thread_restores_the_count_it_found(monkeypatch):
     fake = _FakeBlas(6)
     monkeypatch.setattr(cleaning, "_openblas", lambda: (fake.get, fake.put))
-    with cli._one_blas_thread():
+    with cleaning._one_blas_thread():
         assert fake.threads == 1
     assert fake.threads == 6
     with pytest.raises(RuntimeError):
-        with cli._one_blas_thread():
+        with cleaning._one_blas_thread():
             assert fake.threads == 1
             raise RuntimeError("command failed")
     assert fake.threads == 6 and fake.calls == [1, 6, 1, 6]
@@ -158,14 +162,14 @@ def test_overlapping_blas_pins_restore_the_count_they_found(monkeypatch):
     seen = []
 
     def first():
-        with cli._one_blas_thread():
+        with cleaning._one_blas_thread():
             barrier.wait()  # pinned
             barrier.wait()  # the second is pinned too
         barrier.wait()  # closed
 
     def second():
         barrier.wait()
-        with cli._one_blas_thread():
+        with cleaning._one_blas_thread():
             barrier.wait()
             barrier.wait()
             seen.append(fake.threads)
@@ -186,7 +190,7 @@ def test_blas_pins_on_many_threads_hold_and_restore(monkeypatch):
     def pin_often():
         reads = set()
         for _ in range(300):
-            with cli._one_blas_thread():
+            with cleaning._one_blas_thread():
                 reads.add(fake.threads)
                 time.sleep(0)  # let another thread open or close a pin
                 reads.add(fake.threads)
@@ -210,7 +214,7 @@ def test_one_blas_thread_on_numpys_openblas():
     before = get()
     for raised in (False, True):
         try:
-            with cli._one_blas_thread():
+            with cleaning._one_blas_thread():
                 assert get() == 1 and cli._blas_threads() == 1
                 if raised:
                     raise KeyError("x")
@@ -234,7 +238,75 @@ def test_main_runs_the_command_on_one_blas_thread(monkeypatch):
     monkeypatch.setattr(cli, "cmd_validate", command)
     assert main(["validate", "--manifest", "m.json"]) == 0
     assert main(["validate", "--manifest", "m.json"]) == 2
-    assert seen == [1, 1] and fake.threads == 4
+    # the count is set once for the process and not handed back
+    assert seen == [1, 1] and fake.threads == 1 and fake.calls == [1]
+
+
+def test_a_pin_at_one_thread_calls_no_setter(monkeypatch):
+    # after a fork, any set call restarts OpenBLAS's server threads
+    fake = _FakeBlas(1)
+    monkeypatch.setattr(cleaning, "_openblas", lambda: (fake.get, fake.put))
+    with cleaning._one_blas_thread():
+        with cleaning._one_blas_thread():
+            assert fake.threads == 1
+    assert fake.calls == []
+
+
+def _knn_space(tmp_path):
+    # two cheap specs, so --jobs 2 forks two spec processes
+    space = tmp_path / "knn-space.json"
+    space.write_text(json.dumps({
+        "space": {"cleanings": ["raw"], "divisors": [1],
+                  "subset_sizes": [1], "channels": ["P3", "Cz"],
+                  "classifiers": ["knn"], "selection_flags": [False]},
+        "grids": {"knn": [{"k": 3}]}}))
+    return space
+
+
+def test_forking_sweeps_set_the_blas_count_once(synth_dir, tmp_path,
+                                                monkeypatch):
+    # Neither the table's pin nor the end of a command sets the count
+    # again, so no set call follows the spec processes' fork.
+    fake = _FakeBlas(4)
+    monkeypatch.setattr(cleaning, "_openblas", lambda: (fake.get, fake.put))
+    for name in ("first", "second"):
+        assert main(["sweep", "--manifest", str(synth_dir / "manifest.json"),
+                     "--space", str(_knn_space(tmp_path)),
+                     "--out", str(tmp_path / name), "--jobs", "2"]) == 0
+    assert fake.calls == [1] and fake.threads == 1
+
+
+# Runs a command through cli.main in a fresh interpreter, then prints the
+# CPU that the process spends while its main thread sleeps.
+_AFTER_COMMAND_PROBE = """
+import sys, time
+from eegsweep import cli
+assert cli.main(sys.argv[1:]) == 0
+start = time.process_time()
+time.sleep(0.3)
+print(time.process_time() - start)
+"""
+
+
+def test_a_forking_sweep_leaves_no_blas_thread_spinning(synth_dir, tmp_path):
+    # A fresh interpreter, so that no earlier test's pin hides the fault.
+    # A set call after the fork would restart an OpenBLAS server thread,
+    # which busy-waits for about 0.12 CPU-s while the process sleeps.
+    if (not sys.platform.startswith("linux") or cleaning._openblas() is None
+            or sweep._usable_cpus() < 2):
+        pytest.skip("needs numpy's bundled OpenBLAS on Linux and two "
+                    "usable CPUs")
+    src = str(Path(eegsweep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)  # OpenBLAS's own default
+    out = subprocess.run(
+        [sys.executable, "-c", _AFTER_COMMAND_PROBE, "sweep",
+         "--manifest", str(synth_dir / "manifest.json"),
+         "--space", str(_knn_space(tmp_path)), "--out", str(tmp_path / "out"),
+         "--jobs", "2"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    assert float(out.splitlines()[-1]) < 0.03
 
 
 def test_command_without_openblas_writes_the_same_results(
@@ -843,8 +915,32 @@ def test_a_default_width_sweep_writes_the_serial_bytes(
         assert prov["workers_cpu_s"] > 0.0
         assert prov["workers_peak_rss_mb"] > 0.0
     serial_prov = json.loads((serial / "provenance.json").read_text())
-    assert serial_prov["jobs"] == 1
+    assert serial_prov["jobs"] == 1 and serial_prov["workers_cpu_s"] == 0.0
     assert prov["config_hash"] == serial_prov["config_hash"]
+
+
+def test_workers_cpu_s_counts_this_commands_spec_processes(synth_dir,
+                                                          tmp_path):
+    # Two forking sweeps in one process: the second's workers_cpu_s must
+    # not count the first's spec processes, nor any child waited for
+    # before either.
+    def children_cpu_s():
+        usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return usage.ru_utime + usage.ru_stime
+
+    before = children_cpu_s()
+    provs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert main(["sweep", "--manifest", str(synth_dir / "manifest.json"),
+                     "--space", str(_knn_space(tmp_path)), "--out", str(out),
+                     "--jobs", "2"]) == 0
+        provs.append(json.loads((out / "provenance.json").read_text()))
+    spent = children_cpu_s() - before
+    assert all(p["workers_cpu_s"] > 0.0 for p in provs)
+    # each figure is rounded to the millisecond
+    assert sum(p["workers_cpu_s"] for p in provs) <= spent + 0.002
+    assert all(p["cpu_s"] > 0.0 for p in provs)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
