@@ -318,11 +318,13 @@ def write_provenance(out_dir, args, cfg):
         # this process's CPU (user + system, all threads) from main's
         # start to this write
         "cpu_s": usage and round(_cpu_s(usage) - cpu_at_start, 3),
-        # the largest peak of this process's waited-for children so far,
-        # a sweep's spec processes among them
+        # the largest peak of this process's waited-for children so far:
+        # a sweep's spec processes and the processes that read and write
+        # cohorts (data_model)
         "workers_peak_rss_mb": children and _peak_rss_mb(children),
         # the CPU of the children waited for since main's start: this
-        # command's spec processes
+        # command's spec processes, and those that read and wrote its
+        # cohort
         "workers_cpu_s": children and round(
             _cpu_s(children) - workers_cpu_at_start, 3),
         # null where the C library takes no mallopt

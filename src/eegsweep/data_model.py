@@ -3,7 +3,10 @@
 A cohort is declared by a JSON manifest pointing at one headerless CSV per
 subject (19 rows = channels, comma-separated decimals). Channel order is
 canonicalized to the 10-20 montage below on load, so channel indices stay
-stable across the whole pipeline.
+stable across the whole pipeline. Subjects' CSVs are parsed and written
+in fork processes, one per usable CPU (`parallel.fork_map`); neither the
+recordings, nor the problems and their order, nor the bytes written
+depend on how many.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .parallel import _usable_cpus, fork_map
 
 #: Canonical order of the 19 channels of the 10-20 montage used here.
 CHANNELS_1020 = (
@@ -265,7 +270,10 @@ def load_cohort(manifest_path):
 
     Channel rows are reordered to the canonical montage order regardless of
     the manifest's channel order. Problems across subjects are aggregated
-    into a single CohortLoadError naming each subject and location.
+    into a single CohortLoadError naming each subject and location, in
+    manifest order. Each subject is parsed, reordered and validated in a
+    fork process, one per usable CPU (`fork_map`), and its samples are
+    taken as they come, so the cohort is held once.
     """
     fs, channels, entries = read_manifest(manifest_path)
     if len(channels) != len(CHANNELS_1020):
@@ -279,29 +287,37 @@ def load_cohort(manifest_path):
 
     recordings = []
     problems = []
-    for sid, label, path in entries:
-        if not Path(path).is_file():
-            problems.append("%s: missing file %s" % (sid, path))
-            continue
-        try:
-            mat = read_csv_matrix(path)
-        except ValueError as exc:
-            problems.append("%s: %s (%s)" % (sid, exc, path))
-            continue
-        if mat.shape[0] != len(CHANNELS_1020):
-            problems.append("%s: channel count %d != %d"
-                            % (sid, mat.shape[0], len(CHANNELS_1020)))
-            continue
-        rec = Recording(subject_id=sid, label=label, sample_rate_hz=fs,
-                        channel_names=CHANNELS_1020, samples=mat[reorder])
-        bad = validate_recording(rec)
-        if bad:
-            problems.extend("%s: %s" % (sid, b) for b in bad)
-            continue
-        recordings.append(rec)
+    loaded = fork_map(lambda entry: _read_subject(entry, fs, reorder),
+                      entries, _usable_cpus())
+    for (sid, label, _), (samples, found) in zip(entries, loaded):
+        problems.extend(found)
+        if not found:
+            recordings.append(Recording(
+                subject_id=sid, label=label, sample_rate_hz=fs,
+                channel_names=CHANNELS_1020, samples=samples))
     if problems:
         raise CohortLoadError(problems)
     return recordings
+
+
+def _read_subject(entry, fs, reorder):
+    """One manifest entry's samples in montage order and no problem, or
+    None and its problems."""
+    sid, label, path = entry
+    if not Path(path).is_file():
+        return None, ["%s: missing file %s" % (sid, path)]
+    try:
+        mat = read_csv_matrix(path)
+    except ValueError as exc:
+        return None, ["%s: %s (%s)" % (sid, exc, path)]
+    if mat.shape[0] != len(CHANNELS_1020):
+        return None, ["%s: channel count %d != %d"
+                      % (sid, mat.shape[0], len(CHANNELS_1020))]
+    rec = Recording(subject_id=sid, label=label, sample_rate_hz=fs,
+                    channel_names=CHANNELS_1020, samples=mat[reorder])
+    bad = validate_recording(rec)
+    return (None, ["%s: %s" % (sid, b) for b in bad]) if bad \
+        else (rec.samples, [])
 
 
 def write_recording_csv(rec, path):
@@ -316,22 +332,31 @@ def write_recording_csv(rec, path):
 
 
 def write_cohort(recordings, out_dir):
-    """Write recordings plus a manifest into a directory; returns manifest path."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write recordings plus a manifest into a directory; returns manifest path.
+
+    A cohort that is empty, of mixed sample rates or with a subject id
+    twice is refused before any file is written. Each subject's CSV is
+    formatted in a fork process, one per usable CPU (`fork_map`).
+    """
     if not recordings:
         raise ValueError("cannot write an empty cohort")
     fs = recordings[0].sample_rate_hz
-    channels = recordings[0].channel_names
-    subjects = []
-    for rec in recordings:
-        if rec.sample_rate_hz != fs:
-            raise ValueError("mixed sample rates in cohort")
-        rel = "%s.csv" % rec.subject_id
-        write_recording_csv(rec, out_dir / rel)
-        subjects.append({"id": rec.subject_id, "label": int(rec.label),
-                         "path": rel})
-    manifest = {"sample_rate_hz": fs, "channels": list(channels),
+    if any(rec.sample_rate_hz != fs for rec in recordings):
+        raise ValueError("mixed sample rates in cohort")
+    ids = [rec.subject_id for rec in recordings]
+    for i, sid in enumerate(ids):
+        if sid in ids[:i]:
+            raise ValueError("duplicate subject_id %r in cohort" % sid)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    subjects = [{"id": rec.subject_id, "label": int(rec.label),
+                 "path": "%s.csv" % rec.subject_id} for rec in recordings]
+    for _ in fork_map(lambda rec: write_recording_csv(
+            rec, out_dir / ("%s.csv" % rec.subject_id)),
+            recordings, _usable_cpus()):
+        pass
+    manifest = {"sample_rate_hz": fs,
+                "channels": list(recordings[0].channel_names),
                 "subjects": subjects}
     manifest_path = out_dir / "manifest.json"
     with open(manifest_path, "w") as fh:

@@ -273,10 +273,19 @@ def fractal(signal, kmax=DEFAULT_PARAMS.higuchi_kmax):
     clamped to the admissible range [1, 2]; Katz is
     log10(n) / (log10(n) + log10(d/L)) with L the total length, d the
     maximum excursion from the first point, n the segment count.
-    A constant row gets (1.0, 1.0).
+    A constant row gets (1.0, 1.0). Neither depends on scale, so a row
+    whose summed steps overflow takes both on the row times the power of
+    two (exact) that brings its largest |sample| into [0.5, 1).
     """
     rows, n = signal.shape
     total_len = np.abs(signal[:, 1:] - signal[:, :-1]).sum(axis=-1)
+    wide = np.flatnonzero(total_len == math.inf)
+    if wide.size:
+        signal = signal.copy()
+        signal[wide] = np.ldexp(signal[wide],
+                                _unit_shift(signal[wide])[:, None])
+        total_len[wide] = np.abs(
+            signal[wide, 1:] - signal[wide, :-1]).sum(axis=-1)
     excursion = np.abs(signal - signal[:, :1]).max(axis=-1)
     hfd = np.ones(rows)
     katz = np.ones(rows)

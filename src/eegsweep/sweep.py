@@ -14,7 +14,8 @@ per usable CPU, and the table's bytes do not depend on how many. Every
 feature matrix, a spec's or `eegsweep extract`'s, is a slice of that
 table, its labels and ids included (`feature_matrix`), and whole-cohort
 selection runs once per cell of it (`_kept_columns`). The specs then
-cross-validate, serially or in fork workers that inherit the table.
+cross-validate, in this process or in fork processes that inherit the
+table (`parallel.fork_map`, the fork path that cohort I/O takes too).
 Records are emitted in spec order regardless of execution order, and
 per-spec failures become failed rows instead of aborting the sweep.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -36,6 +36,7 @@ import numpy as np
 from . import classify, cleaning, features, selection
 from .cleaning import PIPELINE_KINDS, CleaningPipeline
 from .data_model import CHANNELS_1020
+from .parallel import _usable_cpus, fork_map
 from .segmentation import DIVISORS, SegmentSpec, segment
 
 
@@ -233,15 +234,6 @@ def _walk_rows(rec, pipeline, plan):
     return rows
 
 
-def _usable_cpus():
-    """CPUs this process may run on, at least 1; the machine's count where
-    the platform has no affinity call (macOS), and 1 where that count is
-    unknown."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def feature_matrix(table, cleaning_kind, chunk, channels):
     """The subjects x (channel, feature) matrix of one cleaning, chunk and
     channel subset, sliced from a `feature_vectors` table, with the
@@ -344,14 +336,6 @@ def _error_text(exc):
     return "%s: %s" % (type(exc).__name__, exc)
 
 
-_WORKER = {}    # a fork worker's table, seed and options
-
-
-def _worker_run(spec):
-    return run_one(_WORKER["table"], spec, _WORKER["seed"],
-                   **_WORKER["options"])
-
-
 def _load_checkpoint(path):
     """Finished records by spec key, read from a records.jsonl checkpoint.
 
@@ -421,8 +405,8 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
     may add or drop cleanings. A GBT grid point is the one source of its
     booster's settings (classify.cross_validate). The table is built on
     threads, one per usable CPU, whatever `jobs` is. jobs > 1 fans the
-    specs out to a fork pool of at most one process per pending spec,
-    which reads the table alone (not the cohort); each process selects
+    specs out to `fork_map` processes, at most one per pending spec,
+    which read the table alone (not the cohort); each process selects
     a cell at most once, for the first spec that needs it. Per-spec
     seeds are content-derived, so parallelism never changes results.
     `jobs` defaults to 1, which runs every spec in this process, where
@@ -472,19 +456,11 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
                      "records": [asdict(r) for r in result]},
                     sort_keys=True) + "\n")
 
-    workers = min(jobs, len(pending))
-    if workers > 1:
-        # the table's threads have exited, so a fork copies this one alone
-        import multiprocessing as mp
-        ctx = mp.get_context("fork")
-        with ctx.Pool(workers, initializer=_WORKER.update, initargs=(
-                dict(table=table, seed=seed, options=options),)) as pool:
-            results = pool.imap(_worker_run, [s for _, s in pending])
-            for (i, spec), result in zip(pending, results):
-                finish(i, spec, result)
-    else:
-        for i, spec in pending:
-            finish(i, spec, run_one(table, spec, seed, **options))
+    # the table's threads have exited, so a fork copies this one alone
+    runs = fork_map(lambda spec: run_one(table, spec, seed, **options),
+                    [spec for _, spec in pending], jobs)
+    for (i, spec), result in zip(pending, runs):
+        finish(i, spec, result)
     return [record for group in per_spec for record in group]
 
 

@@ -16,7 +16,7 @@ import pytest
 import scipy
 
 import eegsweep
-from eegsweep import classify, cleaning, cli, report, sweep
+from eegsweep import classify, cleaning, cli, data_model, report, sweep
 from eegsweep.cleaning import CleaningPipeline
 from eegsweep.cli import main
 from eegsweep.data_model import CHANNELS_1020, load_cohort, write_cohort
@@ -63,11 +63,15 @@ def test_synth_writes_cohort_and_truth(synth_dir):
     self_usage = resource.getrusage(resource.RUSAGE_SELF)
     assert 0.0 < prov["cpu_s"] \
         <= round(self_usage.ru_utime + self_usage.ru_stime, 3)
-    # synth starts no spec processes, so none were waited for during the
-    # command; the largest child's peak so far cannot exceed today's
+    # synth forks no spec process, but writes its cohort in one process
+    # per usable CPU: their CPU is counted, and cannot exceed the
+    # children's so far. The largest child's peak so far cannot exceed
+    # today's
     assert prov["jobs"] is None
-    assert prov["workers_cpu_s"] == 0.0
     children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert 0.0 <= prov["workers_cpu_s"] \
+        <= round(children.ru_utime + children.ru_stime, 3) + 0.001
+    assert (prov["workers_cpu_s"] > 0.0) == (data_model._usable_cpus() > 1)
     assert 0.0 <= prov["workers_peak_rss_mb"] \
         <= round(children.ru_maxrss / 1024.0, 1)
     # glibc's thresholds and arena count, fixed for the process; null
@@ -906,7 +910,11 @@ def test_a_default_width_sweep_writes_the_serial_bytes(
         assert multiprocessing.active_children() == []
         return out
 
-    default, serial = run("default"), run("serial", "--jobs", "1")
+    default = run("default")
+    # with cohort I/O on one CPU too, the --jobs 1 run cross-validates in
+    # its own process and waits for no child
+    monkeypatch.setattr(data_model, "_usable_cpus", lambda: 1)
+    serial = run("serial", "--jobs", "1")
     assert (default / "results.csv").read_bytes() \
         == (serial / "results.csv").read_bytes()
     prov = json.loads((default / "provenance.json").read_text())

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import tempfile
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from eegsweep import data_model
 from eegsweep.data_model import (CHANNELS_1020, MONTAGE_COORDS,
                                  CohortLoadError, Recording, load_cohort,
                                  validate_recording, write_cohort,
@@ -255,3 +257,78 @@ def test_load_cohort_121_subjects_class_counts(tmp_path):
     assert len(loaded) == 121
     labels = [r.label for r in loaded]
     assert (labels.count(1), labels.count(0)) == (61, 60)
+
+
+def test_load_cohort_is_the_same_at_widths_1_and_2(tmp_path, monkeypatch):
+    recs = [make_recording("s%d" % i, label=i % 2, n=256 + 7 * i, seed=i)
+            for i in range(7)]
+    mpath = write_cohort(recs, tmp_path)
+    loads = []
+    for width in (1, 2):
+        monkeypatch.setattr(data_model, "_usable_cpus", lambda: width)
+        loads.append(load_cohort(mpath))
+    for one, two, rec in zip(*loads, recs, strict=True):
+        for got in (one, two):
+            assert (got.subject_id, got.label, got.sample_rate_hz,
+                    got.channel_names) == (rec.subject_id, rec.label,
+                                           rec.sample_rate_hz,
+                                           rec.channel_names)
+            assert got.samples.tobytes() == rec.samples.tobytes()
+            assert not got.samples.flags.writeable
+            with pytest.raises(ValueError):
+                got.samples[0, 0] = 1.0
+
+
+def test_load_problems_are_the_same_at_widths_1_and_2(tmp_path, monkeypatch):
+    mpath = write_cohort([make_recording("s%d" % i, n=256, seed=i)
+                          for i in range(6)], tmp_path)
+    (tmp_path / "s1.csv").unlink()
+    lines = (tmp_path / "s2.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    (tmp_path / "s2.csv").write_text("\n".join(lines) + "\n")
+    lines = (tmp_path / "s3.csv").read_text().splitlines()
+    lines[7] = "nan," + lines[7].split(",", 1)[1]
+    (tmp_path / "s3.csv").write_text("\n".join(lines) + "\n")
+    lines = (tmp_path / "s5.csv").read_text().splitlines()
+    (tmp_path / "s5.csv").write_text("\n".join(lines[:-1]) + "\n")
+    problems = []
+    for width in (1, 2):
+        monkeypatch.setattr(data_model, "_usable_cpus", lambda: width)
+        with pytest.raises(CohortLoadError) as exc:
+            load_cohort(mpath)
+        problems.append(exc.value.problems)
+        assert multiprocessing.active_children() == []
+    assert problems[0] == problems[1]
+    assert [p.split(": ", 1) for p in problems[0]] == [
+        ["s1", "missing file %s" % (tmp_path / "s1.csv")],
+        ["s2", "row 4 has 255 cells, expected 256 (%s)"
+         % (tmp_path / "s2.csv")],
+        ["s3", "non-finite value at channel C3, sample 0 (1 total)"],
+        ["s5", "channel count 18 != 19"]]
+
+
+def test_write_cohort_writes_the_same_bytes_at_widths_1_and_2(
+        tmp_path, monkeypatch):
+    recs = [make_recording("s%d" % i, label=i % 2, n=300, seed=i)
+            for i in range(5)]
+    for width in (1, 2):
+        monkeypatch.setattr(data_model, "_usable_cpus", lambda: width)
+        write_cohort(recs, tmp_path / str(width))
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir()) \
+        == ["manifest.json"] + ["s%d.csv" % i for i in range(5)]
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() \
+            == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("second, problem", [
+    (make_recording("b", fs=256.0), "mixed sample rates"),
+    (make_recording("a", seed=1), "duplicate subject_id 'a'")])
+def test_a_refused_cohort_writes_no_subject_file(tmp_path, second, problem):
+    # a mixed-rate cohort used to write the subjects before the first
+    # subject of another rate
+    with pytest.raises(ValueError, match=problem):
+        write_cohort([make_recording("a"), make_recording("c"), second],
+                     tmp_path / "out")
+    assert not (tmp_path / "out").exists()

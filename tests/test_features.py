@@ -134,6 +134,17 @@ def test_fractal_constant_sentinels():
     assert hfd == 1.0 and katz == 1.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge row
+def test_fractal_of_a_row_whose_summed_steps_overflow():
+    # Katz's log10(d / L) raised "math domain error" once L overflowed
+    x = np.random.default_rng(4).standard_normal(512)
+    hfd, katz = F.fractal(np.stack([x, 2.0 ** 1020 * x]))
+    assert abs(hfd[1] - hfd[0]) <= 1e-12 and abs(katz[1] - katz[0]) <= 1e-12
+    # the other row of the stack keeps its bytes
+    assert (hfd[0], katz[0]) == one_row(F.fractal, x)
+    F.extract_channel(2.0 ** 1020 * x, FS)
+
+
 @st.composite
 def higuchi_cases(draw):
     """Signals long enough for pairwise summation to recurse, with tied

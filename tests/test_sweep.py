@@ -7,7 +7,6 @@ import threading
 import warnings
 from collections import Counter
 from dataclasses import asdict, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1336,35 +1335,25 @@ def test_one_blas_pin_holds_the_whole_pool(small_cohort, monkeypatch):
 
 def test_spec_processes_are_no_more_than_pending_specs(
         tmp_path, small_cohort, monkeypatch):
-    """A resume with 2 of 4 specs left under jobs=8 starts a pool of 2,
-    and one with 1 left starts none."""
+    """A resume with 2 of 4 specs left under jobs=8 forks 2 spec
+    processes, and one with 1 left forks none."""
     cohort, _ = small_cohort
     specs = small_specs()[:4]
-    sizes = []
+    started = []
+    real_start = multiprocessing.context.ForkProcess.start
 
-    class Pool:
-        def __init__(self, processes, initializer, initargs):
-            sizes.append(processes)
-            initializer(*initargs)
+    def start(proc):
+        started.append(proc)
+        real_start(proc)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: SimpleNamespace(Pool=Pool))
-    monkeypatch.setattr(sweep, "_WORKER", {})
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
     want = _dump(run_sweep(cohort, specs, seed=1, grids=FAST_GRIDS))
-    for done, pool_sizes in ((2, [2]), (3, [])):
-        sizes.clear()
+    for done, forks in ((2, 2), (3, 0)):
+        started.clear()
         ckpt = tmp_path / str(done)
         run_sweep(cohort, specs[:done], seed=1, grids=FAST_GRIDS,
                   checkpoint_dir=ckpt)
         got = run_sweep(cohort, specs, seed=1, grids=FAST_GRIDS,
                         checkpoint_dir=ckpt, jobs=8)
-        assert sizes == pool_sizes and _dump(got) == want
+        assert len(started) == forks and _dump(got) == want
+        assert multiprocessing.active_children() == []
