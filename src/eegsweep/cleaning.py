@@ -338,11 +338,11 @@ def _one_blas_thread():
     restored afterwards. The largest product here is 19 x 19 x samples:
     a second thread gains it no wall time and busy-waits between
     FastICA's iterations, about doubling a cleaning's CPU time. The count
-    is process-wide, so pins nest and overlap across threads: the first
-    to open saves the count and pins it, and the last to close restores
-    it. Each calls the setter only where the count differs, so under a
-    count that is already 1, as `eegsweep` sets for its whole process,
-    a pin calls none, and no pin after a sweep's fork restarts
+    is process-wide, so pins nest, and overlap across a caller's threads:
+    the first to open saves the count and pins it, and the last to close
+    restores it. Each calls the setter only where the count differs, so
+    under a count of 1, which `eegsweep` sets for its whole process and
+    a fork inherits, a pin calls none, and no pin after a fork restarts
     OpenBLAS's threads."""
     blas = _openblas()
     if blas is None:
@@ -406,9 +406,8 @@ def ica_decompose(rec, params=IcaParams()):
     w = _sym_decorrelate(rng.standard_normal((k, k)))
     converged = False
     # the two k x samples arrays of every iteration, written in place.
-    # Products go through np.dot, which releases the interpreter lock:
-    # np.matmul holds it for g @ z.T on numpy 2.4, so the table's threads
-    # could not run two subjects' FastICA at once. The bytes are the same.
+    # Products go through np.dot, which releases the interpreter lock for
+    # a caller's threads, where np.matmul holds it for g @ z.T (numpy 2.4).
     g = np.empty_like(z)
     g_prime = np.empty_like(z)
     for _ in range(params.max_iter):

@@ -228,10 +228,10 @@ def _keep_freed_heap():
     over 128 KiB), so the next level's 0.1-2 MiB numpy temporaries are
     page-faulted in again. Blocks up to 4 MiB now come from the heap,
     which keeps up to 32 MiB of freed memory; setting either value also
-    turns off glibc's dynamic thresholds. One arena serves every thread:
-    each extra arena would keep its own freed heap, and the feature
-    table's threads would each hold one. glibc has no getter, so nothing
-    is restored; fork workers inherit the settings.
+    turns off glibc's dynamic thresholds. One arena serves every thread,
+    numpy's and scipy's OpenBLAS server threads among them: without the
+    cap, `paper-mix` spent 2-4% more CPU per spec in this process. glibc
+    has no getter, so nothing is restored; fork processes inherit them.
     """
     mallopt = _mallopt()
     if mallopt is None:
@@ -319,12 +319,12 @@ def write_provenance(out_dir, args, cfg):
         # start to this write
         "cpu_s": usage and round(_cpu_s(usage) - cpu_at_start, 3),
         # the largest peak of this process's waited-for children so far:
-        # a sweep's spec processes and the processes that read and write
-        # cohorts (data_model)
+        # a sweep's feature table and spec processes, and the processes
+        # that read and write cohorts (data_model)
         "workers_peak_rss_mb": children and _peak_rss_mb(children),
         # the CPU of the children waited for since main's start: this
-        # command's spec processes, and those that read and wrote its
-        # cohort
+        # command's feature table and spec processes, and those that read
+        # and wrote its cohort
         "workers_cpu_s": children and round(
             _cpu_s(children) - workers_cpu_at_start, 3),
         # null where the C library takes no mallopt

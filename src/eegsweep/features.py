@@ -655,7 +655,9 @@ def wavelet_features(signal):
     dwt.wavedec raises ValueError below 72 samples; from there on every
     subband has at least 8 coefficients, so every TKEO array has at least
     6 values and a sample standard deviation. Each row is decomposed on
-    its own; the statistics take a subband of every row at once.
+    its own; the statistics take a subband of every row at once. A finite
+    TKEO row whose squares overflow takes its std at unit scale, as in
+    `moments`, shifted back.
     """
     per_row = [details + [approx]
                for approx, details in (dwt.wavedec(row, levels=6)
@@ -667,7 +669,13 @@ def wavelet_features(signal):
             energies[:, level] = np.mean(band ** 2, axis=-1)
         tk = teager_kaiser(band)
         tkeo_stats[:, 2 * level] = np.mean(tk, axis=-1)
-        tkeo_stats[:, 2 * level + 1] = np.std(tk, axis=-1, ddof=1)
+        std = np.std(tk, axis=-1, ddof=1)
+        wide = np.flatnonzero((std == math.inf) & np.isfinite(tk).all(-1))
+        if wide.size:
+            shift = _unit_shift(tk[wide])
+            std[wide] = np.ldexp(np.std(np.ldexp(tk[wide], shift[:, None]),
+                                        axis=-1, ddof=1), -shift)
+        tkeo_stats[:, 2 * level + 1] = std
     return energies, tkeo_stats
 
 
@@ -682,27 +690,31 @@ def moments(signal):
     m4 / m2^2, 3 for a normal distribution, with m_k the k-th central
     moment. Both read 0 for a constant row, or one so small that the
     power of m2 underflows. Neither depends on scale, so a row whose
-    m2 * m2 overflows takes them on the row times the power of two
+    m2 * m2 or m4 overflows takes them on the row times the power of two
     (exact) that brings its largest |sample| into [0.5, 1), as
     app_entropy's first step does; its variance is left as it is.
     """
     xm = signal - np.mean(signal, axis=-1)[:, None]
     ss = (xm * xm).sum(axis=-1)
     m2 = ss / xm.shape[-1]
-    wide = [i for i, m in enumerate(m2.tolist()) if m * m == math.inf]
+    m4 = np.mean(xm ** 4, axis=-1)
+    wide = [i for i, (m, m_4) in enumerate(zip(m2.tolist(), m4.tolist()))
+            if m * m == math.inf or not math.isfinite(m_4)]
     if wide:
         rows = signal[wide]
         rows = np.ldexp(rows, _unit_shift(rows)[:, None])
         xm[wide] = rows - np.mean(rows, axis=-1)[:, None]
         m2[wide] = (xm[wide] * xm[wide]).sum(axis=-1) / xm.shape[-1]
+        m4[wide] = np.mean(xm[wide] ** 4, axis=-1)
     m2 = m2.tolist()
 
-    def standardized(k, power):
-        denom = [m ** power for m in m2]
-        return np.array([0.0 if d == 0.0 else mk / d for d, mk in zip(
-            denom, np.mean(xm ** k, axis=-1).tolist())])
+    def standardized(mk, power):
+        return np.array([0.0 if d == 0.0 else m / d for m, d in zip(
+            mk.tolist(), [v ** power for v in m2])])
 
-    return ss / (xm.shape[-1] - 1), standardized(3, 1.5), standardized(4, 2)
+    return (ss / (xm.shape[-1] - 1),
+            standardized(np.mean(xm ** 3, axis=-1), 1.5),
+            standardized(m4, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """The library's one fork path: a map over fork processes, which cohort
-I/O and the sweep's spec processes share, and the width it runs at.
+I/O, the feature table and the sweep's spec processes share, and the
+width it runs at.
 
 `fork_map` starts no thread in its caller. It waits on the processes'
 pipes itself (`multiprocessing.connection.wait`), where a
 `multiprocessing.Pool` starts three threads to feed and drain its
 queues, and a benchmark process that read and wrote its cohorts through
 a `Pool` peaked 14-22% higher than through this map. A fork copies the
-calling thread alone, so the library forks only where no other thread
-of its own runs: the feature table's threads have exited before a sweep
-forks its spec processes.
+calling thread alone; the library starts no thread of its own.
 """
 
 from __future__ import annotations

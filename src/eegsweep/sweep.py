@@ -6,16 +6,16 @@ specs it still has to run: one float64 array `values[subject, cell, 53]`
 over the distinct (cleaning, chunk, channel) cells of those specs. Each
 subject is cleaned once along FIR -> ASR -> ICA (ASR calibrated on the
 whole recording, for every chunk), and each of its cells is extracted
-once, in one stack with other rows of its length and sample rate, from
-this subject and the next ones, up to a budget of samples; a vector
-that fails leaves its exception at its own [subject, cell] of the
-table's `errors`. Walks and stacks run on threads of this process, one
-per usable CPU, and the table's bytes do not depend on how many. Every
-feature matrix, a spec's or `eegsweep extract`'s, is a slice of that
-table, its labels and ids included (`feature_matrix`), and whole-cohort
-selection runs once per cell of it (`_kept_columns`). The specs then
-cross-validate, in this process or in fork processes that inherit the
-table (`parallel.fork_map`, the fork path that cohort I/O takes too).
+once, in one stack with its other rows of that length, up to a budget
+of samples; a vector that fails leaves its exception at its own
+[subject, cell] of the table's `errors`. Each subject is one task of
+`parallel.fork_map`, one process per usable CPU, and the table's bytes
+do not depend on how many. Every feature matrix, a spec's or `eegsweep
+extract`'s, is a slice of that table, its labels and ids included
+(`feature_matrix`), and whole-cohort selection runs once per cell of it
+(`_kept_columns`). The specs then cross-validate, in this process or in
+fork processes that inherit the table (`fork_map` again, the fork path
+that cohort I/O takes too).
 Records are emitted in spec order regardless of execution order, and
 per-spec failures become failed rows instead of aborting the sweep.
 """
@@ -25,10 +25,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from itertools import combinations, islice
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -144,22 +142,21 @@ def feature_vectors(cohort, cells, pipeline, params):
     """The feature table of a cohort: every vector the cells need, once.
 
     `cells` holds (cleaning, chunk, channel) triples, chunk a SegmentSpec,
-    repeats allowed; `pipeline`'s kind is ignored. Walks each subject
-    through the cleanings once, as deep as the cells need, keeping the
-    channel rows they need. Rows of one length and sample rate wait in
-    one stack across subjects, in subject order; it goes to
-    extract_channel just before the next row would take it past
-    _STACK_SAMPLES, and at the end. A stage or segment that fails fails
-    every cell it and later stages would have produced, and is attempted
-    once per subject. Each failure is kept at its own [subject, cell] of
-    `errors`. The table keeps the cohort's labels and subject ids.
+    repeats allowed; `pipeline`'s kind is ignored. Each subject is one
+    task (`_subject_vectors`): it walks through the cleanings once, as
+    deep as the cells need, keeping the channel rows they need, and
+    extracts its rows in stacks of one length. A stage or segment that
+    fails fails every cell it and later stages would have produced, and
+    is attempted once per subject. Each failure is kept at its own
+    [subject, cell] of `errors`. The table keeps the cohort's labels and
+    subject ids.
 
-    Walks and stacks run on a pool of threads, one per usable CPU
-    (`_usable_cpus`), with at most one walk and one stack per thread
-    waiting to be read; FastICA, FIR and the feature kernels spend most
-    of their time in numpy, out of the GIL. The table does not depend on
-    the pool's width. The whole pool runs on one OpenBLAS thread, ASR and
-    the feature kernels as well as the FastICA that pins itself.
+    The tasks run in `fork_map` processes, one per usable CPU
+    (`_usable_cpus`), and the table does not depend on how many. They
+    inherit this call's OpenBLAS pin, a count of 1. What a patch records
+    there does not come back, and ICA's "better conditioned" warning is
+    raised there: filters set before the call apply, but
+    `catch_warnings(record=True)` in the caller does not see it.
     """
     index = {cell: pos for pos, cell in enumerate(dict.fromkeys(cells))}
     plan = {}
@@ -167,50 +164,43 @@ def feature_vectors(cohort, cells, pipeline, params):
         plan.setdefault(kind, {}).setdefault(chunk, {})[channel] = pos
     deepest = replace(pipeline, kind=PIPELINE_KINDS[
         max(map(PIPELINE_KINDS.index, plan), default=0)])
-    # written stack by stack; a failed entry is never read
+    # written vector by vector; a failed entry is never read
     values = np.empty((len(cohort), len(index), features.N_FEATURES))
     errors = np.full(values.shape[:2], None, dtype=object)
-    pending = {}    # (length, rate) -> [(subject, cell position, row)]
-    stacks = deque()    # (subjects, cell positions, future vectors)
-    width = _usable_cpus()
-
-    def store(keep):
-        # read the oldest stacks' vectors until `keep` are left in flight
-        while len(stacks) > keep:
-            subjects, positions, vectors = stacks.popleft()
-            for s, pos, vector in zip(subjects, positions, vectors.result()):
+    with cleaning._one_blas_thread():
+        subjects = fork_map(
+            lambda rec: _subject_vectors(rec, deepest, plan, params),
+            cohort, _usable_cpus())
+        for s, pairs in enumerate(subjects):
+            for pos, vector in pairs:
                 if isinstance(vector, Exception):
                     errors[s, pos] = vector
                 else:
                     values[s, pos] = vector
-
-    def extract(key):
-        store(width - 1)
-        subjects, positions, rows = zip(*pending.pop(key))
-        stacks.append((subjects, positions, pool.submit(
-            _extract_stack, np.array(rows), key[1], params)))
-
-    with cleaning._one_blas_thread(), ThreadPoolExecutor(width) as pool:
-        ahead = (pool.submit(_walk_rows, rec, deepest, plan) for rec in cohort)
-        walks = deque(islice(ahead, width))
-        for s, rec in enumerate(cohort):
-            for pos, row in walks.popleft().result():
-                if isinstance(row, Exception):
-                    errors[s, pos] = row
-                    continue
-                key = (row.size, rec.sample_rate_hz)
-                if key in pending and (len(pending[key]) + 1) \
-                        * row.size > _STACK_SAMPLES:
-                    extract(key)
-                pending.setdefault(key, []).append((s, pos, row))
-            walks.extend(islice(ahead, 1))
-        for key in list(pending):
-            extract(key)
-        store(0)
     labels = np.array([rec.label for rec in cohort], dtype=int)
     labels.flags.writeable = False
     return FeatureTable(index, values, errors, labels,
                         tuple(rec.subject_id for rec in cohort))
+
+
+def _subject_vectors(rec, pipeline, plan, params):
+    """One subject's (cell position, vector) pairs, the vector the
+    exception where its stage, segment or extraction failed. Rows of one
+    length are extracted in stacks of _STACK_SAMPLES, and one row at least."""
+    pairs = []
+    by_length = {}
+    for pos, row in _walk_rows(rec, pipeline, plan):
+        if isinstance(row, Exception):
+            pairs.append((pos, row))
+        else:
+            by_length.setdefault(row.size, []).append((pos, row))
+    for length, rows in by_length.items():
+        per_stack = max(1, _STACK_SAMPLES // length)
+        for start in range(0, len(rows), per_stack):
+            positions, stack = zip(*rows[start:start + per_stack])
+            pairs.extend(zip(positions, _extract_stack(
+                np.array(stack), rec.sample_rate_hz, params)))
+    return pairs
 
 
 def _walk_rows(rec, pipeline, plan):
@@ -218,7 +208,6 @@ def _walk_rows(rec, pipeline, plan):
     through the cleanings up to `pipeline.kind`; the row is the exception
     where its stage or segment failed."""
     stages = cleaning.walk_pipeline(rec, pipeline)
-    rows = []
     cleaned = None
     for kind in PIPELINE_KINDS[:PIPELINE_KINDS.index(pipeline.kind) + 1]:
         if not isinstance(cleaned, Exception):
@@ -228,10 +217,9 @@ def _walk_rows(rec, pipeline, plan):
                    else _attempt(lambda: segment(cleaned, chunk)))
             # a copy, so that each stage's recording is freed once the
             # walk has moved past it
-            rows.extend((pos, seg if isinstance(seg, Exception)
+            yield from ((pos, seg if isinstance(seg, Exception)
                          else seg.channel(ch).copy())
                         for ch, pos in channels.items())
-    return rows
 
 
 def feature_matrix(table, cleaning_kind, chunk, channels):
@@ -403,15 +391,16 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
     one cleaning config, feature params and the cohort's bytes; resuming
     under a different config or cohort raises ValueError, and a resume
     may add or drop cleanings. A GBT grid point is the one source of its
-    booster's settings (classify.cross_validate). The table is built on
-    threads, one per usable CPU, whatever `jobs` is. jobs > 1 fans the
-    specs out to `fork_map` processes, at most one per pending spec,
-    which read the table alone (not the cohort); each process selects
-    a cell at most once, for the first spec that needs it. Per-spec
-    seeds are content-derived, so parallelism never changes results.
-    `jobs` defaults to 1, which runs every spec in this process, where
-    an in-process caller's patches and counters see it; `eegsweep
-    sweep` passes the usable-CPU count unless --jobs says otherwise.
+    booster's settings (classify.cross_validate). The table is built in
+    one fork process per usable CPU, whatever `jobs` is
+    (`feature_vectors`). jobs > 1 fans the specs out to `fork_map`
+    processes, at most one per pending spec, which read the table alone
+    (not the cohort); each process selects a cell at most once, for the
+    first spec that needs it. Per-spec seeds are content-derived, so
+    parallelism never changes results. `jobs` defaults to 1, which runs
+    every spec in this process, where an in-process caller's patches and
+    counters see it; `eegsweep sweep` passes the usable-CPU count unless
+    --jobs says otherwise.
     With expand_grid, one record per (spec, grid point) is emitted
     instead of one best-config record per spec.
     """
@@ -456,7 +445,6 @@ def run_sweep(cohort, specs, seed=0, pipeline=CleaningPipeline(),
                      "records": [asdict(r) for r in result]},
                     sort_keys=True) + "\n")
 
-    # the table's threads have exited, so a fork copies this one alone
     runs = fork_map(lambda spec: run_one(table, spec, seed, **options),
                     [spec for _, spec in pending], jobs)
     for (i, spec), result in zip(pending, runs):

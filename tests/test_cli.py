@@ -911,14 +911,16 @@ def test_a_default_width_sweep_writes_the_serial_bytes(
         return out
 
     default = run("default")
-    # with cohort I/O on one CPU too, the --jobs 1 run cross-validates in
-    # its own process and waits for no child
+    jobs = sweep._usable_cpus()
+    # with cohort I/O and the feature table on one CPU too, the --jobs 1
+    # run cross-validates in its own process and waits for no child
     monkeypatch.setattr(data_model, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
     serial = run("serial", "--jobs", "1")
     assert (default / "results.csv").read_bytes() \
         == (serial / "results.csv").read_bytes()
     prov = json.loads((default / "provenance.json").read_text())
-    assert prov["jobs"] == sweep._usable_cpus()
+    assert prov["jobs"] == jobs
     if prov["jobs"] > 1:  # the spec processes were waited for
         assert prov["workers_cpu_s"] > 0.0
         assert prov["workers_peak_rss_mb"] > 0.0

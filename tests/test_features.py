@@ -493,6 +493,29 @@ def test_moments_of_a_signal_whose_m2_squared_overflows(k):
     assert one_row(F.moments, 2.0 ** k * x)[1:] == tuple(got)
 
 
+def test_moments_of_a_signal_whose_fourth_moment_overflows():
+    # the mean of xm ** 4 overflows from k = 254, two powers before
+    # m2 ** 2; the moments read the bits of the unscaled signal's
+    x = np.random.default_rng(4).standard_normal(512)
+    cols = [F.FEATURE_NAMES.index(name) for name in ("skewness", "kurtosis")]
+    want = F.extract_channel(x, FS)[cols]
+    for k in range(240, 261):
+        got = F.extract_channel(2.0 ** k * x, FS)[cols]
+        assert got.tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("k", [254, 300, 500])
+def test_tkeo_stds_of_a_signal_whose_tkeo_squared_overflows(k):
+    # Teager-Kaiser energy scales by 4 ** k and stays finite up to
+    # k = 511, but its square overflows from k = 254
+    x = np.random.default_rng(4).standard_normal(512)
+    cols = [i for i, name in enumerate(F.FEATURE_NAMES)
+            if name.startswith("tkeo_") and name.endswith("_std")]
+    base = F.extract_channel(x, FS)[cols]
+    got = F.extract_channel(2.0 ** k * x, FS)[cols]
+    assert got.tobytes() == np.ldexp(base, 2 * k).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, st.integers(int(2 * FS), 1200),
                   elements=st.floats(-1e3, 1e3)))

@@ -1,7 +1,6 @@
 import json
 import multiprocessing
 import os
-import sys
 import tempfile
 import threading
 import warnings
@@ -302,6 +301,7 @@ def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
 
     counted(cleaning, "walk_pipeline")
     counted(features, "extract_channel")
+    _one_worker(monkeypatch)
     runs = {}
     for cached in (True, False):
         calls.clear()
@@ -314,16 +314,14 @@ def test_cache_makes_sweep_cheaper(small_cohort, monkeypatch):
     # cached, each subject is walked through the cleanings once; uncached,
     # once per spec. Every spec here needs its own (cleaning, chunk,
     # channel) vector, so both extract one row per spec and subject.
-    # Cached, rows of one segment length wait across subjects: each
-    # subject adds 4 rows of 1,536 samples (chunk 1/1) and 8 of 768
-    # (chunks 1/2 and 2/2), so a stack of at most 2**16 samples takes 42
-    # or 85 rows, and the 12 subjects' 48 and 96 take two stacks per
-    # length. Uncached, each spec's 12 rows fit one stack.
+    # Cached, each subject stacks its rows of one segment length: 4 rows
+    # of 1,536 samples (chunk 1/1) and 8 of 768 (chunks 1/2 and 2/2),
+    # two stacks. Uncached, each spec's row of a subject is a stack alone.
     n = len(cohort)
-    assert runs[True][0] == {"walk_pipeline": n, "extract_channel": 4,
+    assert runs[True][0] == {"walk_pipeline": n, "extract_channel": 2 * n,
                              "rows": len(specs) * n}
     assert runs[False][0] == {"walk_pipeline": len(specs) * n,
-                              "extract_channel": len(specs),
+                              "extract_channel": len(specs) * n,
                               "rows": len(specs) * n}
 
 
@@ -605,34 +603,46 @@ def _log_calls(monkeypatch, path, module, name):
 
 def test_workers_neither_clean_nor_extract(small_cohort, monkeypatch,
                                            tmp_path):
+    """The table's processes clean and extract; the spec processes,
+    forked after them, run the specs alone."""
     cohort, _ = small_cohort
     specs = small_specs()
     log = tmp_path / "calls.log"
     _log_calls(monkeypatch, log, cleaning, "fir_bandpass")
     _log_calls(monkeypatch, log, features, "extract_channel")
+    _log_calls(monkeypatch, log, sweep, "run_one")
     records = run_sweep(cohort, specs, seed=2, grids=FAST_GRIDS, jobs=2)
     calls = [line.split() for line in log.read_text().splitlines()]
-    assert {pid for pid, _ in calls} == {str(os.getpid())}
-    # two stacks per segment length, chunk 1/1 and the halves (see
+    pids = {}
+    for pid, name in calls:
+        pids.setdefault(name, set()).add(pid)
+    assert str(os.getpid()) not in pids["run_one"]
+    assert not pids["run_one"] & (pids["fir_bandpass"]
+                                  | pids["extract_channel"])
+    # two stacks per subject, chunk 1/1 and the halves (see
     # test_cache_makes_sweep_cheaper)
     assert Counter(name for _, name in calls) == {
-        "fir_bandpass": len(cohort), "extract_channel": 4}
+        "fir_bandpass": len(cohort), "extract_channel": 2 * len(cohort),
+        "run_one": len(specs)}
     assert all(r.ok for r in records)
 
 
-def test_failing_cleaning_is_attempted_once(small_cohort, monkeypatch):
+def test_failing_cleaning_is_attempted_once(small_cohort, monkeypatch,
+                                            tmp_path):
     cohort, _ = small_cohort
-    attempts = Counter()
+    log = tmp_path / "attempts.log"  # appended to by the table's processes
     real = cleaning.fir_bandpass
 
     def fir_bandpass(rec, params):
-        attempts[rec.subject_id] += 1
+        with open(log, "a") as fh:
+            fh.write(rec.subject_id + "\n")
         if rec.subject_id == "adhd002":
             raise RuntimeError("no clean data in %s" % rec.subject_id)
         return real(rec, params)
     monkeypatch.setattr(cleaning, "fir_bandpass", fir_bandpass)
     specs = small_specs()
     records = run_sweep(cohort, specs, seed=4, grids=FAST_GRIDS)
+    attempts = Counter(log.read_text().split())
     assert len(attempts) == len(cohort)
     assert set(attempts.values()) == {1}
     for spec, rec in zip(specs, records):
@@ -641,17 +651,18 @@ def test_failing_cleaning_is_attempted_once(small_cohort, monkeypatch):
 
 
 def test_each_subject_is_filtered_and_calibrated_once(small_cohort,
-                                                      monkeypatch):
+                                                      monkeypatch, tmp_path):
     """A sweep over the four cleanings runs FIR and ASR calibration once
     per subject: asr continues the filtered stage and ica the asr stage,
     instead of each starting again from raw."""
     cohort, _ = small_cohort
-    calls = Counter()
+    log = tmp_path / "calls.log"  # appended to by the table's processes
     for name in ("fir_bandpass", "asr_calibrate"):
         real = getattr(cleaning, name)
 
         def wrapper(rec, params, name=name, real=real):
-            calls[name, rec.subject_id] += 1
+            with open(log, "a") as fh:
+                fh.write("%s %s\n" % (name, rec.subject_id))
             return real(rec, params)
         monkeypatch.setattr(cleaning, name, wrapper)
     specs = enumerate_space(SweepSpace(
@@ -660,6 +671,8 @@ def test_each_subject_is_filtered_and_calibrated_once(small_cohort,
     records = run_sweep(cohort, specs, seed=0, grids=FAST_GRIDS)
     assert [r.cleaning for r in records] == list(PIPELINE_KINDS)
     assert all(r.ok for r in records)
+    calls = Counter(tuple(line.split())
+                    for line in log.read_text().splitlines())
     assert calls == {(name, rec.subject_id): 1 for rec in cohort
                      for name in ("fir_bandpass", "asr_calibrate")}
 
@@ -927,28 +940,33 @@ def test_a_spec_fails_with_its_earliest_subject_then_channel(small_cohort,
             "ValueError: " + text]
 
 
-def _late_stack_failure(small_cohort, monkeypatch, workers):
-    """Subject 1's row fails in a stack that is still waiting when
-    subject 3's filter fails, on `workers` threads: the filter and
-    extract events, the table, and the errors of its one cell."""
+def _late_stack_failure(small_cohort, monkeypatch, tmp_path, workers):
+    """Subject 1's row fails in its stack, and subject 3's filter fails,
+    on `workers` processes: the filter and extract events, in the order
+    each process logged them, the table, and the errors of its one
+    cell."""
     cohort = small_cohort[0][:4]
     whole = SegmentSpec(1, 1)
     names = {segment(cleaning.run_pipeline(rec, CleaningPipeline(
         kind="filtered")), whole).channel("P3").tobytes(): rec.subject_id
         for rec in cohort}
     ids = [rec.subject_id for rec in cohort]
-    events = []
+    log = tmp_path / "events.log"
     real_filter, real_extract = cleaning.fir_bandpass, features.extract_channel
 
+    def event(*words):
+        with open(log, "a") as fh:
+            fh.write(" ".join(words) + "\n")
+
     def fir_bandpass(rec, params):
-        events.append(("filter", rec.subject_id))
+        event("filter", rec.subject_id)
         if rec.subject_id == ids[3]:
             raise RuntimeError("no clean data in " + rec.subject_id)
         return real_filter(rec, params)
 
     def extract(signal, fs, params):
         rows = [names[row.tobytes()] for row in np.atleast_2d(signal)]
-        events.append(("extract", tuple(rows)))
+        event("extract", *rows)
         if ids[1] in rows:
             raise ValueError("refused " + ids[1])
         return real_extract(signal, fs, params)
@@ -957,26 +975,28 @@ def _late_stack_failure(small_cohort, monkeypatch, workers):
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: workers)
     table = feature_vectors(cohort, [("filtered", whole, "P3")], PIPELINE,
                             DEFAULT_PARAMS)
+    events = [(words[0], words[1] if words[0] == "filter"
+               else tuple(words[1:]))
+              for words in map(str.split, log.read_text().splitlines())]
     errors = table.errors[:, table.cells["filtered", whole, "P3"]]
     return events, table, [err if err is None else str(err)
                            for err in errors]
 
 
 def test_a_late_stack_failure_beats_a_later_subjects_stage_failure(
-        small_cohort, monkeypatch):
-    """Subject 1's row fails in a stack that is still waiting when
-    subject 3's filter fails: each failure stays at its own subject, and
-    the spec raises subject 1's, the one a subject-by-subject assembly
-    would meet first."""
+        small_cohort, monkeypatch, tmp_path):
+    """Subject 1's row fails in its stack and subject 3's filter fails:
+    each failure stays at its own subject, and the spec raises subject
+    1's, the one a subject-by-subject assembly would meet first."""
     cohort = small_cohort[0][:4]
     ids = [rec.subject_id for rec in cohort]
-    events, table, errors = _late_stack_failure(small_cohort, monkeypatch, 1)
-    # every filter ran before the stack of subjects 0-2 was extracted
-    assert events[:5] == [("filter", i) for i in ids] \
-        + [("extract", tuple(ids[:3]))]
-    # the failed stack is halved until subject 1's row is alone
-    assert events[5:] == [("extract", (ids[0],)), ("extract", tuple(ids[1:3])),
-                          ("extract", (ids[1],)), ("extract", (ids[2],))]
+    events, table, errors = _late_stack_failure(small_cohort, monkeypatch,
+                                                tmp_path, 1)
+    # each subject is filtered, then its one row is extracted alone
+    assert events == [("filter", ids[0]), ("extract", (ids[0],)),
+                      ("filter", ids[1]), ("extract", (ids[1],)),
+                      ("filter", ids[2]), ("extract", (ids[2],)),
+                      ("filter", ids[3])]
     assert errors == [None, "refused " + ids[1], None,
                       "no clean data in " + ids[3]]
     spec = ExperimentSpec(cleaning="filtered", chunk=SegmentSpec(1, 1),
@@ -986,18 +1006,18 @@ def test_a_late_stack_failure_beats_a_later_subjects_stage_failure(
         "ValueError: refused " + ids[1]]
 
 
-def test_a_late_stack_failure_on_two_workers(small_cohort, monkeypatch):
-    """Two threads filter subjects in either order, but the stack still
-    holds subjects 0-2, is bisected in the same order, and each failure
-    stays at its own subject."""
+def test_a_late_stack_failure_on_two_workers(small_cohort, monkeypatch,
+                                             tmp_path):
+    """Two processes take the subjects in either order, but each subject
+    is filtered before its row is extracted, and each failure stays at
+    its own subject."""
     ids = [rec.subject_id for rec in small_cohort[0][:4]]
-    events, _, errors = _late_stack_failure(small_cohort, monkeypatch, 2)
-    assert [e for e in events if e[0] == "extract"] == [
-        ("extract", tuple(ids[:3])), ("extract", (ids[0],)),
-        ("extract", tuple(ids[1:3])), ("extract", (ids[1],)),
-        ("extract", (ids[2],))]
-    filters = [e for e in events if e[0] == "filter"]
-    assert len(filters) == 4 and set(filters) == {("filter", i) for i in ids}
+    events, _, errors = _late_stack_failure(small_cohort, monkeypatch,
+                                            tmp_path, 2)
+    assert sorted(events) == sorted(
+        [("filter", i) for i in ids] + [("extract", (i,)) for i in ids[:3]])
+    for i in ids[:3]:
+        assert events.index(("filter", i)) < events.index(("extract", (i,)))
     assert errors == [None, "refused " + ids[1], None,
                       "no clean data in " + ids[3]]
 
@@ -1028,7 +1048,7 @@ def grid_rows(small_cohort):
 def test_errors_hold_each_failure_at_its_subject_and_cell(
         grid_rows, refused, stage_failure, stack_rows, order, size, workers):
     """extract_channel refuses a random set of rows and FIR fails for a
-    random subject, under any stack budget and on 1 to 3 threads: `errors`
+    random subject, under any stack budget and on 1 to 3 processes: `errors`
     holds exactly those failures, and each spec's matrix raises what
     assembling it subject by subject, channel by channel, meets first."""
     cohort, names = grid_rows
@@ -1098,8 +1118,8 @@ def test_errors_hold_each_failure_at_its_subject_and_cell(
 # stacked extraction
 
 def _one_worker(monkeypatch):
-    """Build feature tables on one thread, as with one usable CPU, so that
-    stacks are extracted in the order they fill."""
+    """Build feature tables in this process, as with one usable CPU, so
+    that a spy sees every stack, in the order they are extracted."""
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
 
 
@@ -1176,26 +1196,30 @@ def test_a_failed_stack_fails_every_row(monkeypatch):
 
 def test_a_failed_stack_is_bisected_down_to_its_bad_row(small_cohort,
                                                         monkeypatch):
-    """8 rows in one stack across 4 subjects, one of them non-finite: 7
-    stacked calls find it, where extracting every row again alone took
-    9, and every other row gets the vector it gets alone."""
-    cohort = list(small_cohort[0][:4])
-    samples = cohort[2].samples.copy()
-    samples[cohort[2].channel_names.index("Cz"), 100] = np.inf
-    cohort[2] = cohort[2].with_samples(samples)
+    """A subject's 8 rows in one stack, one of them non-finite: 7 stacked
+    calls find it, where extracting every row again alone took 9, and
+    every other row, and the other subject's stack, gets the vector it
+    gets alone."""
+    cohort = list(small_cohort[0][:2])
+    samples = cohort[1].samples.copy()
+    samples[cohort[1].channel_names.index("Cz"), 100] = np.inf
+    cohort[1] = cohort[1].with_samples(samples)
     whole = SegmentSpec(1, 1)
-    cells = [("raw", whole, ch) for ch in ("P3", "Cz")]
+    cells = [("raw", whole, ch) for ch in ("Fp1", "Fp2", "F3", "F4", "C3",
+                                           "Cz", "P3", "P4")]
     shapes = _stacks_seen(monkeypatch)
     table = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
     n = cohort[0].n_samples
-    # rows 0-3 pass; row 5, subject 2's Cz, is split from 4, 6 and 7
-    assert shapes == [(8, n), (4, n), (4, n), (2, n), (1, n), (1, n), (2, n)]
+    # subject 0's stack passes; in subject 1's, rows 0-3 pass and row 5,
+    # Cz, is split from 4, 6 and 7
+    assert shapes == [(8, n), (8, n), (4, n), (4, n), (2, n), (1, n),
+                      (1, n), (2, n)]
     monkeypatch.undo()
     bad = table.cells["raw", whole, "Cz"]
     for s, rec in enumerate(cohort):
         for cell in cells:
             pos = table.cells[cell]
-            if (s, pos) == (2, bad):
+            if (s, pos) == (1, bad):
                 err = table.errors[s, pos]
                 assert isinstance(err, ValueError)
                 assert str(err) == "signal contains non-finite values"
@@ -1224,7 +1248,7 @@ def test_lengths_one_sample_apart_go_to_separate_stacks(small_cohort,
 
 def test_each_sample_rate_gets_its_own_stacks(small_cohort, monkeypatch):
     # subjects 1 and 3 declared at twice the rate: their segments have
-    # the same lengths as the others' and must still not share a stack
+    # the same lengths as the others' and are extracted at their own rate
     cohort = [replace(rec, sample_rate_hz=FS * (1 + s % 2))
               for s, rec in enumerate(small_cohort[0][:4])]
     chunks = (SegmentSpec(1, 1), SegmentSpec(2, 1), SegmentSpec(2, 2))
@@ -1235,11 +1259,12 @@ def test_each_sample_rate_gets_its_own_stacks(small_cohort, monkeypatch):
     def extract(signal, fs, *args):
         rates.append((np.shape(signal), fs))
         return real(signal, fs, *args)
+    _one_worker(monkeypatch)
     monkeypatch.setattr(features, "extract_channel", extract)
     table = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
     n = cohort[0].n_samples
-    assert sorted(rates) == sorted(
-        (shape, fs) for shape in ((4, n), (8, n // 2)) for fs in (FS, 2 * FS))
+    assert rates == [(shape, rec.sample_rate_hz) for rec in cohort
+                     for shape in ((2, n), (4, n // 2))]
     monkeypatch.undo()
     for s, rec in enumerate(cohort):
         for cell in cells:
@@ -1248,13 +1273,13 @@ def test_each_sample_rate_gets_its_own_stacks(small_cohort, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the table's threads and the spec processes
+# the table's processes and the spec processes
 
 def test_the_worker_count_never_changes_a_table(failing_cohort, monkeypatch):
     """FIR fails for td003, ASR calibration for adhd002 (9 s) and td001
-    (10 s), and one row of adhd004 is non-finite: on 1, 2 and 3 threads,
-    switching as often as the interpreter lets them, the table holds the
-    same vectors and the same failures."""
+    (10 s), and one row of adhd004 is non-finite: on 1, 2 and 3
+    processes, the table holds the same vectors and the same
+    failures."""
     cohort = list(failing_cohort)
     samples = cohort[4].samples.copy()
     samples[cohort[4].channel_names.index("Cz"), 100] = np.nan
@@ -1271,19 +1296,14 @@ def test_the_worker_count_never_changes_a_table(failing_cohort, monkeypatch):
                            SegmentSpec(2, 2))
              for ch in ("P3", "Cz")]
     tables = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(sweep, "_usable_cpus", lambda: workers)
-            table = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
-            tables[workers] = (
-                {(s, pos): _error_text(err)
-                 for (s, pos), err in np.ndenumerate(table.errors)
-                 if err is not None},
-                table.values[table.errors == None].tobytes())  # noqa: E711
-    finally:
-        sys.setswitchinterval(interval)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: workers)
+        table = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
+        tables[workers] = (
+            {(s, pos): _error_text(err)
+             for (s, pos), err in np.ndenumerate(table.errors)
+             if err is not None},
+            table.values[table.errors == None].tobytes())  # noqa: E711
     assert tables[2] == tables[1] and tables[3] == tables[1]
     errors = {(cohort[s].subject_id, cell[0]): text
               for cell, pos in table.cells.items()
@@ -1298,26 +1318,26 @@ def test_the_worker_count_never_changes_a_table(failing_cohort, monkeypatch):
 
 
 def test_one_blas_pin_holds_the_whole_pool(small_cohort, monkeypatch):
-    """A library call with OpenBLAS on 2 threads: two FastICA runs
-    overlap on the table's threads, each reads 1 thread from entry to
-    exit, and the caller's 2 are back once the table is built."""
+    """A library call with OpenBLAS on 2 threads: each subject's process
+    runs FastICA on 1 thread from entry to exit, and the caller's 2 are
+    back once the table is built."""
     blas = cleaning._openblas()
-    if blas is None or sweep._usable_cpus() < 2:
-        pytest.skip("needs numpy's bundled OpenBLAS and two usable CPUs")
+    if blas is None:
+        pytest.skip("needs numpy's bundled OpenBLAS")
     get, put = blas
-    both = threading.Barrier(2, timeout=60)
-    seen = []
     real = cleaning.ica_decompose
 
+    def on_one_thread():
+        if get() != 1:  # a table error, which the test reads
+            raise RuntimeError("OpenBLAS on %d threads" % get())
+
     def ica_decompose(rec, params):
-        seen.append(get())
-        both.wait()  # the other subject's ICA has started too
-        seen.append(get())
-        try:
-            return real(rec, params)
-        finally:
-            seen.append(get())
+        on_one_thread()
+        result = real(rec, params)
+        on_one_thread()
+        return result
     monkeypatch.setattr(cleaning, "ica_decompose", ica_decompose)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     before = get()
     put(2)
     try:
@@ -1329,16 +1349,17 @@ def test_one_blas_pin_holds_the_whole_pool(small_cohort, monkeypatch):
         assert get() == 2
     finally:
         put(before)
-    assert seen == [1] * 6
     assert table.errors.tolist() == [[None], [None]]
 
 
 def test_spec_processes_are_no_more_than_pending_specs(
         tmp_path, small_cohort, monkeypatch):
     """A resume with 2 of 4 specs left under jobs=8 forks 2 spec
-    processes, and one with 1 left forks none."""
+    processes, and one with 1 left forks none. The table is built in
+    this process, so that every fork counted is a spec process."""
     cohort, _ = small_cohort
     specs = small_specs()[:4]
+    _one_worker(monkeypatch)
     started = []
     real_start = multiprocessing.context.ForkProcess.start
 
@@ -1357,3 +1378,50 @@ def test_spec_processes_are_no_more_than_pending_specs(
                         checkpoint_dir=ckpt, jobs=8)
         assert len(started) == forks and _dump(got) == want
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failure", ["stage", "task"])
+def test_a_table_leaves_no_thread_and_no_process(small_cohort, monkeypatch,
+                                                failure):
+    """At width 2 the table starts no thread while it is built, and its
+    processes have exited once it is, also when a subject's stage fails
+    (a table error) or its task raises (which the call raises)."""
+    cohort = small_cohort[0][:4]
+    bad = cohort[1].subject_id
+    real_filter, real_walk = cleaning.fir_bandpass, sweep._walk_rows
+
+    def fir_bandpass(rec, params):
+        if rec.subject_id == bad:
+            raise RuntimeError("no clean data in " + bad)
+        return real_filter(rec, params)
+
+    def walk_rows(rec, pipeline, plan):
+        if rec.subject_id == bad:
+            raise RuntimeError("walk refused for " + bad)
+        return real_walk(rec, pipeline, plan)
+    if failure == "stage":
+        monkeypatch.setattr(cleaning, "fir_bandpass", fir_bandpass)
+    else:
+        monkeypatch.setattr(sweep, "_walk_rows", walk_rows)
+    threads = threading.active_count()
+    seen = []
+    real_map = sweep.fork_map
+
+    def fork_map(fn, items, width):
+        assert width == 2
+        for result in real_map(fn, items, width):
+            seen.append(threading.active_count())
+            yield result
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sweep, "fork_map", fork_map)
+    cells = [(kind, SegmentSpec(1, 1), "P3") for kind in ("raw", "filtered")]
+    if failure == "stage":
+        table = feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
+        assert str(table.errors[1, 1]) == "no clean data in " + bad
+        assert seen == [threads] * len(cohort)
+    else:
+        with pytest.raises(RuntimeError, match="walk refused for " + bad):
+            feature_vectors(cohort, cells, PIPELINE, DEFAULT_PARAMS)
+        assert seen == [threads]
+    assert threading.active_count() == threads
+    assert multiprocessing.active_children() == []
